@@ -1,9 +1,8 @@
 """Command-line entry points for the experiment harness.
 
 Every subcommand takes a JSON experiment config (``--config PATH`` or a
-shipped ``--builtin NAME``); ``--seed``, ``--paths``, ``--out``, and
-``--threads`` override the document.  The worker count never changes the
-numbers, only the wall time.
+shipped ``--builtin NAME``); ``--seed`` and ``--paths`` override the
+document, and ``--out`` names the output directory.
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, help="override the master seed")
     sub.add_argument("--paths", type=int, help="override the path count")
     sub.add_argument("--out", help="output directory for CSV tables and the manifest")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads for path simulation (results unchanged)")
 
 
 def _load(args):
@@ -55,8 +52,7 @@ def _print_comparison(result):
 
 def _cmd_simulate(args):
     cfg = _load(args)
-    bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0,
-                            n_threads=args.threads)
+    bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0)
     frac = bundle.default_mask().mean()
     print(f"simulated {cfg.paths.n_paths} paths, default fraction {frac:.4f}")
     if args.out:
@@ -105,26 +101,26 @@ def _cmd_solve_power(args):
 
 def _cmd_compare(args):
     cfg = _load(args)
-    _print_comparison(run_comparison(cfg, out_dir=args.out, n_threads=args.threads))
+    _print_comparison(run_comparison(cfg, out_dir=args.out))
 
 
 def _cmd_sweep(args):
     cfg = _load(args)
-    result = run_sweep(cfg, out_dir=args.out, n_threads=args.threads)
+    result = run_sweep(cfg, out_dir=args.out)
     print(result.to_csv(), end="")
 
 
 def _cmd_crisis(args):
     cfg = _load(args)
-    _print_comparison(run_crisis(cfg, out_dir=args.out, n_threads=args.threads))
+    _print_comparison(run_crisis(cfg, out_dir=args.out))
 
 
 def _cmd_power_compare(args):
     cfg = _load(args)
     vg = ValueGrid.load(args.grid) if args.grid else None
     vg_const = ValueGrid.load(args.grid_const) if args.grid_const else None
-    result = run_power_comparison(cfg, out_dir=args.out, n_threads=args.threads,
-                                  value_grid=vg, value_grid_const=vg_const)
+    result = run_power_comparison(cfg, out_dir=args.out, value_grid=vg,
+                                  value_grid_const=vg_const)
     _print_comparison(result)
 
 

@@ -11,8 +11,8 @@ multiplied by ``1 - L[i, j]``, and intensities are re-evaluated in the
 new state.
 
 Every path owns a counter-based RNG stream keyed by
-``(master_seed, path_index)``, so results are bit-identical for any
-worker count or path-block partition.
+``(master_seed, path_index)``, so a path's results are bit-identical
+whatever the path count or block partition of the run.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import csv
 import gzip
 import hashlib
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from contagionopt.model import AdmissibleBox, DefaultState, MarketParams, jump_f
 __all__ = [
     "PathConfig",
     "PathBundle",
-    "MarketPath",
     "WealthBundle",
     "Strategy",
     "ConstantAllocation",
@@ -41,8 +39,8 @@ __all__ = [
     "dump_paths_csv",
 ]
 
-# paths are simulated in fixed-size blocks so that the work partition (and
-# hence every floating-point result) is independent of the worker count
+# paths are simulated in fixed-size blocks, which bounds the block's work
+# arrays; per-path RNG streams keep every result independent of the blocking
 _BLOCK = 1024
 
 
@@ -68,22 +66,6 @@ class PathConfig:
         return self.horizon / self.n_steps
 
 
-@dataclass(frozen=True)
-class MarketPath:
-    """Single simulated path (views into the owning bundle)."""
-
-    times: np.ndarray        # (n_steps+1,)
-    prices: np.ndarray       # (n_steps+1, n); exactly 0 from default onward
-    states: np.ndarray       # (n_steps+1, n) uint8
-    intensities: np.ndarray  # (n_steps, n) rates used on each step
-    normals: np.ndarray      # (n_steps, n) correlated N(0,1) increments
-    default_step: np.ndarray  # (n,) step index of default, -1 if none
-
-    def default_time(self, stock: int, dt: float):
-        k = self.default_step[stock]
-        return None if k < 0 else (k + 1) * dt
-
-
 @dataclass
 class PathBundle:
     """Simulated stock/default trajectories with RNG provenance."""
@@ -92,21 +74,15 @@ class PathBundle:
     cfg: PathConfig
     s0: np.ndarray
     times: np.ndarray
-    prices: np.ndarray        # (n_paths, n_steps+1, n)
+    prices: np.ndarray        # (n_paths, n_steps+1, n); exactly 0 from default onward
     states: np.ndarray        # (n_paths, n_steps+1, n) uint8
-    intensities: np.ndarray   # (n_paths, n_steps, n)
     normals: np.ndarray       # (n_paths, n_steps, n) correlated
     clocks: np.ndarray        # (n_paths, n) unit exponentials
-    default_step: np.ndarray  # (n_paths, n)
+    default_step: np.ndarray  # (n_paths, n) step index of default, -1 if none
 
     @property
     def n_paths(self) -> int:
         return self.prices.shape[0]
-
-    def path(self, i: int) -> MarketPath:
-        return MarketPath(times=self.times, prices=self.prices[i],
-                          states=self.states[i], intensities=self.intensities[i],
-                          normals=self.normals[i], default_step=self.default_step[i])
 
     def default_mask(self) -> np.ndarray:
         """True for paths with at least one default before the horizon."""
@@ -133,19 +109,16 @@ class Strategy(ABC):
     box: AdmissibleBox | None = None
 
     @abstractmethod
-    def allocation(self, t: float, x: float, prices: np.ndarray,
-                   state: DefaultState) -> np.ndarray:
-        ...
-
     def allocations(self, t: float, x: np.ndarray, prices: np.ndarray,
                     states: np.ndarray) -> np.ndarray:
-        """Vectorized query across paths; the default falls back to the
-        scalar mapping row by row."""
-        out = np.zeros_like(prices, dtype=float)
-        for k in range(prices.shape[0]):
-            out[k] = self.allocation(t, float(x[k]), prices[k],
-                                     DefaultState(tuple(int(b) for b in states[k])))
-        return out
+        """Allocations (n_paths, n) for wealths ``x``, prices (n_paths, n)
+        and default-state bits (n_paths, n)."""
+
+    def allocation(self, t: float, x: float, prices: np.ndarray,
+                   state: DefaultState) -> np.ndarray:
+        """Allocation for a single path."""
+        return self.allocations(t, np.array([x]), np.asarray(prices, dtype=float)[None, :],
+                                np.array([state.bits], dtype=np.uint8))[0]
 
 
 class ConstantAllocation(Strategy):
@@ -154,9 +127,6 @@ class ConstantAllocation(Strategy):
     def __init__(self, pi, box: AdmissibleBox | None = None):
         self.pi = np.atleast_1d(np.asarray(pi, dtype=float))
         self.box = box
-
-    def allocation(self, t, x, prices, state):
-        return self.pi * (1 - np.asarray(state.bits))
 
     def allocations(self, t, x, prices, states):
         return self.pi[None, :] * (1 - states)
@@ -194,7 +164,6 @@ def _simulate_block(params: MarketParams, intensity, cfg: PathConfig, s0,
     for k in range(cfg.n_steps):
         alive = states == 0
         rates = intensity.rates_matrix(states, prices)
-        out.intensities[lo:hi, k] = rates
 
         new_hazard = cum_hazard + rates * dt
         crossed = alive & (new_hazard >= clocks)
@@ -233,12 +202,11 @@ def _simulate_block(params: MarketParams, intensity, cfg: PathConfig, s0,
     out.default_step[lo:hi] = default_step
 
 
-def simulate_paths(params: MarketParams, intensity, cfg: PathConfig, s0,
-                   n_threads: int = 1) -> PathBundle:
+def simulate_paths(params: MarketParams, intensity, cfg: PathConfig, s0) -> PathBundle:
     """Simulate the contagion market from initial prices ``s0``.
 
-    Paths are generated in fixed blocks; ``n_threads`` only schedules the
-    blocks and never changes the output.
+    Paths are generated in fixed blocks; the first ``k`` paths of a run
+    equal a ``k``-path run with the same seed.
     """
     s0 = np.atleast_1d(np.asarray(s0, dtype=float))
     if s0.shape != (params.n,):
@@ -252,21 +220,12 @@ def simulate_paths(params: MarketParams, intensity, cfg: PathConfig, s0,
         times=np.arange(steps + 1) * cfg.dt,
         prices=np.empty((m, steps + 1, n)),
         states=np.empty((m, steps + 1, n), dtype=np.uint8),
-        intensities=np.empty((m, steps, n)),
         normals=np.empty((m, steps, n)),
         clocks=np.empty((m, n)),
         default_step=np.empty((m, n), dtype=np.int64),
     )
-    blocks = [(lo, min(lo + _BLOCK, m)) for lo in range(0, m, _BLOCK)]
-    if n_threads <= 1 or len(blocks) == 1:
-        for lo, hi in blocks:
-            _simulate_block(params, intensity, cfg, s0, lo, hi, bundle)
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            futures = [pool.submit(_simulate_block, params, intensity, cfg, s0,
-                                   lo, hi, bundle) for lo, hi in blocks]
-            for f in futures:
-                f.result()
+    for lo in range(0, m, _BLOCK):
+        _simulate_block(params, intensity, cfg, s0, lo, min(lo + _BLOCK, m), bundle)
     return bundle
 
 
@@ -344,12 +303,12 @@ def evolve_wealth(bundle: PathBundle, strategy: Strategy, x0: float) -> WealthBu
 
 
 def estimate_log_value(params: MarketParams, intensity, strategy: Strategy,
-                       cfg: PathConfig, s0, x0: float, n_threads: int = 1):
+                       cfg: PathConfig, s0, x0: float):
     """Monte Carlo estimate of expected log terminal wealth.
 
     Returns ``(mean, standard_error)`` of ``ln X_T``.
     """
-    bundle = simulate_paths(params, intensity, cfg, s0, n_threads=n_threads)
+    bundle = simulate_paths(params, intensity, cfg, s0)
     wealth = evolve_wealth(bundle, strategy, x0)
     logs = np.log(wealth.terminal)
     se = logs.std(ddof=1) / np.sqrt(len(logs)) if len(logs) > 1 else 0.0

@@ -10,7 +10,7 @@ the power-utility comparison.
 Every comparison evaluates both strategies on one simulated path bundle
 (common random numbers), asserted by digesting the bundle's Gaussian
 increments and exponential clocks.  Output CSVs are byte-identical for a
-given config and seed regardless of the worker count.
+given config and seed.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from importlib import resources
 import numpy as np
 
 from contagionopt.dynamics import PathConfig, evolve_wealth, simulate_paths
-from contagionopt.logopt import LogControlProblem, make_log_strategy
+from contagionopt.logopt import CASE_NAMES, LogControlProblem, make_log_strategy
 from contagionopt.model import (
     AdmissibleBox,
     ConstantIntensity,
@@ -203,26 +203,27 @@ def _apply_param_overrides(market: MarketParams, intensity, overrides: dict):
     new_market = MarketParams.two_stock(**m)
 
     if isinstance(intensity, PowerClampIntensity):
+        family = "power_clamp"
         f = dict(h0=intensity.h0, k1=intensity.weights[0], k2=intensity.weights[1],
                  alpha=intensity.alpha, h_min=intensity.h_min, h_max=intensity.h_max)
-        for k in _INTENSITY_FIELDS["power_clamp"]:
+        for k in _INTENSITY_FIELDS[family]:
             if k in overrides:
                 f[k] = float(overrides[k])
         new_intensity = PowerClampIntensity(h0=f["h0"], weights=(f["k1"], f["k2"]),
                                             alpha=f["alpha"], h_min=f["h_min"],
                                             h_max=f["h_max"])
     elif isinstance(intensity, ReciprocalIntensity):
+        family = "reciprocal"
         new_intensity = ReciprocalIntensity(c=float(overrides.get("c", intensity.c)),
                                             cap=intensity.cap)
     elif isinstance(intensity, ConstantIntensity):
+        family = "constant"
         new_intensity = ConstantIntensity(c=overrides.get("c", intensity.c),
                                           cap=None)
     else:
         raise TypeError(f"cannot apply overrides to {type(intensity).__name__}")
     bad = [k for k in overrides
-           if k not in _MARKET_FIELDS and k not in _INTENSITY_FIELDS.get(
-               {"PowerClampIntensity": "power_clamp", "ReciprocalIntensity": "reciprocal",
-                "ConstantIntensity": "constant"}[type(intensity).__name__], ())]
+           if k not in _MARKET_FIELDS and k not in _INTENSITY_FIELDS[family]]
     if bad:
         raise ValueError(f"overrides {bad} do not apply to {type(intensity).__name__}")
     return new_market, new_intensity
@@ -255,13 +256,21 @@ class ComparisonResult:
         return "\n".join(lines) + "\n"
 
 
-def _log_comparison(cfg: ExperimentConfig, n_threads: int) -> ComparisonResult:
+def _kt_cases(*strategies) -> dict:
+    """Summed Kuhn-Tucker case counts of log strategies, keyed by case name."""
+    counts = sum(s.kt_cases for s in strategies)
+    return {name: int(n) for name, n in zip(CASE_NAMES, counts)}
+
+
+def _log_comparison(cfg: ExperimentConfig, out_dir: str | None,
+                    table: str) -> ComparisonResult:
+    """Active-versus-passive log-utility comparison, written to ``table``."""
+    t0 = time.perf_counter()
     problem = LogControlProblem(params=cfg.market, intensity=cfg.intensity, box=cfg.box)
     active = make_log_strategy(problem, "state-dependent")
     passive = make_log_strategy(problem, "fixed-intensity", hbar=cfg.hbar)
 
-    bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0,
-                            n_threads=n_threads)
+    bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0)
     digest = bundle.rng_digest()
     wealth_active = evolve_wealth(bundle, active, cfg.x0)
     if bundle.rng_digest() != digest:  # common-random-number discipline
@@ -277,9 +286,12 @@ def _log_comparison(cfg: ExperimentConfig, n_threads: int) -> ComparisonResult:
         n_default=int(mask.sum()),
         n_paths=cfg.paths.n_paths,
         rng_digest=digest,
-        health={"kt_fallbacks": active.kt_fallbacks + passive.kt_fallbacks},
+        health={"kt_cases": _kt_cases(active, passive)},
     )
     _check_conservation(result)
+    if out_dir:
+        _emit(cfg, out_dir, {table: result.to_csv()},
+              result.health, result.rng_digest, time.perf_counter() - t0)
     return result
 
 
@@ -291,30 +303,18 @@ def _check_conservation(result: ComparisonResult):
             raise RuntimeError("cohort sizes do not conserve the path count")
 
 
-def run_comparison(cfg: ExperimentConfig, out_dir: str | None = None,
-                   n_threads: int = 1) -> ComparisonResult:
+def run_comparison(cfg: ExperimentConfig, out_dir: str | None = None) -> ComparisonResult:
     """Active-versus-passive comparison under the log utility."""
     if cfg.utility != "log":
         raise ValueError("run_comparison is the log-utility experiment")
-    t0 = time.perf_counter()
-    result = _log_comparison(cfg, n_threads)
-    if out_dir:
-        _emit(cfg, out_dir, {"comparison.csv": result.to_csv()},
-              result.health, result.rng_digest, time.perf_counter() - t0)
-    return result
+    return _log_comparison(cfg, out_dir, "comparison.csv")
 
 
-def run_crisis(cfg: ExperimentConfig, out_dir: str | None = None,
-               n_threads: int = 1) -> ComparisonResult:
+def run_crisis(cfg: ExperimentConfig, out_dir: str | None = None) -> ComparisonResult:
     """Comparison with depressed initial prices and reciprocal hazard."""
     if not isinstance(cfg.intensity, ReciprocalIntensity):
         raise ValueError("crisis experiment requires the reciprocal intensity family")
-    t0 = time.perf_counter()
-    result = _log_comparison(cfg, n_threads)
-    if out_dir:
-        _emit(cfg, out_dir, {"crisis.csv": result.to_csv()},
-              result.health, result.rng_digest, time.perf_counter() - t0)
-    return result
+    return _log_comparison(cfg, out_dir, "crisis.csv")
 
 
 @dataclass
@@ -342,8 +342,7 @@ def _pct(value: float, base: float) -> str:
     return f"({100.0 * (value - base) / base + 0.0:.2f}%)"
 
 
-def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None,
-              n_threads: int = 1) -> SweepResult:
+def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> SweepResult:
     """Robustness sweep of the active strategy's terminal-wealth statistics.
 
     Each entry perturbs named parameters; in ``misspecified-investor``
@@ -355,13 +354,12 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None,
         raise ValueError("run_sweep is specified for the log utility")
     t0 = time.perf_counter()
     problem = LogControlProblem(params=cfg.market, intensity=cfg.intensity, box=cfg.box)
-    bench_bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0,
-                                  n_threads=n_threads)
+    bench_bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0)
     digest = bench_bundle.rng_digest()
     bench_strategy = make_log_strategy(problem, "state-dependent")
     bench_stats = summarize(evolve_wealth(bench_bundle, bench_strategy, cfg.x0).terminal)
 
-    health = {"kt_fallbacks": bench_strategy.kt_fallbacks}
+    strategies = [bench_strategy]
     entries = []
     for entry in cfg.sweep_entries:
         market2, intensity2 = _apply_param_overrides(cfg.market, cfg.intensity, entry.set)
@@ -370,16 +368,16 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None,
         if entry.mode == "misspecified-investor":
             bundle = bench_bundle
         else:  # the world itself is perturbed; same seed keeps draws common
-            bundle = simulate_paths(market2, intensity2, cfg.paths, cfg.s0,
-                                    n_threads=n_threads)
+            bundle = simulate_paths(market2, intensity2, cfg.paths, cfg.s0)
         stats = summarize(evolve_wealth(bundle, strategy2, cfg.x0).terminal)
         pct = {"mean": _pct(stats.mean, bench_stats.mean),
                "std": _pct(stats.std, bench_stats.std),
                "q023": _pct(stats.q_low, bench_stats.q_low),
                "q977": _pct(stats.q_high, bench_stats.q_high)}
         entries.append((entry.label, stats, pct))
-        health["kt_fallbacks"] += strategy2.kt_fallbacks
+        strategies.append(strategy2)
 
+    health = {"kt_cases": _kt_cases(*strategies)}
     result = SweepResult(benchmark=bench_stats, entries=tuple(entries),
                          rng_digest=digest, health=health)
     if out_dir:
@@ -389,8 +387,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None,
 
 
 def run_power_comparison(cfg: ExperimentConfig, out_dir: str | None = None,
-                         n_threads: int = 1, value_grid=None,
-                         value_grid_const=None) -> ComparisonResult:
+                         value_grid=None, value_grid_const=None) -> ComparisonResult:
     """Active-versus-passive comparison under the power utility.
 
     The active strategy extracts controls from the value grid solved with
@@ -410,8 +407,7 @@ def run_power_comparison(cfg: ExperimentConfig, out_dir: str | None = None,
     active = make_power_strategy(value_grid, cfg.market, gamma, cfg.box)
     passive = make_power_strategy(value_grid_const, cfg.market, gamma, cfg.box)
 
-    bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0,
-                            n_threads=n_threads)
+    bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0)
     digest = bundle.rng_digest()
     wealth_active = evolve_wealth(bundle, active, cfg.x0)
     wealth_passive = evolve_wealth(bundle, passive, cfg.x0)
@@ -434,12 +430,11 @@ def run_power_comparison(cfg: ExperimentConfig, out_dir: str | None = None,
     return result
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
-                   n_threads: int = 1):
+def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
     """Dispatch on the config's experiment kind."""
     runner = {"compare": run_comparison, "sweep": run_sweep, "crisis": run_crisis,
               "power-compare": run_power_comparison}[cfg.kind]
-    return runner(cfg, out_dir=out_dir, n_threads=n_threads)
+    return runner(cfg, out_dir=out_dir)
 
 
 def _emit(cfg: ExperimentConfig, out_dir: str, files: dict, health: dict,

@@ -13,13 +13,29 @@ box constraints give first-order (Kuhn-Tucker) conditions
     dG/dpi_S + mu_1 - mu_2 = 0,    dG/dpi_P + mu_3 - mu_4 = 0,
 
 with nonnegative multipliers attached to the lower/upper bounds and the
-usual complementary slackness.  Since each coordinate sits either in the
-interior of its interval or at an endpoint there are nine cases; the
-solver enumerates them in a fixed order (interior, four edges, four
-corners), solves the free coordinates by damped Newton, and accepts a
-case when the candidate lies on its face, its multipliers are
-nonnegative up to tolerance, and its stationarity residual is small.
-Ties are broken by the larger objective and then by enumeration order.
+usual complementary slackness.
+
+Every hazard pair of a batch is solved by the projected Newton method of
+Bertsekas (*Projected Newton methods for optimization problems with
+simple constraints*, SIAM J. Control Optim., 1982), started from the
+Merton point clipped to the box.  Each iteration finds the
+epsilon-active coordinates: those within ``min(eps_0, |pi - P(pi + grad
+G)|)`` of a bound with their gradient pointing out of the box.  When no
+coordinate is epsilon-active and the Hessian is negative definite the
+row takes a full Newton step; otherwise each coordinate takes its own
+Newton step, the diagonally scaled gradient step, capped at the box
+width so that a flat coordinate (no volatility and no hazard) steps
+across the box.  Trials are projected onto the box, which
+:func:`validate_box` keeps inside the log domain of G.  A trial is
+accepted when G stays within rounding of its value at the iterate, since
+G cannot resolve a Newton step's gain near the maximizer; rows still
+searching halve their step.
+
+The Kuhn-Tucker case, the multipliers and the residual are read from the
+final held set, the coordinates sitting at a bound with their gradient
+pointing out: a held coordinate's multiplier is its outward gradient, and
+the residual is the largest gradient of a free coordinate.  A row whose
+residual misses ``1e-8`` raises ``RuntimeError``.
 
 After one default the problem collapses to one dimension and has the
 closed form
@@ -40,7 +56,6 @@ import numpy as np
 from contagionopt.dynamics import Strategy
 from contagionopt.model import (
     AdmissibleBox,
-    ConstantIntensity,
     DefaultState,
     MarketParams,
     eval_intensity,
@@ -65,12 +80,16 @@ CASE_NAMES = (
     "interior",
     "S-low", "S-high", "P-low", "P-high",
     "S-low/P-low", "S-low/P-high", "S-high/P-low", "S-high/P-high",
-    "grid-fallback",
 )
+# case id indexed by the held side of (pi_S, pi_P): 0 free, 1 lower, 2 upper
+_CASE_OF_SIDES = np.array([[0, 3, 4], [1, 5, 6], [2, 7, 8]])
 
-_ACCEPT_TOL = 1e-8     # multiplier / residual acceptance
-_FACE_TOL = 1e-9       # membership tolerance for a candidate's face
-_GRAD_TOL = 1e-12      # Newton stationarity target
+_ACCEPT_TOL = 1e-8     # KKT residual every returned row must reach
+_GRAD_TOL = 1e-12      # stationarity target of the iteration
+_EPS_ACTIVE = 1e-3     # eps_0, the cap on the epsilon-active distance
+_G_ROUNDING = 64.0 * np.finfo(float).eps  # relative rounding of a G value
+_MAX_ITER = 100
+_MAX_HALVINGS = 60
 
 
 @dataclass(frozen=True)
@@ -96,331 +115,128 @@ class LogControlProblem:
 
 @dataclass(frozen=True)
 class KTSolution:
-    """Accepted stationary point of the box-constrained maximization."""
+    """Box-constrained maximizer with its Kuhn-Tucker certificate."""
 
     pi: np.ndarray
     case: str
     multipliers: np.ndarray  # (mu_1..mu_4) for S-low, S-high, P-low, P-high
     residual: float
     g_value: float
-    fallback: bool = False
 
 
-class _Ctx:
-    """Problem coefficients plus per-row hazard arrays."""
+class _Coef:
+    """Coefficients of G shared by every row of a batch."""
 
-    __slots__ = ("t0", "t1", "S00", "S01", "S11", "LS", "LP", "hS", "hP",
-                 "a0", "b0", "a1", "b1")
+    __slots__ = ("t0", "t1", "S00", "S01", "S11", "LS", "LP")
 
-    def __init__(self, params: MarketParams, box: AdmissibleBox,
-                 hS: np.ndarray, hP: np.ndarray):
+    def __init__(self, params: MarketParams):
         cov = params.cov
         self.t0, self.t1 = params.theta
         self.S00, self.S01, self.S11 = cov[0, 0], cov[0, 1], cov[1, 1]
         self.LS = params.L[0, 1]
         self.LP = params.L[1, 0]
-        self.hS = hS
-        self.hP = hP
-        self.a0, self.b0 = box.lower[0], box.upper[0]
-        self.a1, self.b1 = box.lower[1], box.upper[1]
-
-    def take(self, idx) -> "_Ctx":
-        sub = _Ctx.__new__(_Ctx)
-        for name in _Ctx.__slots__:
-            setattr(sub, name, getattr(self, name))
-        sub.hS = self.hS[idx]
-        sub.hP = self.hP[idx]
-        return sub
 
 
-def _g(ctx: _Ctx, piS, piP):
-    """G values; -inf outside the log domain of an active hazard term.
+def _g(c: _Coef, hS, hP, piS, piP):
+    """G values; both jump factors must be positive."""
+    d1 = 1.0 - piS - c.LP * piP
+    d2 = 1.0 - c.LS * piS - piP
+    quad = 0.5 * (c.S00 * piS**2 + 2.0 * c.S01 * piS * piP + c.S11 * piP**2)
+    return c.t0 * piS + c.t1 * piP - quad + hS * np.log(d1) + hP * np.log(d2)
 
-    Tolerates non-finite trial points (from stalled Newton steps): any
-    arithmetic garbage compares false against a finite incumbent.
+
+def _derivs(c: _Coef, hS, hP, x):
+    """Gradient (m, 2), Hessian diagonal (m, 2) and off-diagonal (m,) at rows ``x``."""
+    piS, piP = x[:, 0], x[:, 1]
+    d1 = 1.0 - piS - c.LP * piP
+    d2 = 1.0 - c.LS * piS - piP
+    r1, r2 = hS / d1, hP / d2
+    q1, q2 = r1 / d1, r2 / d2
+    g = np.column_stack([c.t0 - (c.S00 * piS + c.S01 * piP) - r1 - c.LS * r2,
+                         c.t1 - (c.S01 * piS + c.S11 * piP) - c.LP * r1 - r2])
+    hdiag = np.column_stack([-c.S00 - q1 - c.LS**2 * q2, -c.S11 - c.LP**2 * q1 - q2])
+    hoff = -c.S01 - c.LP * q1 - c.LS * q2
+    return g, hdiag, hoff
+
+
+def _held(x, g, box: AdmissibleBox):
+    """Held coordinates (at a bound, gradient pointing out) and the KKT
+    residual, the largest gradient among the free coordinates."""
+    low = (x == box.lower) & (g < 0.0)
+    high = (x == box.upper) & (g > 0.0)
+    residual = np.where(low | high, 0.0, np.abs(g)).max(axis=1)
+    return low, high, residual
+
+
+def _solve_batch(c: _Coef, box: AdmissibleBox, hS, hP):
+    """Projected Newton iteration for all rows.
+
+    Returns ``(pi (m, 2), case_id, multipliers (m, 4), residual)``.
     """
-    with np.errstate(all="ignore"):
-        d1 = 1.0 - piS - ctx.LP * piP
-        d2 = 1.0 - ctx.LS * piS - piP
-        quad = 0.5 * (ctx.S00 * piS**2 + 2.0 * ctx.S01 * piS * piP + ctx.S11 * piP**2)
-        val = ctx.t0 * piS + ctx.t1 * piP - quad
-        log1 = np.where(d1 > 0.0, np.log(np.where(d1 > 0.0, d1, 1.0)), -np.inf)
-        log2 = np.where(d2 > 0.0, np.log(np.where(d2 > 0.0, d2, 1.0)), -np.inf)
-        val = val + np.where(ctx.hS > 0.0, ctx.hS * log1, 0.0)
-        val = val + np.where(ctx.hP > 0.0, ctx.hP * log2, 0.0)
-    return val
-
-
-def _grad(ctx: _Ctx, piS, piP):
-    d1 = 1.0 - piS - ctx.LP * piP
-    d2 = 1.0 - ctx.LS * piS - piP
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r1 = np.where(ctx.hS > 0.0, ctx.hS / d1, 0.0)
-        r2 = np.where(ctx.hP > 0.0, ctx.hP / d2, 0.0)
-    gS = ctx.t0 - (ctx.S00 * piS + ctx.S01 * piP) - r1 - ctx.LS * r2
-    gP = ctx.t1 - (ctx.S01 * piS + ctx.S11 * piP) - ctx.LP * r1 - r2
-    return gS, gP
-
-
-def _hess(ctx: _Ctx, piS, piP):
-    d1 = 1.0 - piS - ctx.LP * piP
-    d2 = 1.0 - ctx.LS * piS - piP
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q1 = np.where(ctx.hS > 0.0, ctx.hS / d1**2, 0.0)
-        q2 = np.where(ctx.hP > 0.0, ctx.hP / d2**2, 0.0)
-    hSS = -ctx.S00 - q1 - ctx.LS**2 * q2
-    hSP = -ctx.S01 - ctx.LP * q1 - ctx.LS * q2
-    hPP = -ctx.S11 - ctx.LP**2 * q1 - q2
-    return hSS, hSP, hPP
-
-
-def _boundary_step(ctx: _Ctx, piS, piP, dS, dP):
-    """Largest step fraction keeping active log terms inside their domain.
-
-    Both jump factors are linear in the step, so the boundary crossing is
-    explicit; inactive hazards (h = 0) impose no restriction.
-    """
-    d1 = 1.0 - piS - ctx.LP * piP
-    d2 = 1.0 - ctx.LS * piS - piP
-    drop1 = dS + ctx.LP * dP
-    drop2 = ctx.LS * dS + dP
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = np.where((ctx.hS > 0.0) & (drop1 > 0.0), d1 / drop1, np.inf)
-        t2 = np.where((ctx.hP > 0.0) & (drop2 > 0.0), d2 / drop2, np.inf)
-    return np.minimum(1.0, 0.95 * np.minimum(t1, t2))
-
-
-def _newton2(ctx: _Ctx, piS0, piP0, max_iter=60):
-    """Batched damped Newton for the unconstrained stationary point of G.
-
-    Rows leave the active set once stationary; the step starts at the
-    fraction-to-the-boundary cap and is halved until G increases.
-    """
-    piS, piP = piS0.copy(), piP0.copy()
-    m = piS.shape[0]
-    res_out = np.zeros(m)
-    act = np.arange(m)
-    for _ in range(max_iter):
-        c = ctx.take(act)
-        xS, xP = piS[act], piP[act]
-        gS, gP = _grad(c, xS, xP)
-        res = np.maximum(np.abs(gS), np.abs(gP))
-        res_out[act] = res
-        keep = res > _GRAD_TOL
-        act = act[keep]
-        if act.size == 0:
-            break
-        c, xS, xP = c.take(keep), xS[keep], xP[keep]
-        gS, gP = gS[keep], gP[keep]
-        hSS, hSP, hPP = _hess(c, xS, xP)
-        with np.errstate(all="ignore"):
-            # det > 0 when G is strictly concave; degenerate rows (zero
-            # volatility with an inactive hazard) produce non-finite steps,
-            # stall the line search, and fall through to the other cases
-            det = hSS * hPP - hSP**2
-            dS = -(hPP * gS - hSP * gP) / det
-            dP = -(hSS * gP - hSP * gS) / det
-        G0 = _g(c, xS, xP)
-        t = _boundary_step(c, xS, xP, dS, dP)
-        improved = np.zeros(act.size, dtype=bool)
-        newS, newP = xS.copy(), xP.copy()
-        for _ in range(40):
-            todo = ~improved
-            if not todo.any():
-                break
-            candS = xS + t * dS
-            candP = xP + t * dP
-            good = todo & (_g(c, candS, candP) > G0)
-            newS = np.where(good, candS, newS)
-            newP = np.where(good, candP, newP)
-            improved |= good
-            t = np.where(improved, t, 0.5 * t)
-        piS[act] = newS
-        piP[act] = newP
-        act = act[improved]  # stalled rows are numerically stationary
-        if act.size == 0:
-            break
-    gS, gP = _grad(ctx, piS, piP)
-    return piS, piP, np.maximum(np.abs(gS), np.abs(gP))
-
-
-def _newton1(ctx: _Ctx, free: str, fixed: float, init, max_iter=60):
-    """Damped Newton along one free coordinate, the other held at a bound."""
-    if free == "P":
-        pair = lambda c, v: (np.full_like(v, fixed), v)
-        gsel, hidx = (lambda gS, gP: gP), 2
-    else:
-        pair = lambda c, v: (v, np.full_like(v, fixed))
-        gsel, hidx = (lambda gS, gP: gS), 0
-    x = init.copy()
-    m = x.shape[0]
-    res_out = np.zeros(m)
-    act = np.arange(m)
-    for _ in range(max_iter):
-        c = ctx.take(act)
-        v = x[act]
-        g = gsel(*_grad(c, *pair(c, v)))
-        res = np.abs(g)
-        res_out[act] = res
-        keep = res > _GRAD_TOL
-        act = act[keep]
-        if act.size == 0:
-            break
-        c, v, g = c.take(keep), v[keep], g[keep]
-        h = _hess(c, *pair(c, v))[hidx]
-        with np.errstate(all="ignore"):
-            step = -g / h  # non-finite on degenerate rows; stalls below
-        if free == "P":
-            dS, dP = np.zeros_like(step), step
-        else:
-            dS, dP = step, np.zeros_like(step)
-        xS, xP = pair(c, v)
-        G0 = _g(c, xS, xP)
-        t = _boundary_step(c, xS, xP, dS, dP)
-        improved = np.zeros(act.size, dtype=bool)
-        new = v.copy()
-        for _ in range(40):
-            todo = ~improved
-            if not todo.any():
-                break
-            cand = v + t * step
-            good = todo & (_g(c, *pair(c, cand)) > G0)
-            new = np.where(good, cand, new)
-            improved |= good
-            t = np.where(improved, t, 0.5 * t)
-        x[act] = new
-        act = act[improved]
-        if act.size == 0:
-            break
-    g = gsel(*_grad(ctx, *pair(ctx, x)))
-    return x, np.abs(g)
-
-
-def _fallback_row(ctx: _Ctx, row: int):
-    """Projected grid search, 201 points per axis, refined twice locally."""
-    one = _Ctx.__new__(_Ctx)
-    for name in _Ctx.__slots__:
-        setattr(one, name, getattr(ctx, name))
-    one.hS = np.asarray(ctx.hS[row])
-    one.hP = np.asarray(ctx.hP[row])
-    lo0, hi0, lo1, hi1 = ctx.a0, ctx.b0, ctx.a1, ctx.b1
-    best = None
-    for _ in range(3):
-        s = np.linspace(lo0, hi0, 201)
-        p = np.linspace(lo1, hi1, 201)
-        S, P = np.meshgrid(s, p, indexing="ij")
-        vals = _g(one, S, P)
-        i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        best = (float(S[i, j]), float(P[i, j]), float(vals[i, j]))
-        ds, dp = s[1] - s[0], p[1] - p[0]
-        lo0, hi0 = max(ctx.a0, best[0] - ds), min(ctx.b0, best[0] + ds)
-        lo1, hi1 = max(ctx.a1, best[1] - dp), min(ctx.b1, best[1] + dp)
-    return best
-
-
-def _solve_batch(ctx: _Ctx, m: int):
-    """Enumerate the nine KT cases in a fixed order for all rows.
-
-    G is strictly concave, so an accepted candidate of any case is the
-    unique box-constrained maximizer; a row therefore leaves the active
-    set at its first accepted case, which is also the tie-break order
-    (larger objective, then enumeration order).  Returns arrays
-    ``(pi (m,2), case_id, multipliers (m,4), residual, fallback)``.
-    """
-    a0, b0, a1, b1 = ctx.a0, ctx.b0, ctx.a1, ctx.b1
-
-    out_pi = np.zeros((m, 2))
-    out_case = np.full(m, -1, dtype=np.int64)
-    out_mult = np.zeros((m, 4))
-    out_res = np.full(m, np.inf)
-    act = np.arange(m)
-
-    def resolve(idx, piS, piP, mult_raw, residual, face_ok):
-        # mult_raw rows: (mu1, mu2, mu3, mu4); acceptance needs >= -tol
-        valid = (face_ok & (mult_raw >= -_ACCEPT_TOL).all(axis=1)
-                 & (residual <= _ACCEPT_TOL))
-        rows = idx[valid]
-        out_pi[rows, 0] = piS[valid]
-        out_pi[rows, 1] = piP[valid]
-        out_mult[rows] = np.maximum(mult_raw[valid], 0.0)
-        out_res[rows] = residual[valid]
-        return idx[~valid]
-
-    # interior: damped Newton from the Merton point projected into the box
-    det = ctx.S00 * ctx.S11 - ctx.S01**2
+    lo, hi = box.lower, box.upper
+    width = hi - lo
+    det = c.S00 * c.S11 - c.S01**2
     if det > 0.0:
-        mertS = (ctx.S11 * ctx.t0 - ctx.S01 * ctx.t1) / det
-        mertP = (ctx.S00 * ctx.t1 - ctx.S01 * ctx.t0) / det
+        merton = np.array([c.S11 * c.t0 - c.S01 * c.t1, c.S00 * c.t1 - c.S01 * c.t0]) / det
     else:  # singular covariance (zero volatility): start from no exposure
-        mertS = mertP = 0.0
-    c = ctx.take(act)
-    piS, piP, res = _newton2(c, np.full(act.size, np.clip(mertS, a0, b0)),
-                             np.full(act.size, np.clip(mertP, a1, b1)))
-    face = ((piS >= a0 - _FACE_TOL) & (piS <= b0 + _FACE_TOL)
-            & (piP >= a1 - _FACE_TOL) & (piP <= b1 + _FACE_TOL))
-    int_piS = np.clip(piS, a0, b0)  # interior roots also warm-start the edges
-    int_piP = np.clip(piP, a1, b1)
-    warmS, warmP = np.zeros(m), np.zeros(m)
-    warmS[act] = int_piS
-    warmP[act] = int_piP
-    left = resolve(act, int_piS, int_piP, np.zeros((act.size, 4)), res, face)
-    out_case[np.setdiff1d(act, left, assume_unique=True)] = 0
-    act = left
+        merton = np.zeros(2)
+    x = np.tile(np.clip(merton, lo, hi), (hS.size, 1))
 
-    # edges: fix one coordinate at a bound, 1D Newton in the other;
-    # the fixed coordinate's multiplier absorbs its gradient
-    edges = ((1, "S", a0, "P"), (2, "S", b0, "P"),
-             (3, "P", a1, "S"), (4, "P", b1, "S"))
-    for case_id, _, bound, free_coord in edges:
+    act = np.arange(hS.size)
+    for _ in range(_MAX_ITER):
+        xa, hs, hp = x[act], hS[act], hP[act]
+        g, hdiag, hoff = _derivs(c, hs, hp, xa)
+        keep = _held(xa, g, box)[2] > _GRAD_TOL
+        act, xa, hs, hp, g, hdiag, hoff = (
+            a[keep] for a in (act, xa, hs, hp, g, hdiag, hoff))
         if act.size == 0:
             break
-        c = ctx.take(act)
-        if free_coord == "P":
-            x, res = _newton1(c, "P", bound, warmP[act])
-            piS_c, piP_c = np.full(act.size, bound), np.clip(x, a1, b1)
-            face = (x >= a1 - _FACE_TOL) & (x <= b1 + _FACE_TOL)
-        else:
-            x, res = _newton1(c, "S", bound, warmS[act])
-            piS_c, piP_c = np.clip(x, a0, b0), np.full(act.size, bound)
-            face = (x >= a0 - _FACE_TOL) & (x <= b0 + _FACE_TOL)
-        gS, gP = _grad(c, piS_c, piP_c)
-        mult = np.zeros((act.size, 4))
-        if case_id == 1:
-            mult[:, 0] = -gS
-        elif case_id == 2:
-            mult[:, 1] = gS
-        elif case_id == 3:
-            mult[:, 2] = -gP
-        else:
-            mult[:, 3] = gP
-        left = resolve(act, piS_c, piP_c, mult, res, face)
-        out_case[np.setdiff1d(act, left, assume_unique=True)] = case_id
-        act = left
 
-    # corners: both coordinates pinned, both multipliers from the gradient
-    corners = ((5, a0, a1), (6, a0, b1), (7, b0, a1), (8, b0, b1))
-    for case_id, cS, cP in corners:
+        # per-coordinate Newton step, capped at the box width; a flat
+        # coordinate (zero curvature) therefore steps across the box
+        step = g / np.maximum(np.maximum(-hdiag, np.abs(g) / width),
+                              np.finfo(float).tiny)
+        eps = np.minimum(_EPS_ACTIVE,
+                         np.abs(xa - np.clip(xa + g, lo, hi)).max(axis=1))[:, None]
+        near = ((xa <= lo + eps) & (g < 0.0)) | ((xa >= hi - eps) & (g > 0.0))
+        det = hdiag[:, 0] * hdiag[:, 1] - hoff**2
+        full = np.nonzero(~near.any(axis=1) & (det > 0.0))[0]
+        gf, hf, of, df = g[full], hdiag[full], hoff[full], det[full]
+        step[full, 0] = (of * gf[:, 1] - hf[:, 1] * gf[:, 0]) / df
+        step[full, 1] = (of * gf[:, 0] - hf[:, 0] * gf[:, 1]) / df
+
+        g0 = _g(c, hs, hp, xa[:, 0], xa[:, 1])
+        floor = g0 - _G_ROUNDING * (1.0 + np.abs(g0))
+        new = xa.copy()
+        alpha = 1.0
+        search = np.arange(act.size)
+        for _ in range(_MAX_HALVINGS):
+            trial = np.clip(xa[search] + alpha * step[search], lo, hi)
+            ok = _g(c, hs[search], hp[search], trial[:, 0], trial[:, 1]) >= floor[search]
+            new[search[ok]] = trial[ok]
+            search = search[~ok]
+            if search.size == 0:
+                break
+            alpha *= 0.5
+        # a row that found no acceptable trial, or whose step no longer
+        # moves it, has reached what rounding lets it resolve
+        moved = (new != xa).any(axis=1)
+        x[act] = new
+        act = act[moved]
         if act.size == 0:
             break
-        c = ctx.take(act)
-        piS_c = np.full(act.size, cS)
-        piP_c = np.full(act.size, cP)
-        gS, gP = _grad(c, piS_c, piP_c)
-        mult = np.zeros((act.size, 4))
-        mult[:, 0 if cS == a0 else 1] = -gS if cS == a0 else gS
-        mult[:, 2 if cP == a1 else 3] = -gP if cP == a1 else gP
-        left = resolve(act, piS_c, piP_c, mult, np.zeros(act.size),
-                       np.ones(act.size, dtype=bool))
-        out_case[np.setdiff1d(act, left, assume_unique=True)] = case_id
-        act = left
 
-    fallback = out_case < 0
-    for row in np.nonzero(fallback)[0]:
-        s, p, _ = _fallback_row(ctx, int(row))
-        out_pi[row] = (s, p)
-        out_case[row] = 9
-        out_res[row] = np.nan
-    return out_pi, out_case, out_mult, out_res, fallback
+    g = _derivs(c, hS, hP, x)[0]
+    low, high, residual = _held(x, g, box)
+    bad = np.nonzero(~(residual <= _ACCEPT_TOL))[0]
+    if bad.size:
+        k = bad[0]
+        raise RuntimeError(
+            f"KT solver missed the KKT tolerance at hazards (h_S, h_P) = "
+            f"({hS[k]:.17g}, {hP[k]:.17g}): residual {residual[k]:.3g}")
+    case_id = _CASE_OF_SIDES[low[:, 0] + 2 * high[:, 0], low[:, 1] + 2 * high[:, 1]]
+    mult = np.stack([np.where(low, -g, 0.0), np.where(high, g, 0.0)], axis=2)
+    return x, case_id, mult.reshape(-1, 4), residual
 
 
 def solve_kt_batch(prob: LogControlProblem, hS, hP):
@@ -428,7 +244,7 @@ def solve_kt_batch(prob: LogControlProblem, hS, hP):
 
     Duplicate hazard pairs are solved once and scattered back, so a
     constant-intensity comparator costs a single solve.  Returns
-    ``(pi, case_id, multipliers, residual, fallback)``.
+    ``(pi, case_id, multipliers, residual)``.
     """
     hS = np.atleast_1d(np.asarray(hS, dtype=float))
     hP = np.atleast_1d(np.asarray(hP, dtype=float))
@@ -436,20 +252,18 @@ def solve_kt_batch(prob: LogControlProblem, hS, hP):
         raise ValueError("hazard rates must be nonnegative")
     pairs = np.column_stack([hS, hP])
     uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
-    ctx = _Ctx(prob.params, prob.box, uniq[:, 0], uniq[:, 1])
-    pi, case_id, mult, res, fb = _solve_batch(ctx, uniq.shape[0])
+    pi, case_id, mult, res = _solve_batch(_Coef(prob.params), prob.box,
+                                          uniq[:, 0], uniq[:, 1])
     inverse = inverse.reshape(-1)
-    return pi[inverse], case_id[inverse], mult[inverse], res[inverse], fb[inverse]
+    return pi[inverse], case_id[inverse], mult[inverse], res[inverse]
 
 
 def solve_kt(prob: LogControlProblem, hS: float, hP: float) -> KTSolution:
     """Pre-default control for one hazard pair (the comparator entry point)."""
-    pi, case_id, mult, res, fb = solve_kt_batch(prob, [hS], [hP])
-    ctx = _Ctx(prob.params, prob.box, np.array([hS]), np.array([hP]))
-    g_val = float(_g(ctx, pi[:, 0], pi[:, 1])[0])
+    pi, case_id, mult, res = solve_kt_batch(prob, [hS], [hP])
+    g_val = float(_g(_Coef(prob.params), hS, hP, pi[0, 0], pi[0, 1]))
     return KTSolution(pi=pi[0], case=CASE_NAMES[int(case_id[0])],
-                      multipliers=mult[0], residual=float(res[0]),
-                      g_value=g_val, fallback=bool(fb[0]))
+                      multipliers=mult[0], residual=float(res[0]), g_value=g_val)
 
 
 def solve_pre_default_control(prob: LogControlProblem, s: float, p: float) -> KTSolution:
@@ -475,8 +289,7 @@ def g_objective(prob: LogControlProblem, s: float, p: float, pi) -> float:
     d2 = 1.0 - LS * pi[0] - pi[1]
     if d1 <= 0.0 or d2 <= 0.0:
         raise ValueError(f"allocation leaves the log domain: factors ({d1:.4g}, {d2:.4g})")
-    ctx = _Ctx(prob.params, prob.box, np.array([hS]), np.array([hP]))
-    return float(_g(ctx, np.array([pi[0]]), np.array([pi[1]]))[0])
+    return float(_g(_Coef(prob.params), hS, hP, pi[0], pi[1]))
 
 
 def single_survivor_formula(mu: float, sigma: float, r: float, h) -> np.ndarray:
@@ -521,7 +334,8 @@ class LogStrategy(Strategy):
     runs on the constant pair ``(hbar, hbar)`` instead (the passive
     comparator).  By default the constant also replaces the hazard in the
     single-survivor closed form; ``hbar_post_default=False`` keeps the
-    model hazard after a default.
+    model hazard after a default.  ``kt_cases`` counts the Kuhn-Tucker
+    case of every pre-default query, indexed like ``CASE_NAMES``.
     """
 
     def __init__(self, problem: LogControlProblem, hbar: float | None = None,
@@ -530,7 +344,7 @@ class LogStrategy(Strategy):
         self.box = problem.box
         self.hbar = hbar
         self.hbar_post_default = hbar_post_default
-        self.kt_fallbacks = 0  # solver-health counter (approximate under threads)
+        self.kt_cases = np.zeros(len(CASE_NAMES), dtype=np.int64)  # solver-health counter
 
     def allocations(self, t, x, prices, states):
         prob = self.problem
@@ -546,8 +360,8 @@ class LogStrategy(Strategy):
                 hS, hP = rates[:, 0], rates[:, 1]
             else:
                 hS = hP = np.full(int(pre.sum()), float(self.hbar))
-            pi, _, _, _, fb = solve_kt_batch(prob, hS, hP)
-            self.kt_fallbacks += int(fb.sum())
+            pi, case_id, _, _ = solve_kt_batch(prob, hS, hP)
+            self.kt_cases += np.bincount(case_id, minlength=len(CASE_NAMES))
             out[pre] = pi
 
         for stock in (0, 1):
@@ -563,10 +377,6 @@ class LogStrategy(Strategy):
                                           params.r, h)
             out[mask, stock] = np.clip(raw, prob.box.lower[stock], prob.box.upper[stock])
         return out
-
-    def allocation(self, t, x, prices, state):
-        return self.allocations(t, np.array([x]), np.asarray(prices, dtype=float)[None, :],
-                                np.array([state.bits], dtype=np.uint8))[0]
 
 
 def make_log_strategy(prob: LogControlProblem, mode: str = "state-dependent",

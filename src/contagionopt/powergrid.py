@@ -446,7 +446,7 @@ class PowerGridStrategy(Strategy):
         self.params = params
         self.gamma = gamma
         self.box = box
-        self.out_of_domain = 0  # solver-health counter (approximate under threads)
+        self.out_of_domain = 0  # solver-health counter
         self._post = [
             merton_power_control(params, gamma, box.lower[i],
                                  min(box.upper[i], 1.0 - box.eps_a), stock=i)
@@ -484,10 +484,6 @@ class PowerGridStrategy(Strategy):
             mask = (states[:, stock] == 0) & (states[:, 1 - stock] == 1)
             out[mask, stock] = self._post[stock]
         return out
-
-    def allocation(self, t, x, prices, state):
-        return self.allocations(t, np.array([x]), np.asarray(prices, dtype=float)[None, :],
-                                np.array([state.bits], dtype=np.uint8))[0]
 
 
 def make_power_strategy(value_grid: ValueGrid, params: MarketParams, gamma: float,

@@ -75,7 +75,6 @@ def test_03_kt_solver_matches_brute_force_grid():
     rng = np.random.default_rng(103)
     worst_cells = 0.0
     worst_res = 0.0
-    n_fallback = 0
     for _ in range(100):
         prob, (hS, hP) = random_problem(rng, with_zero_hazard=True)
         sol = solve_kt(prob, hS, hP)
@@ -89,16 +88,13 @@ def test_03_kt_solver_matches_brute_force_grid():
         worst_cells = max(worst_cells,
                           abs(sol.pi[0] - S[i, j]) / cell[0],
                           abs(sol.pi[1] - P[i, j]) / cell[1])
-        if sol.fallback:
-            n_fallback += 1
-        else:
-            worst_res = max(worst_res, sol.residual)
+        worst_res = max(worst_res, sol.residual)
     elapsed = time.perf_counter() - t0
     ok = worst_cells <= 1.0 + 1e-6 and worst_res <= 1e-8 and elapsed < 60.0
     _report("pointwise control vs 401x401 grid argmax", ok,
             f"100 random problems, worst offset {worst_cells:.3f} cells (<= 1), "
             f"worst KKT residual {worst_res:.1e} (<= 1e-8), "
-            f"{n_fallback} fallbacks, {elapsed:.1f}s (< 60s)")
+            f"{elapsed:.1f}s (< 60s)")
 
 
 def test_04_single_survivor_closed_form_reductions():
@@ -204,14 +200,14 @@ def test_09_noop_sweep_reports_exact_zeros():
             f"pct columns = {sorted(set(pct.values()))}")
 
 
-def test_10_thread_count_determinism(tmp_path):
+def test_10_rerun_determinism(tmp_path):
     doc = base_doc()
     doc["paths"]["n_paths"] = 2500
     outputs = []
-    for threads, sub in ((1, "t1"), (4, "t4")):
+    for sub in ("a", "b"):
         out = tmp_path / sub
-        run_comparison(config_from_dict(doc), out_dir=str(out), n_threads=threads)
+        run_comparison(config_from_dict(doc), out_dir=str(out))
         outputs.append((out / "comparison.csv").read_bytes())
     ok = outputs[0] == outputs[1]
-    _report("thread-count determinism", ok,
-            f"CSV bytes identical across --threads 1 and 4: {ok}")
+    _report("re-run determinism", ok,
+            f"CSV bytes identical across two runs of one config: {ok}")

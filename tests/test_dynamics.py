@@ -75,14 +75,17 @@ class TestSimulatePaths:
         same_step = both & (bundle.default_step[:, 0] == bundle.default_step[:, 1])
         assert not same_step.any()
 
-    def test_thread_count_does_not_change_results(self):
+    def test_path_prefix_does_not_depend_on_path_count(self):
         params = benchmark_params()
         cfg = PathConfig(horizon=0.5, n_steps=40, n_paths=2500, master_seed=6)
-        a = simulate_paths(params, benchmark_intensity(), cfg, [100.0, 100.0], n_threads=1)
-        b = simulate_paths(params, benchmark_intensity(), cfg, [100.0, 100.0], n_threads=4)
-        assert np.array_equal(a.prices, b.prices)
-        assert np.array_equal(a.default_step, b.default_step)
-        assert a.rng_digest() == b.rng_digest()
+        full = simulate_paths(params, benchmark_intensity(), cfg, [100.0, 100.0])
+        for k in (1000, 1024, 1500):  # inside, at and across a simulation block edge
+            part = simulate_paths(params, benchmark_intensity(),
+                                  PathConfig(horizon=0.5, n_steps=40, n_paths=k,
+                                             master_seed=6), [100.0, 100.0])
+            for name in ("prices", "states", "normals", "clocks", "default_step"):
+                a, b = getattr(full, name)[:k], getattr(part, name)
+                assert a.tobytes() == b.tobytes(), (k, name)
 
     def test_rejects_bad_rho(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from contagionopt.dynamics import simulate_paths
 from contagionopt.experiments import (
     SweepEntry,
     builtin_config,
@@ -14,6 +15,7 @@ from contagionopt.experiments import (
     run_power_comparison,
     run_sweep,
 )
+from contagionopt.logopt import CASE_NAMES
 from contagionopt.model import ReciprocalIntensity
 
 
@@ -216,25 +218,31 @@ class TestRunPowerComparison:
 
 
 class TestOutputsAndDeterminism:
-    def test_thread_count_leaves_csv_bytes_identical(self, tmp_path):
+    def test_rerun_leaves_csv_bytes_identical(self, tmp_path):
         doc = base_doc()
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        run_comparison(config_from_dict(doc), out_dir=str(out1), n_threads=1)
-        run_comparison(config_from_dict(doc), out_dir=str(out2), n_threads=3)
+        run_comparison(config_from_dict(doc), out_dir=str(out1))
+        run_comparison(config_from_dict(doc), out_dir=str(out2))
         b1 = (out1 / "comparison.csv").read_bytes()
         b2 = (out2 / "comparison.csv").read_bytes()
         assert b1 == b2
 
     def test_manifest_hashes_outputs(self, tmp_path):
         import hashlib
-        run_comparison(config_from_dict(base_doc()), out_dir=str(tmp_path))
+        cfg = config_from_dict(base_doc())
+        run_comparison(cfg, out_dir=str(tmp_path))
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         data = (tmp_path / "comparison.csv").read_bytes()
         assert manifest["outputs"]["comparison.csv"] == \
             "sha256:" + hashlib.sha256(data).hexdigest()
         assert manifest["seed"] == 20240611
         assert manifest["config"]["market"]["r"] == 0.05
-        assert "kt_fallbacks" in manifest["solver_health"]
+        # one KT case per pre-default path-step and strategy
+        cases = manifest["solver_health"]["kt_cases"]
+        assert tuple(cases) == CASE_NAMES
+        bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0)
+        pre_default = (bundle.states[:, :-1] == 0).all(axis=2).sum()
+        assert sum(cases.values()) == 2 * pre_default
 
     def test_run_experiment_dispatch(self):
         result = run_experiment(config_from_dict(base_doc()))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from contagionopt import logopt
 from contagionopt.logopt import (
     LogControlProblem,
     g_objective,
@@ -126,15 +127,13 @@ class TestPreDefaultControl:
             cell = (hi - lo) / 400.0
             assert abs(sol.pi[0] - S[i, j]) <= cell[0] + 1e-9
             assert abs(sol.pi[1] - P[i, j]) <= cell[1] + 1e-9
-            if not sol.fallback:
-                assert sol.residual <= 1e-8
+            assert sol.residual <= 1e-8
 
     def test_kkt_certificates(self):
         rng = np.random.default_rng(23)
         for _ in range(60):
             prob, (hS, hP) = random_problem(rng)
             sol = solve_kt(prob, hS, hP)
-            assert not sol.fallback
             assert sol.residual <= 1e-8
             assert np.all(sol.multipliers >= 0.0)
             lo, hi = prob.box.lower, prob.box.upper
@@ -142,6 +141,22 @@ class TestPreDefaultControl:
                               sol.pi[1] - lo[1], hi[1] - sol.pi[1]])
             assert np.all(slack >= -1e-12)
             assert np.all(np.abs(sol.multipliers * slack) <= 1e-8)
+
+        # an edge solution that an enumeration of the nine KT cases with a
+        # separate 1-D Newton per edge missed
+        params = MarketParams.two_stock(
+            0.013946156958952025, -0.013871287193438978, 0.05383877038014553,
+            0.16813716119192837, 0.5858446762350805, -0.07268364703676788,
+            0.21016068270669555, 0.5572990166623726)
+        box = AdmissibleBox(lower=[-0.4553201521564927, -1.605270189086358],
+                            upper=[0.16170069463173276, 0.6751137714530698])
+        prob = LogControlProblem(params=params, intensity=ConstantIntensity(0.0), box=box)
+        sol = solve_kt(prob, 1.2414559625003632, 0.5679453842716127)
+        assert sol.case == "S-low"
+        assert sol.pi[0] == box.lower[0]
+        assert sol.multipliers[0] == pytest.approx(0.6223, abs=1e-4)
+        assert np.all(sol.multipliers[1:] == 0.0)
+        assert sol.residual <= 1e-12
 
     def test_probabilistic_optimality(self):
         rng = np.random.default_rng(24)
@@ -186,12 +201,17 @@ class TestPreDefaultControl:
             assert abs(sol.pi[0] - S[i, j]) <= cell[0] + 1e-9
             assert abs(sol.pi[1] - P[i, j]) <= cell[1] + 1e-9
 
+    def test_unconverged_row_raises_naming_its_hazards(self, monkeypatch):
+        monkeypatch.setattr(logopt, "_MAX_ITER", 0)  # rows stay at the Merton start
+        with pytest.raises(RuntimeError, match=r"\(0\.25, 0\.5\): residual"):
+            solve_kt(benchmark_problem(), 0.25, 0.5)
+
     def test_batch_matches_scalar(self):
         prob = benchmark_problem()
         rng = np.random.default_rng(26)
         hS = rng.uniform(0.05, 1.0, size=40)
         hP = rng.uniform(0.05, 1.0, size=40)
-        pi, case_id, mult, res, fb = solve_kt_batch(prob, hS, hP)
+        pi, case_id, mult, res = solve_kt_batch(prob, hS, hP)
         for k in range(40):
             sol = solve_kt(prob, hS[k], hP[k])
             assert np.array_equal(sol.pi, pi[k])
