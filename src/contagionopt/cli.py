@@ -173,8 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        args.func(args)
+    except ValueError as exc:  # bad config or solver input, CFLViolationError included
+        parser.exit(2, f"contagionopt {args.command}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from contagionopt.model import (
     ReciprocalIntensity,
     intensity_from_config,
 )
-from contagionopt.powergrid import GridSpec, make_power_strategy, solve_power_value
+from contagionopt.powergrid import GridSpec, make_power_strategy, solve_power_value, validate_cfl
 from contagionopt.stats import CSV_HEADER, cohort_report, csv_row, summarize
 
 __all__ = [
@@ -415,13 +415,19 @@ def run_power_comparison(cfg: ExperimentConfig, out_dir: str | None = None,
         raise RuntimeError("path bundle mutated during strategy evaluation")
 
     mask = bundle.default_mask()
+    queries = active.pre_default_queries + passive.pre_default_queries
+    health = {
+        "cfl_margin": min(validate_cfl(vg.grid, cfg.market, gamma, cfg.box)
+                          for vg in (value_grid, value_grid_const)),
+        "out_of_domain_frac": (active.out_of_domain + passive.out_of_domain) / max(queries, 1),
+    }
     result = ComparisonResult(
         active=cohort_report(ACTIVE_LABEL, wealth_active.terminal, mask),
         passive=cohort_report(PASSIVE_LABEL, wealth_passive.terminal, mask),
         n_default=int(mask.sum()),
         n_paths=cfg.paths.n_paths,
         rng_digest=digest,
-        health={"out_of_domain": active.out_of_domain + passive.out_of_domain},
+        health=health,
     )
     _check_conservation(result)
     if out_dir:

@@ -242,8 +242,7 @@ def _solve_batch(c: _Coef, box: AdmissibleBox, hS, hP):
 def solve_kt_batch(prob: LogControlProblem, hS, hP):
     """Pre-default controls for arrays of hazard pairs.
 
-    Duplicate hazard pairs are solved once and scattered back, so a
-    constant-intensity comparator costs a single solve.  Returns
+    Duplicate hazard pairs are solved once and scattered back.  Returns
     ``(pi, case_id, multipliers, residual)``.
     """
     hS = np.atleast_1d(np.asarray(hS, dtype=float))
@@ -332,10 +331,11 @@ class LogStrategy(Strategy):
     With ``hbar=None`` the hazards are read from the problem's intensity
     model at the queried prices; with a numeric ``hbar`` the same solver
     runs on the constant pair ``(hbar, hbar)`` instead (the passive
-    comparator).  By default the constant also replaces the hazard in the
-    single-survivor closed form; ``hbar_post_default=False`` keeps the
-    model hazard after a default.  ``kt_cases`` counts the Kuhn-Tucker
-    case of every pre-default query, indexed like ``CASE_NAMES``.
+    comparator); that pair is solved once, at construction.  By default
+    the constant also replaces the hazard in the single-survivor closed
+    form; ``hbar_post_default=False`` keeps the model hazard after a
+    default.  ``kt_cases`` counts the Kuhn-Tucker case of every
+    pre-default query, indexed like ``CASE_NAMES``.
     """
 
     def __init__(self, problem: LogControlProblem, hbar: float | None = None,
@@ -345,6 +345,9 @@ class LogStrategy(Strategy):
         self.hbar = hbar
         self.hbar_post_default = hbar_post_default
         self.kt_cases = np.zeros(len(CASE_NAMES), dtype=np.int64)  # solver-health counter
+        if hbar is not None:
+            pi, case_id, _, _ = solve_kt_batch(problem, [hbar], [hbar])
+            self._passive_pi, self._passive_case = pi[0], int(case_id[0])
 
     def allocations(self, t, x, prices, states):
         prob = self.problem
@@ -354,13 +357,12 @@ class LogStrategy(Strategy):
         out = np.zeros_like(prices)
 
         pre = (states == 0).all(axis=1)
-        if pre.any():
-            if self.hbar is None:
-                rates = prob.intensity.rates_matrix(states[pre], prices[pre])
-                hS, hP = rates[:, 0], rates[:, 1]
-            else:
-                hS = hP = np.full(int(pre.sum()), float(self.hbar))
-            pi, case_id, _, _ = solve_kt_batch(prob, hS, hP)
+        if self.hbar is not None:
+            out[pre] = self._passive_pi
+            self.kt_cases[self._passive_case] += int(pre.sum())
+        elif pre.any():
+            rates = prob.intensity.rates_matrix(states[pre], prices[pre])
+            pi, case_id, _, _ = solve_kt_batch(prob, rates[:, 0], rates[:, 1])
             self.kt_cases += np.bincount(case_id, minlength=len(CASE_NAMES))
             out[pre] = pi
 

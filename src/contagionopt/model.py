@@ -225,19 +225,6 @@ class PowerClampIntensity:
         rates = np.clip(raw, self.h_min, self.h_max)
         return np.where(states == 1, 0.0, rates)
 
-    def rates_pre_default_grid(self, s, p):
-        """Pre-default rates (h_S, h_P) of a two-stock market on broadcast
-        price arrays; zero prices resolve through the clamp."""
-        k1, k2 = self.weights
-        tot_s = k1 * np.asarray(s, dtype=float) + k2 * np.asarray(p, dtype=float)
-        tot_p = k1 * np.asarray(p, dtype=float) + k2 * np.asarray(s, dtype=float)
-        with np.errstate(divide="ignore"):
-            raw_s = self.h0 * np.power(tot_s, -self.alpha, where=tot_s > 0.0,
-                                       out=np.full_like(tot_s, np.inf))
-            raw_p = self.h0 * np.power(tot_p, -self.alpha, where=tot_p > 0.0,
-                                       out=np.full_like(tot_p, np.inf))
-        return np.clip(raw_s, self.h_min, self.h_max), np.clip(raw_p, self.h_min, self.h_max)
-
 
 @dataclass(frozen=True)
 class ReciprocalIntensity:
@@ -271,12 +258,6 @@ class ReciprocalIntensity:
             rates = np.where(totals > 0.0, self.c / totals, np.inf)
         return np.where(states == 1, 0.0, np.broadcast_to(rates, states.shape))
 
-    def rates_pre_default_grid(self, s, p):
-        total = np.asarray(s, dtype=float) + np.asarray(p, dtype=float)
-        with np.errstate(divide="ignore"):
-            h = np.where(total > 0.0, self.c / total, np.inf)
-        return h, h.copy()
-
 
 @dataclass(frozen=True)
 class ConstantIntensity:
@@ -299,22 +280,15 @@ class ConstantIntensity:
         if self.cap < c.max():
             raise ValueError("declared cap below the constant rate")
 
-    def _rate_of(self, stock: int) -> float:
-        return float(self.c[0] if self.c.shape[0] == 1 else self.c[stock])
-
     def max_rate(self) -> float:
         return self.cap
 
     def rate(self, stock: int, state: DefaultState, prices: np.ndarray) -> float:
-        return self._rate_of(stock)
+        return float(self.c[0] if self.c.shape[0] == 1 else self.c[stock])
 
     def rates_matrix(self, states: np.ndarray, prices: np.ndarray) -> np.ndarray:
         rates = np.broadcast_to(self.c, states.shape) if self.c.shape[0] > 1 else self.c[0]
         return np.where(states == 1, 0.0, rates)
-
-    def rates_pre_default_grid(self, s, p):
-        shape = np.broadcast(np.asarray(s), np.asarray(p)).shape
-        return (np.full(shape, self._rate_of(0)), np.full(shape, self._rate_of(1)))
 
 
 def eval_intensity(model, stock: int, state: DefaultState, prices) -> float:

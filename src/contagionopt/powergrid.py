@@ -12,23 +12,30 @@ rate
 and a running source fed by the post-default continuation: each default
 branch contributes ``hazard * g1(t) * (jump factor)^gamma`` where ``g1``
 is the closed-form value factor of the surviving stock's standalone
-problem.  The diffusion is approximated by a nine-point lattice Markov
+problem.  The hazards ``h_S, h_P`` are read from the intensity model's
+``rates_matrix`` with no stock defaulted, the same call the simulation
+makes.  The diffusion is approximated by a nine-point lattice Markov
 chain whose transition probabilities match the local drift and
-covariance, and the value is computed by the discretized dynamic
-programming recursion
+covariance (Kushner & Dupuis, *Numerical Methods for Stochastic Control
+Problems in Continuous Time*, 2001), and the value is computed by the
+discretized dynamic programming recursion
 
     v(k) = sup_pi { g dt + exp(-beta dt) E[v(k+1)] },   v(N) = 1,
 
 with the supremum over a uniform control lattice intersected with the
-admissible region, refined once around the coarse argmax.  Transitions
+admissible region, followed by a greedy pattern search on a finer
+sub-lattice that recentres on every strict improvement.  Transitions
 that would leave the lattice put their mass on the boundary node itself.
+
+The probabilities, killing rate and source are written once, as factors
+that the standalone functions and the DP share; the scheme is monotone,
+which is what makes it converge, wherever :func:`validate_cfl` passes.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -129,52 +136,92 @@ def merton_power_control(params: MarketParams, gamma: float, lo: float, hi: floa
     return float(np.clip(raw, lo, hi))
 
 
+def _admissible(pi, L: np.ndarray, box: AdmissibleBox) -> np.ndarray:
+    """Which allocations ``pi[..., n]`` keep every post-default wealth
+    fraction at or above ``eps_a``."""
+    return (jump_factors(L, pi) >= box.eps_a).all(axis=-1)
+
+
 def control_lattice(box: AdmissibleBox, L: np.ndarray, n_control: int) -> np.ndarray:
     """Uniform lattice over the box, restricted to allocations keeping
     every post-default wealth fraction at or above ``eps_a``."""
     axes = [np.linspace(box.lower[i], box.upper[i], n_control) for i in range(box.n)]
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([g.ravel() for g in grids])
-    keep = jump_factors(L, pts).min(axis=1) >= box.eps_a
-    pts = pts[keep]
+    pts = pts[_admissible(pts, L, box)]
     if pts.shape[0] == 0:
         raise ValueError("no admissible control lattice point; box and eps_a incompatible")
     return pts
 
 
-def _drift_coeffs(params: MarketParams, gamma: float, piS, piP):
-    """Per-unit-price drifts of the transformed state process."""
-    cov = params.cov
+def _pre_default_rates(intensity, s, p):
+    """Pre-default hazards ``(h_S, h_P)`` on broadcast price arrays, read
+    from ``intensity.rates_matrix`` exactly as the simulation reads them."""
+    s, p = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(p, dtype=float))
+    prices = np.column_stack([s.ravel(), p.ravel()])
+    rates = intensity.rates_matrix(np.zeros(prices.shape, dtype=np.uint8), prices)
+    return rates[:, 0].reshape(s.shape), rates[:, 1].reshape(s.shape)
+
+
+def _upwind(c1, c2, grid: GridSpec):
+    """Drift probability per unit price of the moves s+, s-, p+, p-: each
+    drift coefficient goes to the move in its own direction."""
+    k1 = grid.dt / grid.delta
+    return tuple(k1 * np.maximum(c, 0.0) for c in (c1, -c1, c2, -c2))
+
+
+def _control_terms(params: MarketParams, gamma: float, pi):
+    """Per-unit-price drifts ``c1, c2`` of the transformed state process,
+    the control part ``beta_c`` of the killing rate (``beta`` without the
+    hazards) and the jump factors of allocations ``pi[..., 2]``."""
+    pi = np.asarray(pi, dtype=float)
+    piS, piP = pi[..., 0], pi[..., 1]
+    cov, theta = params.cov, params.theta
     c1 = params.mu[0] + gamma * (cov[0, 0] * piS + cov[0, 1] * piP)
     c2 = params.mu[1] + gamma * (cov[0, 1] * piS + cov[1, 1] * piP)
-    return c1, c2
+    quad = cov[0, 0] * piS**2 + 2.0 * cov[0, 1] * piS * piP + cov[1, 1] * piP**2
+    beta_c = -params.r * gamma - gamma * (theta[0] * piS + theta[1] * piP
+                                          + 0.5 * (gamma - 1.0) * quad)
+    return c1, c2, beta_c, jump_factors(params.L, pi)
+
+
+def _branch_sources(t, grid: GridSpec, params: MarketParams, gamma: float, hS, hP):
+    """Running source of each default branch before its jump factor: the
+    branch hazard times the survivor's closed-form factor."""
+    return (hS * g1(t, grid.horizon, params, gamma, stock=1),   # S defaults, P survives
+            hP * g1(t, grid.horizon, params, gamma, stock=0))
+
+
+def _features(params: MarketParams, gamma: float, pi, grid: GridSpec) -> np.ndarray:
+    """The seven per-control factors of a DP candidate, shape
+    ``pi.shape[:-1] + (7,)``: ``exp(-beta_c dt)``, its products with the
+    four upwind drift probabilities per unit price, and the two jump factors
+    raised to ``gamma``.  A candidate's value is their dot product with the
+    node factors built in :func:`solve_power_value`."""
+    c1, c2, beta_c, jumps = _control_terms(params, gamma, pi)
+    eb = np.exp(-beta_c * grid.dt)
+    # clamped at zero so inadmissible trials, masked out afterwards, stay finite
+    jg = np.maximum(jumps, 0.0) ** gamma
+    return np.stack([eb, *(eb * u for u in _upwind(c1, c2, grid)),
+                     jg[..., 0], jg[..., 1]], axis=-1)
 
 
 def _nine_probs(s, p, c1, c2, grid: GridSpec, params: MarketParams):
     """The nine transition probabilities in TRANSITION_MOVES order."""
-    dt, delta = grid.dt, grid.delta
-    k1 = dt / delta
-    k2 = dt / (2.0 * delta**2)
+    k2 = grid.dt / (2.0 * grid.delta**2)
     sS, sP = params.sigma
     rho = params.rho[0, 1]
-    rp, rm = max(rho, 0.0), max(-rho, 0.0)
-
-    b1 = c1 * s
-    b2 = c2 * p
-    ds2 = (sS * s) ** 2
-    dp2 = (sP * p) ** 2
-    cross = sS * sP * s * p
-
-    stay = 1.0 - k1 * (np.abs(b1) + np.abs(b2)) - 2.0 * k2 * (ds2 + dp2 - (rp + rm) * cross)
-    sp = k1 * np.maximum(b1, 0.0) + k2 * (ds2 - (rp + rm) * cross)
-    sm = k1 * np.maximum(-b1, 0.0) + k2 * (ds2 - (rp + rm) * cross)
-    pp = k1 * np.maximum(b2, 0.0) + k2 * (dp2 - (rp + rm) * cross)
-    pm = k1 * np.maximum(-b2, 0.0) + k2 * (dp2 - (rp + rm) * cross)
-    dpp = k2 * rp * cross * np.ones_like(stay)
-    dmm = dpp
-    dpm = k2 * rm * cross * np.ones_like(stay)
-    dmp = dpm
-    return np.stack(np.broadcast_arrays(stay, sp, sm, pp, pm, dpp, dmm, dpm, dmp))
+    s_up, s_dn, p_up, p_dn = _upwind(c1, c2, grid)
+    ds2, dp2, cross = (sS * s) ** 2, (sP * p) ** 2, sS * sP * s * p
+    side_s = k2 * (ds2 - abs(rho) * cross)
+    side_p = k2 * (dp2 - abs(rho) * cross)
+    stay = (1.0 - (s_up + s_dn) * s - (p_up + p_dn) * p
+            - 2.0 * k2 * (ds2 + dp2 - abs(rho) * cross))
+    diag_pos = k2 * max(rho, 0.0) * cross   # (+,+) and (-,-)
+    diag_neg = k2 * max(-rho, 0.0) * cross  # (+,-) and (-,+)
+    return np.stack(np.broadcast_arrays(stay, s_up * s + side_s, s_dn * s + side_s,
+                                        p_up * p + side_p, p_dn * p + side_p,
+                                        diag_pos, diag_pos, diag_neg, diag_neg))
 
 
 def transition_probs(node, pi, grid: GridSpec, params: MarketParams, gamma: float):
@@ -188,22 +235,17 @@ def transition_probs(node, pi, grid: GridSpec, params: MarketParams, gamma: floa
     p = np.asarray(node[1], dtype=float)
     piS = np.asarray(pi[0], dtype=float)
     piP = np.asarray(pi[1], dtype=float)
-    c1, c2 = _drift_coeffs(params, gamma, piS, piP)
+    c1, c2, _, _ = _control_terms(params, gamma, np.stack(np.broadcast_arrays(piS, piP), -1))
     probs = _nine_probs(s, p, c1, c2, grid, params)
     bad = (probs < -_PROB_TOL) | (probs > 1.0 + _PROB_TOL)
     if bad.any():
-        flat = np.argwhere(bad)[0]
-        move = TRANSITION_MOVES[flat[0]]
-        idx = tuple(flat[1:])
-        sel = idx if idx else ()
+        move, *idx = np.argwhere(bad)[0]
+        s, p, piS, piP = (float(np.broadcast_to(x, probs.shape[1:])[tuple(idx)])
+                          for x in (s, p, piS, piP))
         raise CFLViolationError(
-            f"transition probability {probs[tuple(flat)]:.6g} for move {move} at node "
-            f"(s={np.broadcast_to(s, probs.shape[1:])[sel] if sel else float(s):.6g}, "
-            f"p={np.broadcast_to(p, probs.shape[1:])[sel] if sel else float(p):.6g}) "
-            f"under control ("
-            f"{np.broadcast_to(piS, probs.shape[1:])[sel] if sel else float(piS):.6g}, "
-            f"{np.broadcast_to(piP, probs.shape[1:])[sel] if sel else float(piP):.6g}); "
-            f"shrink dt or the domain")
+            f"transition probability {probs[(move, *idx)]:.6g} for move "
+            f"{TRANSITION_MOVES[move]} at node (s={s:.6g}, p={p:.6g}) under control "
+            f"({piS:.6g}, {piP:.6g}); shrink dt or the domain")
     return probs
 
 
@@ -216,29 +258,19 @@ def discount_and_source(s, p, pi, t, grid: GridSpec, params: MarketParams,
     times the surviving stock's closed-form factor times the wealth jump
     factor raised to ``gamma``.
     """
-    s = np.asarray(s, dtype=float)
-    p = np.asarray(p, dtype=float)
-    piS, piP = float(pi[0]), float(pi[1])
-    LS, LP = params.L[0, 1], params.L[1, 0]
-    jump_s = 1.0 - piS - LP * piP   # S defaults, P survives
-    jump_p = 1.0 - LS * piS - piP   # P defaults, S survives
-    if jump_s <= 0.0 or jump_p <= 0.0:
-        raise ValueError(f"allocation infeasible: jump factors ({jump_s:.4g}, {jump_p:.4g})")
-    hS, hP = intensity.rates_pre_default_grid(s, p)
-    theta = params.theta
-    cov = params.cov
-    quad = (cov[0, 0] * piS**2 + 2.0 * cov[0, 1] * piS * piP + cov[1, 1] * piP**2)
-    beta = (-params.r * gamma + hS + hP
-            - gamma * (theta[0] * piS + theta[1] * piP + 0.5 * (gamma - 1.0) * quad))
-    g = (hS * g1(t, grid.horizon, params, gamma, stock=1) * jump_s**gamma
-         + hP * g1(t, grid.horizon, params, gamma, stock=0) * jump_p**gamma)
-    return beta, g
+    _, _, beta_c, jumps = _control_terms(params, gamma, pi)
+    if np.any(jumps <= 0.0):
+        raise ValueError(f"allocation infeasible: jump factors ({jumps[0]:.4g}, {jumps[1]:.4g})")
+    hS, hP = _pre_default_rates(intensity, s, p)
+    srcS, srcP = _branch_sources(t, grid, params, gamma, hS, hP)
+    return beta_c + hS + hP, srcS * jumps[0]**gamma + srcP * jumps[1]**gamma
 
 
 def validate_cfl(grid: GridSpec, params: MarketParams, gamma: float,
-                 box: AdmissibleBox):
+                 box: AdmissibleBox) -> float:
     """Check all nine probabilities stay in [0, 1] for every lattice node
-    and every control in the box.
+    and every control in the box, and return the CFL margin: the smallest
+    stay probability, i.e. how far ``dt`` is from making one negative.
 
     The drift coefficients are linear in the allocation and every
     probability is monotone in each of them, so checking the box corners'
@@ -246,8 +278,9 @@ def validate_cfl(grid: GridSpec, params: MarketParams, gamma: float,
     sub-lattice).
     """
     corners = box.vertices()
-    c1s, c2s = _drift_coeffs(params, gamma, corners[:, 0], corners[:, 1])
+    c1s, c2s, _, _ = _control_terms(params, gamma, corners)
     S, P = np.meshgrid(grid.s_nodes(), grid.p_nodes(), indexing="ij")
+    margin = 1.0
     for c1 in (c1s.min(), c1s.max()):
         for c2 in (c2s.min(), c2s.max()):
             probs = _nine_probs(S, P, c1, c2, grid, params)
@@ -260,6 +293,8 @@ def validate_cfl(grid: GridSpec, params: MarketParams, gamma: float,
                     f"{TRANSITION_MOVES[move]} at node (s={S[i, j]:.6g}, p={P[i, j]:.6g}) "
                     f"under box-corner control ({corner[0]:.6g}, {corner[1]:.6g}); "
                     f"shrink dt or the domain")
+            margin = min(margin, float(probs[0].min()))
+    return margin
 
 
 @dataclass
@@ -295,66 +330,43 @@ class ValueGrid:
 def _shift(v: np.ndarray, ds: int, dp: int) -> np.ndarray:
     """Value at the (ds, dp)-neighbor with out-of-lattice moves redirected
     to the boundary node itself (clamped indices)."""
-    if ds == 1:
-        v = np.concatenate([v[1:], v[-1:]], axis=0)
-    elif ds == -1:
-        v = np.concatenate([v[:1], v[:-1]], axis=0)
-    if dp == 1:
-        v = np.concatenate([v[:, 1:], v[:, -1:]], axis=1)
-    elif dp == -1:
-        v = np.concatenate([v[:, :1], v[:, :-1]], axis=1)
-    return v
+    i = np.clip(np.arange(v.shape[0]) + ds, 0, v.shape[0] - 1)
+    j = np.clip(np.arange(v.shape[1]) + dp, 0, v.shape[1] - 1)
+    return v[np.ix_(i, j)]
 
 
 def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
                       gamma: float, box: AdmissibleBox) -> ValueGrid:
     """Backward dynamic programming on the nine-point chain.
 
-    The supremum is over the admissible control lattice; with
-    ``grid.refine`` a second pass scans a finer sub-lattice around each
-    node's coarse argmax (never worse: the window contains its center).
+    The supremum is over the admissible control lattice.  With
+    ``grid.refine`` a greedy pattern search follows: each of the 80
+    offsets of a 9 x 9 sub-lattice spanning one lattice step either side
+    is tried from the node's current best control, and a trial that is
+    admissible and strictly better becomes the new best, so later offsets
+    start from it.  The result is never worse than the coarse argmax.
     """
     PowerParams(gamma)
     if params.n != 2 or box.n != 2:
         raise ValueError("power-utility grid solver is specialized to two stocks")
     validate_cfl(grid, params, gamma, box)
 
-    dt, delta, T = grid.dt, grid.delta, grid.horizon
-    s_nodes, p_nodes = grid.s_nodes(), grid.p_nodes()
-    S, P = np.meshgrid(s_nodes, p_nodes, indexing="ij")
+    dt = grid.dt
+    S, P = np.meshgrid(grid.s_nodes(), grid.p_nodes(), indexing="ij")
     ns, np_ = S.shape
-    nn = ns * np_
-
-    hS, hP = intensity.rates_pre_default_grid(S, P)
+    hS, hP = _pre_default_rates(intensity, S, P)
     if not (np.all(np.isfinite(hS)) and np.all(np.isfinite(hP))):
         bad = np.argwhere(~(np.isfinite(hS) & np.isfinite(hP)))[0]
         raise ValueError(
             f"intensity is not finite at grid node (s={S[tuple(bad)]}, p={P[tuple(bad)]}); "
             "exclude the offending boundary from the domain")
-    ehd = np.exp(-(hS + hP) * dt).ravel()
-    hSf, hPf = hS.ravel(), hP.ravel()
+    ehd = np.exp(-(hS + hP) * dt)
+    probs0 = _nine_probs(S, P, 0.0, 0.0, grid, params)  # the chain without drift
 
     lattice = control_lattice(box, params.L, grid.n_control)
-    c1, c2 = _drift_coeffs(params, gamma, lattice[:, 0], lattice[:, 1])
-    theta, cov = params.theta, params.cov
-    quad = np.einsum("ij,jk,ik->i", lattice, cov, lattice)
-    betac = -params.r * gamma - gamma * (lattice @ theta + 0.5 * (gamma - 1.0) * quad)
-    eb = np.exp(-betac * dt)
-    jumps = jump_factors(params.L, lattice)  # columns: S defaults, P defaults
-    jSg = jumps[:, 0] ** gamma
-    jPg = jumps[:, 1] ** gamma
-
-    k2 = dt / (2.0 * delta**2)
-    rho = params.rho[0, 1]
-    rp, rm = max(rho, 0.0), max(-rho, 0.0)
-    DS = k2 * (params.sigma[0] * S) ** 2
-    DP_ = k2 * (params.sigma[1] * P) ** 2
-    R = k2 * params.sigma[0] * params.sigma[1] * S * P
-
-    LS, LP = params.L[0, 1], params.L[1, 0]
-    step0 = (box.upper[0] - box.lower[0]) / (grid.n_control - 1)
-    step1 = (box.upper[1] - box.lower[1]) / (grid.n_control - 1)
-    refine_offsets = [(r0, r1) for r0 in np.linspace(-1.0, 1.0, 9)
+    coarse = _features(params, gamma, lattice, grid)
+    step = (box.upper - box.lower) / (grid.n_control - 1)
+    refine_offsets = [np.array([r0, r1]) * step for r0 in np.linspace(-1.0, 1.0, 9)
                       for r1 in np.linspace(-1.0, 1.0, 9) if not (r0 == 0.0 and r1 == 0.0)]
 
     n_slices = grid.n_slices
@@ -364,68 +376,33 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
     v = np.ones((ns, np_))
 
     for k in range(n_slices - 1, -1, -1):
-        vsp, vsm = _shift(v, 1, 0), _shift(v, -1, 0)
-        vpp, vpm = _shift(v, 0, 1), _shift(v, 0, -1)
-        # control-independent expectation part (diffusion and correlation)
-        W = (v + DS * (vsp + vsm - 2.0 * v) + DP_ * (vpp + vpm - 2.0 * v)
-             - (rp + rm) * R * (vsp + vsm + vpp + vpm - 2.0 * v))
-        if rp > 0.0:
-            W = W + rp * R * (_shift(v, 1, 1) + _shift(v, -1, -1))
-        if rm > 0.0:
-            W = W + rm * R * (_shift(v, 1, -1) + _shift(v, -1, 1))
-        U1 = (S * (vsp - v)).ravel()
-        U2 = (S * (vsm - v)).ravel()
-        U3 = (P * (vpp - v)).ravel()
-        U4 = (P * (vpm - v)).ravel()
-        Wf = W.ravel()
+        moved = [_shift(v, *move) for move in TRANSITION_MOVES]
+        # node factors matching _features: the driftless expectation, the
+        # gain of each upwind move s+, s-, p+, p-, and the branch sources
+        ev0 = sum(q * vm for q, vm in zip(probs0, moved))
+        gains = [x * (vm - v) for x, vm in zip((S, S, P, P), moved[1:5])]
+        srcS, srcP = _branch_sources(k * dt, grid, params, gamma, hS, hP)
+        nodes = np.stack([ehd * ev0, *(ehd * g for g in gains),
+                          srcS * dt, srcP * dt]).reshape(7, -1)
 
-        t_k = k * dt
-        g1S = float(g1(t_k, T, params, gamma, stock=0))
-        g1P = float(g1(t_k, T, params, gamma, stock=1))
-        srcS = (g1P * hSf) * dt  # S defaults -> P survives
-        srcP = (g1S * hPf) * dt
-
-        drift = (dt / delta) * (np.maximum(c1, 0.0)[:, None] * U1[None, :]
-                                + np.maximum(-c1, 0.0)[:, None] * U2[None, :]
-                                + np.maximum(c2, 0.0)[:, None] * U3[None, :]
-                                + np.maximum(-c2, 0.0)[:, None] * U4[None, :])
-        cand = (eb[:, None] * (ehd[None, :] * (Wf[None, :] + drift))
-                + jSg[:, None] * srcS[None, :] + jPg[:, None] * srcP[None, :])
+        cand = coarse @ nodes
         best = np.argmax(cand, axis=0)
         vbest = np.take_along_axis(cand, best[None, :], axis=0)[0]
-        piS_b = lattice[best, 0]
-        piP_b = lattice[best, 1]
+        pi_best = lattice[best]
 
         if grid.refine:
-            for r0, r1 in refine_offsets:
-                piS_r = np.clip(piS_b + r0 * step0, box.lower[0], box.upper[0])
-                piP_r = np.clip(piP_b + r1 * step1, box.lower[1], box.upper[1])
-                jS = 1.0 - piS_r - LP * piP_r
-                jP = 1.0 - LS * piS_r - piP_r
-                ok = (jS >= box.eps_a) & (jP >= box.eps_a)
-                rc1, rc2 = _drift_coeffs(params, gamma, piS_r, piP_r)
-                rquad = (cov[0, 0] * piS_r**2 + 2.0 * cov[0, 1] * piS_r * piP_r
-                         + cov[1, 1] * piP_r**2)
-                rbetac = -params.r * gamma - gamma * (theta[0] * piS_r + theta[1] * piP_r
-                                                      + 0.5 * (gamma - 1.0) * rquad)
-                val = (np.exp(-rbetac * dt) * ehd
-                       * (Wf + (dt / delta) * (np.maximum(rc1, 0.0) * U1
-                                               + np.maximum(-rc1, 0.0) * U2
-                                               + np.maximum(rc2, 0.0) * U3
-                                               + np.maximum(-rc2, 0.0) * U4))
-                       + np.where(ok, jS, 0.0)**gamma * srcS
-                       + np.where(ok, jP, 0.0)**gamma * srcP)
-                upd = ok & (val > vbest)
+            for offset in refine_offsets:
+                trial = np.clip(pi_best + offset, box.lower, box.upper)
+                val = np.einsum("ij,ji->i", _features(params, gamma, trial, grid), nodes)
+                upd = _admissible(trial, params.L, box) & (val > vbest)
                 vbest = np.where(upd, val, vbest)
-                piS_b = np.where(upd, piS_r, piS_b)
-                piP_b = np.where(upd, piP_r, piP_b)
+                pi_best = np.where(upd[:, None], trial, pi_best)
 
         v = vbest.reshape(ns, np_)
         if not np.all(np.isfinite(v)) or v.min() <= 0.0:
             raise RuntimeError(f"value became non-finite or nonpositive at slice {k}")
         f[k] = v
-        controls[k, :, :, 0] = piS_b.reshape(ns, np_)
-        controls[k, :, :, 1] = piP_b.reshape(ns, np_)
+        controls[k] = pi_best.reshape(ns, np_, 2)
 
     return ValueGrid(grid=grid, gamma=gamma, f=f, controls=controls)
 
@@ -438,6 +415,8 @@ class PowerGridStrategy(Strategy):
     price domain are clamped to the boundary and counted.  After a
     default the surviving stock gets its constant Merton fraction,
     additionally capped so a further default keeps ``eps_a`` of wealth.
+    ``pre_default_queries`` and ``out_of_domain`` count the pre-default
+    queries and the clamped ones among them.
     """
 
     def __init__(self, value_grid: ValueGrid, params: MarketParams,
@@ -446,7 +425,8 @@ class PowerGridStrategy(Strategy):
         self.params = params
         self.gamma = gamma
         self.box = box
-        self.out_of_domain = 0  # solver-health counter
+        self.out_of_domain = 0  # solver-health counters
+        self.pre_default_queries = 0
         self._post = [
             merton_power_control(params, gamma, box.lower[i],
                                  min(box.upper[i], 1.0 - box.eps_a), stock=i)
@@ -458,6 +438,7 @@ class PowerGridStrategy(Strategy):
         grid = vg.grid
         k = min(grid.n_slices - 1, max(0, int(np.floor(t / grid.dt + 1e-12))))
         table = vg.controls[k]
+        self.pre_default_queries += s.shape[0]
         self.out_of_domain += int(np.count_nonzero((s > grid.s_max) | (p > grid.p_max)))
         sc = np.clip(s, 0.0, grid.s_max)
         pc = np.clip(p, 0.0, grid.p_max)

@@ -15,8 +15,10 @@ from contagionopt.experiments import (
     run_power_comparison,
     run_sweep,
 )
+from contagionopt.cli import main as cli_main
 from contagionopt.logopt import CASE_NAMES
 from contagionopt.model import ReciprocalIntensity
+from contagionopt.powergrid import validate_cfl
 
 
 def base_doc(**overrides):
@@ -204,6 +206,16 @@ class TestRunPowerComparison:
         for cohort in ("All samples", "Default", "No-default"):
             assert rows[f"{cohort} + h(S,P)"] == rows[f"{cohort} + constant h"]
 
+    def test_manifest_reports_grid_health(self, tmp_path):
+        cfg = self.power_doc(n_paths=200)
+        run_power_comparison(cfg, out_dir=str(tmp_path))
+        health = json.loads((tmp_path / "manifest.json").read_text())["solver_health"]
+        assert set(health) == {"cfl_margin", "out_of_domain_frac"}
+        # from s0 = (8, 8) some paths leave the [0, 16]^2 lattice
+        assert 0.0 < health["out_of_domain_frac"] < 1.0
+        assert health["cfl_margin"] >= 0.0
+        assert health["cfl_margin"] == validate_cfl(cfg.grid, cfg.market, cfg.gamma, cfg.box)
+
     def test_market_paths_shared_with_log_experiment(self):
         # identical market/intensity/seed: the bundle is utility-independent
         power_cfg = self.power_doc()
@@ -247,3 +259,14 @@ class TestOutputsAndDeterminism:
     def test_run_experiment_dispatch(self):
         result = run_experiment(config_from_dict(base_doc()))
         assert result.n_paths == 800
+
+
+class TestCLI:
+    def test_config_error_is_one_line(self, capsys):
+        # the power config's box breaks the log solver's post-default floor
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["solve-log", "--builtin", "power-benchmark"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("contagionopt solve-log: error: ")
+        assert "post-default floor" in err and "Traceback" not in err

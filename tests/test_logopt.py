@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from contagionopt import logopt
+from contagionopt.dynamics import PathConfig, evolve_wealth, simulate_paths
 from contagionopt.logopt import (
+    CASE_NAMES,
     LogControlProblem,
     g_objective,
     make_log_strategy,
@@ -299,3 +301,31 @@ class TestLogStrategy:
         # pre-default row reproduces the scalar solver
         sol = solve_pre_default_control(prob, 100.0, 100.0)
         assert np.array_equal(pi[0], sol.pi)
+
+    def test_passive_strategy_solves_its_constant_pair_once(self, monkeypatch):
+        prob = benchmark_problem()
+        cfg = PathConfig(horizon=1.0, n_steps=20, n_paths=400, master_seed=41)
+        bundle = simulate_paths(prob.params, prob.intensity, cfg, [100.0, 100.0])
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_kt_batch(*args, **kwargs)
+
+        monkeypatch.setattr(logopt, "solve_kt_batch", counting)
+        strat = make_log_strategy(prob, "fixed-intensity", hbar=0.1)
+        evolve_wealth(bundle, strat, 100.0)
+        assert len(calls) <= 1
+        # against the per-row solve of every pre-default path-step
+        pre = (bundle.states[:, :-1] == 0).all(axis=2)
+        n = int(pre.sum())
+        _, case_id, _, _ = solve_kt_batch(prob, np.full(n, 0.1), np.full(n, 0.1))
+        assert np.array_equal(strat.kt_cases, np.bincount(case_id, minlength=len(CASE_NAMES)))
+        for k in range(cfg.n_steps):
+            states, prices = bundle.states[:, k], bundle.prices[:, k]
+            rows = pre[:, k]
+            pi_rows, _, _, _ = solve_kt_batch(prob, np.full(rows.sum(), 0.1),
+                                              np.full(rows.sum(), 0.1))
+            got = strat.allocations(k * cfg.dt, np.full(cfg.n_paths, 100.0), prices, states)
+            assert np.array_equal(got[rows], pi_rows)
+        assert not pre.all()  # some rows took the post-default branch

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from contagionopt.model import AdmissibleBox, ConstantIntensity, DefaultState, MarketParams
+from contagionopt.model import (
+    AdmissibleBox,
+    ConstantIntensity,
+    DefaultState,
+    MarketParams,
+    PowerClampIntensity,
+)
 from contagionopt.powergrid import (
     CFLViolationError,
     GridSpec,
@@ -91,16 +97,22 @@ class TestTransitionProbs:
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_probabilities_sum_to_one(self):
-        params = benchmark_params()
         grid = GridSpec(horizon=1.0, delta=1.0, dt=0.005, s_max=20.0, p_max=20.0)
         rng = np.random.default_rng(31)
-        s = rng.uniform(0.0, 20.0, 5000)
-        p = rng.uniform(0.0, 20.0, 5000)
-        piS = rng.uniform(-1.0, 1.0, 5000)
-        piP = rng.uniform(-1.0, 1.0, 5000)
-        probs = transition_probs((s, p), (piS, piP), grid, params, GAMMA)
-        assert np.all(probs >= -1e-12) and np.all(probs <= 1.0 + 1e-12)
-        assert np.max(np.abs(probs.sum(axis=0) - 1.0)) <= 1e-12
+        # with correlation the side moves stay nonnegative only while the
+        # prices are within a factor 7.5 of each other, so those draws start at 3
+        for rho, lo in ((0.0, 0.0), (-0.1, 3.0), (0.1, 3.0)):
+            params = MarketParams.two_stock(0.05, 0.10, 0.15, 0.30, 0.40, rho, 0.2, 0.3)
+            s = rng.uniform(lo, 20.0, 5000)
+            p = rng.uniform(lo, 20.0, 5000)
+            piS = rng.uniform(-1.0, 1.0, 5000)
+            piP = rng.uniform(-1.0, 1.0, 5000)
+            probs = transition_probs((s, p), (piS, piP), grid, params, GAMMA)
+            assert np.all(probs >= -1e-12) and np.all(probs <= 1.0 + 1e-12)
+            assert np.max(np.abs(probs.sum(axis=0) - 1.0)) <= 1e-12
+            # (+,+) and (-,-) carry positive correlation, (+,-) and (-,+) negative
+            assert np.all((probs[5:7] > 0.0) == (rho > 0.0))
+            assert np.all((probs[7:] > 0.0) == (rho < 0.0))
 
     def test_zero_correlation_kills_diagonals(self):
         probs = transition_probs((10.0, 5.0), (0.3, -0.2),
@@ -117,6 +129,20 @@ class TestTransitionProbs:
         grid = GridSpec(horizon=1.0, delta=5.0, dt=0.1, s_max=400.0, p_max=400.0)
         with pytest.raises(CFLViolationError):
             validate_cfl(grid, benchmark_params(), GAMMA, power_box())
+
+    def test_validate_cfl_margin_is_the_smallest_stay_probability(self):
+        params, box = benchmark_params(), power_box()
+        grid = GridSpec(horizon=1.0, delta=1.0, dt=0.005, s_max=20.0, p_max=20.0)
+        margin = validate_cfl(grid, params, GAMMA, box)
+        S, P = np.meshgrid(grid.s_nodes(), grid.p_nodes(), indexing="ij")
+        stays = [transition_probs((S, P), pi, grid, params, GAMMA)[0].min()
+                 for pi in box.vertices()]
+        # the check bounds the drift coefficients by their box extremes
+        assert 0.0 < margin <= min(stays)
+        # the stay probability is 1 - dt * (rate), so halving dt halves 1 - margin
+        half = GridSpec(horizon=1.0, delta=1.0, dt=0.0025, s_max=20.0, p_max=20.0)
+        assert 1.0 - validate_cfl(half, params, GAMMA, box) == pytest.approx(
+            0.5 * (1.0 - margin), rel=1e-12)
 
 
 class TestDiscountAndSource:
@@ -229,6 +255,33 @@ class TestSolvePowerValue:
                     eb += w * bump[ii, jj]
                 assert eb >= ev - 1e-14
 
+    def test_dp_is_its_own_scheme(self):
+        # one slice rebuilt from the standalone scheme functions, with the
+        # correlated (diagonal) moves switched on; h0 = 1 keeps the hazard,
+        # and so v1, varying over [0, 6]^2, where the benchmark intensity is
+        # clamped at h_max and a flat v1 would hide every move
+        box = power_box()
+        grid = GridSpec(0.01, 1.0, 0.005, 6.0, 6.0, n_control=9, refine=False)
+        h = PowerClampIntensity(h0=1.0, weights=(0.7, 0.3), alpha=1.0, h_min=0.05, h_max=1.0)
+        s_nodes, p_nodes = grid.s_nodes(), grid.p_nodes()
+        for rho in (-0.1, 0.1):
+            params = MarketParams.two_stock(0.05, 0.10, 0.15, 0.30, 0.40, rho, 0.2, 0.3)
+            vg = solve_power_value(grid, params, h, GAMMA, box)
+            lattice = control_lattice(box, params.L, grid.n_control)
+            v1 = vg.f[1]
+            for i, s in enumerate(s_nodes):
+                for j, p in enumerate(p_nodes):
+                    probs = transition_probs((s, p), (lattice[:, 0], lattice[:, 1]),
+                                             grid, params, GAMMA)
+                    ev = sum(w * v1[min(max(i + ds, 0), len(s_nodes) - 1),
+                                    min(max(j + dp, 0), len(p_nodes) - 1)]
+                             for w, (ds, dp) in zip(probs, TRANSITION_MOVES))
+                    cand = []
+                    for pi, e in zip(lattice, ev):
+                        beta, g = discount_and_source(s, p, pi, 0.0, grid, params, h, GAMMA)
+                        cand.append(float(g) * grid.dt + np.exp(-float(beta) * grid.dt) * e)
+                    assert vg.f[0][i, j] == pytest.approx(max(cand), rel=1e-12)
+
     def test_value_nonincreasing_in_hazard_level(self):
         # contagion lowers utility when hazard cannot be monetized: the
         # premium stock is held long-only, and the stock whose default
@@ -325,6 +378,7 @@ class TestPowerStrategy:
         outside = strat.allocation(0.0, 100.0, np.array([50.0, 7.0]), DefaultState((0, 0)))
         assert np.array_equal(inside, outside)
         assert strat.out_of_domain == 1
+        assert strat.pre_default_queries == 2
 
     def test_post_default_merton_with_floor_cap(self):
         vg, params, box = self.solved()
