@@ -84,7 +84,7 @@ def _cmd_solve_log(args):
 def _cmd_solve_power(args):
     cfg = _load(args)
     if cfg.grid is None or cfg.gamma is None:
-        raise SystemExit("config must carry grid and power-utility sections")
+        raise ValueError("config must carry grid and power-utility sections")
     vg = solve_power_value(cfg.grid, cfg.market, cfg.intensity, cfg.gamma, cfg.box)
     s_nodes, p_nodes = cfg.grid.s_nodes(), cfg.grid.p_nodes()
     i = int(np.searchsorted(s_nodes, min(cfg.s0[0], cfg.grid.s_max)))

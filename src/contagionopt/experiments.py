@@ -18,22 +18,21 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
 
 from contagionopt.dynamics import PathConfig, evolve_wealth, simulate_paths
-from contagionopt.logopt import CASE_NAMES, LogControlProblem, make_log_strategy
+from contagionopt.logopt import CASE_NAMES, LogControlProblem, LogStrategy
 from contagionopt.model import (
     AdmissibleBox,
     ConstantIntensity,
     MarketParams,
-    PowerClampIntensity,
     ReciprocalIntensity,
     intensity_from_config,
 )
-from contagionopt.powergrid import GridSpec, make_power_strategy, solve_power_value, validate_cfl
+from contagionopt.powergrid import GridSpec, PowerGridStrategy, solve_power_value, validate_cfl
 from contagionopt.stats import CSV_HEADER, cohort_report, csv_row, summarize
 
 __all__ = [
@@ -56,11 +55,8 @@ ACTIVE_LABEL = "h(S,P)"
 PASSIVE_LABEL = "constant h"
 
 _MARKET_FIELDS = ("r", "mu_s", "mu_p", "sigma_s", "sigma_p", "rho", "loss_s", "loss_p")
-_INTENSITY_FIELDS = {
-    "power_clamp": ("h0", "k1", "k2", "alpha", "h_min", "h_max"),
-    "reciprocal": ("c",),
-    "constant": ("c",),
-}
+# intensity fields a sweep may set; k1 and k2 are the two power-clamp weights
+_INTENSITY_FIELDS = ("h0", "k1", "k2", "alpha", "h_min", "h_max", "c")
 
 
 @dataclass(frozen=True)
@@ -79,9 +75,8 @@ class SweepEntry:
     def __post_init__(self):
         if self.mode not in ("misspecified-investor", "perturbed-world"):
             raise ValueError(f"unknown sweep mode: {self.mode!r}")
-        known = set(_MARKET_FIELDS) | {f for fs in _INTENSITY_FIELDS.values() for f in fs}
         for name in self.set:
-            if name not in known:
+            if name not in _MARKET_FIELDS + _INTENSITY_FIELDS:
                 raise ValueError(f"unknown sweep parameter: {name!r}")
 
 
@@ -130,7 +125,17 @@ def _market_from_dict(m: dict) -> tuple[MarketParams, np.ndarray]:
 
 def config_from_dict(doc: dict, seed: int | None = None,
                      n_paths: int | None = None) -> ExperimentConfig:
-    """Build a validated config; ``seed``/``n_paths`` override the document."""
+    """Build a validated config; ``seed``/``n_paths`` override the document.
+
+    A missing required key raises ``ValueError`` naming it.
+    """
+    try:
+        return _config(doc, seed, n_paths)
+    except KeyError as exc:  # every subscript in _config reads a required key
+        raise ValueError(f"config is missing the required key {exc.args[0]!r}") from None
+
+
+def _config(doc: dict, seed: int | None, n_paths: int | None) -> ExperimentConfig:
     market, s0 = _market_from_dict(doc["market"])
     intensity = intensity_from_config(doc["intensity"])
     box_doc = doc["box"]
@@ -202,30 +207,16 @@ def _apply_param_overrides(market: MarketParams, intensity, overrides: dict):
             m[k] = float(overrides[k])
     new_market = MarketParams.two_stock(**m)
 
-    if isinstance(intensity, PowerClampIntensity):
-        family = "power_clamp"
-        f = dict(h0=intensity.h0, k1=intensity.weights[0], k2=intensity.weights[1],
-                 alpha=intensity.alpha, h_min=intensity.h_min, h_max=intensity.h_max)
-        for k in _INTENSITY_FIELDS[family]:
-            if k in overrides:
-                f[k] = float(overrides[k])
-        new_intensity = PowerClampIntensity(h0=f["h0"], weights=(f["k1"], f["k2"]),
-                                            alpha=f["alpha"], h_min=f["h_min"],
-                                            h_max=f["h_max"])
-    elif isinstance(intensity, ReciprocalIntensity):
-        family = "reciprocal"
-        new_intensity = ReciprocalIntensity(c=float(overrides.get("c", intensity.c)),
-                                            cap=intensity.cap)
-    elif isinstance(intensity, ConstantIntensity):
-        family = "constant"
-        new_intensity = ConstantIntensity(c=overrides.get("c", intensity.c),
-                                          cap=None)
-    else:
-        raise TypeError(f"cannot apply overrides to {type(intensity).__name__}")
-    bad = [k for k in overrides
-           if k not in _MARKET_FIELDS and k not in _INTENSITY_FIELDS[family]]
-    if bad:
-        raise ValueError(f"overrides {bad} do not apply to {type(intensity).__name__}")
+    changes = {k: v for k, v in overrides.items() if k not in _MARKET_FIELDS}
+    if "k1" in changes or "k2" in changes:
+        k1, k2 = getattr(intensity, "weights", (None, None))
+        changes["weights"] = (changes.pop("k1", k1), changes.pop("k2", k2))
+    try:
+        new_intensity = replace(intensity, **changes)
+    except TypeError:  # a field the intensity family does not have
+        names = [k for k in overrides if k not in _MARKET_FIELDS]
+        raise ValueError(f"overrides {names} do not apply to "
+                         f"{type(intensity).__name__}") from None
     return new_market, new_intensity
 
 
@@ -262,45 +253,47 @@ def _kt_cases(*strategies) -> dict:
     return {name: int(n) for name, n in zip(CASE_NAMES, counts)}
 
 
-def _log_comparison(cfg: ExperimentConfig, out_dir: str | None,
-                    table: str) -> ComparisonResult:
-    """Active-versus-passive log-utility comparison, written to ``table``."""
-    t0 = time.perf_counter()
-    problem = LogControlProblem(params=cfg.market, intensity=cfg.intensity, box=cfg.box)
-    active = make_log_strategy(problem, "state-dependent")
-    passive = make_log_strategy(problem, "fixed-intensity", hbar=cfg.hbar)
-
+def _compare(cfg: ExperimentConfig, out_dir: str | None, table: str, t0: float,
+             active, passive, health) -> ComparisonResult:
+    """Evaluate ``active`` and ``passive`` on one simulated path bundle and
+    tabulate both by default cohort; ``health(active, passive)`` gives the
+    manifest's solver-health section, and ``t0`` is when the run began."""
     bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0)
     digest = bundle.rng_digest()
-    wealth_active = evolve_wealth(bundle, active, cfg.x0)
-    if bundle.rng_digest() != digest:  # common-random-number discipline
-        raise RuntimeError("path bundle mutated during strategy evaluation")
-    wealth_passive = evolve_wealth(bundle, passive, cfg.x0)
-    if bundle.rng_digest() != digest:
-        raise RuntimeError("path bundle mutated during strategy evaluation")
+    terminal = []
+    for strategy in (active, passive):
+        terminal.append(evolve_wealth(bundle, strategy, cfg.x0).terminal)
+        if bundle.rng_digest() != digest:  # common-random-number discipline
+            raise RuntimeError("path bundle mutated during strategy evaluation")
 
     mask = bundle.default_mask()
     result = ComparisonResult(
-        active=cohort_report(ACTIVE_LABEL, wealth_active.terminal, mask),
-        passive=cohort_report(PASSIVE_LABEL, wealth_passive.terminal, mask),
+        active=cohort_report(ACTIVE_LABEL, terminal[0], mask),
+        passive=cohort_report(PASSIVE_LABEL, terminal[1], mask),
         n_default=int(mask.sum()),
         n_paths=cfg.paths.n_paths,
         rng_digest=digest,
-        health={"kt_cases": _kt_cases(active, passive)},
+        health=health(active, passive),
     )
-    _check_conservation(result)
-    if out_dir:
-        _emit(cfg, out_dir, {table: result.to_csv()},
-              result.health, result.rng_digest, time.perf_counter() - t0)
-    return result
-
-
-def _check_conservation(result: ComparisonResult):
     for rep in (result.active, result.passive):
         n_def = rep.default.n if rep.default else 0
         n_no = rep.no_default.n if rep.no_default else 0
         if n_def + n_no != result.n_paths or n_def != result.n_default:
             raise RuntimeError("cohort sizes do not conserve the path count")
+    if out_dir:
+        _emit(cfg, out_dir, {table: result.to_csv()},
+              result.health, digest, time.perf_counter() - t0)
+    return result
+
+
+def _log_comparison(cfg: ExperimentConfig, out_dir: str | None,
+                    table: str) -> ComparisonResult:
+    """Active-versus-passive log-utility comparison, written to ``table``."""
+    t0 = time.perf_counter()
+    problem = LogControlProblem(params=cfg.market, intensity=cfg.intensity, box=cfg.box)
+    return _compare(cfg, out_dir, table, t0, LogStrategy(problem),
+                    LogStrategy(problem, hbar=cfg.hbar),
+                    lambda *sides: {"kt_cases": _kt_cases(*sides)})
 
 
 def run_comparison(cfg: ExperimentConfig, out_dir: str | None = None) -> ComparisonResult:
@@ -356,7 +349,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> SweepResult:
     problem = LogControlProblem(params=cfg.market, intensity=cfg.intensity, box=cfg.box)
     bench_bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0)
     digest = bench_bundle.rng_digest()
-    bench_strategy = make_log_strategy(problem, "state-dependent")
+    bench_strategy = LogStrategy(problem)
     bench_stats = summarize(evolve_wealth(bench_bundle, bench_strategy, cfg.x0).terminal)
 
     strategies = [bench_strategy]
@@ -364,7 +357,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> SweepResult:
     for entry in cfg.sweep_entries:
         market2, intensity2 = _apply_param_overrides(cfg.market, cfg.intensity, entry.set)
         problem2 = LogControlProblem(params=market2, intensity=intensity2, box=cfg.box)
-        strategy2 = make_log_strategy(problem2, "state-dependent")
+        strategy2 = LogStrategy(problem2)
         if entry.mode == "misspecified-investor":
             bundle = bench_bundle
         else:  # the world itself is perturbed; same seed keeps draws common
@@ -393,47 +386,34 @@ def run_power_comparison(cfg: ExperimentConfig, out_dir: str | None = None,
     The active strategy extracts controls from the value grid solved with
     the price-dependent hazard; the passive one from a grid solved with
     the constant comparator.  Grids are solved from the config unless
-    supplied.
+    supplied; a supplied grid must have been solved for the config's
+    ``gamma`` and grid, or ``ValueError`` is raised.
     """
     if cfg.utility != "power":
         raise ValueError("run_power_comparison requires the power utility")
     t0 = time.perf_counter()
     gamma = cfg.gamma
+    for vg in (value_grid, value_grid_const):
+        if vg is not None and (vg.gamma != gamma or vg.grid != cfg.grid):
+            raise ValueError(f"value grid solved for gamma {vg.gamma} on {vg.grid} does not "
+                             f"match the config's gamma {gamma} on {cfg.grid}")
     if value_grid is None:
         value_grid = solve_power_value(cfg.grid, cfg.market, cfg.intensity, gamma, cfg.box)
     if value_grid_const is None:
         value_grid_const = solve_power_value(cfg.grid, cfg.market,
                                              ConstantIntensity(cfg.hbar), gamma, cfg.box)
-    active = make_power_strategy(value_grid, cfg.market, gamma, cfg.box)
-    passive = make_power_strategy(value_grid_const, cfg.market, gamma, cfg.box)
 
-    bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0)
-    digest = bundle.rng_digest()
-    wealth_active = evolve_wealth(bundle, active, cfg.x0)
-    wealth_passive = evolve_wealth(bundle, passive, cfg.x0)
-    if bundle.rng_digest() != digest:
-        raise RuntimeError("path bundle mutated during strategy evaluation")
+    def health(active, passive):
+        queries = active.pre_default_queries + passive.pre_default_queries
+        return {
+            "cfl_margin": validate_cfl(cfg.grid, cfg.market, gamma, cfg.box),
+            "out_of_domain_frac": (active.out_of_domain + passive.out_of_domain)
+                                  / max(queries, 1),
+        }
 
-    mask = bundle.default_mask()
-    queries = active.pre_default_queries + passive.pre_default_queries
-    health = {
-        "cfl_margin": min(validate_cfl(vg.grid, cfg.market, gamma, cfg.box)
-                          for vg in (value_grid, value_grid_const)),
-        "out_of_domain_frac": (active.out_of_domain + passive.out_of_domain) / max(queries, 1),
-    }
-    result = ComparisonResult(
-        active=cohort_report(ACTIVE_LABEL, wealth_active.terminal, mask),
-        passive=cohort_report(PASSIVE_LABEL, wealth_passive.terminal, mask),
-        n_default=int(mask.sum()),
-        n_paths=cfg.paths.n_paths,
-        rng_digest=digest,
-        health=health,
-    )
-    _check_conservation(result)
-    if out_dir:
-        _emit(cfg, out_dir, {"power_comparison.csv": result.to_csv()},
-              result.health, digest, time.perf_counter() - t0)
-    return result
+    active, passive = (PowerGridStrategy(vg, cfg.market, gamma, cfg.box)
+                       for vg in (value_grid, value_grid_const))
+    return _compare(cfg, out_dir, "power_comparison.csv", t0, active, passive, health)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):

@@ -71,7 +71,6 @@ __all__ = [
     "solve_kt_batch",
     "solve_single_survivor_control",
     "single_survivor_formula",
-    "make_log_strategy",
     "LogStrategy",
     "CASE_NAMES",
 ]
@@ -331,19 +330,16 @@ class LogStrategy(Strategy):
     With ``hbar=None`` the hazards are read from the problem's intensity
     model at the queried prices; with a numeric ``hbar`` the same solver
     runs on the constant pair ``(hbar, hbar)`` instead (the passive
-    comparator); that pair is solved once, at construction.  By default
-    the constant also replaces the hazard in the single-survivor closed
-    form; ``hbar_post_default=False`` keeps the model hazard after a
-    default.  ``kt_cases`` counts the Kuhn-Tucker case of every
-    pre-default query, indexed like ``CASE_NAMES``.
+    comparator); that pair is solved once, at construction.  The constant
+    also replaces the hazard in the single-survivor closed form.
+    ``kt_cases`` counts the Kuhn-Tucker case of every pre-default query,
+    indexed like ``CASE_NAMES``.
     """
 
-    def __init__(self, problem: LogControlProblem, hbar: float | None = None,
-                 hbar_post_default: bool = True):
+    def __init__(self, problem: LogControlProblem, hbar: float | None = None):
         self.problem = problem
         self.box = problem.box
         self.hbar = hbar
-        self.hbar_post_default = hbar_post_default
         self.kt_cases = np.zeros(len(CASE_NAMES), dtype=np.int64)  # solver-health counter
         if hbar is not None:
             pi, case_id, _, _ = solve_kt_batch(problem, [hbar], [hbar])
@@ -371,7 +367,7 @@ class LogStrategy(Strategy):
             mask = (states[:, stock] == 0) & (states[:, other] == 1)
             if not mask.any():
                 continue
-            if self.hbar is not None and self.hbar_post_default:
+            if self.hbar is not None:
                 h = np.full(int(mask.sum()), float(self.hbar))
             else:
                 h = prob.intensity.rates_matrix(states[mask], prices[mask])[:, stock]
@@ -379,22 +375,3 @@ class LogStrategy(Strategy):
                                           params.r, h)
             out[mask, stock] = np.clip(raw, prob.box.lower[stock], prob.box.upper[stock])
         return out
-
-
-def make_log_strategy(prob: LogControlProblem, mode: str = "state-dependent",
-                      hbar: float | None = None,
-                      hbar_post_default: bool = True) -> LogStrategy:
-    """Strategy factory.
-
-    ``mode="state-dependent"`` solves the KT system at every queried
-    price pair; ``mode="fixed-intensity"`` substitutes the constant
-    ``hbar`` into the same solver in every state (post-default too unless
-    ``hbar_post_default`` is False).
-    """
-    if mode == "state-dependent":
-        return LogStrategy(prob, hbar=None)
-    if mode == "fixed-intensity":
-        if hbar is None:
-            raise ValueError("fixed-intensity mode requires hbar")
-        return LogStrategy(prob, hbar=float(hbar), hbar_post_default=hbar_post_default)
-    raise ValueError(f"unknown mode: {mode!r}")

@@ -6,11 +6,14 @@ surviving price ``i`` down by the fraction ``L[i, j]``.  Each stock's
 default intensity is a function of the surviving prices and of which
 stocks have already defaulted, so price moves, hazards, and default
 losses feed back into each other.
+
+Each intensity family's formula is written once, as its ``rates_matrix``,
+and its dataclass fields are its only parameter list.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 
 import numpy as np
@@ -130,10 +133,6 @@ class DefaultState:
             raise ValueError("state bits must be 0 or 1")
         object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
 
-    @classmethod
-    def all_alive(cls, n: int) -> "DefaultState":
-        return cls((0,) * n)
-
     @property
     def n(self) -> int:
         return len(self.bits)
@@ -148,14 +147,6 @@ class DefaultState:
 
     def is_alive(self, stock: int) -> bool:
         return self.bits[stock] == 0
-
-    def neighbor(self, stock: int) -> "DefaultState":
-        """State after the default of ``stock`` (which must be alive)."""
-        if self.bits[stock] != 0:
-            raise ValueError(f"stock {stock} has already defaulted")
-        bits = list(self.bits)
-        bits[stock] = 1
-        return DefaultState(tuple(bits))
 
 
 def _own_first_weights(weights: np.ndarray, n: int) -> np.ndarray:
@@ -196,30 +187,18 @@ class PowerClampIntensity:
         if not (0.0 < self.h_min <= self.h_max):
             raise ValueError("need 0 < h_min <= h_max")
 
-    def max_rate(self) -> float:
-        return self.h_max
-
-    def rate(self, stock: int, state: DefaultState, prices: np.ndarray) -> float:
-        prices = np.asarray(prices, dtype=float)
-        n = state.n
-        W = _own_first_weights(np.asarray(self.weights), n)
-        masked = np.where(np.asarray(state.bits) == 1, 0.0, prices)
-        total = float(W[stock] @ masked)
-        with np.errstate(divide="ignore"):
-            raw = self.h0 * total ** (-self.alpha) if total > 0.0 else np.inf
-        return float(min(max(raw, self.h_min), self.h_max))
-
     def rates_matrix(self, states: np.ndarray, prices: np.ndarray) -> np.ndarray:
         """Vectorized rates, zero for defaulted stocks.
 
-        ``states`` is (m, n) with 1 marking defaults, ``prices`` (m, n)
-        with defaulted entries already at zero.
+        ``states`` is (m, n) with 1 marking defaults, ``prices`` (m, n);
+        prices of defaulted stocks are ignored.
         """
         n = states.shape[1]
         W = _own_first_weights(np.asarray(self.weights), n)
         masked = np.where(states == 1, 0.0, prices)
         totals = masked @ W.T
-        with np.errstate(divide="ignore"):
+        # a zero or vanishing total sends the raw rate to inf, clamped to h_max
+        with np.errstate(divide="ignore", over="ignore"):
             raw = self.h0 * np.power(totals, -self.alpha, where=totals > 0.0,
                                      out=np.full_like(totals, np.inf))
         rates = np.clip(raw, self.h_min, self.h_max)
@@ -229,27 +208,14 @@ class PowerClampIntensity:
 @dataclass(frozen=True)
 class ReciprocalIntensity:
     """Hazard ``c / (sum of surviving prices)``, identical for every
-    surviving stock.  Evaluation is never clamped; ``cap`` only declares
-    the bound assumed to hold on the operating price range."""
+    surviving stock and never clamped: it is infinite where the surviving
+    prices sum to zero."""
 
     c: float
-    cap: float
 
     def __post_init__(self):
         if self.c <= 0.0:
             raise ValueError("c must be positive")
-        if self.cap is None or self.cap <= 0.0:
-            raise ValueError("reciprocal intensity requires a positive declared cap")
-
-    def max_rate(self) -> float:
-        return self.cap
-
-    def rate(self, stock: int, state: DefaultState, prices: np.ndarray) -> float:
-        prices = np.asarray(prices, dtype=float)
-        total = float(sum(prices[i] for i in state.survivors))
-        if total <= 0.0:
-            raise ValueError("reciprocal intensity undefined at zero total price")
-        return self.c / total
 
     def rates_matrix(self, states: np.ndarray, prices: np.ndarray) -> np.ndarray:
         masked = np.where(states == 1, 0.0, prices)
@@ -268,23 +234,12 @@ class ConstantIntensity:
     """
 
     c: object
-    cap: float = None  # defaults to the largest constant
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
         if np.any(c < 0.0):
             raise ValueError("c must be nonnegative")
         object.__setattr__(self, "c", c)
-        if self.cap is None:
-            object.__setattr__(self, "cap", float(c.max()))
-        if self.cap < c.max():
-            raise ValueError("declared cap below the constant rate")
-
-    def max_rate(self) -> float:
-        return self.cap
-
-    def rate(self, stock: int, state: DefaultState, prices: np.ndarray) -> float:
-        return float(self.c[0] if self.c.shape[0] == 1 else self.c[stock])
 
     def rates_matrix(self, states: np.ndarray, prices: np.ndarray) -> np.ndarray:
         rates = np.broadcast_to(self.c, states.shape) if self.c.shape[0] > 1 else self.c[0]
@@ -296,7 +251,8 @@ def eval_intensity(model, stock: int, state: DefaultState, prices) -> float:
 
     Raises if the stock has already defaulted or any surviving price is
     nonpositive; prices of defaulted stocks are ignored (they enter the
-    formulas as zero).
+    formulas as zero).  The rate is read from ``model.rates_matrix``, the
+    family's only formula, so it is the hazard the simulation uses.
     """
     prices = np.asarray(prices, dtype=float)
     if prices.shape != (state.n,):
@@ -306,7 +262,7 @@ def eval_intensity(model, stock: int, state: DefaultState, prices) -> float:
     for i in state.survivors:
         if prices[i] <= 0.0:
             raise ValueError(f"surviving stock {i} has nonpositive price {prices[i]}")
-    return model.rate(stock, state, prices)
+    return float(model.rates_matrix(np.asarray(state.bits)[None], prices[None])[0, stock])
 
 
 @dataclass(frozen=True)
@@ -391,15 +347,24 @@ def validate_box(box: AdmissibleBox, params: MarketParams) -> BoxReport:
                      violations=tuple(violations))
 
 
+_FAMILIES = {
+    "power_clamp": PowerClampIntensity,
+    "reciprocal": ReciprocalIntensity,
+    "constant": ConstantIntensity,
+}
+
+
 def intensity_from_config(spec: dict):
-    """Build an intensity model from its config-file section."""
-    family = spec.get("family")
-    if family == "power_clamp":
-        return PowerClampIntensity(h0=spec["h0"], weights=tuple(spec["weights"]),
-                                   alpha=spec["alpha"], h_min=spec["h_min"],
-                                   h_max=spec["h_max"])
-    if family == "reciprocal":
-        return ReciprocalIntensity(c=spec["c"], cap=spec["cap"])
-    if family == "constant":
-        return ConstantIntensity(c=spec["c"], cap=spec.get("cap"))
-    raise ValueError(f"unknown intensity family: {family!r}")
+    """Build an intensity model from its config-file section: ``family``
+    names the class and every other key is one of its fields."""
+    params = dict(spec)
+    family = params.pop("family", None)
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown intensity family: {family!r}")
+    cls = _FAMILIES[family]
+    names = {f.name for f in fields(cls)}
+    unknown, missing = sorted(params.keys() - names), sorted(names - params.keys())
+    if unknown or missing:
+        raise ValueError(f"intensity family {family!r}: unknown parameters {unknown}, "
+                         f"missing parameters {missing}")
+    return cls(**params)

@@ -55,7 +55,6 @@ __all__ = [
     "discount_and_source",
     "validate_cfl",
     "solve_power_value",
-    "make_power_strategy",
     "PowerGridStrategy",
 ]
 
@@ -465,9 +464,3 @@ class PowerGridStrategy(Strategy):
             mask = (states[:, stock] == 0) & (states[:, 1 - stock] == 1)
             out[mask, stock] = self._post[stock]
         return out
-
-
-def make_power_strategy(value_grid: ValueGrid, params: MarketParams, gamma: float,
-                        box: AdmissibleBox) -> PowerGridStrategy:
-    """Strategy factory over a solved value grid."""
-    return PowerGridStrategy(value_grid, params, gamma, box)

@@ -11,7 +11,7 @@ import pytest
 
 from contagionopt.dynamics import ConstantAllocation, PathConfig, evolve_wealth, simulate_paths
 from contagionopt.experiments import builtin_config, config_from_dict, run_comparison, run_crisis, run_sweep
-from contagionopt.logopt import make_log_strategy, single_survivor_formula, solve_kt
+from contagionopt.logopt import LogStrategy, single_survivor_formula, solve_kt
 from contagionopt.model import AdmissibleBox, ConstantIntensity, DefaultState, MarketParams
 from contagionopt.powergrid import GridSpec, control_lattice, solve_power_value, transition_probs
 
@@ -148,8 +148,8 @@ def test_07_benchmark_comparison_pattern():
     from contagionopt.logopt import LogControlProblem
     problem = LogControlProblem(params=cfg.market, intensity=cfg.intensity,
                                 box=cfg.box)
-    active = make_log_strategy(problem, "state-dependent")
-    passive = make_log_strategy(problem, "fixed-intensity", hbar=cfg.hbar)
+    active = LogStrategy(problem)
+    passive = LogStrategy(problem, hbar=cfg.hbar)
     s0 = np.asarray(cfg.s0, dtype=float)
     pi_a = active.allocation(0.0, cfg.x0, s0, DefaultState((0, 0)))
     pi_p = passive.allocation(0.0, cfg.x0, s0, DefaultState((0, 0)))

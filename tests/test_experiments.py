@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from contagionopt.dynamics import simulate_paths
 from contagionopt.experiments import (
     SweepEntry,
+    _apply_param_overrides,
     builtin_config,
     builtin_config_names,
     config_from_dict,
@@ -17,8 +19,8 @@ from contagionopt.experiments import (
 )
 from contagionopt.cli import main as cli_main
 from contagionopt.logopt import CASE_NAMES
-from contagionopt.model import ReciprocalIntensity
-from contagionopt.powergrid import validate_cfl
+from contagionopt.model import ConstantIntensity, PowerClampIntensity, ReciprocalIntensity
+from contagionopt.powergrid import ValueGrid, validate_cfl
 
 
 def base_doc(**overrides):
@@ -64,6 +66,22 @@ class TestConfig:
             SweepEntry(label="x", set={"nonsense": 1.0}, mode="perturbed-world")
         with pytest.raises(ValueError):
             SweepEntry(label="x", set={"h0": 1.0}, mode="bogus")
+
+    def test_overrides_apply_per_intensity_family(self):
+        market = config_from_dict(base_doc()).market
+        power = PowerClampIntensity(h0=10.0, weights=(0.7, 0.3), alpha=1.0,
+                                    h_min=0.05, h_max=1.0)
+        new_market, new = _apply_param_overrides(market, power, {"k1": 0.5, "r": 0.02})
+        assert new == replace(power, weights=(0.5, 0.3))  # k2 kept
+        assert new_market.r == 0.02 and np.array_equal(new_market.L, market.L)
+        _, new = _apply_param_overrides(market, ReciprocalIntensity(c=20.0), {"c": 30.0})
+        assert new == ReciprocalIntensity(c=30.0)
+        _, new = _apply_param_overrides(market, ConstantIntensity(0.1), {"c": 0.2})
+        assert np.array_equal(new.c, [0.2])
+        for intensity, overrides in ((ReciprocalIntensity(c=20.0), {"h0": 5.0}),
+                                     (ConstantIntensity(0.1), {"k1": 0.5})):
+            with pytest.raises(ValueError, match="do not apply"):
+                _apply_param_overrides(market, intensity, overrides)
 
     def test_kind_validation(self):
         doc = base_doc()
@@ -170,7 +188,7 @@ class TestRunCrisis:
         # frozen prices keep the reciprocal hazard pinned at the comparator
         # value, so both strategies coincide on every path that stays
         # pre-default (a default moves prices and lets them diverge)
-        doc = base_doc(intensity={"family": "reciprocal", "c": 20.0, "cap": 2000.0})
+        doc = base_doc(intensity={"family": "reciprocal", "c": 20.0})
         doc["market"]["mu"] = [0.0, 0.0]
         doc["market"]["sigma"] = [0.0, 0.0]
         doc["experiment"]["kind"] = "crisis"
@@ -215,6 +233,16 @@ class TestRunPowerComparison:
         assert 0.0 < health["out_of_domain_frac"] < 1.0
         assert health["cfl_margin"] >= 0.0
         assert health["cfl_margin"] == validate_cfl(cfg.grid, cfg.market, cfg.gamma, cfg.box)
+
+    def test_grid_solved_for_another_problem_rejected(self):
+        cfg = self.power_doc(n_paths=50)
+        grid = cfg.grid
+        shape = (grid.s_nodes().size, grid.p_nodes().size)
+        for gamma, spec in ((0.3, grid), (cfg.gamma, replace(grid, horizon=0.5))):
+            vg = ValueGrid(grid=spec, gamma=gamma, f=np.ones((spec.n_slices + 1, *shape)),
+                           controls=np.zeros((spec.n_slices, *shape, 2)))
+            with pytest.raises(ValueError, match="does not match"):
+                run_power_comparison(cfg, value_grid=vg, value_grid_const=vg)
 
     def test_market_paths_shared_with_log_experiment(self):
         # identical market/intensity/seed: the bundle is utility-independent
@@ -270,3 +298,26 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("contagionopt solve-log: error: ")
         assert "post-default floor" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, needles", [
+        (["solve-power", "--builtin", "benchmark-inferred"], ["grid and power-utility"]),
+        (["compare", "--config", "{no_box}"], ["missing", "'box'"]),
+        (["crisis", "--config", "{cap}"], ["'reciprocal'", "cap"]),
+    ], ids=["solve-power-without-grid", "missing-key", "leftover-cap"])
+    def test_bad_config_is_one_line(self, tmp_path, capsys, argv, needles):
+        no_box = base_doc()
+        del no_box["box"]
+        docs = {"no_box": no_box,
+                "cap": base_doc(intensity={"family": "reciprocal", "c": 20.0, "cap": 2000.0})}
+        paths = {}
+        for name, doc in docs.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(doc))
+        argv = [a.format(**paths) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"contagionopt {argv[0]}: error: ") and err.count("\n") == 1
+        for needle in needles:
+            assert needle in err

@@ -6,8 +6,8 @@ from contagionopt.dynamics import PathConfig, evolve_wealth, simulate_paths
 from contagionopt.logopt import (
     CASE_NAMES,
     LogControlProblem,
+    LogStrategy,
     g_objective,
-    make_log_strategy,
     single_survivor_formula,
     solve_kt,
     solve_kt_batch,
@@ -19,6 +19,7 @@ from contagionopt.model import (
     ConstantIntensity,
     DefaultState,
     MarketParams,
+    eval_intensity,
     validate_box,
 )
 
@@ -87,8 +88,8 @@ class TestGObjective:
         for _ in range(50):
             s, p = rng.uniform(5.0, 300.0, size=2)
             pi = rng.uniform([-1.0, -1.0], [0.5, 0.5])
-            hS = prob.intensity.rate(0, DefaultState((0, 0)), np.array([s, p]))
-            hP = prob.intensity.rate(1, DefaultState((0, 0)), np.array([s, p]))
+            hS = eval_intensity(prob.intensity, 0, DefaultState((0, 0)), [s, p])
+            hP = eval_intensity(prob.intensity, 1, DefaultState((0, 0)), [s, p])
             assert g_objective(prob, s, p, pi) == pytest.approx(
                 g_reference(prob, hS, hP, pi[0], pi[1]), rel=1e-13)
 
@@ -250,18 +251,18 @@ class TestSingleSurvivor:
 
 class TestLogStrategy:
     def test_all_defaulted_gives_zero(self):
-        strat = make_log_strategy(benchmark_problem())
+        strat = LogStrategy(benchmark_problem())
         pi = strat.allocation(0.0, 100.0, np.array([0.0, 0.0]), DefaultState((1, 1)))
         assert np.array_equal(pi, [0.0, 0.0])
 
     def test_fixed_mode_matches_state_dependent_at_equal_hazard(self):
         prob = benchmark_problem()
-        state_dep = make_log_strategy(prob, "state-dependent")
+        state_dep = LogStrategy(prob)
         # pick a price pair and read off its model hazard for the comparator
         s, p = 60.0, 140.0
-        hS = prob.intensity.rate(0, DefaultState((0, 0)), np.array([s, p]))
-        fixed = make_log_strategy(prob, "fixed-intensity", hbar=hS)
-        hP = prob.intensity.rate(1, DefaultState((0, 0)), np.array([s, p]))
+        hS = eval_intensity(prob.intensity, 0, DefaultState((0, 0)), [s, p])
+        fixed = LogStrategy(prob, hbar=hS)
+        hP = eval_intensity(prob.intensity, 1, DefaultState((0, 0)), [s, p])
         if hS == hP:  # only then are the solver inputs identical
             a = state_dep.allocation(0.0, 100.0, np.array([s, p]), DefaultState((0, 0)))
             b = fixed.allocation(0.0, 100.0, np.array([s, p]), DefaultState((0, 0)))
@@ -270,29 +271,16 @@ class TestLogStrategy:
     def test_benchmark_initial_controls_coincide_with_hbar_point_one(self):
         # at (100, 100) the clamped power law evaluates to exactly 0.1
         prob = benchmark_problem()
-        state_dep = make_log_strategy(prob, "state-dependent")
-        fixed = make_log_strategy(prob, "fixed-intensity", hbar=0.1)
+        state_dep = LogStrategy(prob)
+        fixed = LogStrategy(prob, hbar=0.1)
         s0 = np.array([100.0, 100.0])
         a = state_dep.allocation(0.0, 100.0, s0, DefaultState((0, 0)))
         b = fixed.allocation(0.0, 100.0, s0, DefaultState((0, 0)))
         assert np.array_equal(a, b)
 
-    def test_post_default_override_flag(self):
-        prob = benchmark_problem()
-        uniform = make_log_strategy(prob, "fixed-intensity", hbar=0.1)
-        model_after = make_log_strategy(prob, "fixed-intensity", hbar=0.1,
-                                        hbar_post_default=False)
-        state = DefaultState((1, 0))
-        prices = np.array([0.0, 30.0])  # model hazard 10/(0.7*30) != 0.1
-        a = uniform.allocation(0.5, 100.0, prices, state)
-        b = model_after.allocation(0.5, 100.0, prices, state)
-        assert a[1] != b[1]
-        want = single_survivor_formula(0.15, 0.40, 0.05, 0.1)
-        assert a[1] == pytest.approx(float(np.clip(want, -1.0, 0.5)), rel=1e-13)
-
     def test_mixed_state_batch(self):
         prob = benchmark_problem()
-        strat = make_log_strategy(prob)
+        strat = LogStrategy(prob)
         states = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.uint8)
         prices = np.array([[100.0, 100.0], [0.0, 80.0], [120.0, 0.0], [0.0, 0.0]])
         pi = strat.allocations(0.0, np.full(4, 100.0), prices, states)
@@ -313,7 +301,7 @@ class TestLogStrategy:
             return solve_kt_batch(*args, **kwargs)
 
         monkeypatch.setattr(logopt, "solve_kt_batch", counting)
-        strat = make_log_strategy(prob, "fixed-intensity", hbar=0.1)
+        strat = LogStrategy(prob, hbar=0.1)
         evolve_wealth(bundle, strat, 100.0)
         assert len(calls) <= 1
         # against the per-row solve of every pre-default path-step
@@ -321,6 +309,12 @@ class TestLogStrategy:
         n = int(pre.sum())
         _, case_id, _, _ = solve_kt_batch(prob, np.full(n, 0.1), np.full(n, 0.1))
         assert np.array_equal(strat.kt_cases, np.bincount(case_id, minlength=len(CASE_NAMES)))
+        # after one default the constant, not the model hazard, enters the
+        # single-survivor closed form
+        post = [float(np.clip(single_survivor_formula(prob.params.mu[i], prob.params.sigma[i],
+                                                      prob.params.r, 0.1), -1.0, 0.5))
+                for i in (0, 1)]
+        n_alone = 0
         for k in range(cfg.n_steps):
             states, prices = bundle.states[:, k], bundle.prices[:, k]
             rows = pre[:, k]
@@ -328,4 +322,9 @@ class TestLogStrategy:
                                               np.full(rows.sum(), 0.1))
             got = strat.allocations(k * cfg.dt, np.full(cfg.n_paths, 100.0), prices, states)
             assert np.array_equal(got[rows], pi_rows)
-        assert not pre.all()  # some rows took the post-default branch
+            for i in (0, 1):
+                alone = (states[:, i] == 0) & (states[:, 1 - i] == 1)
+                assert np.allclose(got[alone, i], post[i], rtol=1e-13, atol=0.0)
+                assert np.all(got[alone, 1 - i] == 0.0)
+                n_alone += int(alone.sum())
+        assert n_alone > 0  # some rows took the single-survivor branch

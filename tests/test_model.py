@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contagionopt.model import (
     AdmissibleBox,
@@ -44,13 +46,11 @@ class TestMarketParams:
 
 
 class TestDefaultState:
-    def test_survivors_and_neighbor(self):
+    def test_survivors(self):
         z = DefaultState((0, 0))
         assert z.survivors == (0, 1) and z.n_survivors == 2
-        z1 = z.neighbor(0)
-        assert z1.bits == (1, 0) and z1.survivors == (1,)
-        with pytest.raises(ValueError):
-            z1.neighbor(0)
+        z1 = DefaultState((1, 0))
+        assert z1.survivors == (1,) and not z1.is_alive(0) and z1.is_alive(1)
 
     def test_survivor_count_matches_bits(self):
         for bits in [(0, 0), (1, 0), (0, 1), (1, 1), (0, 1, 1, 0)]:
@@ -76,7 +76,7 @@ class TestEvalIntensity:
         assert eval_intensity(h, 0, z, [1e-9, 1e-9]) == 1.0
 
     def test_reciprocal_crisis_level(self):
-        h = ReciprocalIntensity(c=20.0, cap=2000.0)
+        h = ReciprocalIntensity(c=20.0)
         z = DefaultState((0, 0))
         assert eval_intensity(h, 0, z, [10.0, 10.0]) == pytest.approx(1.0, abs=1e-15)
         # after a default only the surviving price counts
@@ -111,7 +111,7 @@ class TestEvalIntensity:
     def test_monotone_nonincreasing_in_prices(self):
         rng = np.random.default_rng(4)
         z = DefaultState((0, 0))
-        models = [benchmark_intensity(), ReciprocalIntensity(c=20.0, cap=2000.0)]
+        models = [benchmark_intensity(), ReciprocalIntensity(c=20.0)]
         for model in models:
             for _ in range(200):
                 s, p = rng.uniform(0.5, 400.0, size=2)
@@ -121,27 +121,74 @@ class TestEvalIntensity:
                     assert eval_intensity(model, stock, z, [s + bump, p]) <= base + 1e-15
                     assert eval_intensity(model, stock, z, [s, p + bump]) <= base + 1e-15
 
-    def test_rates_matrix_agrees_with_scalar(self):
-        rng = np.random.default_rng(5)
-        for model in (benchmark_intensity(), ReciprocalIntensity(c=20.0, cap=2000.0),
-                      ConstantIntensity(0.1)):
-            states = rng.integers(0, 2, size=(64, 2)).astype(np.uint8)
-            states[states.sum(axis=1) == 2, 0] = 0  # keep one survivor for reciprocal
-            prices = rng.uniform(1.0, 300.0, size=(64, 2)) * (1 - states)
-            got = model.rates_matrix(states, prices)
-            for m in range(64):
-                z = DefaultState(tuple(states[m]))
-                for i in range(2):
-                    if states[m, i] == 1:
-                        assert got[m, i] == 0.0
-                    else:
-                        assert got[m, i] == pytest.approx(
-                            eval_intensity(model, i, z, prices[m]), rel=1e-14)
 
-    def test_constant_cap_defaults_to_rate(self):
-        assert ConstantIntensity(0.1).max_rate() == 0.1
-        with pytest.raises(ValueError):
-            ConstantIntensity(0.5, cap=0.1)
+def power_clamp_rate(h, i, bits, prices):
+    """h0 (own-first weighted sum of surviving prices)^-alpha, clamped."""
+    x = [float(price) if b == 0 else 0.0 for price, b in zip(prices, bits)]
+    others = [j for j in range(len(bits)) if j != i]
+    total = h.weights[0] * x[i]
+    for w, j in zip(h.weights[1:], others):
+        total += w * x[j]
+    try:
+        raw = h.h0 * total ** -h.alpha
+    except (ZeroDivisionError, OverflowError):  # the rate is unbounded here
+        raw = float("inf")
+    return min(max(raw, h.h_min), h.h_max)
+
+
+def reciprocal_rate(h, i, bits, prices):
+    return h.c / sum(x for x, b in zip(prices, bits) if b == 0)
+
+
+def constant_rate(h, i, bits, prices):
+    return float(h.c[0] if h.c.shape[0] == 1 else h.c[i])
+
+
+@st.composite
+def hazard_cases(draw):
+    """An intensity model of any family, its written-out rate, and a batch
+    of states (each with a survivor) and prices; defaulted stocks keep
+    their drawn prices, which the model must ignore."""
+    n = draw(st.integers(2, 3))
+    family = draw(st.sampled_from(["power_clamp", "reciprocal", "constant"]))
+    if family == "power_clamp":
+        # clamp bounds spread over decades, so that rates fall below, inside
+        # and above [h_min, h_max]
+        h_min = 10.0 ** draw(st.floats(-6.0, 0.0))
+        model = PowerClampIntensity(
+            h0=draw(st.floats(1e-2, 100.0)),
+            weights=draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)),
+            alpha=draw(st.floats(0.1, 3.0)), h_min=h_min,
+            h_max=h_min * 10.0 ** draw(st.floats(0.0, 6.0)))
+        formula = power_clamp_rate
+    elif family == "reciprocal":
+        model, formula = ReciprocalIntensity(c=draw(st.floats(1e-2, 100.0))), reciprocal_rate
+    else:
+        c = draw(st.floats(0.0, 5.0) | st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n))
+        model, formula = ConstantIntensity(c), constant_rate
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(lambda b: 0 in b)
+    states = draw(st.lists(bits, min_size=1, max_size=6))
+    prices = draw(st.lists(st.lists(st.floats(-1.0, 3.0).map(lambda e: 10.0 ** e),
+                                    min_size=n, max_size=n),
+                           min_size=len(states), max_size=len(states)))
+    return model, formula, np.array(states, dtype=np.uint8), np.array(prices)
+
+
+class TestRatesMatrix:
+    @settings(derandomize=True, deadline=None)
+    @given(hazard_cases())
+    def test_matches_written_out_formulas(self, case):
+        model, formula, states, prices = case
+        got = model.rates_matrix(states, prices)
+        assert got.shape == states.shape
+        for m in range(states.shape[0]):
+            bits = tuple(states[m])
+            for i in range(states.shape[1]):
+                if bits[i]:
+                    assert got[m, i] == 0.0
+                else:
+                    want = formula(model, i, bits, prices[m])
+                    assert got[m, i] == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 class TestValidateBox:

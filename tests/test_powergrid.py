@@ -7,17 +7,18 @@ from contagionopt.model import (
     DefaultState,
     MarketParams,
     PowerClampIntensity,
+    eval_intensity,
 )
 from contagionopt.powergrid import (
     CFLViolationError,
     GridSpec,
+    PowerGridStrategy,
     PowerParams,
     TRANSITION_MOVES,
     ValueGrid,
     control_lattice,
     discount_and_source,
     g1,
-    make_power_strategy,
     merton_power_control,
     solve_power_value,
     transition_probs,
@@ -175,8 +176,8 @@ class TestDiscountAndSource:
         s, p, t = 14.0, 6.0, 0.3
         pi = (0.25, -0.5)
         beta, g = discount_and_source(s, p, pi, t, self.grid(), params, h, GAMMA)
-        hS = h.rate(0, DefaultState((0, 0)), np.array([s, p]))
-        hP = h.rate(1, DefaultState((0, 0)), np.array([s, p]))
+        hS = eval_intensity(h, 0, DefaultState((0, 0)), [s, p])
+        hP = eval_intensity(h, 1, DefaultState((0, 0)), [s, p])
         quad = (0.09 * pi[0]**2 + 0.16 * pi[1]**2)
         want_beta = (-0.05 * GAMMA + hS + hP
                      - GAMMA * (0.05 * pi[0] + 0.10 * pi[1] + 0.5 * (GAMMA - 1) * quad))
@@ -310,23 +311,27 @@ class TestSolvePowerValue:
         assert high.f[0].max() > low.f[0].max()
 
     def test_grid_refinement_contracts(self):
+        # on the finest lattice 67.5% of the node hazards of the benchmark
+        # intensity (h0 = 10) sit at the h_max clamp; with h0 = 1 only 1.4% do
         params = benchmark_params()
         box = power_box()
-        intensity = benchmark_intensity()
         probes = [(4.0, 4.0), (8.0, 6.0), (6.0, 10.0)]
-        values = []
-        for delta, dt in ((2.0, 0.02), (1.0, 0.005), (0.5, 0.00125)):
-            grid = GridSpec(horizon=0.5, delta=delta, dt=dt, s_max=16.0, p_max=16.0,
-                            n_control=15)
-            vg = solve_power_value(grid, params, intensity, GAMMA, box)
-            s_nodes, p_nodes = grid.s_nodes(), grid.p_nodes()
-            values.append([
-                vg.f[0][np.searchsorted(s_nodes, s), np.searchsorted(p_nodes, p)]
-                for s, p in probes
-            ])
-        coarse_diff = np.abs(np.array(values[1]) - np.array(values[0]))
-        fine_diff = np.abs(np.array(values[2]) - np.array(values[1]))
-        assert np.all(fine_diff <= coarse_diff + 1e-12)
+        for h0 in (10.0, 1.0):
+            intensity = PowerClampIntensity(h0=h0, weights=(0.7, 0.3), alpha=1.0,
+                                            h_min=0.05, h_max=1.0)
+            values = []
+            for delta, dt in ((2.0, 0.02), (1.0, 0.005), (0.5, 0.00125)):
+                grid = GridSpec(horizon=0.5, delta=delta, dt=dt, s_max=16.0, p_max=16.0,
+                                n_control=15)
+                vg = solve_power_value(grid, params, intensity, GAMMA, box)
+                s_nodes, p_nodes = grid.s_nodes(), grid.p_nodes()
+                values.append([
+                    vg.f[0][np.searchsorted(s_nodes, s), np.searchsorted(p_nodes, p)]
+                    for s, p in probes
+                ])
+            coarse_diff = np.abs(np.array(values[1]) - np.array(values[0]))
+            fine_diff = np.abs(np.array(values[2]) - np.array(values[1]))
+            assert np.all(fine_diff <= coarse_diff + 1e-12), h0
 
     def test_reciprocal_intensity_infinite_at_origin_rejected(self):
         from contagionopt.model import ReciprocalIntensity
@@ -334,7 +339,7 @@ class TestSolvePowerValue:
                         n_control=5)
         with pytest.raises(ValueError, match="not finite"):
             solve_power_value(grid, benchmark_params(),
-                              ReciprocalIntensity(c=20.0, cap=2000.0), GAMMA,
+                              ReciprocalIntensity(c=20.0), GAMMA,
                               power_box())
 
     def test_save_load_roundtrip(self, tmp_path):
@@ -361,19 +366,19 @@ class TestPowerStrategy:
 
     def test_lattice_node_query_returns_stored_argmax(self):
         vg, params, box = self.solved()
-        strat = make_power_strategy(vg, params, GAMMA, box)
+        strat = PowerGridStrategy(vg, params, GAMMA, box)
         pi = strat.allocation(0.0, 100.0, np.array([4.0, 7.0]), DefaultState((0, 0)))
         assert np.array_equal(pi, vg.controls[0][4, 7])
 
     def test_all_defaulted_gives_zero(self):
         vg, params, box = self.solved()
-        strat = make_power_strategy(vg, params, GAMMA, box)
+        strat = PowerGridStrategy(vg, params, GAMMA, box)
         pi = strat.allocation(0.3, 100.0, np.array([0.0, 0.0]), DefaultState((1, 1)))
         assert np.array_equal(pi, [0.0, 0.0])
 
     def test_out_of_domain_clamps_and_counts(self):
         vg, params, box = self.solved()
-        strat = make_power_strategy(vg, params, GAMMA, box)
+        strat = PowerGridStrategy(vg, params, GAMMA, box)
         inside = strat.allocation(0.0, 100.0, np.array([12.0, 7.0]), DefaultState((0, 0)))
         outside = strat.allocation(0.0, 100.0, np.array([50.0, 7.0]), DefaultState((0, 0)))
         assert np.array_equal(inside, outside)
@@ -382,7 +387,7 @@ class TestPowerStrategy:
 
     def test_post_default_merton_with_floor_cap(self):
         vg, params, box = self.solved()
-        strat = make_power_strategy(vg, params, GAMMA, box)
+        strat = PowerGridStrategy(vg, params, GAMMA, box)
         # surviving P: raw Merton 0.10/(0.16*0.5) = 1.25, box cap 1.0, floor cap 0.99
         pi = strat.allocation(0.2, 100.0, np.array([0.0, 8.0]), DefaultState((1, 0)))
         assert pi[0] == 0.0 and pi[1] == pytest.approx(0.99)
@@ -392,7 +397,7 @@ class TestPowerStrategy:
 
     def test_time_slice_selection(self):
         vg, params, box = self.solved()
-        strat = make_power_strategy(vg, params, GAMMA, box)
+        strat = PowerGridStrategy(vg, params, GAMMA, box)
         a = strat.allocation(0.0, 100.0, np.array([6.0, 6.0]), DefaultState((0, 0)))
         b = strat.allocation(0.995, 100.0, np.array([6.0, 6.0]), DefaultState((0, 0)))
         assert np.array_equal(b, vg.controls[-1][6, 6])
