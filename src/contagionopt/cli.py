@@ -2,7 +2,10 @@
 
 Every subcommand takes a JSON experiment config (``--config PATH`` or a
 shipped ``--builtin NAME``); ``--seed`` and ``--paths`` override the
-document, and ``--out`` names the output directory.
+document, and ``--out`` names the output directory.  The experiment
+subcommands ``compare``, ``sweep``, ``crisis`` and ``power-compare`` are
+named after the experiment kinds, and each runs only configs of its own
+kind.
 """
 
 from __future__ import annotations
@@ -13,19 +16,11 @@ import sys
 import numpy as np
 
 from contagionopt.dynamics import ConstantAllocation, dump_paths_csv, evolve_wealth, simulate_paths
-from contagionopt.experiments import (
-    builtin_config,
-    builtin_config_names,
-    load_config,
-    run_comparison,
-    run_crisis,
-    run_power_comparison,
-    run_sweep,
-)
+from contagionopt.experiments import (RUNNERS, ComparisonResult, builtin_config,
+                                      builtin_config_names, load_config)
 from contagionopt.logopt import LogControlProblem, solve_pre_default_control, solve_single_survivor_control
 from contagionopt.model import DefaultState
 from contagionopt.powergrid import ValueGrid, solve_power_value
-from contagionopt.stats import CSV_HEADER, csv_row
 
 
 def _add_common(sub):
@@ -41,13 +36,6 @@ def _load(args):
     if args.config:
         return load_config(args.config, seed=args.seed, n_paths=args.paths)
     return builtin_config(args.builtin, seed=args.seed, n_paths=args.paths)
-
-
-def _print_comparison(result):
-    print(CSV_HEADER)
-    for label, stats in result.rows():
-        print(csv_row(label, stats))
-    print(f"# defaults: {result.n_default} / {result.n_paths}", file=sys.stderr)
 
 
 def _cmd_simulate(args):
@@ -99,29 +87,17 @@ def _cmd_solve_power(args):
         print(f"wrote {target}")
 
 
-def _cmd_compare(args):
+def _cmd_run(args):
+    """Run an experiment subcommand: its name is the kind of its runner."""
     cfg = _load(args)
-    _print_comparison(run_comparison(cfg, out_dir=args.out))
-
-
-def _cmd_sweep(args):
-    cfg = _load(args)
-    result = run_sweep(cfg, out_dir=args.out)
+    grids = {}
+    if args.command == "power-compare":
+        grids = {"value_grid": ValueGrid.load(args.grid) if args.grid else None,
+                 "value_grid_const": ValueGrid.load(args.grid_const) if args.grid_const else None}
+    result = RUNNERS[args.command](cfg, out_dir=args.out, **grids)
     print(result.to_csv(), end="")
-
-
-def _cmd_crisis(args):
-    cfg = _load(args)
-    _print_comparison(run_crisis(cfg, out_dir=args.out))
-
-
-def _cmd_power_compare(args):
-    cfg = _load(args)
-    vg = ValueGrid.load(args.grid) if args.grid else None
-    vg_const = ValueGrid.load(args.grid_const) if args.grid_const else None
-    result = run_power_comparison(cfg, out_dir=args.out, value_grid=vg,
-                                  value_grid_const=vg_const)
-    _print_comparison(result)
+    if isinstance(result, ComparisonResult):
+        print(f"# defaults: {result.n_default} / {result.n_paths}", file=sys.stderr)
 
 
 def _cmd_list_configs(args):
@@ -149,23 +125,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_solve_power)
 
-    p = sub.add_parser("compare", help="active vs passive strategies, log utility")
-    _add_common(p)
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("sweep", help="parameter robustness sweep")
-    _add_common(p)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("crisis", help="depressed-initial-price comparison")
-    _add_common(p)
-    p.set_defaults(func=_cmd_crisis)
-
-    p = sub.add_parser("power-compare", help="active vs passive, power utility")
-    _add_common(p)
-    p.add_argument("--grid", help="reuse a saved value grid (npz) for the active side")
-    p.add_argument("--grid-const", help="reuse a saved value grid for the passive side")
-    p.set_defaults(func=_cmd_power_compare)
+    for kind, help_text in (("compare", "active vs passive strategies, log utility"),
+                            ("sweep", "parameter robustness sweep"),
+                            ("crisis", "depressed-initial-price comparison"),
+                            ("power-compare", "active vs passive, power utility")):
+        p = sub.add_parser(kind, help=help_text)
+        _add_common(p)
+        p.set_defaults(func=_cmd_run)
+        if kind == "power-compare":
+            p.add_argument("--grid", help="reuse a saved value grid (npz) for the active side")
+            p.add_argument("--grid-const", help="reuse a saved value grid for the passive side")
 
     p = sub.add_parser("list-configs", help="names of shipped configs")
     p.set_defaults(func=_cmd_list_configs)

@@ -1,11 +1,19 @@
 """Config-driven experiment runner.
 
 Experiments are described by a JSON document with sections ``market``,
-``intensity``, ``utility``, ``box``, ``paths``, and ``experiment``; the
-runner reproduces the statistical comparisons of active (price-dependent
-hazard) versus passive (constant proxy hazard) strategies, the
-robustness sweeps, the depressed-initial-price crisis comparison, and
-the power-utility comparison.
+``intensity``, ``utility``, ``box``, ``paths``, ``experiment`` and, for
+the power utility, ``grid``.  The runners reproduce the statistical
+comparisons of active (price-dependent hazard) versus passive (constant
+proxy hazard) strategies, the robustness sweeps, the depressed-initial-
+price crisis comparison, and the power-utility comparison.
+
+The experiment's ``kind`` picks the utility the ``utility`` section must
+name and the output table (:data:`KINDS`), and the runner
+(:data:`RUNNERS`), which rejects a config of another kind.  The ``box``,
+``paths``, ``grid`` and ``experiment`` sections and each sweep entry map
+onto their dataclass fields by name (:func:`~contagionopt.model.from_section`):
+a field with a default may be left out, and an unknown or missing key
+raises ``ValueError`` naming it.
 
 Every comparison evaluates both strategies on one simulated path bundle
 (common random numbers), asserted by digesting the bundle's Gaussian
@@ -30,12 +38,15 @@ from contagionopt.model import (
     ConstantIntensity,
     MarketParams,
     ReciprocalIntensity,
+    from_section,
     intensity_from_config,
 )
 from contagionopt.powergrid import GridSpec, PowerGridStrategy, solve_power_value, validate_cfl
 from contagionopt.stats import CSV_HEADER, cohort_report, csv_row, summarize
 
 __all__ = [
+    "KINDS",
+    "RUNNERS",
     "ExperimentConfig",
     "SweepEntry",
     "ComparisonResult",
@@ -54,6 +65,15 @@ __all__ = [
 ACTIVE_LABEL = "h(S,P)"
 PASSIVE_LABEL = "constant h"
 
+# experiment kind -> (utility, output table)
+KINDS = {
+    "compare": ("log", "comparison.csv"),
+    "crisis": ("log", "crisis.csv"),
+    "sweep": ("log", "sweep.csv"),
+    "power-compare": ("power", "power_comparison.csv"),
+}
+SWEEP_MODES = ("misspecified-investor", "perturbed-world")
+
 _MARKET_FIELDS = ("r", "mu_s", "mu_p", "sigma_s", "sigma_p", "rho", "loss_s", "loss_p")
 # intensity fields a sweep may set; k1 and k2 are the two power-clamp weights
 _INTENSITY_FIELDS = ("h0", "k1", "k2", "alpha", "h_min", "h_max", "c")
@@ -61,20 +81,12 @@ _INTENSITY_FIELDS = ("h0", "k1", "k2", "alpha", "h_min", "h_max", "c")
 
 @dataclass(frozen=True)
 class SweepEntry:
-    """One perturbation row: label, parameter overrides, and semantics.
-
-    ``misspecified-investor`` keeps the simulated world at benchmark
-    values and hands the perturbed values to the investor's solver;
-    ``perturbed-world`` changes both.
-    """
+    """One perturbation row: its label and the parameters it overrides."""
 
     label: str
     set: dict
-    mode: str
 
     def __post_init__(self):
-        if self.mode not in ("misspecified-investor", "perturbed-world"):
-            raise ValueError(f"unknown sweep mode: {self.mode!r}")
         for name in self.set:
             if name not in _MARKET_FIELDS + _INTENSITY_FIELDS:
                 raise ValueError(f"unknown sweep parameter: {name!r}")
@@ -82,32 +94,44 @@ class SweepEntry:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment; its ``kind`` (a key of :data:`KINDS`) picks the
+    runner, the utility and the output table.
+
+    ``sweep_mode`` applies to every sweep entry: ``misspecified-investor``
+    keeps the simulated world at the config's values and hands the
+    perturbed values to the investor's solver; ``perturbed-world``
+    changes both.
+    """
+
     name: str
-    kind: str  # compare | sweep | crisis | power-compare
+    kind: str
     market: MarketParams
     s0: np.ndarray
     intensity: object
-    utility: str  # log | power
-    gamma: float | None
     box: AdmissibleBox
     paths: PathConfig
-    x0: float
-    hbar: float | None
-    sweep_entries: tuple = ()
+    gamma: float | None = None  # power utility only
+    x0: float = 100.0
+    hbar: float | None = None  # constant comparator hazard of the passive side
+    sweep_mode: str = "misspecified-investor"
+    entries: tuple = ()  # SweepEntry rows of a sweep
     grid: GridSpec | None = None
     raw: dict = None  # original document, echoed into the run manifest
 
     def __post_init__(self):
-        if self.kind not in ("compare", "sweep", "crisis", "power-compare"):
-            raise ValueError(f"unknown experiment kind: {self.kind!r}")
-        if self.utility not in ("log", "power"):
-            raise ValueError(f"unknown utility: {self.utility!r}")
-        if self.utility == "power" and self.gamma is None:
-            raise ValueError("power utility requires gamma")
-        if self.kind == "power-compare" and self.grid is None:
-            raise ValueError("power-compare requires a grid section")
-        if self.kind in ("compare", "crisis", "power-compare") and self.hbar is None:
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown experiment kind: {self.kind!r}; have {list(KINDS)}")
+        if self.kind == "crisis" and not isinstance(self.intensity, ReciprocalIntensity):
+            raise ValueError("crisis experiment requires the reciprocal intensity family")
+        if self.kind == "power-compare":
+            if self.gamma is None:
+                raise ValueError("power utility requires gamma")
+            if self.grid is None:
+                raise ValueError("power-compare requires a grid section")
+        if self.kind != "sweep" and self.hbar is None:
             raise ValueError(f"{self.kind} requires a comparator hbar")
+        if self.sweep_mode not in SWEEP_MODES:
+            raise ValueError(f"unknown sweep mode: {self.sweep_mode!r}; have {list(SWEEP_MODES)}")
 
 
 def _market_from_dict(m: dict) -> tuple[MarketParams, np.ndarray]:
@@ -137,44 +161,31 @@ def config_from_dict(doc: dict, seed: int | None = None,
 
 def _config(doc: dict, seed: int | None, n_paths: int | None) -> ExperimentConfig:
     market, s0 = _market_from_dict(doc["market"])
-    intensity = intensity_from_config(doc["intensity"])
-    box_doc = doc["box"]
-    box = AdmissibleBox(lower=box_doc["lower"], upper=box_doc["upper"],
-                        eps_a=box_doc.get("eps_a", 0.01))
-    p = doc["paths"]
-    paths = PathConfig(horizon=p["horizon"], n_steps=p["n_steps"],
-                       n_paths=n_paths if n_paths is not None else p["n_paths"],
-                       master_seed=seed if seed is not None else p["master_seed"])
-    util = doc["utility"]
-    exp = doc["experiment"]
-    entries = tuple(
-        SweepEntry(label=e["label"], set=dict(e["set"]),
-                   mode=e.get("mode", exp.get("sweep_mode", "misspecified-investor")))
-        for e in exp.get("entries", ())
-    )
+    overrides = {k: v for k, v in (("n_paths", n_paths), ("master_seed", seed)) if v is not None}
+    paths = from_section(PathConfig, {**doc["paths"], **overrides}, "paths")
     grid = None
     if "grid" in doc:
-        g = doc["grid"]
-        grid = GridSpec(horizon=p["horizon"], delta=g["delta"], dt=g["dt"],
-                        s_max=g["s_max"], p_max=g["p_max"],
-                        n_control=g.get("n_control", 41),
-                        refine=g.get("refine", True))
-    return ExperimentConfig(
+        grid = from_section(GridSpec, doc["grid"], "grid", horizon=paths.horizon)
+    exp = doc["experiment"]
+    entries = tuple(from_section(SweepEntry, e, f"sweep entry {i}")
+                    for i, e in enumerate(exp.get("entries", ())))
+    cfg = from_section(
+        ExperimentConfig, {**exp, "entries": entries}, "experiment",
         name=doc.get("name", "unnamed"),
-        kind=exp["kind"],
         market=market,
         s0=s0,
-        intensity=intensity,
-        utility=util["kind"],
-        gamma=util.get("gamma"),
-        box=box,
+        intensity=intensity_from_config(doc["intensity"]),
+        box=from_section(AdmissibleBox, doc["box"], "box"),
         paths=paths,
-        x0=exp.get("x0", 100.0),
-        hbar=exp.get("hbar"),
-        sweep_entries=entries,
+        gamma=doc["utility"].get("gamma"),
         grid=grid,
         raw=doc,
     )
+    utility, _ = KINDS[cfg.kind]
+    if doc["utility"]["kind"] != utility:
+        raise ValueError(f"a {cfg.kind!r} experiment takes the {utility!r} utility, "
+                         f"not {doc['utility']['kind']!r}")
+    return cfg
 
 
 def load_config(path: str, seed: int | None = None,
@@ -233,13 +244,10 @@ class ComparisonResult:
     health: dict
 
     def rows(self):
-        out = []
-        for cohort in ("all", "default", "no_default"):
-            label = {"all": "All samples", "default": "Default",
-                     "no_default": "No-default"}[cohort]
-            out.append((f"{label} + {ACTIVE_LABEL}", getattr(self.active, cohort)))
-            out.append((f"{label} + {PASSIVE_LABEL}", getattr(self.passive, cohort)))
-        return out
+        cohorts = (("all", "All samples"), ("default", "Default"),
+                   ("no_default", "No-default"))
+        return [(f"{name} + {rep.label}", getattr(rep, cohort))
+                for cohort, name in cohorts for rep in (self.active, self.passive)]
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
@@ -253,7 +261,12 @@ def _kt_cases(*strategies) -> dict:
     return {name: int(n) for name, n in zip(CASE_NAMES, counts)}
 
 
-def _compare(cfg: ExperimentConfig, out_dir: str | None, table: str, t0: float,
+def _require_kind(cfg: ExperimentConfig, kind: str):
+    if cfg.kind != kind:
+        raise ValueError(f"config {cfg.name!r} is a {cfg.kind!r} experiment, not {kind!r}")
+
+
+def _compare(cfg: ExperimentConfig, out_dir: str | None, t0: float,
              active, passive, health) -> ComparisonResult:
     """Evaluate ``active`` and ``passive`` on one simulated path bundle and
     tabulate both by default cohort; ``health(active, passive)`` gives the
@@ -281,33 +294,30 @@ def _compare(cfg: ExperimentConfig, out_dir: str | None, table: str, t0: float,
         if n_def + n_no != result.n_paths or n_def != result.n_default:
             raise RuntimeError("cohort sizes do not conserve the path count")
     if out_dir:
-        _emit(cfg, out_dir, {table: result.to_csv()},
-              result.health, digest, time.perf_counter() - t0)
+        _emit(cfg, out_dir, result.to_csv(), result.health, digest,
+              time.perf_counter() - t0)
     return result
 
 
-def _log_comparison(cfg: ExperimentConfig, out_dir: str | None,
-                    table: str) -> ComparisonResult:
-    """Active-versus-passive log-utility comparison, written to ``table``."""
+def _log_comparison(cfg: ExperimentConfig, out_dir: str | None) -> ComparisonResult:
+    """Active-versus-passive log-utility comparison."""
     t0 = time.perf_counter()
     problem = LogControlProblem(params=cfg.market, intensity=cfg.intensity, box=cfg.box)
-    return _compare(cfg, out_dir, table, t0, LogStrategy(problem),
+    return _compare(cfg, out_dir, t0, LogStrategy(problem),
                     LogStrategy(problem, hbar=cfg.hbar),
                     lambda *sides: {"kt_cases": _kt_cases(*sides)})
 
 
 def run_comparison(cfg: ExperimentConfig, out_dir: str | None = None) -> ComparisonResult:
     """Active-versus-passive comparison under the log utility."""
-    if cfg.utility != "log":
-        raise ValueError("run_comparison is the log-utility experiment")
-    return _log_comparison(cfg, out_dir, "comparison.csv")
+    _require_kind(cfg, "compare")
+    return _log_comparison(cfg, out_dir)
 
 
 def run_crisis(cfg: ExperimentConfig, out_dir: str | None = None) -> ComparisonResult:
     """Comparison with depressed initial prices and reciprocal hazard."""
-    if not isinstance(cfg.intensity, ReciprocalIntensity):
-        raise ValueError("crisis experiment requires the reciprocal intensity family")
-    return _log_comparison(cfg, out_dir, "crisis.csv")
+    _require_kind(cfg, "crisis")
+    return _log_comparison(cfg, out_dir)
 
 
 @dataclass
@@ -343,8 +353,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> SweepResult:
     ``perturbed-world`` mode the simulated market changes too.  The world
     (and hence the benchmark row) always uses the config's own values.
     """
-    if cfg.utility != "log":
-        raise ValueError("run_sweep is specified for the log utility")
+    _require_kind(cfg, "sweep")
     t0 = time.perf_counter()
     problem = LogControlProblem(params=cfg.market, intensity=cfg.intensity, box=cfg.box)
     bench_bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0)
@@ -354,11 +363,11 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> SweepResult:
 
     strategies = [bench_strategy]
     entries = []
-    for entry in cfg.sweep_entries:
+    for entry in cfg.entries:
         market2, intensity2 = _apply_param_overrides(cfg.market, cfg.intensity, entry.set)
         problem2 = LogControlProblem(params=market2, intensity=intensity2, box=cfg.box)
         strategy2 = LogStrategy(problem2)
-        if entry.mode == "misspecified-investor":
+        if cfg.sweep_mode == "misspecified-investor":
             bundle = bench_bundle
         else:  # the world itself is perturbed; same seed keeps draws common
             bundle = simulate_paths(market2, intensity2, cfg.paths, cfg.s0)
@@ -374,8 +383,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> SweepResult:
     result = SweepResult(benchmark=bench_stats, entries=tuple(entries),
                          rng_digest=digest, health=health)
     if out_dir:
-        _emit(cfg, out_dir, {"sweep.csv": result.to_csv()}, health, digest,
-              time.perf_counter() - t0)
+        _emit(cfg, out_dir, result.to_csv(), health, digest, time.perf_counter() - t0)
     return result
 
 
@@ -389,8 +397,7 @@ def run_power_comparison(cfg: ExperimentConfig, out_dir: str | None = None,
     supplied; a supplied grid must have been solved for the config's
     ``gamma`` and grid, or ``ValueError`` is raised.
     """
-    if cfg.utility != "power":
-        raise ValueError("run_power_comparison requires the power utility")
+    _require_kind(cfg, "power-compare")
     t0 = time.perf_counter()
     gamma = cfg.gamma
     for vg in (value_grid, value_grid_const):
@@ -413,35 +420,36 @@ def run_power_comparison(cfg: ExperimentConfig, out_dir: str | None = None,
 
     active, passive = (PowerGridStrategy(vg, cfg.market, gamma, cfg.box)
                        for vg in (value_grid, value_grid_const))
-    return _compare(cfg, out_dir, "power_comparison.csv", t0, active, passive, health)
+    return _compare(cfg, out_dir, t0, active, passive, health)
+
+
+# experiment kind -> its runner
+RUNNERS = {"compare": run_comparison, "crisis": run_crisis, "sweep": run_sweep,
+           "power-compare": run_power_comparison}
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
-    """Dispatch on the config's experiment kind."""
-    runner = {"compare": run_comparison, "sweep": run_sweep, "crisis": run_crisis,
-              "power-compare": run_power_comparison}[cfg.kind]
-    return runner(cfg, out_dir=out_dir)
+    """Run the config with its kind's runner."""
+    return RUNNERS[cfg.kind](cfg, out_dir=out_dir)
 
 
-def _emit(cfg: ExperimentConfig, out_dir: str, files: dict, health: dict,
+def _emit(cfg: ExperimentConfig, out_dir: str, text: str, health: dict,
           rng_digest: str, wall_time: float):
-    """Write output CSVs plus a JSON manifest with content hashes."""
+    """Write the kind's output CSV plus a JSON manifest with its content hash."""
     import os
 
     os.makedirs(out_dir, exist_ok=True)
-    hashes = {}
-    for name, text in files.items():
-        data = text.encode()
-        hashes[name] = "sha256:" + hashlib.sha256(data).hexdigest()
-        with open(os.path.join(out_dir, name), "wb") as fh:
-            fh.write(data)
+    _, name = KINDS[cfg.kind]
+    data = text.encode()
+    with open(os.path.join(out_dir, name), "wb") as fh:
+        fh.write(data)
     manifest = {
         "name": cfg.name,
         "kind": cfg.kind,
         "seed": cfg.paths.master_seed,
         "n_paths": cfg.paths.n_paths,
         "config": cfg.raw,
-        "outputs": hashes,
+        "outputs": {name: "sha256:" + hashlib.sha256(data).hexdigest()},
         "rng_digest": rng_digest,
         "solver_health": health,
         "wall_time_s": round(wall_time, 3),

@@ -13,7 +13,7 @@ and its dataclass fields are its only parameter list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from itertools import product
 
 import numpy as np
@@ -30,6 +30,7 @@ __all__ = [
     "validate_box",
     "jump_factors",
     "intensity_from_config",
+    "from_section",
 ]
 
 
@@ -302,10 +303,6 @@ class AdmissibleBox:
         corners = list(product(*zip(self.lower, self.upper)))
         return np.array(corners)
 
-    def contains(self, pi, atol: float = 1e-9) -> bool:
-        pi = np.asarray(pi, dtype=float)
-        return bool(np.all(pi >= self.lower - atol) and np.all(pi <= self.upper + atol))
-
 
 def jump_factors(L: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """Wealth fraction retained if column-``j`` stock defaults: ``1 - (L^T pi)_j``.
@@ -322,7 +319,6 @@ class BoxReport:
 
     ok: bool
     worst_margin: float
-    violations: tuple = field(default_factory=tuple)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -337,14 +333,9 @@ def validate_box(box: AdmissibleBox, params: MarketParams) -> BoxReport:
     """
     if box.n != params.n:
         raise ValueError("box dimension does not match the market")
-    verts = box.vertices()
-    factors = jump_factors(params.L, verts)  # (2^n, n) columns = defaulting stock
-    margin = factors - box.eps_a
-    violations = []
-    for vi, ci in zip(*np.nonzero(margin < 0.0)):
-        violations.append((tuple(verts[vi]), int(ci), float(factors[vi, ci])))
-    return BoxReport(ok=not violations, worst_margin=float(margin.min()),
-                     violations=tuple(violations))
+    factors = jump_factors(params.L, box.vertices())  # (2^n, n) columns = defaulting stock
+    worst = float((factors - box.eps_a).min())
+    return BoxReport(ok=worst >= 0.0, worst_margin=worst)
 
 
 _FAMILIES = {
@@ -354,6 +345,23 @@ _FAMILIES = {
 }
 
 
+def from_section(cls, section: dict, what: str, **given):
+    """Build dataclass ``cls`` from a config section whose keys are its
+    field names; a field with a default may be left out.
+
+    ``given`` supplies fields that do not come from the section, so the
+    section may not name them.  An unknown or missing key raises
+    ``ValueError`` naming ``what`` and the keys.
+    """
+    names = {f.name for f in fields(cls)} - given.keys()
+    required = {f.name for f in fields(cls) if f.default is MISSING
+                and f.default_factory is MISSING} - given.keys()
+    unknown, missing = sorted(section.keys() - names), sorted(required - section.keys())
+    if unknown or missing:
+        raise ValueError(f"{what}: unknown keys {unknown}, missing keys {missing}")
+    return cls(**section, **given)
+
+
 def intensity_from_config(spec: dict):
     """Build an intensity model from its config-file section: ``family``
     names the class and every other key is one of its fields."""
@@ -361,10 +369,4 @@ def intensity_from_config(spec: dict):
     family = params.pop("family", None)
     if family not in _FAMILIES:
         raise ValueError(f"unknown intensity family: {family!r}")
-    cls = _FAMILIES[family]
-    names = {f.name for f in fields(cls)}
-    unknown, missing = sorted(params.keys() - names), sorted(names - params.keys())
-    if unknown or missing:
-        raise ValueError(f"intensity family {family!r}: unknown parameters {unknown}, "
-                         f"missing parameters {missing}")
-    return cls(**params)
+    return from_section(_FAMILIES[family], params, f"intensity family {family!r}")

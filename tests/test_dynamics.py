@@ -61,7 +61,7 @@ class TestSimulatePaths:
             other = 1 - stock
             if bundle.states[path, k, other] == 0:
                 expect = pre[other] * (1.0 - params.L[other, stock])
-                assert bundle.prices[path, k + 1, other] == pytest.approx(expect, rel=1e-13)
+                assert bundle.prices[path, k + 1, other] == pytest.approx(expect, rel=1e-13, abs=0)
                 checked += 1
         assert checked > 10
 
@@ -129,7 +129,7 @@ class TestEvolveWealth:
                                      + diffusion)
                 jump = 1.0 - pi @ params.L[:, j]
                 ratio = wealth.values[path, first + 1] / wealth.values[path, first]
-                assert ratio == pytest.approx(diff_factor * jump, rel=1e-12)
+                assert ratio == pytest.approx(diff_factor * jump, rel=1e-12, abs=0)
                 checked += 1
         assert checked > 5
 
@@ -144,7 +144,7 @@ class TestEvolveWealth:
         # second moment therefore scales exactly as x0^2
         m1 = np.mean(w1.terminal**2)
         m2 = np.mean(w2.terminal**2)
-        assert np.isfinite(m1) and m2 == pytest.approx(4.0 * m1, rel=1e-15)
+        assert np.isfinite(m1) and m2 == pytest.approx(4.0 * m1, rel=1e-15, abs=0)
 
     def test_defaulted_allocation_aborts(self):
         class Bad(ConstantAllocation):
@@ -174,7 +174,7 @@ class TestEstimateLogValue:
         mean, se = estimate_log_value(params, benchmark_intensity(),
                                       ConstantAllocation([0.0, 0.0]), cfg,
                                       [100.0, 100.0], x0=100.0)
-        assert mean == pytest.approx(np.log(100.0) + params.r, rel=1e-12)
+        assert mean == pytest.approx(np.log(100.0) + params.r, rel=1e-12, abs=0)
         assert se == pytest.approx(0.0, abs=1e-13)
 
     def test_merton_log_control_beats_alternatives_without_hazard(self):

@@ -62,10 +62,40 @@ class TestConfig:
         assert cfg.paths.master_seed == 7 and cfg.paths.n_paths == 123
 
     def test_unknown_sweep_parameter_rejected(self):
-        with pytest.raises(ValueError):
-            SweepEntry(label="x", set={"nonsense": 1.0}, mode="perturbed-world")
-        with pytest.raises(ValueError):
-            SweepEntry(label="x", set={"h0": 1.0}, mode="bogus")
+        with pytest.raises(ValueError, match="nonsense"):
+            SweepEntry(label="x", set={"nonsense": 1.0})
+        doc = base_doc()
+        doc["experiment"] = {"kind": "sweep", "sweep_mode": "bogus", "entries": []}
+        with pytest.raises(ValueError, match="sweep mode: 'bogus'"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("section, key", [
+        ("box", "eps"), ("paths", "seed"), ("grid", "n_contol"), ("grid", "horizon"),
+        ("experiment", "hbr"), ("entry", "mode"),
+    ])
+    def test_unknown_section_key_rejected(self, section, key):
+        doc = base_doc(grid={"delta": 1.0, "dt": 0.01, "s_max": 10.0, "p_max": 10.0})
+        doc["experiment"] = {"kind": "sweep", "entries": [{"label": "x", "set": {}}]}
+        target = doc["experiment"]["entries"][0] if section == "entry" else doc[section]
+        target[key] = 1
+        with pytest.raises(ValueError, match=f"unknown keys \\['{key}'\\]"):
+            config_from_dict(doc)
+
+    def test_section_defaults_come_from_the_dataclasses(self):
+        doc = base_doc(grid={"delta": 1.0, "dt": 0.01, "s_max": 10.0, "p_max": 10.0})
+        del doc["box"]["eps_a"]
+        doc["experiment"] = {"kind": "sweep"}
+        cfg = config_from_dict(doc)
+        assert cfg.box.eps_a == 0.01
+        assert (cfg.grid.n_control, cfg.grid.refine, cfg.grid.horizon) == (41, True, 1.0)
+        assert (cfg.x0, cfg.hbar, cfg.sweep_mode, cfg.entries) == \
+            (100.0, None, "misspecified-investor", ())
+
+    def test_utility_must_match_the_kind(self):
+        doc = base_doc(utility={"kind": "power", "gamma": 0.5})
+        with pytest.raises(ValueError, match="'compare' experiment takes the 'log' utility, "
+                                             "not 'power'"):
+            config_from_dict(doc)
 
     def test_overrides_apply_per_intensity_family(self):
         market = config_from_dict(base_doc()).market
@@ -112,7 +142,7 @@ class TestRunComparison:
         assert np.ptp(result.active.all.q_high - result.active.all.q_low) == 0.0
         assert result.active.all.std <= 1e-11
         assert result.passive.all.std <= 1e-11
-        assert result.active.all.mean == pytest.approx(target, rel=1e-12)
+        assert result.active.all.mean == pytest.approx(target, rel=1e-12, abs=0)
         assert result.n_default == 0
 
     def test_directional_pattern_on_benchmark(self):
@@ -181,8 +211,10 @@ class TestRunSweep:
 
 class TestRunCrisis:
     def test_requires_reciprocal_family(self):
+        doc = base_doc()
+        doc["experiment"]["kind"] = "crisis"
         with pytest.raises(ValueError, match="reciprocal"):
-            run_crisis(config_from_dict(base_doc()))
+            config_from_dict(doc)
 
     def test_no_motion_world_with_matching_hazard(self):
         # frozen prices keep the reciprocal hazard pinned at the comparator
@@ -290,6 +322,24 @@ class TestOutputsAndDeterminism:
 
 
 class TestCLI:
+    @pytest.mark.parametrize("command, config", [
+        (command, config)
+        for command in ("compare", "sweep", "crisis", "power-compare")
+        for kind, config in (("compare", "benchmark-inferred"), ("sweep", "sweep-market"),
+                             ("crisis", "crisis-reciprocal"),
+                             ("power-compare", "power-benchmark"))
+        if kind != command
+    ])
+    def test_subcommand_runs_only_its_own_kind(self, capsys, command, config):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--builtin", config])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        kind = builtin_config(config).kind
+        assert out == ""
+        assert err == (f"contagionopt {command}: error: config {config!r} is a "
+                       f"{kind!r} experiment, not {command!r}\n")
+
     def test_config_error_is_one_line(self, capsys):
         # the power config's box breaks the log solver's post-default floor
         with pytest.raises(SystemExit) as exc:

@@ -47,7 +47,7 @@ class TestClosedForms:
         # r=0.05, mu=0.10, sigma=0.3, gamma=0.5 over one year
         got = g1(0.0, 1.0, benchmark_params(), 0.5, stock=0)
         want = np.exp(0.025 + 0.5 * (1.0 / 6.0) ** 2)
-        assert got == pytest.approx(want, rel=1e-14)
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
         assert got == pytest.approx(1.03965, abs=5e-6)
 
     def test_merton_power_zero_premium(self):
@@ -92,7 +92,7 @@ class TestTransitionProbs:
             (-1, 1): 0.0,
         }
         probs = transition_probs((s, p), (piS, piP), self.grid(), params, gamma)
-        assert probs[0] == pytest.approx(stay, rel=1e-12)
+        assert probs[0] == pytest.approx(stay, rel=1e-12, abs=0)
         for move, want in side.items():
             got = probs[TRANSITION_MOVES.index(move)]
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
@@ -143,7 +143,7 @@ class TestTransitionProbs:
         # the stay probability is 1 - dt * (rate), so halving dt halves 1 - margin
         half = GridSpec(horizon=1.0, delta=1.0, dt=0.0025, s_max=20.0, p_max=20.0)
         assert 1.0 - validate_cfl(half, params, GAMMA, box) == pytest.approx(
-            0.5 * (1.0 - margin), rel=1e-12)
+            0.5 * (1.0 - margin), rel=1e-12, abs=0)
 
 
 class TestDiscountAndSource:
@@ -158,7 +158,7 @@ class TestDiscountAndSource:
         quad = pi @ params.cov @ pi
         want = (-0.05 * GAMMA - GAMMA * (pi @ params.theta)
                 + 0.5 * GAMMA * (1.0 - GAMMA) * quad)
-        assert float(beta) == pytest.approx(want, rel=1e-13)
+        assert float(beta) == pytest.approx(want, rel=1e-13, abs=0)
         assert float(g) == 0.0
 
     def test_zero_allocation_symmetric_stocks(self):
@@ -166,7 +166,7 @@ class TestDiscountAndSource:
         h = ConstantIntensity(0.3)
         beta, g = discount_and_source(10.0, 10.0, (0.0, 0.0), 0.4, self.grid(),
                                       params, h, GAMMA)
-        assert float(beta) == pytest.approx(-0.05 * GAMMA + 0.6, rel=1e-13)
+        assert float(beta) == pytest.approx(-0.05 * GAMMA + 0.6, rel=1e-13, abs=0)
         assert float(g) == pytest.approx(0.6 * float(g1(0.4, 1.0, params, GAMMA)),
                                          rel=1e-13)
 
@@ -185,8 +185,8 @@ class TestDiscountAndSource:
         jP = 1 - 0.2 * pi[0] - pi[1]
         want_g = (hS * float(g1(t, 1.0, params, GAMMA, stock=1)) * jS**GAMMA
                   + hP * float(g1(t, 1.0, params, GAMMA, stock=0)) * jP**GAMMA)
-        assert float(beta) == pytest.approx(want_beta, rel=1e-13)
-        assert float(g) == pytest.approx(want_g, rel=1e-13)
+        assert float(beta) == pytest.approx(want_beta, rel=1e-13, abs=0)
+        assert float(g) == pytest.approx(want_g, rel=1e-13, abs=0)
 
     def test_infeasible_allocation_rejected(self):
         with pytest.raises(ValueError):
@@ -281,7 +281,7 @@ class TestSolvePowerValue:
                     for pi, e in zip(lattice, ev):
                         beta, g = discount_and_source(s, p, pi, 0.0, grid, params, h, GAMMA)
                         cand.append(float(g) * grid.dt + np.exp(-float(beta) * grid.dt) * e)
-                    assert vg.f[0][i, j] == pytest.approx(max(cand), rel=1e-12)
+                    assert vg.f[0][i, j] == pytest.approx(max(cand), rel=1e-12, abs=0)
 
     def test_value_nonincreasing_in_hazard_level(self):
         # contagion lowers utility when hazard cannot be monetized: the

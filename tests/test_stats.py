@@ -29,7 +29,7 @@ class TestSummarize:
     def test_two_samples_sample_std(self):
         s = summarize([0.0, 2.0])
         assert s.mean == 1.0
-        assert s.std == pytest.approx(np.sqrt(2.0), rel=1e-15)
+        assert s.std == pytest.approx(np.sqrt(2.0), rel=1e-15, abs=0)
 
     def test_single_sample_has_no_std(self):
         s = summarize([7.0])
@@ -52,11 +52,11 @@ class TestSummarize:
         for a, b in ((2.5, -1.0), (-3.0, 4.0)):
             s0 = summarize(x)
             s1 = summarize(a * x + b)
-            assert s1.mean == pytest.approx(a * s0.mean + b, rel=1e-12)
-            assert s1.std == pytest.approx(abs(a) * s0.std, rel=1e-12)
+            assert s1.mean == pytest.approx(a * s0.mean + b, rel=1e-12, abs=0)
+            assert s1.std == pytest.approx(abs(a) * s0.std, rel=1e-12, abs=0)
             lo, hi = sorted([a * s0.q_low + b, a * s0.q_high + b])
-            assert s1.q_low == pytest.approx(lo, rel=1e-12)
-            assert s1.q_high == pytest.approx(hi, rel=1e-12)
+            assert s1.q_low == pytest.approx(lo, rel=1e-12, abs=0)
+            assert s1.q_high == pytest.approx(hi, rel=1e-12, abs=0)
 
 
 class TestCohorts:
@@ -87,7 +87,7 @@ class TestCohorts:
         rep = cohort_report("x", terminal, mask)
         weighted = (rep.default.n * rep.default.mean
                     + rep.no_default.n * rep.no_default.mean) / rep.all.n
-        assert weighted == pytest.approx(rep.all.mean, rel=1e-12)
+        assert weighted == pytest.approx(rep.all.mean, rel=1e-12, abs=0)
 
     def test_size_mismatch_rejected(self):
         good = summarize(np.arange(10.0))
