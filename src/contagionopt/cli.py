@@ -91,7 +91,8 @@ def _cmd_run(args):
     """Run an experiment subcommand: its name is the kind of its runner."""
     cfg = _load(args)
     grids = {}
-    if args.command == "power-compare":
+    # a config of another kind fails the runner's kind check before any grid is read
+    if args.command == "power-compare" and cfg.kind == args.command:
         grids = {"value_grid": ValueGrid.load(args.grid) if args.grid else None,
                  "value_grid_const": ValueGrid.load(args.grid_const) if args.grid_const else None}
     result = RUNNERS[args.command](cfg, out_dir=args.out, **grids)
@@ -146,7 +147,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except ValueError as exc:  # bad config or solver input, CFLViolationError included
+    except (ValueError, OSError) as exc:  # bad input or file, CFLViolationError included
         parser.exit(2, f"contagionopt {args.command}: error: {exc}\n")
 
 

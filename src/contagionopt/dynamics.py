@@ -35,7 +35,6 @@ __all__ = [
     "ConstantAllocation",
     "simulate_paths",
     "evolve_wealth",
-    "estimate_log_value",
     "dump_paths_csv",
 ]
 
@@ -300,19 +299,6 @@ def evolve_wealth(bundle: PathBundle, strategy: Strategy, x0: float) -> WealthBu
     if X.min() <= 0.0:
         raise RuntimeError("wealth path hit zero; admissibility was violated")
     return WealthBundle(x0=x0, values=X)
-
-
-def estimate_log_value(params: MarketParams, intensity, strategy: Strategy,
-                       cfg: PathConfig, s0, x0: float):
-    """Monte Carlo estimate of expected log terminal wealth.
-
-    Returns ``(mean, standard_error)`` of ``ln X_T``.
-    """
-    bundle = simulate_paths(params, intensity, cfg, s0)
-    wealth = evolve_wealth(bundle, strategy, x0)
-    logs = np.log(wealth.terminal)
-    se = logs.std(ddof=1) / np.sqrt(len(logs)) if len(logs) > 1 else 0.0
-    return float(logs.mean()), float(se)
 
 
 def dump_paths_csv(bundle: PathBundle, wealth: WealthBundle, path: str):

@@ -9,11 +9,12 @@ price crisis comparison, and the power-utility comparison.
 
 The experiment's ``kind`` picks the utility the ``utility`` section must
 name and the output table (:data:`KINDS`), and the runner
-(:data:`RUNNERS`), which rejects a config of another kind.  The ``box``,
-``paths``, ``grid`` and ``experiment`` sections and each sweep entry map
-onto their dataclass fields by name (:func:`~contagionopt.model.from_section`):
-a field with a default may be left out, and an unknown or missing key
-raises ``ValueError`` naming it.
+(:data:`RUNNERS`), which rejects a config of another kind.  The
+``market`` (besides ``s0``), ``box``, ``paths``, ``grid`` and
+``experiment`` sections and each sweep entry map onto their dataclass
+fields by name (:func:`~contagionopt.model.from_section`): a field with a
+default may be left out, and an unknown or missing key raises
+``ValueError`` naming it; ``utility`` holds ``kind`` and ``gamma`` only.
 
 Every comparison evaluates both strategies on one simulated path bundle
 (common random numbers), asserted by digesting the bundle's Gaussian
@@ -135,14 +136,14 @@ class ExperimentConfig:
 
 
 def _market_from_dict(m: dict) -> tuple[MarketParams, np.ndarray]:
-    mu = np.asarray(m["mu"], dtype=float)
-    n = mu.shape[0]
-    rho = m["rho"]
-    rho = np.array([[1.0, rho], [rho, 1.0]]) if np.isscalar(rho) else np.asarray(rho)
-    params = MarketParams(r=m["r"], mu=mu, sigma=np.asarray(m["sigma"], dtype=float),
-                          rho=rho, L=np.asarray(m["L"], dtype=float))
-    s0 = np.asarray(m["s0"], dtype=float)
-    if s0.shape != (n,):
+    """The ``market`` section: ``MarketParams`` fields and ``s0``."""
+    fields = dict(m)
+    s0 = np.asarray(fields.pop("s0"), dtype=float)
+    rho = fields.get("rho")
+    if np.isscalar(rho):
+        fields["rho"] = [[1.0, rho], [rho, 1.0]]
+    params = from_section(MarketParams, fields, "market")
+    if s0.shape != (params.n,):
         raise ValueError("s0 length must match mu")
     return params, s0
 
@@ -161,6 +162,9 @@ def config_from_dict(doc: dict, seed: int | None = None,
 
 def _config(doc: dict, seed: int | None, n_paths: int | None) -> ExperimentConfig:
     market, s0 = _market_from_dict(doc["market"])
+    unknown = sorted(doc["utility"].keys() - {"kind", "gamma"})
+    if unknown:
+        raise ValueError(f"utility: unknown keys {unknown}")
     overrides = {k: v for k, v in (("n_paths", n_paths), ("master_seed", seed)) if v is not None}
     paths = from_section(PathConfig, {**doc["paths"], **overrides}, "paths")
     grid = None

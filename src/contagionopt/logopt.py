@@ -241,19 +241,15 @@ def _solve_batch(c: _Coef, box: AdmissibleBox, hS, hP):
 def solve_kt_batch(prob: LogControlProblem, hS, hP):
     """Pre-default controls for arrays of hazard pairs.
 
-    Duplicate hazard pairs are solved once and scattered back.  Returns
-    ``(pi, case_id, multipliers, residual)``.
+    Returns ``(pi, case_id, multipliers, residual)``.
     """
     hS = np.atleast_1d(np.asarray(hS, dtype=float))
     hP = np.atleast_1d(np.asarray(hP, dtype=float))
+    if hS.shape != hP.shape:
+        raise ValueError(f"hazard arrays differ in shape: h_S {hS.shape}, h_P {hP.shape}")
     if np.any(hS < 0.0) or np.any(hP < 0.0):
         raise ValueError("hazard rates must be nonnegative")
-    pairs = np.column_stack([hS, hP])
-    uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
-    pi, case_id, mult, res = _solve_batch(_Coef(prob.params), prob.box,
-                                          uniq[:, 0], uniq[:, 1])
-    inverse = inverse.reshape(-1)
-    return pi[inverse], case_id[inverse], mult[inverse], res[inverse]
+    return _solve_batch(_Coef(prob.params), prob.box, hS, hP)
 
 
 def solve_kt(prob: LogControlProblem, hS: float, hP: float) -> KTSolution:

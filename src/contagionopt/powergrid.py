@@ -23,9 +23,10 @@ discretized dynamic programming recursion
     v(k) = sup_pi { g dt + exp(-beta dt) E[v(k+1)] },   v(N) = 1,
 
 with the supremum over a uniform control lattice intersected with the
-admissible region, followed by a greedy pattern search on a finer
-sub-lattice that recentres on every strict improvement.  Transitions
-that would leave the lattice put their mass on the boundary node itself.
+admissible region, followed by a greedy pattern search that recentres on
+every strict improvement; every candidate is a point of one quarter-step
+lattice, searched by index.  Transitions that would leave the lattice put
+their mass on the boundary node itself.
 
 The probabilities, killing rate and source are written once, as factors
 that the standalone functions and the DP share; the scheme is monotone,
@@ -141,16 +142,25 @@ def _admissible(pi, L: np.ndarray, box: AdmissibleBox) -> np.ndarray:
     return (jump_factors(L, pi) >= box.eps_a).all(axis=-1)
 
 
+def _quarter_lattice(box: AdmissibleBox, L: np.ndarray, n_control: int):
+    """Row-major points of the quarter-step lattice over the box, their
+    admissibility, and the indices of the admissible control-lattice points
+    among them (every fourth point per axis)."""
+    n = 4 * n_control - 3
+    axes = [np.linspace(box.lower[i], box.upper[i], n) for i in range(box.n)]
+    pts = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    ok = _admissible(pts, L, box)
+    coarse = np.flatnonzero(ok & (np.indices((n,) * box.n).reshape(box.n, -1) % 4 == 0).all(0))
+    if coarse.size == 0:
+        raise ValueError("no admissible control lattice point; box and eps_a incompatible")
+    return pts, ok, coarse
+
+
 def control_lattice(box: AdmissibleBox, L: np.ndarray, n_control: int) -> np.ndarray:
     """Uniform lattice over the box, restricted to allocations keeping
     every post-default wealth fraction at or above ``eps_a``."""
-    axes = [np.linspace(box.lower[i], box.upper[i], n_control) for i in range(box.n)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([g.ravel() for g in grids])
-    pts = pts[_admissible(pts, L, box)]
-    if pts.shape[0] == 0:
-        raise ValueError("no admissible control lattice point; box and eps_a incompatible")
-    return pts
+    pts, _, coarse = _quarter_lattice(box, L, n_control)
+    return pts[coarse]
 
 
 def _pre_default_rates(intensity, s, p):
@@ -223,6 +233,20 @@ def _nine_probs(s, p, c1, c2, grid: GridSpec, params: MarketParams):
                                         diag_pos, diag_pos, diag_neg, diag_neg))
 
 
+def _check_probs(probs, s, p, control, what: str):
+    """Raise :class:`CFLViolationError` naming the move, node and control of
+    the first probability outside ``[0, 1]`` by more than 1e-12."""
+    bad = (probs < -_PROB_TOL) | (probs > 1.0 + _PROB_TOL)
+    if bad.any():
+        move, *idx = np.argwhere(bad)[0]
+        s, p, c0, c1 = (float(np.broadcast_to(x, probs.shape[1:])[tuple(idx)])
+                        for x in (s, p, *control))
+        raise CFLViolationError(
+            f"transition probability {probs[(move, *idx)]:.6g} for move "
+            f"{TRANSITION_MOVES[move]} at node (s={s:.6g}, p={p:.6g}) under {what} "
+            f"({c0:.6g}, {c1:.6g}); shrink dt or the domain")
+
+
 def transition_probs(node, pi, grid: GridSpec, params: MarketParams, gamma: float):
     """Nine-point transition probabilities at ``node=(s, p)`` under the
     allocation ``pi``; broadcastable over array inputs.
@@ -236,15 +260,7 @@ def transition_probs(node, pi, grid: GridSpec, params: MarketParams, gamma: floa
     piP = np.asarray(pi[1], dtype=float)
     c1, c2, _, _ = _control_terms(params, gamma, np.stack(np.broadcast_arrays(piS, piP), -1))
     probs = _nine_probs(s, p, c1, c2, grid, params)
-    bad = (probs < -_PROB_TOL) | (probs > 1.0 + _PROB_TOL)
-    if bad.any():
-        move, *idx = np.argwhere(bad)[0]
-        s, p, piS, piP = (float(np.broadcast_to(x, probs.shape[1:])[tuple(idx)])
-                          for x in (s, p, piS, piP))
-        raise CFLViolationError(
-            f"transition probability {probs[(move, *idx)]:.6g} for move "
-            f"{TRANSITION_MOVES[move]} at node (s={s:.6g}, p={p:.6g}) under control "
-            f"({piS:.6g}, {piP:.6g}); shrink dt or the domain")
+    _check_probs(probs, s, p, (piS, piP), "control")
     return probs
 
 
@@ -273,8 +289,8 @@ def validate_cfl(grid: GridSpec, params: MarketParams, gamma: float,
 
     The drift coefficients are linear in the allocation and every
     probability is monotone in each of them, so checking the box corners'
-    coefficient extremes covers the whole box (including the refinement
-    sub-lattice).
+    coefficient extremes covers the whole box (including the quarter-step
+    lattice of the refinement).
     """
     corners = box.vertices()
     c1s, c2s, _, _ = _control_terms(params, gamma, corners)
@@ -283,15 +299,8 @@ def validate_cfl(grid: GridSpec, params: MarketParams, gamma: float,
     for c1 in (c1s.min(), c1s.max()):
         for c2 in (c2s.min(), c2s.max()):
             probs = _nine_probs(S, P, c1, c2, grid, params)
-            bad = (probs < -_PROB_TOL) | (probs > 1.0 + _PROB_TOL)
-            if bad.any():
-                move, i, j = np.argwhere(bad)[0]
-                corner = corners[int(np.argmin(np.abs(c1s - c1) + np.abs(c2s - c2)))]
-                raise CFLViolationError(
-                    f"probability {probs[move, i, j]:.6g} for move "
-                    f"{TRANSITION_MOVES[move]} at node (s={S[i, j]:.6g}, p={P[i, j]:.6g}) "
-                    f"under box-corner control ({corner[0]:.6g}, {corner[1]:.6g}); "
-                    f"shrink dt or the domain")
+            corner = corners[int(np.argmin(np.abs(c1s - c1) + np.abs(c2s - c2)))]
+            _check_probs(probs, S, P, corner, "box-corner control")
             margin = min(margin, float(probs[0].min()))
     return margin
 
@@ -338,10 +347,12 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
                       gamma: float, box: AdmissibleBox) -> ValueGrid:
     """Backward dynamic programming on the nine-point chain.
 
-    The supremum is over the admissible control lattice.  With
-    ``grid.refine`` a greedy pattern search follows: each of the 80
-    offsets of a 9 x 9 sub-lattice spanning one lattice step either side
-    is tried from the node's current best control, and a trial that is
+    Every candidate is a point of the quarter-step lattice over the box,
+    searched by index; its features and admissibility are computed once.
+    The supremum is over the admissible control lattice (every fourth
+    point).  With ``grid.refine`` a greedy pattern search follows: each of
+    the 80 index offsets of a 9 x 9 window (row offset outer, clipped to
+    the box) is tried from the node's current best, and a trial that is
     admissible and strictly better becomes the new best, so later offsets
     start from it.  The result is never worse than the coarse argmax.
     """
@@ -362,11 +373,10 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
     ehd = np.exp(-(hS + hP) * dt)
     probs0 = _nine_probs(S, P, 0.0, 0.0, grid, params)  # the chain without drift
 
-    lattice = control_lattice(box, params.L, grid.n_control)
-    coarse = _features(params, gamma, lattice, grid)
-    step = (box.upper - box.lower) / (grid.n_control - 1)
-    refine_offsets = [np.array([r0, r1]) * step for r0 in np.linspace(-1.0, 1.0, 9)
-                      for r1 in np.linspace(-1.0, 1.0, 9) if not (r0 == 0.0 and r1 == 0.0)]
+    fine, admissible, coarse = _quarter_lattice(box, params.L, grid.n_control)
+    feats = _features(params, gamma, fine, grid)
+    n_fine = 4 * grid.n_control - 3
+    offsets = [(a, b) for a in range(-4, 5) for b in range(-4, 5) if (a, b) != (0, 0)]
 
     n_slices = grid.n_slices
     f = np.empty((n_slices + 1, ns, np_))
@@ -384,24 +394,28 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
         nodes = np.stack([ehd * ev0, *(ehd * g for g in gains),
                           srcS * dt, srcP * dt]).reshape(7, -1)
 
-        cand = coarse @ nodes
+        cand = feats[coarse] @ nodes
         best = np.argmax(cand, axis=0)
         vbest = np.take_along_axis(cand, best[None, :], axis=0)[0]
-        pi_best = lattice[best]
+        at = coarse[best]
 
         if grid.refine:
-            for offset in refine_offsets:
-                trial = np.clip(pi_best + offset, box.lower, box.upper)
-                val = np.einsum("ij,ji->i", _features(params, gamma, trial, grid), nodes)
-                upd = _admissible(trial, params.L, box) & (val > vbest)
+            i, j = np.divmod(at, n_fine)
+            for a, b in offsets:
+                ti = np.clip(i + a, 0, n_fine - 1)
+                tj = np.clip(j + b, 0, n_fine - 1)
+                trial = ti * n_fine + tj
+                val = np.einsum("ij,ji->i", feats[trial], nodes)
+                upd = admissible[trial] & (val > vbest)
                 vbest = np.where(upd, val, vbest)
-                pi_best = np.where(upd[:, None], trial, pi_best)
+                i, j = np.where(upd, ti, i), np.where(upd, tj, j)
+            at = i * n_fine + j
 
         v = vbest.reshape(ns, np_)
         if not np.all(np.isfinite(v)) or v.min() <= 0.0:
             raise RuntimeError(f"value became non-finite or nonpositive at slice {k}")
         f[k] = v
-        controls[k] = pi_best.reshape(ns, np_, 2)
+        controls[k] = fine[at].reshape(ns, np_, 2)
 
     return ValueGrid(grid=grid, gamma=gamma, f=f, controls=controls)
 

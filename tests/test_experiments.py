@@ -71,7 +71,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("section, key", [
         ("box", "eps"), ("paths", "seed"), ("grid", "n_contol"), ("grid", "horizon"),
-        ("experiment", "hbr"), ("entry", "mode"),
+        ("experiment", "hbr"), ("entry", "mode"), ("market", "mu_s"), ("utility", "gama"),
     ])
     def test_unknown_section_key_rejected(self, section, key):
         doc = base_doc(grid={"delta": 1.0, "dt": 0.01, "s_max": 10.0, "p_max": 10.0})
@@ -353,13 +353,18 @@ class TestCLI:
         (["solve-power", "--builtin", "benchmark-inferred"], ["grid and power-utility"]),
         (["compare", "--config", "{no_box}"], ["missing", "'box'"]),
         (["crisis", "--config", "{cap}"], ["'reciprocal'", "cap"]),
-    ], ids=["solve-power-without-grid", "missing-key", "leftover-cap"])
+        (["power-compare", "--builtin", "power-benchmark", "--grid", "{missing}"],
+         ["No such file", "missing.npz"]),
+        (["power-compare", "--builtin", "benchmark-inferred", "--grid", "{missing}"],
+         ["is a 'compare' experiment, not 'power-compare'"]),
+    ], ids=["solve-power-without-grid", "missing-key", "leftover-cap", "missing-grid",
+            "kind-checked-before-grid"])
     def test_bad_config_is_one_line(self, tmp_path, capsys, argv, needles):
         no_box = base_doc()
         del no_box["box"]
         docs = {"no_box": no_box,
                 "cap": base_doc(intensity={"family": "reciprocal", "c": 20.0, "cap": 2000.0})}
-        paths = {}
+        paths = {"missing": tmp_path / "missing.npz"}
         for name, doc in docs.items():
             paths[name] = tmp_path / f"{name}.json"
             paths[name].write_text(json.dumps(doc))

@@ -219,6 +219,10 @@ class TestPreDefaultControl:
             sol = solve_kt(prob, hS[k], hP[k])
             assert np.array_equal(sol.pi, pi[k])
 
+    def test_hazard_arrays_of_different_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"h_S \(2,\), h_P \(3,\)"):
+            solve_kt_batch(benchmark_problem(), [0.1, 0.2], [0.1, 0.2, 0.3])
+
 
 class TestSingleSurvivor:
     def test_zero_hazard_reduces_to_merton(self):

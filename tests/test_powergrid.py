@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -257,31 +259,75 @@ class TestSolvePowerValue:
                 assert eb >= ev - 1e-14
 
     def test_dp_is_its_own_scheme(self):
-        # one slice rebuilt from the standalone scheme functions, with the
-        # correlated (diagonal) moves switched on; h0 = 1 keeps the hazard,
+        # one slice replayed from the standalone scheme functions, with the
+        # correlated (diagonal) moves switched on.  h0 = 1 keeps the hazard,
         # and so v1, varying over [0, 6]^2, where the benchmark intensity is
-        # clamped at h_max and a flat v1 would hide every move
+        # clamped at h_max and a flat v1 would hide every move; there the
+        # optimum shorts both stocks.  In the second case it is long and
+        # held by the box edge pi_S = 0.3 and by the post-default floor 0.5.
+        # With refine the greedy walk is replayed too: the 80 offsets of a
+        # 9 x 9 window in order, clipped to the box, kept on strict
+        # improvement only
+        cases = [
+            (power_box(), PowerClampIntensity(h0=1.0, weights=(0.7, 0.3), alpha=1.0,
+                                              h_min=0.05, h_max=1.0)),
+            (AdmissibleBox(lower=[0.0, 0.0], upper=[0.3, 1.0], eps_a=0.5),
+             PowerClampIntensity(h0=0.1, weights=(0.7, 0.3), alpha=1.0,
+                                 h_min=0.01, h_max=1.0)),
+        ]
+        for refine in (False, True):
+            grid = GridSpec(0.01, 1.0, 0.005, 6.0, 6.0, n_control=9, refine=refine)
+            s_nodes, p_nodes = grid.s_nodes(), grid.p_nodes()
+            for (box, h), rho in itertools.product(cases, (-0.1, 0.1)):
+                params = MarketParams.two_stock(0.05, 0.10, 0.15, 0.30, 0.40, rho, 0.2, 0.3)
+                vg = solve_power_value(grid, params, h, GAMMA, box)
+                lattice = control_lattice(box, params.L, grid.n_control)
+                quarter = (box.upper - box.lower) / (grid.n_control - 1) / 4
+                offsets = [np.array([a, b]) * quarter for a in range(-4, 5)
+                           for b in range(-4, 5) if (a, b) != (0, 0)]
+                v1 = vg.f[1]
+                for i, s in enumerate(s_nodes):
+                    for j, p in enumerate(p_nodes):
+                        def values(pis):
+                            probs = transition_probs((s, p), (pis[:, 0], pis[:, 1]),
+                                                     grid, params, GAMMA)
+                            ev = sum(w * v1[min(max(i + ds, 0), len(s_nodes) - 1),
+                                            min(max(j + dp, 0), len(p_nodes) - 1)]
+                                     for w, (ds, dp) in zip(probs, TRANSITION_MOVES))
+                            out = []
+                            for pi, e in zip(pis, ev):
+                                beta, g = discount_and_source(s, p, pi, 0.0, grid, params,
+                                                              h, GAMMA)
+                                out.append(float(g) * grid.dt
+                                           + np.exp(-float(beta) * grid.dt) * e)
+                            return out
+
+                        cand = values(lattice)
+                        best, vbest = lattice[int(np.argmax(cand))], max(cand)
+                        for offset in offsets if refine else ():
+                            trial = np.clip(best + offset, box.lower, box.upper)
+                            if np.all(1.0 - trial @ params.L >= box.eps_a):
+                                val = values(trial[None])[0]
+                                if val > vbest:
+                                    best, vbest = trial, val
+                        assert vg.f[0][i, j] == pytest.approx(vbest, rel=1e-12, abs=0)
+                        assert np.max(np.abs(vg.controls[0][i, j] - best)) <= 1e-12
+
+    def test_controls_lie_on_the_quarter_step_lattice(self):
         box = power_box()
-        grid = GridSpec(0.01, 1.0, 0.005, 6.0, 6.0, n_control=9, refine=False)
+        grid = GridSpec(0.1, 1.0, 0.005, 6.0, 6.0, n_control=13)
         h = PowerClampIntensity(h0=1.0, weights=(0.7, 0.3), alpha=1.0, h_min=0.05, h_max=1.0)
-        s_nodes, p_nodes = grid.s_nodes(), grid.p_nodes()
-        for rho in (-0.1, 0.1):
-            params = MarketParams.two_stock(0.05, 0.10, 0.15, 0.30, 0.40, rho, 0.2, 0.3)
-            vg = solve_power_value(grid, params, h, GAMMA, box)
-            lattice = control_lattice(box, params.L, grid.n_control)
-            v1 = vg.f[1]
-            for i, s in enumerate(s_nodes):
-                for j, p in enumerate(p_nodes):
-                    probs = transition_probs((s, p), (lattice[:, 0], lattice[:, 1]),
-                                             grid, params, GAMMA)
-                    ev = sum(w * v1[min(max(i + ds, 0), len(s_nodes) - 1),
-                                    min(max(j + dp, 0), len(p_nodes) - 1)]
-                             for w, (ds, dp) in zip(probs, TRANSITION_MOVES))
-                    cand = []
-                    for pi, e in zip(lattice, ev):
-                        beta, g = discount_and_source(s, p, pi, 0.0, grid, params, h, GAMMA)
-                        cand.append(float(g) * grid.dt + np.exp(-float(beta) * grid.dt) * e)
-                    assert vg.f[0][i, j] == pytest.approx(max(cand), rel=1e-12, abs=0)
+        vg = solve_power_value(grid, benchmark_params(), h, GAMMA, box)
+        for c in range(2):
+            axis = np.linspace(box.lower[c], box.upper[c], 4 * grid.n_control - 3)
+            assert np.all(np.isin(vg.controls[..., c], axis))
+
+    def test_box_without_admissible_control_rejected(self):
+        # every allocation of [0.9, 1]^2 loses more than all wealth when S defaults
+        box = AdmissibleBox(lower=[0.9, 0.9], upper=[1.0, 1.0], eps_a=0.01)
+        grid = GridSpec(0.1, 1.0, 0.005, 6.0, 6.0, n_control=13)
+        with pytest.raises(ValueError, match="no admissible control lattice point"):
+            solve_power_value(grid, benchmark_params(), ConstantIntensity(0.1), GAMMA, box)
 
     def test_value_nonincreasing_in_hazard_level(self):
         # contagion lowers utility when hazard cannot be monetized: the

@@ -7,7 +7,6 @@ from contagionopt.stats import (
     CohortReport,
     cohort_report,
     csv_row,
-    partition_by_default,
     summarize,
 )
 
@@ -64,21 +63,19 @@ class TestCohorts:
         params = benchmark_params()
         cfg = PathConfig(horizon=1.0, n_steps=40, n_paths=300, master_seed=51)
         none = simulate_paths(params, ConstantIntensity(0.0), cfg, [100.0, 100.0])
-        d, nd = partition_by_default(none)
-        assert d.size == 0 and nd.size == 300
+        assert none.default_mask().shape == (300,) and not none.default_mask().any()
         certain = simulate_paths(params, ConstantIntensity(50.0), cfg, [100.0, 100.0])
-        d, nd = partition_by_default(certain)
-        assert nd.size == 0 and d.size == 300
+        assert certain.default_mask().all()
 
     def test_partition_fraction_constant_hazard(self):
         params = benchmark_params()
         cfg = PathConfig(horizon=1.0, n_steps=250, n_paths=4000, master_seed=52)
         bundle = simulate_paths(params, ConstantIntensity(0.1), cfg, [100.0, 100.0])
-        d, nd = partition_by_default(bundle)
+        mask = bundle.default_mask()
         p = 1.0 - np.exp(-0.2)
         se = np.sqrt(p * (1 - p) / cfg.n_paths)
-        assert abs(d.size / cfg.n_paths - p) <= 3 * se
-        assert d.size + nd.size == cfg.n_paths
+        assert mask.shape == (cfg.n_paths,)
+        assert abs(mask.sum() / cfg.n_paths - p) <= 3 * se
 
     def test_cohort_recombination(self):
         rng = np.random.default_rng(53)
