@@ -3,7 +3,7 @@
 Modules:
 
 - :mod:`contagionopt.model` -- market coefficients, hazard-rate families,
-  default-state bookkeeping, admissibility validation.
+  admissibility validation.
 - :mod:`contagionopt.dynamics` -- Monte Carlo simulation of the contagion
   market and of wealth under a strategy.
 - :mod:`contagionopt.logopt` -- log-utility optimal controls (pointwise
@@ -18,11 +18,9 @@ Modules:
 from contagionopt.model import (
     AdmissibleBox,
     ConstantIntensity,
-    DefaultState,
     MarketParams,
     PowerClampIntensity,
     ReciprocalIntensity,
-    eval_intensity,
     validate_box,
 )
 
@@ -31,11 +29,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissibleBox",
     "ConstantIntensity",
-    "DefaultState",
     "MarketParams",
     "PowerClampIntensity",
     "ReciprocalIntensity",
-    "eval_intensity",
     "validate_box",
     "__version__",
 ]

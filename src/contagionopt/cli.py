@@ -18,8 +18,7 @@ import numpy as np
 from contagionopt.dynamics import ConstantAllocation, dump_paths_csv, evolve_wealth, simulate_paths
 from contagionopt.experiments import (RUNNERS, ComparisonResult, builtin_config,
                                       builtin_config_names, load_config)
-from contagionopt.logopt import LogControlProblem, solve_pre_default_control, solve_single_survivor_control
-from contagionopt.model import DefaultState
+from contagionopt.logopt import CASE_NAMES, LogControlProblem, LogStrategy, solve_kt_batch
 from contagionopt.powergrid import ValueGrid, solve_power_value
 
 
@@ -58,14 +57,19 @@ def _cmd_solve_log(args):
     problem = LogControlProblem(params=cfg.market, intensity=cfg.intensity, box=cfg.box)
     s = args.s if args.s is not None else float(cfg.s0[0])
     p = args.p if args.p is not None else float(cfg.s0[1])
-    sol = solve_pre_default_control(problem, s, p)
+    for name, price in (("s", s), ("p", p)):
+        if not (np.isfinite(price) and price > 0.0):
+            raise ValueError(f"price {name} = {price:g} is not finite and positive")
+    rates = cfg.intensity.rates_matrix(np.zeros((1, 2), dtype=np.uint8), np.array([[s, p]]))
+    pi, case_id, mult, res = solve_kt_batch(problem, rates[:, 0], rates[:, 1])
     print(f"pre-default control at (s={s:g}, p={p:g}):")
-    print(f"  pi = ({sol.pi[0]:.8f}, {sol.pi[1]:.8f})  [{sol.case}]")
-    print(f"  multipliers = {np.array2string(sol.multipliers, precision=6)}")
-    print(f"  stationarity residual = {sol.residual:.3g}")
-    for state, price, name in ((DefaultState((1, 0)), p, "only P alive"),
-                               (DefaultState((0, 1)), s, "only S alive")):
-        ctrl = solve_single_survivor_control(problem, price, state)
+    print(f"  pi = ({pi[0, 0]:.8f}, {pi[0, 1]:.8f})  [{CASE_NAMES[case_id[0]]}]")
+    print(f"  multipliers = {np.array2string(mult[0], precision=6)}")
+    print(f"  stationarity residual = {res[0]:.3g}")
+    # one row per single-survivor state: only P alive, then only S alive
+    alone = LogStrategy(problem).allocations(0.0, np.ones(2), np.array([[0.0, p], [s, 0.0]]),
+                                             np.array([[1, 0], [0, 1]], dtype=np.uint8))
+    for ctrl, price, name in ((alone[0, 1], p, "only P alive"), (alone[1, 0], s, "only S alive")):
         print(f"single-survivor control ({name}, price {price:g}): {ctrl:.8f}")
 
 

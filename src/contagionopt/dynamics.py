@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from contagionopt.model import AdmissibleBox, DefaultState, MarketParams, jump_factors
+from contagionopt.model import AdmissibleBox, MarketParams, jump_factors
 
 __all__ = [
     "PathConfig",
@@ -114,10 +114,10 @@ class Strategy(ABC):
         and default-state bits (n_paths, n)."""
 
     def allocation(self, t: float, x: float, prices: np.ndarray,
-                   state: DefaultState) -> np.ndarray:
-        """Allocation for a single path."""
+                   bits: tuple) -> np.ndarray:
+        """Allocation for a single path in the default state ``bits``."""
         return self.allocations(t, np.array([x]), np.asarray(prices, dtype=float)[None, :],
-                                np.array([state.bits], dtype=np.uint8))[0]
+                                np.array([bits], dtype=np.uint8))[0]
 
 
 class ConstantAllocation(Strategy):

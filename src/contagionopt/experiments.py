@@ -170,16 +170,24 @@ def _config(doc: dict, seed: int | None, n_paths: int | None) -> ExperimentConfi
     grid = None
     if "grid" in doc:
         grid = from_section(GridSpec, doc["grid"], "grid", horizon=paths.horizon)
+    intensity = intensity_from_config(doc["intensity"])
+    box = from_section(AdmissibleBox, doc["box"], "box")
     exp = doc["experiment"]
     entries = tuple(from_section(SweepEntry, e, f"sweep entry {i}")
                     for i, e in enumerate(exp.get("entries", ())))
+    for entry in entries:  # fail here, not after the sweep's benchmark row has run
+        try:
+            market2, intensity2 = _apply_param_overrides(market, intensity, entry.set)
+            LogControlProblem(params=market2, intensity=intensity2, box=box)
+        except ValueError as exc:
+            raise ValueError(f"sweep entry {entry.label!r}: {exc}") from None
     cfg = from_section(
         ExperimentConfig, {**exp, "entries": entries}, "experiment",
         name=doc.get("name", "unnamed"),
         market=market,
         s0=s0,
-        intensity=intensity_from_config(doc["intensity"]),
-        box=from_section(AdmissibleBox, doc["box"], "box"),
+        intensity=intensity,
+        box=box,
         paths=paths,
         gamma=doc["utility"].get("gamma"),
         grid=grid,

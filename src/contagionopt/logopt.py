@@ -45,6 +45,13 @@ closed form
 
 clamped to the box of the surviving stock; with both stocks gone only
 the bank account remains.
+
+:func:`solve_kt_batch` solves arrays of hazard pairs.
+:meth:`LogStrategy.allocations` is the query path for price and
+default-state rows: it reads their hazards from the intensity model's
+``rates_matrix``, the call the simulation makes, solves the pre-default
+rows with :func:`solve_kt_batch` and the single-survivor rows by the
+closed form.
 """
 
 from __future__ import annotations
@@ -54,22 +61,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from contagionopt.dynamics import Strategy
-from contagionopt.model import (
-    AdmissibleBox,
-    DefaultState,
-    MarketParams,
-    eval_intensity,
-    validate_box,
-)
+from contagionopt.model import AdmissibleBox, MarketParams, validate_box
 
 __all__ = [
     "LogControlProblem",
-    "KTSolution",
-    "g_objective",
-    "solve_pre_default_control",
-    "solve_kt",
     "solve_kt_batch",
-    "solve_single_survivor_control",
     "single_survivor_formula",
     "LogStrategy",
     "CASE_NAMES",
@@ -106,21 +102,9 @@ class LogControlProblem:
             raise ValueError("box must be two-dimensional")
         if np.any(self.box.lower >= self.box.upper):
             raise ValueError("box must have nonempty interior in each coordinate")
-        report = validate_box(self.box, self.params)
-        if not report.ok:
-            raise ValueError(
-                f"box violates the post-default floor (worst margin {report.worst_margin:.4g})")
-
-
-@dataclass(frozen=True)
-class KTSolution:
-    """Box-constrained maximizer with its Kuhn-Tucker certificate."""
-
-    pi: np.ndarray
-    case: str
-    multipliers: np.ndarray  # (mu_1..mu_4) for S-low, S-high, P-low, P-high
-    residual: float
-    g_value: float
+        worst = validate_box(self.box, self.params)
+        if worst < 0.0:
+            raise ValueError(f"box violates the post-default floor (worst margin {worst:.4g})")
 
 
 class _Coef:
@@ -252,40 +236,6 @@ def solve_kt_batch(prob: LogControlProblem, hS, hP):
     return _solve_batch(_Coef(prob.params), prob.box, hS, hP)
 
 
-def solve_kt(prob: LogControlProblem, hS: float, hP: float) -> KTSolution:
-    """Pre-default control for one hazard pair (the comparator entry point)."""
-    pi, case_id, mult, res = solve_kt_batch(prob, [hS], [hP])
-    g_val = float(_g(_Coef(prob.params), hS, hP, pi[0, 0], pi[0, 1]))
-    return KTSolution(pi=pi[0], case=CASE_NAMES[int(case_id[0])],
-                      multipliers=mult[0], residual=float(res[0]), g_value=g_val)
-
-
-def solve_pre_default_control(prob: LogControlProblem, s: float, p: float) -> KTSolution:
-    """KT solution at spot prices, with hazards from the problem's model."""
-    state = DefaultState((0, 0))
-    hS = eval_intensity(prob.intensity, 0, state, [s, p])
-    hP = eval_intensity(prob.intensity, 1, state, [s, p])
-    return solve_kt(prob, hS, hP)
-
-
-def g_objective(prob: LogControlProblem, s: float, p: float, pi) -> float:
-    """Growth-rate objective G at spot prices and allocation ``pi``.
-
-    Raises on a nonpositive log argument (allocation outside the jump
-    feasibility domain).
-    """
-    pi = np.asarray(pi, dtype=float)
-    state = DefaultState((0, 0))
-    hS = eval_intensity(prob.intensity, 0, state, [s, p])
-    hP = eval_intensity(prob.intensity, 1, state, [s, p])
-    LS, LP = prob.params.L[0, 1], prob.params.L[1, 0]
-    d1 = 1.0 - pi[0] - LP * pi[1]
-    d2 = 1.0 - LS * pi[0] - pi[1]
-    if d1 <= 0.0 or d2 <= 0.0:
-        raise ValueError(f"allocation leaves the log domain: factors ({d1:.4g}, {d2:.4g})")
-    return float(_g(_Coef(prob.params), hS, hP, pi[0], pi[1]))
-
-
 def single_survivor_formula(mu: float, sigma: float, r: float, h) -> np.ndarray:
     """Unclamped optimal fraction in the last surviving stock.
 
@@ -303,21 +253,6 @@ def single_survivor_formula(mu: float, sigma: float, r: float, h) -> np.ndarray:
             return np.full(h.shape, -np.inf)
         return np.where(h > 0.0, -np.inf, 0.0)
     return (excess + s2 - np.sqrt((excess - s2) ** 2 + 4.0 * s2 * h)) / (2.0 * s2)
-
-
-def solve_single_survivor_control(prob: LogControlProblem, price: float,
-                                  state: DefaultState) -> float:
-    """Closed-form control when exactly one stock survives, clamped to its
-    box interval; the hazard comes from the problem's intensity model."""
-    if state.n_survivors != 1:
-        raise ValueError(f"state {state.bits} does not have exactly one survivor")
-    stock = state.survivors[0]
-    prices = np.zeros(state.n)
-    prices[stock] = price
-    h = eval_intensity(prob.intensity, stock, state, prices)
-    raw = single_survivor_formula(prob.params.mu[stock], prob.params.sigma[stock],
-                                  prob.params.r, h)
-    return float(np.clip(raw, prob.box.lower[stock], prob.box.upper[stock]))
 
 
 class LogStrategy(Strategy):

@@ -20,13 +20,10 @@ import numpy as np
 
 __all__ = [
     "MarketParams",
-    "DefaultState",
     "ConstantIntensity",
     "PowerClampIntensity",
     "ReciprocalIntensity",
     "AdmissibleBox",
-    "BoxReport",
-    "eval_intensity",
     "validate_box",
     "jump_factors",
     "intensity_from_config",
@@ -121,33 +118,6 @@ class MarketParams:
             rho=np.array([[1.0, rho], [rho, 1.0]]),
             L=np.array([[1.0, loss_s], [loss_p, 1.0]]),
         )
-
-
-@dataclass(frozen=True)
-class DefaultState:
-    """Which stocks have defaulted; bit ``1`` marks a default."""
-
-    bits: tuple
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("state bits must be 0 or 1")
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
-
-    @property
-    def n(self) -> int:
-        return len(self.bits)
-
-    @property
-    def survivors(self) -> tuple:
-        return tuple(i for i, b in enumerate(self.bits) if b == 0)
-
-    @property
-    def n_survivors(self) -> int:
-        return self.n - sum(self.bits)
-
-    def is_alive(self, stock: int) -> bool:
-        return self.bits[stock] == 0
 
 
 def _own_first_weights(weights: np.ndarray, n: int) -> np.ndarray:
@@ -247,25 +217,6 @@ class ConstantIntensity:
         return np.where(states == 1, 0.0, rates)
 
 
-def eval_intensity(model, stock: int, state: DefaultState, prices) -> float:
-    """Hazard rate (1/yr) of a surviving ``stock`` in ``state`` at ``prices``.
-
-    Raises if the stock has already defaulted or any surviving price is
-    nonpositive; prices of defaulted stocks are ignored (they enter the
-    formulas as zero).  The rate is read from ``model.rates_matrix``, the
-    family's only formula, so it is the hazard the simulation uses.
-    """
-    prices = np.asarray(prices, dtype=float)
-    if prices.shape != (state.n,):
-        raise ValueError("price vector length must match the state")
-    if not state.is_alive(stock):
-        raise ValueError(f"stock {stock} has already defaulted in state {state.bits}")
-    for i in state.survivors:
-        if prices[i] <= 0.0:
-            raise ValueError(f"surviving stock {i} has nonpositive price {prices[i]}")
-    return float(model.rates_matrix(np.asarray(state.bits)[None], prices[None])[0, stock])
-
-
 @dataclass(frozen=True)
 class AdmissibleBox:
     """Box of allocation proportions plus the post-default floor.
@@ -313,20 +264,10 @@ def jump_factors(L: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return 1.0 - pi @ np.asarray(L, dtype=float)
 
 
-@dataclass(frozen=True)
-class BoxReport:
-    """Outcome of :func:`validate_box`."""
-
-    ok: bool
-    worst_margin: float
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_box(box: AdmissibleBox, params: MarketParams) -> BoxReport:
-    """Check that every corner of the box keeps the post-default wealth
-    fraction at or above ``eps_a`` for every defaulting column.
+def validate_box(box: AdmissibleBox, params: MarketParams) -> float:
+    """Worst margin of the post-default wealth fraction over ``eps_a``, taken
+    over every corner of the box and every defaulting column; the box is
+    admissible when it is nonnegative.
 
     The constraint is linear in ``pi``, so corner feasibility is
     equivalent to feasibility on the whole box.
@@ -334,8 +275,7 @@ def validate_box(box: AdmissibleBox, params: MarketParams) -> BoxReport:
     if box.n != params.n:
         raise ValueError("box dimension does not match the market")
     factors = jump_factors(params.L, box.vertices())  # (2^n, n) columns = defaulting stock
-    worst = float((factors - box.eps_a).min())
-    return BoxReport(ok=worst >= 0.0, worst_margin=worst)
+    return float((factors - box.eps_a).min())
 
 
 _FAMILIES = {

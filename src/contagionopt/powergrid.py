@@ -36,15 +36,14 @@ which is what makes it converge, wherever :func:`validate_cfl` passes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from contagionopt.dynamics import Strategy
-from contagionopt.model import AdmissibleBox, MarketParams, jump_factors
+from contagionopt.model import AdmissibleBox, MarketParams, from_section, jump_factors
 
 __all__ = [
-    "PowerParams",
     "GridSpec",
     "ValueGrid",
     "CFLViolationError",
@@ -71,17 +70,6 @@ TRANSITION_MOVES = (
 
 class CFLViolationError(ValueError):
     """A lattice transition probability left [0, 1]."""
-
-
-@dataclass(frozen=True)
-class PowerParams:
-    """Relative risk aversion exponent, strictly inside (0, 1)."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not (0.0 < self.gamma < 1.0):
-            raise ValueError("gamma must lie strictly inside (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -319,20 +307,41 @@ class ValueGrid:
     controls: np.ndarray  # (n_slices, ns, np, 2)
 
     def save(self, path: str):
-        meta = dict(horizon=self.grid.horizon, delta=self.grid.delta, dt=self.grid.dt,
-                    s_max=self.grid.s_max, p_max=self.grid.p_max,
-                    n_control=self.grid.n_control, refine=self.grid.refine,
-                    gamma=self.gamma)
+        meta = dict(asdict(self.grid), gamma=self.gamma)
         np.savez_compressed(path, f=self.f, controls=self.controls,
                             meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
 
     @classmethod
     def load(cls, path: str) -> "ValueGrid":
-        data = np.load(path)
-        meta = json.loads(bytes(data["meta"]).decode())
-        gamma = meta.pop("gamma")
-        return cls(grid=GridSpec(**meta), gamma=gamma, f=data["f"],
-                   controls=data["controls"])
+        """Read a grid written by :meth:`save`.
+
+        A file that is not an npz archive, lacks one of the arrays
+        ``meta``, ``f`` and ``controls``, whose meta does not name the :class:`GridSpec` fields
+        and ``gamma``, or whose arrays do not have the shapes its grid
+        implies raises ``ValueError`` naming the file.
+        """
+        try:
+            data = np.load(path)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise ValueError("not an npz archive")
+            with data:
+                missing = sorted({"meta", "f", "controls"} - set(data.files))
+                if missing:
+                    raise ValueError(f"missing arrays {missing}")
+                meta, f, controls = (data[k] for k in ("meta", "f", "controls"))
+            meta = json.loads(bytes(meta).decode())
+            if "gamma" not in meta:
+                raise ValueError("meta has no gamma")
+            gamma = meta.pop("gamma")
+            grid = from_section(GridSpec, meta, "meta")
+            nodes = (grid.s_nodes().size, grid.p_nodes().size)
+            for name, arr, shape in (("f", f, (grid.n_slices + 1, *nodes)),
+                                     ("controls", controls, (grid.n_slices, *nodes, 2))):
+                if arr.shape != shape:
+                    raise ValueError(f"{name} has shape {arr.shape}, its grid implies {shape}")
+        except ValueError as exc:
+            raise ValueError(f"value grid {path}: {exc}") from None
+        return cls(grid=grid, gamma=gamma, f=f, controls=controls)
 
 
 def _shift(v: np.ndarray, ds: int, dp: int) -> np.ndarray:
@@ -356,7 +365,8 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
     admissible and strictly better becomes the new best, so later offsets
     start from it.  The result is never worse than the coarse argmax.
     """
-    PowerParams(gamma)
+    if not (0.0 < gamma < 1.0):
+        raise ValueError("gamma must lie strictly inside (0, 1)")
     if params.n != 2 or box.n != 2:
         raise ValueError("power-utility grid solver is specialized to two stocks")
     validate_cfl(grid, params, gamma, box)

@@ -11,12 +11,12 @@ import pytest
 
 from contagionopt.dynamics import ConstantAllocation, PathConfig, evolve_wealth, simulate_paths
 from contagionopt.experiments import builtin_config, config_from_dict, run_comparison, run_crisis, run_sweep
-from contagionopt.logopt import LogStrategy, single_survivor_formula, solve_kt
-from contagionopt.model import AdmissibleBox, ConstantIntensity, DefaultState, MarketParams
+from contagionopt.logopt import LogStrategy, single_survivor_formula
+from contagionopt.model import AdmissibleBox, ConstantIntensity, MarketParams
 from contagionopt.powergrid import GridSpec, control_lattice, solve_power_value, transition_probs
 
 from test_experiments import base_doc
-from test_logopt import g_reference, random_problem
+from test_logopt import g_reference, random_problem, solve_one
 from test_model import benchmark_params
 
 
@@ -77,7 +77,7 @@ def test_03_kt_solver_matches_brute_force_grid():
     worst_res = 0.0
     for _ in range(100):
         prob, (hS, hP) = random_problem(rng, with_zero_hazard=True)
-        sol = solve_kt(prob, hS, hP)
+        sol = solve_one(prob, hS, hP)
         lo, hi = prob.box.lower, prob.box.upper
         s = np.linspace(lo[0], hi[0], 401)
         p = np.linspace(lo[1], hi[1], 401)
@@ -151,8 +151,8 @@ def test_07_benchmark_comparison_pattern():
     active = LogStrategy(problem)
     passive = LogStrategy(problem, hbar=cfg.hbar)
     s0 = np.asarray(cfg.s0, dtype=float)
-    pi_a = active.allocation(0.0, cfg.x0, s0, DefaultState((0, 0)))
-    pi_p = passive.allocation(0.0, cfg.x0, s0, DefaultState((0, 0)))
+    pi_a = active.allocation(0.0, cfg.x0, s0, (0, 0))
+    pi_p = passive.allocation(0.0, cfg.x0, s0, (0, 0))
     controls_equal = bool(np.array_equal(pi_a, pi_p))
 
     elapsed = time.perf_counter() - t0

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -38,6 +38,21 @@ def base_doc(**overrides):
         "experiment": {"kind": "compare", "hbar": 0.1, "x0": 100.0},
     }
     doc.update(overrides)
+    return doc
+
+
+def power_doc(intensity=None, n_paths=600):
+    doc = base_doc()
+    if intensity is not None:
+        doc["intensity"] = intensity
+    doc["utility"] = {"kind": "power", "gamma": 0.5}
+    doc["box"] = {"lower": [-1.0, -1.0], "upper": [1.0, 1.0], "eps_a": 0.01}
+    doc["grid"] = {"delta": 1.0, "dt": 0.005, "s_max": 16.0, "p_max": 16.0,
+                   "n_control": 9}
+    doc["market"]["s0"] = [8.0, 8.0]
+    doc["paths"]["n_paths"] = n_paths
+    doc["paths"]["n_steps"] = 50
+    doc["experiment"] = {"kind": "power-compare", "hbar": 0.1, "x0": 100.0}
     return doc
 
 
@@ -90,6 +105,23 @@ class TestConfig:
         assert (cfg.grid.n_control, cfg.grid.refine, cfg.grid.horizon) == (41, True, 1.0)
         assert (cfg.x0, cfg.hbar, cfg.sweep_mode, cfg.entries) == \
             (100.0, None, "misspecified-investor", ())
+
+    @pytest.mark.parametrize("overrides, needle", [
+        ({"rho": 1.5}, "rho is not positive definite"),
+        ({"c": 1.0}, "overrides ['c'] do not apply to PowerClampIntensity"),
+        ({"loss_p": 0.99}, "box violates the post-default floor (worst margin -0.005)"),
+    ], ids=["rho", "c", "loss_p"])
+    def test_sweep_entry_checked_when_the_config_loads(self, monkeypatch, overrides, needle):
+        doc = base_doc()
+        doc["experiment"] = {"kind": "sweep", "entries": [
+            {"label": "fine", "set": {"mu_s": 0.12}}, {"label": "bad", "set": overrides}]}
+        simulated = []
+        monkeypatch.setattr("contagionopt.experiments.simulate_paths",
+                            lambda *a, **k: simulated.append(a))
+        with pytest.raises(ValueError) as exc:
+            run_sweep(config_from_dict(doc))
+        assert str(exc.value) == f"sweep entry 'bad': {needle}"
+        assert simulated == []
 
     def test_utility_must_match_the_kind(self):
         doc = base_doc(utility={"kind": "power", "gamma": 0.5})
@@ -236,18 +268,7 @@ class TestRunCrisis:
 
 class TestRunPowerComparison:
     def power_doc(self, intensity=None, n_paths=600):
-        doc = base_doc()
-        if intensity is not None:
-            doc["intensity"] = intensity
-        doc["utility"] = {"kind": "power", "gamma": 0.5}
-        doc["box"] = {"lower": [-1.0, -1.0], "upper": [1.0, 1.0], "eps_a": 0.01}
-        doc["grid"] = {"delta": 1.0, "dt": 0.005, "s_max": 16.0, "p_max": 16.0,
-                       "n_control": 9}
-        doc["market"]["s0"] = [8.0, 8.0]
-        doc["paths"]["n_paths"] = n_paths
-        doc["paths"]["n_steps"] = 50
-        doc["experiment"] = {"kind": "power-compare", "hbar": 0.1, "x0": 100.0}
-        return config_from_dict(doc)
+        return config_from_dict(power_doc(intensity, n_paths))
 
     def test_constant_world_strategies_coincide(self):
         cfg = self.power_doc(intensity={"family": "constant", "c": 0.1})
@@ -376,3 +397,59 @@ class TestCLI:
         assert err.startswith(f"contagionopt {argv[0]}: error: ") and err.count("\n") == 1
         for needle in needles:
             assert needle in err
+
+    def test_solve_log_output(self, capsys):
+        cli_main(["solve-log", "--builtin", "benchmark-inferred"])
+        assert capsys.readouterr().out == (
+            "pre-default control at (s=100, p=100):\n"
+            "  pi = (-0.41556246, -0.05505623)  [interior]\n"
+            "  multipliers = [0. 0. 0. 0.]\n"
+            "  stationarity residual = 2.78e-17\n"
+            "single-survivor control (only P alive, price 100): -0.15083452\n"
+            "single-survivor control (only S alive, price 100): -0.50155185\n")
+
+    @pytest.mark.parametrize("flag, price", [("--s", "0"), ("--p", "-5"), ("--s", "nan"),
+                                             ("--p", "inf")])
+    def test_bad_price_is_one_line(self, capsys, flag, price):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["solve-log", "--builtin", "benchmark-inferred", flag, price])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"contagionopt solve-log: error: price {flag[2:]} = {price} "
+                       "is not finite and positive\n")
+
+    @pytest.mark.parametrize("case, needle", [
+        ("unknown-meta-key", "meta: unknown keys ['foo'], missing keys []"),
+        ("no-meta", "missing arrays ['meta']"),
+        ("controls-3x3", "controls has shape (200, 3, 3, 2), its grid implies (200, 17, 17, 2)"),
+        ("npy", "not an npz archive"),
+    ], ids=["unknown-meta-key", "no-meta", "controls-3x3", "npy"])
+    def test_malformed_value_grid_is_one_line(self, tmp_path, capsys, case, needle):
+        doc = power_doc(n_paths=50)
+        cfg = config_from_dict(doc)
+        grid = cfg.grid
+        nodes = (grid.s_nodes().size, grid.p_nodes().size)
+        meta = dict(asdict(grid), gamma=cfg.gamma)
+        arrays = {"f": np.ones((grid.n_slices + 1, *nodes)),
+                  "controls": np.zeros((grid.n_slices, *nodes, 2))}
+        if case == "unknown-meta-key":
+            meta["foo"] = 1
+        if case == "controls-3x3":
+            arrays["controls"] = np.zeros((grid.n_slices, 3, 3, 2))
+        if case != "no-meta":
+            arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        target = tmp_path / "grid.npz"
+        if case == "npy":
+            with open(target, "wb") as fh:
+                np.save(fh, arrays["f"])
+        else:
+            np.savez(target, **arrays)
+        config = tmp_path / "power.json"
+        config.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["power-compare", "--config", str(config), "--grid", str(target)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"contagionopt power-compare: error: value grid {target}: {needle}\n"

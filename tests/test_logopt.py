@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,21 +9,10 @@ from contagionopt.logopt import (
     CASE_NAMES,
     LogControlProblem,
     LogStrategy,
-    g_objective,
     single_survivor_formula,
-    solve_kt,
     solve_kt_batch,
-    solve_pre_default_control,
-    solve_single_survivor_control,
 )
-from contagionopt.model import (
-    AdmissibleBox,
-    ConstantIntensity,
-    DefaultState,
-    MarketParams,
-    eval_intensity,
-    validate_box,
-)
+from contagionopt.model import AdmissibleBox, ConstantIntensity, MarketParams, validate_box
 
 from test_model import benchmark_intensity, benchmark_params
 
@@ -45,7 +36,7 @@ def random_problem(rng, with_zero_hazard=False):
     lower = rng.uniform(-2.0, -0.2, size=2)
     upper = rng.uniform(0.1, 0.9, size=2)
     box = AdmissibleBox(lower=lower, upper=upper, eps_a=0.01)
-    while not validate_box(box, params).ok:
+    while validate_box(box, params) < 0.0:
         upper = 0.85 * upper
         box = AdmissibleBox(lower=lower, upper=upper, eps_a=0.01)
     if with_zero_hazard and rng.uniform() < 0.2:
@@ -54,6 +45,24 @@ def random_problem(rng, with_zero_hazard=False):
         hazards = tuple(rng.uniform(0.0, 1.5, size=2))
     prob = LogControlProblem(params=params, intensity=ConstantIntensity(0.0), box=box)
     return prob, hazards
+
+
+def pre_default_hazards(prob, s, p):
+    """``(h_S, h_P)`` at prices ``(s, p)`` with neither stock defaulted."""
+    rates = prob.intensity.rates_matrix(np.zeros((1, 2), dtype=np.uint8), np.array([[s, p]]))
+    return rates[0, 0], rates[0, 1]
+
+
+def solve_one(prob, hS, hP):
+    """One hazard pair through the batch solver."""
+    pi, case_id, mult, res = solve_kt_batch(prob, [hS], [hP])
+    return SimpleNamespace(pi=pi[0], case=CASE_NAMES[case_id[0]], multipliers=mult[0],
+                           residual=float(res[0]))
+
+
+def g_value(prob, hS, hP, pi):
+    """The solver's own G at one allocation."""
+    return float(logopt._g(logopt._Coef(prob.params), hS, hP, pi[0], pi[1]))
 
 
 def g_reference(prob, hS, hP, piS, piP):
@@ -71,7 +80,8 @@ def g_reference(prob, hS, hP, piS, piP):
 class TestGObjective:
     def test_zero_allocation_gives_zero(self):
         prob = benchmark_problem()
-        assert g_objective(prob, 100.0, 100.0, [0.0, 0.0]) == 0.0
+        hS, hP = pre_default_hazards(prob, 100.0, 100.0)
+        assert g_value(prob, hS, hP, [0.0, 0.0]) == 0.0
 
     def test_reduces_to_decoupled_merton_quadratics(self):
         params = benchmark_params()
@@ -80,7 +90,8 @@ class TestGObjective:
         pi = np.array([0.3, -0.4])
         want = sum((params.mu[i] - params.r) * pi[i] - 0.5 * params.sigma[i]**2 * pi[i]**2
                    for i in range(2))
-        assert g_objective(prob, 50.0, 70.0, pi) == pytest.approx(want, rel=1e-14, abs=0)
+        hS, hP = pre_default_hazards(prob, 50.0, 70.0)
+        assert g_value(prob, hS, hP, pi) == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_matches_independent_arithmetic(self):
         prob = benchmark_problem()
@@ -88,15 +99,9 @@ class TestGObjective:
         for _ in range(50):
             s, p = rng.uniform(5.0, 300.0, size=2)
             pi = rng.uniform([-1.0, -1.0], [0.5, 0.5])
-            hS = eval_intensity(prob.intensity, 0, DefaultState((0, 0)), [s, p])
-            hP = eval_intensity(prob.intensity, 1, DefaultState((0, 0)), [s, p])
-            assert g_objective(prob, s, p, pi) == pytest.approx(
+            hS, hP = pre_default_hazards(prob, s, p)
+            assert g_value(prob, hS, hP, pi) == pytest.approx(
                 g_reference(prob, hS, hP, pi[0], pi[1]), rel=1e-13, abs=0)
-
-    def test_domain_error_outside_log_domain(self):
-        prob = benchmark_problem()
-        with pytest.raises(ValueError):
-            g_objective(prob, 100.0, 100.0, [1.2, 0.5])
 
 
 class TestPreDefaultControl:
@@ -104,7 +109,7 @@ class TestPreDefaultControl:
         params = benchmark_params()
         prob = LogControlProblem(params=params, intensity=ConstantIntensity(0.0),
                                  box=AdmissibleBox([-2.0, -2.0], [0.7, 0.7]))
-        sol = solve_pre_default_control(prob, 100.0, 100.0)
+        sol = solve_one(prob, *pre_default_hazards(prob, 100.0, 100.0))
         assert sol.case == "interior"
         assert sol.pi[0] == pytest.approx(0.05 / 0.09, abs=1e-10)
         assert sol.pi[1] == pytest.approx(0.10 / 0.16, abs=1e-10)
@@ -113,14 +118,14 @@ class TestPreDefaultControl:
         params = MarketParams.two_stock(0.04, 0.11, 0.11, 0.35, 0.35, 0.2, 0.25, 0.25)
         prob = LogControlProblem(params=params, intensity=ConstantIntensity(0.0),
                                  box=AdmissibleBox([-1.5, -1.5], [0.6, 0.6]))
-        sol = solve_kt(prob, 0.3, 0.3)
+        sol = solve_one(prob, 0.3, 0.3)
         assert sol.pi[0] == pytest.approx(sol.pi[1], abs=1e-10)
 
     def test_matches_brute_force_grid_argmax(self):
         rng = np.random.default_rng(22)
         for _ in range(30):
             prob, (hS, hP) = random_problem(rng, with_zero_hazard=True)
-            sol = solve_kt(prob, hS, hP)
+            sol = solve_one(prob, hS, hP)
             lo, hi = prob.box.lower, prob.box.upper
             s = np.linspace(lo[0], hi[0], 401)
             p = np.linspace(lo[1], hi[1], 401)
@@ -136,7 +141,7 @@ class TestPreDefaultControl:
         rng = np.random.default_rng(23)
         for _ in range(60):
             prob, (hS, hP) = random_problem(rng)
-            sol = solve_kt(prob, hS, hP)
+            sol = solve_one(prob, hS, hP)
             assert sol.residual <= 1e-8
             assert np.all(sol.multipliers >= 0.0)
             lo, hi = prob.box.lower, prob.box.upper
@@ -154,7 +159,7 @@ class TestPreDefaultControl:
         box = AdmissibleBox(lower=[-0.4553201521564927, -1.605270189086358],
                             upper=[0.16170069463173276, 0.6751137714530698])
         prob = LogControlProblem(params=params, intensity=ConstantIntensity(0.0), box=box)
-        sol = solve_kt(prob, 1.2414559625003632, 0.5679453842716127)
+        sol = solve_one(prob, 1.2414559625003632, 0.5679453842716127)
         assert sol.case == "S-low"
         assert sol.pi[0] == box.lower[0]
         assert sol.multipliers[0] == pytest.approx(0.6223, abs=1e-4)
@@ -165,7 +170,7 @@ class TestPreDefaultControl:
         rng = np.random.default_rng(24)
         for _ in range(10):
             prob, (hS, hP) = random_problem(rng)
-            sol = solve_kt(prob, hS, hP)
+            sol = solve_one(prob, hS, hP)
             pis = rng.uniform(prob.box.lower, prob.box.upper, size=(10_000, 2))
             vals = g_reference(prob, hS, hP, pis[:, 0], pis[:, 1])
             best = g_reference(prob, hS, hP, sol.pi[0], sol.pi[1])
@@ -180,8 +185,8 @@ class TestPreDefaultControl:
                 continue  # claim is for nonnegatively correlated stocks
             hS, hP = rng.uniform(0.02, 0.8, size=2)
             lam = rng.uniform(1.2, 3.0)
-            a = solve_kt(prob, hS, hP)
-            b = solve_kt(prob, lam * hS, lam * hP)
+            a = solve_one(prob, hS, hP)
+            b = solve_one(prob, lam * hS, lam * hP)
             if a.case == "interior":
                 assert b.pi[0] <= a.pi[0] + 1e-9
                 assert b.pi[1] <= a.pi[1] + 1e-9
@@ -193,7 +198,7 @@ class TestPreDefaultControl:
         prob = LogControlProblem(params=params, intensity=ConstantIntensity(0.1),
                                  box=AdmissibleBox([-1.0, -1.0], [0.5, 0.5]))
         for hS, hP in ((0.1, 0.1), (0.8, 0.05), (0.0, 0.0)):
-            sol = solve_kt(prob, hS, hP)
+            sol = solve_one(prob, hS, hP)
             lo, hi = prob.box.lower, prob.box.upper
             s = np.linspace(lo[0], hi[0], 401)
             p = np.linspace(lo[1], hi[1], 401)
@@ -207,7 +212,7 @@ class TestPreDefaultControl:
     def test_unconverged_row_raises_naming_its_hazards(self, monkeypatch):
         monkeypatch.setattr(logopt, "_MAX_ITER", 0)  # rows stay at the Merton start
         with pytest.raises(RuntimeError, match=r"\(0\.25, 0\.5\): residual"):
-            solve_kt(benchmark_problem(), 0.25, 0.5)
+            solve_one(benchmark_problem(), 0.25, 0.5)
 
     def test_batch_matches_scalar(self):
         prob = benchmark_problem()
@@ -215,8 +220,8 @@ class TestPreDefaultControl:
         hS = rng.uniform(0.05, 1.0, size=40)
         hP = rng.uniform(0.05, 1.0, size=40)
         pi, case_id, mult, res = solve_kt_batch(prob, hS, hP)
-        for k in range(40):
-            sol = solve_kt(prob, hS[k], hP[k])
+        for k in range(40):  # a row's control does not depend on the rest of its batch
+            sol = solve_one(prob, hS[k], hP[k])
             assert np.array_equal(sol.pi, pi[k])
 
     def test_hazard_arrays_of_different_shape_rejected(self):
@@ -235,11 +240,11 @@ class TestSingleSurvivor:
     def test_clamped_to_box(self):
         prob = benchmark_problem()
         # enormous hazard drives the formula far below the lower bound
-        state = DefaultState((1, 0))
         crisis = LogControlProblem(params=prob.params,
                                    intensity=ConstantIntensity(50.0),
                                    box=prob.box)
-        assert solve_single_survivor_control(crisis, 10.0, state) == -1.0
+        pi = LogStrategy(crisis).allocation(0.0, 100.0, np.array([0.0, 10.0]), (1, 0))
+        assert np.array_equal(pi, [0.0, -1.0])
 
     def test_uses_surviving_stock_parameters(self):
         prob = benchmark_problem()
@@ -247,16 +252,15 @@ class TestSingleSurvivor:
         p = 40.0
         h = 10.0 / (0.7 * p)
         want = np.clip(single_survivor_formula(0.15, 0.40, 0.05, h), -1.0, 0.5)
-        got = solve_single_survivor_control(prob, p, DefaultState((1, 0)))
-        assert got == pytest.approx(float(want), rel=1e-13, abs=0)
-        with pytest.raises(ValueError):
-            solve_single_survivor_control(prob, p, DefaultState((0, 0)))
+        got = LogStrategy(prob).allocation(0.0, 100.0, np.array([0.0, p]), (1, 0))
+        assert got[0] == 0.0
+        assert got[1] == pytest.approx(float(want), rel=1e-13, abs=0)
 
 
 class TestLogStrategy:
     def test_all_defaulted_gives_zero(self):
         strat = LogStrategy(benchmark_problem())
-        pi = strat.allocation(0.0, 100.0, np.array([0.0, 0.0]), DefaultState((1, 1)))
+        pi = strat.allocation(0.0, 100.0, np.array([0.0, 0.0]), (1, 1))
         assert np.array_equal(pi, [0.0, 0.0])
 
     def test_fixed_mode_matches_state_dependent_at_equal_hazard(self):
@@ -265,12 +269,11 @@ class TestLogStrategy:
         # at (60, 60) both weighted totals are 60, so both hazards are 10/60
         # and the comparator at that value feeds the solver identical inputs
         s, p = 60.0, 60.0
-        hS = eval_intensity(prob.intensity, 0, DefaultState((0, 0)), [s, p])
+        hS, hP = pre_default_hazards(prob, s, p)
         fixed = LogStrategy(prob, hbar=hS)
-        hP = eval_intensity(prob.intensity, 1, DefaultState((0, 0)), [s, p])
         assert hS == hP
-        a = state_dep.allocation(0.0, 100.0, np.array([s, p]), DefaultState((0, 0)))
-        b = fixed.allocation(0.0, 100.0, np.array([s, p]), DefaultState((0, 0)))
+        a = state_dep.allocation(0.0, 100.0, np.array([s, p]), (0, 0))
+        b = fixed.allocation(0.0, 100.0, np.array([s, p]), (0, 0))
         assert np.array_equal(a, b)
 
     def test_benchmark_initial_controls_coincide_with_hbar_point_one(self):
@@ -279,8 +282,8 @@ class TestLogStrategy:
         state_dep = LogStrategy(prob)
         fixed = LogStrategy(prob, hbar=0.1)
         s0 = np.array([100.0, 100.0])
-        a = state_dep.allocation(0.0, 100.0, s0, DefaultState((0, 0)))
-        b = fixed.allocation(0.0, 100.0, s0, DefaultState((0, 0)))
+        a = state_dep.allocation(0.0, 100.0, s0, (0, 0))
+        b = fixed.allocation(0.0, 100.0, s0, (0, 0))
         assert np.array_equal(a, b)
 
     def test_mixed_state_batch(self):
@@ -291,8 +294,8 @@ class TestLogStrategy:
         pi = strat.allocations(0.0, np.full(4, 100.0), prices, states)
         assert pi[1, 0] == 0.0 and pi[2, 1] == 0.0
         assert np.array_equal(pi[3], [0.0, 0.0])
-        # pre-default row reproduces the scalar solver
-        sol = solve_pre_default_control(prob, 100.0, 100.0)
+        # pre-default row reproduces a one-row solve at its own hazards
+        sol = solve_one(prob, *pre_default_hazards(prob, 100.0, 100.0))
         assert np.array_equal(pi[0], sol.pi)
 
     def test_passive_strategy_solves_its_constant_pair_once(self, monkeypatch):

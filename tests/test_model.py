@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 from contagionopt.model import (
     AdmissibleBox,
     ConstantIntensity,
-    DefaultState,
     MarketParams,
     PowerClampIntensity,
     ReciprocalIntensity,
-    eval_intensity,
     jump_factors,
     validate_box,
 )
@@ -45,81 +43,64 @@ class TestMarketParams:
             MarketParams.two_stock(0.05, 0.1, 0.15, 0.3, 0.4, 0.0, 1.0, 0.3)
 
 
-class TestDefaultState:
-    def test_survivors(self):
-        z = DefaultState((0, 0))
-        assert z.survivors == (0, 1) and z.n_survivors == 2
-        z1 = DefaultState((1, 0))
-        assert z1.survivors == (1,) and not z1.is_alive(0) and z1.is_alive(1)
-
-    def test_survivor_count_matches_bits(self):
-        for bits in [(0, 0), (1, 0), (0, 1), (1, 1), (0, 1, 1, 0)]:
-            z = DefaultState(bits)
-            assert z.n_survivors == len(bits) - sum(bits)
+def rate(model, stock, bits, prices):
+    """One stock's hazard in one default state, read from ``rates_matrix``."""
+    return float(model.rates_matrix(np.array([bits], dtype=np.uint8),
+                                    np.array([prices], dtype=float))[0, stock])
 
 
 class TestEvalIntensity:
     def test_initial_intensity_is_point_one(self):
         h = benchmark_intensity()
-        z = DefaultState((0, 0))
-        assert eval_intensity(h, 0, z, [100.0, 100.0]) == pytest.approx(0.1, abs=1e-15)
-        assert eval_intensity(h, 1, z, [100.0, 100.0]) == pytest.approx(0.1, abs=1e-15)
+        assert rate(h, 0, (0, 0), [100.0, 100.0]) == pytest.approx(0.1, abs=1e-15)
+        assert rate(h, 1, (0, 0), [100.0, 100.0]) == pytest.approx(0.1, abs=1e-15)
 
     def test_floor_clamp_at_huge_prices(self):
         h = benchmark_intensity()
-        z = DefaultState((0, 0))
-        assert eval_intensity(h, 0, z, [1e9, 1e9]) == 0.05
+        assert rate(h, 0, (0, 0), [1e9, 1e9]) == 0.05
 
     def test_ceiling_clamp_at_tiny_prices(self):
         h = benchmark_intensity()
-        z = DefaultState((0, 0))
-        assert eval_intensity(h, 0, z, [1e-9, 1e-9]) == 1.0
+        assert rate(h, 0, (0, 0), [1e-9, 1e-9]) == 1.0
 
     def test_reciprocal_crisis_level(self):
         h = ReciprocalIntensity(c=20.0)
-        z = DefaultState((0, 0))
-        assert eval_intensity(h, 0, z, [10.0, 10.0]) == pytest.approx(1.0, abs=1e-15)
+        assert rate(h, 0, (0, 0), [10.0, 10.0]) == pytest.approx(1.0, abs=1e-15)
         # after a default only the surviving price counts
-        assert eval_intensity(h, 1, DefaultState((1, 0)), [0.0, 10.0]) == pytest.approx(2.0)
+        assert rate(h, 1, (1, 0), [0.0, 10.0]) == pytest.approx(2.0)
 
     def test_own_price_weighting_post_default(self):
         # with the other stock gone its price enters as zero: h0*(k1*s)^-alpha
         h = benchmark_intensity()
-        got = eval_intensity(h, 0, DefaultState((0, 1)), [50.0, 0.0])
+        got = rate(h, 0, (0, 1), [50.0, 0.0])
         assert got == pytest.approx(min(max(10.0 / (0.7 * 50.0), 0.05), 1.0))
 
     def test_defaulted_stock_rejected(self):
-        h = benchmark_intensity()
-        with pytest.raises(ValueError):
-            eval_intensity(h, 0, DefaultState((1, 0)), [0.0, 50.0])
-
-    def test_nonpositive_surviving_price_rejected(self):
-        h = benchmark_intensity()
-        with pytest.raises(ValueError):
-            eval_intensity(h, 0, DefaultState((0, 0)), [100.0, -1.0])
+        # a defaulted stock carries no hazard, whatever price it is given
+        for h in (benchmark_intensity(), ReciprocalIntensity(c=20.0), ConstantIntensity(0.3)):
+            for prices in ([0.0, 50.0], [50.0, 50.0]):
+                assert rate(h, 0, (1, 0), prices) == 0.0
 
     def test_clamp_bounds_hold_everywhere(self):
         h = benchmark_intensity()
-        z = DefaultState((0, 0))
         rng = np.random.default_rng(3)
         prices = 10.0 ** rng.uniform(-8, 8, size=(500, 2))
         for s, p in prices:
             for stock in (0, 1):
-                val = eval_intensity(h, stock, z, [s, p])
+                val = rate(h, stock, (0, 0), [s, p])
                 assert 0.05 <= val <= 1.0
 
     def test_monotone_nonincreasing_in_prices(self):
         rng = np.random.default_rng(4)
-        z = DefaultState((0, 0))
         models = [benchmark_intensity(), ReciprocalIntensity(c=20.0)]
         for model in models:
             for _ in range(200):
                 s, p = rng.uniform(0.5, 400.0, size=2)
                 bump = rng.uniform(0.01, 50.0)
                 for stock in (0, 1):
-                    base = eval_intensity(model, stock, z, [s, p])
-                    assert eval_intensity(model, stock, z, [s + bump, p]) <= base + 1e-15
-                    assert eval_intensity(model, stock, z, [s, p + bump]) <= base + 1e-15
+                    base = rate(model, stock, (0, 0), [s, p])
+                    assert rate(model, stock, (0, 0), [s + bump, p]) <= base + 1e-15
+                    assert rate(model, stock, (0, 0), [s, p + bump]) <= base + 1e-15
 
 
 def power_clamp_rate(h, i, bits, prices):
@@ -196,33 +177,29 @@ class TestValidateBox:
         params = MarketParams(r=0.0, mu=[0.0, 0.0], sigma=[0.1, 0.1],
                               rho=np.eye(2), L=np.eye(2))
         box = AdmissibleBox(lower=[0.0, 0.0], upper=[1.0, 1.0], eps_a=0.01)
-        report = validate_box(box, params)
-        assert not report.ok
-        assert report.worst_margin < 0.0
+        assert validate_box(box, params) < 0.0
 
     def test_identity_loss_ninety_percent_accepted(self):
         params = MarketParams(r=0.0, mu=[0.0, 0.0], sigma=[0.1, 0.1],
                               rho=np.eye(2), L=np.eye(2))
         box = AdmissibleBox(lower=[-1.0, -1.0], upper=[0.9, 0.9], eps_a=0.05)
-        report = validate_box(box, params)
-        assert report.ok
-        assert report.worst_margin == pytest.approx(0.1 - 0.05)
+        assert validate_box(box, params) == pytest.approx(0.1 - 0.05)
 
     def test_cross_loss_box_accepted_via_vertex_enumeration(self):
         # worst margin computed by enumerating all 4 vertices x 2 columns
         params = benchmark_params()
         box = AdmissibleBox(lower=[-1.0, -1.0], upper=[0.5, 0.5], eps_a=0.05)
         factors = jump_factors(params.L, box.vertices())
-        assert validate_box(box, params).ok
+        assert validate_box(box, params) >= 0.0
         # column of stock P attains 1 - 0.2*0.5 - 0.5 = 0.4 at the top corner
         assert factors.min(axis=0)[1] == pytest.approx(0.4)
-        assert validate_box(box, params).worst_margin == pytest.approx(
+        assert validate_box(box, params) == pytest.approx(
             factors.min() - box.eps_a)
 
     def test_accepted_box_is_admissible_for_sampled_allocations(self):
         params = benchmark_params()
         box = AdmissibleBox(lower=[-1.0, -1.0], upper=[0.5, 0.5], eps_a=0.01)
-        assert validate_box(box, params).ok
+        assert validate_box(box, params) >= 0.0
         rng = np.random.default_rng(6)
         pis = rng.uniform(box.lower, box.upper, size=(100_000, 2))
         assert jump_factors(params.L, pis).min() >= box.eps_a

@@ -6,16 +6,13 @@ import pytest
 from contagionopt.model import (
     AdmissibleBox,
     ConstantIntensity,
-    DefaultState,
     MarketParams,
     PowerClampIntensity,
-    eval_intensity,
 )
 from contagionopt.powergrid import (
     CFLViolationError,
     GridSpec,
     PowerGridStrategy,
-    PowerParams,
     TRANSITION_MOVES,
     ValueGrid,
     control_lattice,
@@ -178,8 +175,7 @@ class TestDiscountAndSource:
         s, p, t = 14.0, 6.0, 0.3
         pi = (0.25, -0.5)
         beta, g = discount_and_source(s, p, pi, t, self.grid(), params, h, GAMMA)
-        hS = eval_intensity(h, 0, DefaultState((0, 0)), [s, p])
-        hP = eval_intensity(h, 1, DefaultState((0, 0)), [s, p])
+        hS, hP = h.rates_matrix(np.zeros((1, 2), dtype=np.uint8), np.array([[s, p]]))[0]
         quad = (0.09 * pi[0]**2 + 0.16 * pi[1]**2)
         want_beta = (-0.05 * GAMMA + hS + hP
                      - GAMMA * (0.05 * pi[0] + 0.10 * pi[1] + 0.5 * (GAMMA - 1) * quad))
@@ -413,20 +409,20 @@ class TestPowerStrategy:
     def test_lattice_node_query_returns_stored_argmax(self):
         vg, params, box = self.solved()
         strat = PowerGridStrategy(vg, params, GAMMA, box)
-        pi = strat.allocation(0.0, 100.0, np.array([4.0, 7.0]), DefaultState((0, 0)))
+        pi = strat.allocation(0.0, 100.0, np.array([4.0, 7.0]), (0, 0))
         assert np.array_equal(pi, vg.controls[0][4, 7])
 
     def test_all_defaulted_gives_zero(self):
         vg, params, box = self.solved()
         strat = PowerGridStrategy(vg, params, GAMMA, box)
-        pi = strat.allocation(0.3, 100.0, np.array([0.0, 0.0]), DefaultState((1, 1)))
+        pi = strat.allocation(0.3, 100.0, np.array([0.0, 0.0]), (1, 1))
         assert np.array_equal(pi, [0.0, 0.0])
 
     def test_out_of_domain_clamps_and_counts(self):
         vg, params, box = self.solved()
         strat = PowerGridStrategy(vg, params, GAMMA, box)
-        inside = strat.allocation(0.0, 100.0, np.array([12.0, 7.0]), DefaultState((0, 0)))
-        outside = strat.allocation(0.0, 100.0, np.array([50.0, 7.0]), DefaultState((0, 0)))
+        inside = strat.allocation(0.0, 100.0, np.array([12.0, 7.0]), (0, 0))
+        outside = strat.allocation(0.0, 100.0, np.array([50.0, 7.0]), (0, 0))
         assert np.array_equal(inside, outside)
         assert strat.out_of_domain == 1
         assert strat.pre_default_queries == 2
@@ -435,25 +431,27 @@ class TestPowerStrategy:
         vg, params, box = self.solved()
         strat = PowerGridStrategy(vg, params, GAMMA, box)
         # surviving P: raw Merton 0.10/(0.16*0.5) = 1.25, box cap 1.0, floor cap 0.99
-        pi = strat.allocation(0.2, 100.0, np.array([0.0, 8.0]), DefaultState((1, 0)))
+        pi = strat.allocation(0.2, 100.0, np.array([0.0, 8.0]), (1, 0))
         assert pi[0] == 0.0 and pi[1] == pytest.approx(0.99)
         # surviving S: raw Merton 1.11 -> same cap
-        pi = strat.allocation(0.2, 100.0, np.array([8.0, 0.0]), DefaultState((0, 1)))
+        pi = strat.allocation(0.2, 100.0, np.array([8.0, 0.0]), (0, 1))
         assert pi[1] == 0.0 and pi[0] == pytest.approx(0.99)
 
     def test_time_slice_selection(self):
         vg, params, box = self.solved()
         strat = PowerGridStrategy(vg, params, GAMMA, box)
-        a = strat.allocation(0.0, 100.0, np.array([6.0, 6.0]), DefaultState((0, 0)))
-        b = strat.allocation(0.995, 100.0, np.array([6.0, 6.0]), DefaultState((0, 0)))
+        a = strat.allocation(0.0, 100.0, np.array([6.0, 6.0]), (0, 0))
+        b = strat.allocation(0.995, 100.0, np.array([6.0, 6.0]), (0, 0))
         assert np.array_equal(b, vg.controls[-1][6, 6])
         assert np.array_equal(a, vg.controls[0][6, 6])
 
 
 class TestPowerParams:
     def test_gamma_domain(self):
-        with pytest.raises(ValueError):
-            PowerParams(0.0)
-        with pytest.raises(ValueError):
-            PowerParams(1.0)
-        assert PowerParams(0.5).gamma == 0.5
+        grid = GridSpec(horizon=0.02, delta=1.0, dt=0.01, s_max=4.0, p_max=4.0, n_control=5)
+        for gamma in (0.0, 1.0):
+            with pytest.raises(ValueError, match=r"gamma must lie strictly inside \(0, 1\)"):
+                solve_power_value(grid, benchmark_params(), benchmark_intensity(), gamma,
+                                  power_box())
+        vg = solve_power_value(grid, benchmark_params(), benchmark_intensity(), 0.5, power_box())
+        assert vg.gamma == 0.5
