@@ -61,7 +61,7 @@ def _cmd_solve_log(args):
         if not (np.isfinite(price) and price > 0.0):
             raise ValueError(f"price {name} = {price:g} is not finite and positive")
     rates = cfg.intensity.rates_matrix(np.zeros((1, 2), dtype=np.uint8), np.array([[s, p]]))
-    pi, case_id, mult, res = solve_kt_batch(problem, rates[:, 0], rates[:, 1])
+    pi, case_id, mult, res, _ = solve_kt_batch(problem, rates[:, 0], rates[:, 1])
     print(f"pre-default control at (s={s:g}, p={p:g}):")
     print(f"  pi = ({pi[0, 0]:.8f}, {pi[0, 1]:.8f})  [{CASE_NAMES[case_id[0]]}]")
     print(f"  multipliers = {np.array2string(mult[0], precision=6)}")

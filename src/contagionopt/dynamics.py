@@ -102,7 +102,9 @@ class Strategy(ABC):
     Outputs must lie in the strategy's admissible box, keep every
     post-default wealth fraction at or above ``eps_a``, and be zero for
     defaulted stocks.  Implementations must be read-only during
-    evaluation.
+    evaluation: :func:`evolve_wealth` queries each step through
+    :meth:`step_allocations`, handing it the previous step's allocations,
+    so per-path history lives with the caller, not the strategy.
     """
 
     box: AdmissibleBox | None = None
@@ -112,6 +114,14 @@ class Strategy(ABC):
                     states: np.ndarray) -> np.ndarray:
         """Allocations (n_paths, n) for wealths ``x``, prices (n_paths, n)
         and default-state bits (n_paths, n)."""
+
+    def step_allocations(self, t: float, x: np.ndarray, prices: np.ndarray,
+                         states: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
+        """Allocations for one step of a path evolution; ``prev`` holds the
+        same paths' allocations at the previous step (``None`` at the
+        first).  A strategy may start a search from it; by default it is
+        ignored."""
+        return self.allocations(t, x, prices, states)
 
     def allocation(self, t: float, x: float, prices: np.ndarray,
                    bits: tuple) -> np.ndarray:
@@ -264,7 +274,9 @@ def evolve_wealth(bundle: PathBundle, strategy: Strategy, x0: float) -> WealthBu
     Between defaults wealth advances by the exact lognormal step implied
     by the frozen allocation, reusing the bundle's Gaussian increments;
     at a default of stock ``j`` it is multiplied by
-    ``1 - sum_i L[i, j] pi_i`` at the pre-jump allocation.
+    ``1 - sum_i L[i, j] pi_i`` at the pre-jump allocation.  Each step
+    queries :meth:`Strategy.step_allocations` with the previous step's
+    allocations, so a path's controls depend on its own history only.
     """
     if x0 <= 0.0:
         raise ValueError("initial wealth must be positive")
@@ -281,9 +293,10 @@ def evolve_wealth(bundle: PathBundle, strategy: Strategy, x0: float) -> WealthBu
     X[:, 0] = x0
     x = X[:, 0].copy()
 
+    pi = None
     for k in range(cfg.n_steps):
         states_k = bundle.states[:, k]
-        pi = strategy.allocations(k * dt, x, bundle.prices[:, k], states_k)
+        pi = strategy.step_allocations(k * dt, x, bundle.prices[:, k], states_k, pi)
         _check_admissible(pi, states_k, params.L, strategy.box, k)
 
         quad = np.einsum("ij,jk,ik->i", pi, cov, pi)

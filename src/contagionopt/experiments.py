@@ -27,8 +27,9 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
+from numbers import Real
 
 import numpy as np
 
@@ -101,7 +102,8 @@ class ExperimentConfig:
     ``sweep_mode`` applies to every sweep entry: ``misspecified-investor``
     keeps the simulated world at the config's values and hands the
     perturbed values to the investor's solver; ``perturbed-world``
-    changes both.
+    changes both.  A config of another kind may not name ``entries`` or
+    ``sweep_mode``.
     """
 
     name: str
@@ -173,6 +175,10 @@ def _config(doc: dict, seed: int | None, n_paths: int | None) -> ExperimentConfi
     intensity = intensity_from_config(doc["intensity"])
     box = from_section(AdmissibleBox, doc["box"], "box")
     exp = doc["experiment"]
+    sweep_keys = sorted({"entries", "sweep_mode"} & exp.keys())
+    if sweep_keys and exp.get("kind") != "sweep":
+        raise ValueError(f"experiment: {sweep_keys} apply to a sweep only, "
+                         f"not to a {exp.get('kind')!r} experiment")
     entries = tuple(from_section(SweepEntry, e, f"sweep entry {i}")
                     for i, e in enumerate(exp.get("entries", ())))
     for entry in entries:  # fail here, not after the sweep's benchmark row has run
@@ -221,7 +227,19 @@ def builtin_config(name: str, seed: int | None = None,
 
 
 def _apply_param_overrides(market: MarketParams, intensity, overrides: dict):
-    """Rebuild market and intensity with selected fields replaced."""
+    """Rebuild market and intensity with selected fields replaced.
+
+    A value that is not a number, or an intensity parameter that the
+    intensity family does not have, raises ``ValueError`` naming it.
+    """
+    for k, v in overrides.items():
+        if isinstance(v, bool) or not isinstance(v, Real):
+            raise ValueError(f"override {k!r} must be a number, not {v!r}")
+    have = {f.name for f in fields(intensity)}
+    foreign = [k for k in overrides if k not in _MARKET_FIELDS
+               and ("weights" if k in ("k1", "k2") else k) not in have]
+    if foreign:
+        raise ValueError(f"overrides {foreign} do not apply to {type(intensity).__name__}")
     m = dict(r=market.r, mu_s=market.mu[0], mu_p=market.mu[1],
              sigma_s=market.sigma[0], sigma_p=market.sigma[1],
              rho=market.rho[0, 1], loss_s=market.L[0, 1], loss_p=market.L[1, 0])
@@ -232,15 +250,9 @@ def _apply_param_overrides(market: MarketParams, intensity, overrides: dict):
 
     changes = {k: v for k, v in overrides.items() if k not in _MARKET_FIELDS}
     if "k1" in changes or "k2" in changes:
-        k1, k2 = getattr(intensity, "weights", (None, None))
+        k1, k2 = intensity.weights
         changes["weights"] = (changes.pop("k1", k1), changes.pop("k2", k2))
-    try:
-        new_intensity = replace(intensity, **changes)
-    except TypeError:  # a field the intensity family does not have
-        names = [k for k in overrides if k not in _MARKET_FIELDS]
-        raise ValueError(f"overrides {names} do not apply to "
-                         f"{type(intensity).__name__}") from None
-    return new_market, new_intensity
+    return new_market, replace(intensity, **changes)
 
 
 @dataclass
@@ -267,10 +279,15 @@ class ComparisonResult:
         return "\n".join(lines) + "\n"
 
 
-def _kt_cases(*strategies) -> dict:
-    """Summed Kuhn-Tucker case counts of log strategies, keyed by case name."""
+def _log_health(*strategies) -> dict:
+    """Solver health of log strategies: their summed Kuhn-Tucker case
+    counts, keyed by case name, and their Newton work."""
     counts = sum(s.kt_cases for s in strategies)
-    return {name: int(n) for name, n in zip(CASE_NAMES, counts)}
+    newton = [s.kt_newton_iters for s in strategies]
+    return {"kt_cases": {name: int(n) for name, n in zip(CASE_NAMES, counts)},
+            "kt_newton_iters": {"rows": sum(c["rows"] for c in newton),
+                                "total": sum(c["total"] for c in newton),
+                                "max": max(c["max"] for c in newton)}}
 
 
 def _require_kind(cfg: ExperimentConfig, kind: str):
@@ -316,8 +333,7 @@ def _log_comparison(cfg: ExperimentConfig, out_dir: str | None) -> ComparisonRes
     t0 = time.perf_counter()
     problem = LogControlProblem(params=cfg.market, intensity=cfg.intensity, box=cfg.box)
     return _compare(cfg, out_dir, t0, LogStrategy(problem),
-                    LogStrategy(problem, hbar=cfg.hbar),
-                    lambda *sides: {"kt_cases": _kt_cases(*sides)})
+                    LogStrategy(problem, hbar=cfg.hbar), _log_health)
 
 
 def run_comparison(cfg: ExperimentConfig, out_dir: str | None = None) -> ComparisonResult:
@@ -391,7 +407,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> SweepResult:
         entries.append((entry.label, stats, pct))
         strategies.append(strategy2)
 
-    health = {"kt_cases": _kt_cases(*strategies)}
+    health = _log_health(*strategies)
     result = SweepResult(benchmark=bench_stats, entries=tuple(entries),
                          rng_digest=digest, health=health)
     if out_dir:

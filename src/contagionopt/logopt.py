@@ -17,8 +17,13 @@ usual complementary slackness.
 
 Every hazard pair of a batch is solved by the projected Newton method of
 Bertsekas (*Projected Newton methods for optimization problems with
-simple constraints*, SIAM J. Control Optim., 1982), started from the
-Merton point clipped to the box.  Each iteration finds the
+simple constraints*, SIAM J. Control Optim., 1982), started from given
+start rows clipped to the box or, without them, from the Merton point
+clipped to the box.  A path's hazards move little in one time step, so
+a simulation starts each path from its allocation at the previous step
+(a continuation warm start; Nocedal & Wright, *Numerical Optimization*,
+2006, sections 6 and 18); the start moves where the iteration begins,
+and the answer only by solver rounding.  Each iteration finds the
 epsilon-active coordinates: those within ``min(eps_0, |pi - P(pi + grad
 G)|)`` of a bound with their gradient pointing out of the box.  When no
 coordinate is epsilon-active and the Hessian is negative definite the
@@ -35,7 +40,8 @@ The Kuhn-Tucker case, the multipliers and the residual are read from the
 final held set, the coordinates sitting at a bound with their gradient
 pointing out: a held coordinate's multiplier is its outward gradient, and
 the residual is the largest gradient of a free coordinate.  A row whose
-residual misses ``1e-8`` raises ``RuntimeError``.
+residual misses ``1e-8`` raises ``RuntimeError``.  Each row's Newton
+iterations, the steps it took before it stopped, are returned too.
 
 After one default the problem collapses to one dimension and has the
 closed form
@@ -51,7 +57,8 @@ the bank account remains.
 default-state rows: it reads their hazards from the intensity model's
 ``rates_matrix``, the call the simulation makes, solves the pre-default
 rows with :func:`solve_kt_batch` and the single-survivor rows by the
-closed form.
+closed form.  :meth:`LogStrategy.step_allocations` starts the pre-default
+rows from the previous step's allocations.
 """
 
 from __future__ import annotations
@@ -151,20 +158,31 @@ def _held(x, g, box: AdmissibleBox):
     return low, high, residual
 
 
-def _solve_batch(c: _Coef, box: AdmissibleBox, hS, hP):
-    """Projected Newton iteration for all rows.
+def _solve_batch(c: _Coef, box: AdmissibleBox, hS, hP, start=None):
+    """Projected Newton iteration for all rows, from ``start`` (m, 2)
+    clipped to the box, or from the clipped Merton point.
 
-    Returns ``(pi (m, 2), case_id, multipliers (m, 4), residual)``.
+    Returns ``(pi (m, 2), case_id, multipliers (m, 4), residual,
+    newton_iters)``.
     """
     lo, hi = box.lower, box.upper
     width = hi - lo
-    det = c.S00 * c.S11 - c.S01**2
-    if det > 0.0:
-        merton = np.array([c.S11 * c.t0 - c.S01 * c.t1, c.S00 * c.t1 - c.S01 * c.t0]) / det
-    else:  # singular covariance (zero volatility): start from no exposure
-        merton = np.zeros(2)
-    x = np.tile(np.clip(merton, lo, hi), (hS.size, 1))
+    if start is not None:
+        if np.shape(start) != (hS.size, 2):
+            raise ValueError(f"start has shape {np.shape(start)}, need {(hS.size, 2)}")
+        if not np.all(np.isfinite(start)):
+            raise ValueError("start rows must be finite")
+        x = np.clip(np.asarray(start, dtype=float), lo, hi)
+    else:
+        det = c.S00 * c.S11 - c.S01**2
+        if det > 0.0:
+            merton = np.array([c.S11 * c.t0 - c.S01 * c.t1,
+                               c.S00 * c.t1 - c.S01 * c.t0]) / det
+        else:  # singular covariance (zero volatility): start from no exposure
+            merton = np.zeros(2)
+        x = np.tile(np.clip(merton, lo, hi), (hS.size, 1))
 
+    iters = np.zeros(hS.size, dtype=np.int64)
     act = np.arange(hS.size)
     for _ in range(_MAX_ITER):
         xa, hs, hp = x[act], hS[act], hP[act]
@@ -174,6 +192,7 @@ def _solve_batch(c: _Coef, box: AdmissibleBox, hS, hP):
             a[keep] for a in (act, xa, hs, hp, g, hdiag, hoff))
         if act.size == 0:
             break
+        iters[act] += 1
 
         # per-coordinate Newton step, capped at the box width; a flat
         # coordinate (zero curvature) therefore steps across the box
@@ -219,13 +238,16 @@ def _solve_batch(c: _Coef, box: AdmissibleBox, hS, hP):
             f"({hS[k]:.17g}, {hP[k]:.17g}): residual {residual[k]:.3g}")
     case_id = _CASE_OF_SIDES[low[:, 0] + 2 * high[:, 0], low[:, 1] + 2 * high[:, 1]]
     mult = np.stack([np.where(low, -g, 0.0), np.where(high, g, 0.0)], axis=2)
-    return x, case_id, mult.reshape(-1, 4), residual
+    return x, case_id, mult.reshape(-1, 4), residual, iters
 
 
-def solve_kt_batch(prob: LogControlProblem, hS, hP):
-    """Pre-default controls for arrays of hazard pairs.
+def solve_kt_batch(prob: LogControlProblem, hS, hP, start=None):
+    """Pre-default controls for arrays of hazard pairs, each row started
+    from its row of ``start`` (m, 2) clipped to the box, or from the
+    clipped Merton point.
 
-    Returns ``(pi, case_id, multipliers, residual)``.
+    Returns ``(pi, case_id, multipliers, residual, newton_iters)``.  A
+    ``start`` of another shape, or not finite, raises ``ValueError``.
     """
     hS = np.atleast_1d(np.asarray(hS, dtype=float))
     hP = np.atleast_1d(np.asarray(hP, dtype=float))
@@ -233,7 +255,7 @@ def solve_kt_batch(prob: LogControlProblem, hS, hP):
         raise ValueError(f"hazard arrays differ in shape: h_S {hS.shape}, h_P {hP.shape}")
     if np.any(hS < 0.0) or np.any(hP < 0.0):
         raise ValueError("hazard rates must be nonnegative")
-    return _solve_batch(_Coef(prob.params), prob.box, hS, hP)
+    return _solve_batch(_Coef(prob.params), prob.box, hS, hP, start)
 
 
 def single_survivor_formula(mu: float, sigma: float, r: float, h) -> np.ndarray:
@@ -264,19 +286,40 @@ class LogStrategy(Strategy):
     comparator); that pair is solved once, at construction.  The constant
     also replaces the hazard in the single-survivor closed form.
     ``kt_cases`` counts the Kuhn-Tucker case of every pre-default query,
-    indexed like ``CASE_NAMES``.
+    indexed like ``CASE_NAMES``; ``kt_newton_iters`` counts the rows the
+    KT solver ran on, their Newton iterations and the most any row took.
     """
 
     def __init__(self, problem: LogControlProblem, hbar: float | None = None):
         self.problem = problem
         self.box = problem.box
         self.hbar = hbar
-        self.kt_cases = np.zeros(len(CASE_NAMES), dtype=np.int64)  # solver-health counter
+        # solver-health counters
+        self.kt_cases = np.zeros(len(CASE_NAMES), dtype=np.int64)
+        self.kt_newton_iters = {"rows": 0, "total": 0, "max": 0}
         if hbar is not None:
-            pi, case_id, _, _ = solve_kt_batch(problem, [hbar], [hbar])
+            pi, case_id, _, _, iters = solve_kt_batch(problem, [hbar], [hbar])
             self._passive_pi, self._passive_case = pi[0], int(case_id[0])
+            self._count_newton(iters)
 
-    def allocations(self, t, x, prices, states):
+    def _count_newton(self, iters):
+        count = self.kt_newton_iters
+        count["rows"] += iters.size
+        count["total"] += int(iters.sum())
+        count["max"] = max(count["max"], int(iters.max(initial=0)))
+
+    def step_allocations(self, t, x, prices, states, prev):
+        """Start each pre-default row's KT solve from its path's previous
+        allocation; a pre-default row was pre-default at the previous step
+        too, since defaults are absorbing."""
+        start = None
+        if prev is not None and self.hbar is None:
+            start = prev[(np.asarray(states) == 0).all(axis=1)]
+        return self.allocations(t, x, prices, states, start=start)
+
+    def allocations(self, t, x, prices, states, start=None):
+        """Allocations as :meth:`Strategy.allocations`; ``start`` (one row
+        per pre-default row) seeds their KT solves."""
         prob = self.problem
         params = prob.params
         states = np.asarray(states)
@@ -289,8 +332,9 @@ class LogStrategy(Strategy):
             self.kt_cases[self._passive_case] += int(pre.sum())
         elif pre.any():
             rates = prob.intensity.rates_matrix(states[pre], prices[pre])
-            pi, case_id, _, _ = solve_kt_batch(prob, rates[:, 0], rates[:, 1])
+            pi, case_id, _, _, iters = solve_kt_batch(prob, rates[:, 0], rates[:, 1], start)
             self.kt_cases += np.bincount(case_id, minlength=len(CASE_NAMES))
+            self._count_newton(iters)
             out[pre] = pi
 
         for stock in (0, 1):

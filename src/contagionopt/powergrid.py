@@ -364,6 +364,12 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
     the box) is tried from the node's current best, and a trial that is
     admissible and strictly better becomes the new best, so later offsets
     start from it.  The result is never worse than the coarse argmax.
+
+    When the hazards are the same at every node (a price-free intensity
+    such as the constant comparator), the value is flat in price: every
+    node sees the same factors, and a flat value stays flat.  The
+    recursion then runs on the node ``(0, 0)`` alone, where the driftless
+    chain stays put, and its ``f`` and controls are copied to every node.
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie strictly inside (0, 1)")
@@ -373,13 +379,17 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
 
     dt = grid.dt
     S, P = np.meshgrid(grid.s_nodes(), grid.p_nodes(), indexing="ij")
-    ns, np_ = S.shape
+    shape = S.shape
     hS, hP = _pre_default_rates(intensity, S, P)
     if not (np.all(np.isfinite(hS)) and np.all(np.isfinite(hP))):
         bad = np.argwhere(~(np.isfinite(hS) & np.isfinite(hP)))[0]
         raise ValueError(
             f"intensity is not finite at grid node (s={S[tuple(bad)]}, p={P[tuple(bad)]}); "
             "exclude the offending boundary from the domain")
+    flat = np.ptp(hS) == 0.0 and np.ptp(hP) == 0.0
+    if flat:
+        S, P, hS, hP = (a[:1, :1] for a in (S, P, hS, hP))
+    ns, np_ = S.shape
     ehd = np.exp(-(hS + hP) * dt)
     probs0 = _nine_probs(S, P, 0.0, 0.0, grid, params)  # the chain without drift
 
@@ -427,6 +437,9 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
         f[k] = v
         controls[k] = fine[at].reshape(ns, np_, 2)
 
+    if flat:
+        f = np.broadcast_to(f, (n_slices + 1, *shape)).copy()
+        controls = np.broadcast_to(controls, (n_slices, *shape, 2)).copy()
     return ValueGrid(grid=grid, gamma=gamma, f=f, controls=controls)
 
 

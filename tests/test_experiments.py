@@ -145,6 +145,37 @@ class TestConfig:
             with pytest.raises(ValueError, match="do not apply"):
                 _apply_param_overrides(market, intensity, overrides)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"h0": "5"}, "override 'h0' must be a number, not '5'"),
+        ({"mu_s": None}, "override 'mu_s' must be a number, not None"),
+        ({"alpha": True}, "override 'alpha' must be a number, not True"),
+        ({"h0": 5.0, "c": 1.0}, "overrides ['c'] do not apply to PowerClampIntensity"),
+    ], ids=["string", "none", "bool", "foreign"])
+    def test_override_errors_name_their_cause(self, overrides, message):
+        market = config_from_dict(base_doc()).market
+        power = PowerClampIntensity(h0=10.0, weights=(0.7, 0.3), alpha=1.0,
+                                    h_min=0.05, h_max=1.0)
+        with pytest.raises(ValueError) as exc:
+            _apply_param_overrides(market, power, overrides)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("kind", ["compare", "crisis", "power-compare"])
+    @pytest.mark.parametrize("key, value", [
+        ("entries", [{"label": "x", "set": {"mu_s": 0.12}}]),
+        ("sweep_mode", "perturbed-world"),
+    ], ids=["entries", "sweep_mode"])
+    def test_sweep_keys_rejected_outside_a_sweep(self, kind, key, value):
+        doc = power_doc() if kind == "power-compare" else base_doc()
+        if kind == "crisis":
+            doc["intensity"] = {"family": "reciprocal", "c": 20.0}
+        doc["experiment"]["kind"] = kind
+        config_from_dict(doc)  # loads without the sweep key
+        doc["experiment"][key] = value
+        with pytest.raises(ValueError) as exc:
+            config_from_dict(doc)
+        assert str(exc.value) == (f"experiment: ['{key}'] apply to a sweep only, "
+                                  f"not to a '{kind}' experiment")
+
     def test_kind_validation(self):
         doc = base_doc()
         doc["experiment"]["kind"] = "power-compare"
@@ -336,6 +367,11 @@ class TestOutputsAndDeterminism:
         bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0)
         pre_default = (bundle.states[:, :-1] == 0).all(axis=2).sum()
         assert sum(cases.values()) == 2 * pre_default
+        # the active side solves every pre-default path-step, the passive
+        # side its constant pair once
+        newton = manifest["solver_health"]["kt_newton_iters"]
+        assert newton["rows"] == pre_default + 1
+        assert 0 < newton["max"] <= newton["total"]
 
     def test_run_experiment_dispatch(self):
         result = run_experiment(config_from_dict(base_doc()))

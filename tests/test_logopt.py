@@ -2,9 +2,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contagionopt import logopt
-from contagionopt.dynamics import PathConfig, evolve_wealth, simulate_paths
+from contagionopt.dynamics import PathConfig, Strategy, evolve_wealth, simulate_paths
 from contagionopt.logopt import (
     CASE_NAMES,
     LogControlProblem,
@@ -55,7 +57,7 @@ def pre_default_hazards(prob, s, p):
 
 def solve_one(prob, hS, hP):
     """One hazard pair through the batch solver."""
-    pi, case_id, mult, res = solve_kt_batch(prob, [hS], [hP])
+    pi, case_id, mult, res, _ = solve_kt_batch(prob, [hS], [hP])
     return SimpleNamespace(pi=pi[0], case=CASE_NAMES[case_id[0]], multipliers=mult[0],
                            residual=float(res[0]))
 
@@ -219,7 +221,7 @@ class TestPreDefaultControl:
         rng = np.random.default_rng(26)
         hS = rng.uniform(0.05, 1.0, size=40)
         hP = rng.uniform(0.05, 1.0, size=40)
-        pi, case_id, mult, res = solve_kt_batch(prob, hS, hP)
+        pi, case_id, mult, res, _ = solve_kt_batch(prob, hS, hP)
         for k in range(40):  # a row's control does not depend on the rest of its batch
             sol = solve_one(prob, hS[k], hP[k])
             assert np.array_equal(sol.pi, pi[k])
@@ -315,7 +317,7 @@ class TestLogStrategy:
         # against the per-row solve of every pre-default path-step
         pre = (bundle.states[:, :-1] == 0).all(axis=2)
         n = int(pre.sum())
-        _, case_id, _, _ = solve_kt_batch(prob, np.full(n, 0.1), np.full(n, 0.1))
+        _, case_id, _, _, _ = solve_kt_batch(prob, np.full(n, 0.1), np.full(n, 0.1))
         assert np.array_equal(strat.kt_cases, np.bincount(case_id, minlength=len(CASE_NAMES)))
         # after one default the constant, not the model hazard, enters the
         # single-survivor closed form
@@ -326,7 +328,7 @@ class TestLogStrategy:
         for k in range(cfg.n_steps):
             states, prices = bundle.states[:, k], bundle.prices[:, k]
             rows = pre[:, k]
-            pi_rows, _, _, _ = solve_kt_batch(prob, np.full(rows.sum(), 0.1),
+            pi_rows, _, _, _, _ = solve_kt_batch(prob, np.full(rows.sum(), 0.1),
                                               np.full(rows.sum(), 0.1))
             got = strat.allocations(k * cfg.dt, np.full(cfg.n_paths, 100.0), prices, states)
             assert np.array_equal(got[rows], pi_rows)
@@ -336,3 +338,78 @@ class TestLogStrategy:
                 assert np.all(got[alone, 1 - i] == 0.0)
                 n_alone += int(alone.sum())
         assert n_alone > 0  # some rows took the single-survivor branch
+
+
+@st.composite
+def warm_start_cases(draw):
+    """A random admissible problem (market and box), a batch of hazard
+    pairs and one start row per pair inside the box, bounds included."""
+    prob, _ = random_problem(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    m = draw(st.integers(1, 6))
+    pairs = st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 1.5))
+    hazards = np.array(draw(st.lists(pairs, min_size=m, max_size=m)))
+    fracs = np.array(draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                                   min_size=m, max_size=m)))
+    lo, hi = prob.box.lower, prob.box.upper
+    start = np.clip(lo + fracs * (hi - lo), lo, hi)
+    return prob, hazards[:, 0], hazards[:, 1], start
+
+
+class TestWarmStart:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(warm_start_cases())
+    def test_lands_on_the_cold_start_answer(self, case):
+        prob, hS, hP, start = case
+        cold, cold_case, _, _, _ = solve_kt_batch(prob, hS, hP)
+        warm, warm_case, _, res, _ = solve_kt_batch(prob, hS, hP, start)
+        assert np.array_equal(warm_case, cold_case)
+        assert np.max(np.abs(warm - cold)) <= 1e-10
+        assert np.all(res <= 1e-8)
+
+    def test_start_at_the_answer_saves_iterations(self):
+        prob = benchmark_problem()
+        rng = np.random.default_rng(44)
+        hS, hP = rng.uniform(0.05, 1.0, size=(2, 30))
+        pi, _, _, _, cold = solve_kt_batch(prob, hS, hP)
+        again, _, _, _, warm = solve_kt_batch(prob, hS, hP, pi)
+        assert np.max(np.abs(again - pi)) <= 1e-12
+        assert warm.sum() < cold.sum() and warm.max() <= 1
+
+    def test_start_is_clipped_into_the_box(self):
+        prob = benchmark_problem()
+        hS, hP = [0.3, 0.05], [0.2, 0.9]
+        outside = np.array([[5.0, -7.0], [-3.0, 0.2]])
+        got = solve_kt_batch(prob, hS, hP, outside)[0]
+        clipped = np.clip(outside, prob.box.lower, prob.box.upper)
+        assert np.array_equal(got, solve_kt_batch(prob, hS, hP, clipped)[0])
+
+    @pytest.mark.parametrize("start, needle", [
+        (np.zeros((2, 3)), r"start has shape \(2, 3\), need \(2, 2\)"),
+        (np.zeros((1, 2)), r"start has shape \(1, 2\)"),
+        (np.zeros(4), r"start has shape \(4,\)"),
+        (np.array([[0.0, np.nan], [0.0, 0.0]]), "finite"),
+        (np.array([[0.0, 0.0], [-np.inf, 0.0]]), "finite"),
+    ], ids=["columns", "rows", "flat", "nan", "inf"])
+    def test_bad_start_rejected(self, start, needle):
+        with pytest.raises(ValueError, match=needle):
+            solve_kt_batch(benchmark_problem(), [0.1, 0.2], [0.1, 0.2], start)
+
+    def test_evolution_warm_start_saves_newton_iterations(self):
+        # the same run with every step started from Merton, as the base
+        # Strategy.step_allocations does: same cases, same wealth up to
+        # solver rounding, strictly fewer Newton iterations warm
+        class ColdLogStrategy(LogStrategy):
+            step_allocations = Strategy.step_allocations
+
+        prob = benchmark_problem()
+        cfg = PathConfig(horizon=1.0, n_steps=25, n_paths=500, master_seed=43)
+        bundle = simulate_paths(prob.params, prob.intensity, cfg, [100.0, 100.0])
+        warm, cold = LogStrategy(prob), ColdLogStrategy(prob)
+        xw = evolve_wealth(bundle, warm, 100.0).values
+        xc = evolve_wealth(bundle, cold, 100.0).values
+        assert np.max(np.abs(xw / xc - 1.0)) <= 1e-10
+        assert np.array_equal(warm.kt_cases, cold.kt_cases)
+        pre = int((bundle.states[:, :-1] == 0).all(axis=2).sum())
+        assert warm.kt_newton_iters["rows"] == cold.kt_newton_iters["rows"] == pre
+        assert warm.kt_newton_iters["total"] < cold.kt_newton_iters["total"]
+        assert 0 < warm.kt_newton_iters["max"] <= logopt._MAX_ITER

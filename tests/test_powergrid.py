@@ -261,6 +261,8 @@ class TestSolvePowerValue:
         # clamped at h_max and a flat v1 would hide every move; there the
         # optimum shorts both stocks.  In the second case it is long and
         # held by the box edge pi_S = 0.3 and by the post-default floor 0.5.
+        # The constant hazard of the third case is solved on one node and
+        # copied to all; the per-node replay checks it on the full lattice.
         # With refine the greedy walk is replayed too: the 80 offsets of a
         # 9 x 9 window in order, clipped to the box, kept on strict
         # improvement only
@@ -270,6 +272,7 @@ class TestSolvePowerValue:
             (AdmissibleBox(lower=[0.0, 0.0], upper=[0.3, 1.0], eps_a=0.5),
              PowerClampIntensity(h0=0.1, weights=(0.7, 0.3), alpha=1.0,
                                  h_min=0.01, h_max=1.0)),
+            (power_box(), ConstantIntensity(0.3)),
         ]
         for refine in (False, True):
             grid = GridSpec(0.01, 1.0, 0.005, 6.0, 6.0, n_control=9, refine=refine)
@@ -383,6 +386,32 @@ class TestSolvePowerValue:
             solve_power_value(grid, benchmark_params(),
                               ReciprocalIntensity(c=20.0), GAMMA,
                               power_box())
+
+    def test_price_free_hazard_grid_fills_every_node(self, tmp_path):
+        # a constant hazard, and a clamp that pins every node at h_max, are
+        # solved on one node; the grid still has one writable value and
+        # control per node and slice, and it survives save/load
+        grid = GridSpec(horizon=0.1, delta=1.0, dt=0.01, s_max=5.0, p_max=4.0,
+                        n_control=7)
+        pinned = PowerClampIntensity(h0=10.0, weights=(0.7, 0.3), alpha=1.0,
+                                     h_min=0.05, h_max=0.3)
+        grids = [solve_power_value(grid, benchmark_params(), h, GAMMA, power_box())
+                 for h in (ConstantIntensity(0.3), pinned)]
+        for vg in grids:
+            assert vg.f.shape == (11, 6, 5) and vg.controls.shape == (10, 6, 5, 2)
+            assert vg.f.flags.writeable and vg.controls.flags.writeable
+            assert np.all(vg.f == vg.f[:, :1, :1])
+            assert np.all(vg.controls == vg.controls[:, :1, :1])
+            vg.f[0, 1, 1] += 1.0  # one node is its own memory
+            assert vg.f[0, 0, 0] != vg.f[0, 1, 1]
+            vg.f[0, 1, 1] -= 1.0
+        assert np.array_equal(grids[0].f, grids[1].f)
+        assert np.array_equal(grids[0].controls, grids[1].controls)
+        f = tmp_path / "flat.npz"
+        grids[0].save(str(f))
+        back = ValueGrid.load(str(f))
+        assert np.array_equal(back.f, grids[0].f)
+        assert np.array_equal(back.controls, grids[0].controls)
 
     def test_save_load_roundtrip(self, tmp_path):
         grid = GridSpec(horizon=0.5, delta=1.0, dt=0.01, s_max=5.0, p_max=5.0,
