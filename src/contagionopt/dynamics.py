@@ -71,8 +71,6 @@ class PathBundle:
 
     params: MarketParams
     cfg: PathConfig
-    s0: np.ndarray
-    times: np.ndarray
     prices: np.ndarray        # (n_paths, n_steps+1, n); exactly 0 from default onward
     states: np.ndarray        # (n_paths, n_steps+1, n) uint8
     normals: np.ndarray       # (n_paths, n_steps, n) correlated
@@ -225,8 +223,7 @@ def simulate_paths(params: MarketParams, intensity, cfg: PathConfig, s0) -> Path
 
     m, n, steps = cfg.n_paths, params.n, cfg.n_steps
     bundle = PathBundle(
-        params=params, cfg=cfg, s0=s0,
-        times=np.arange(steps + 1) * cfg.dt,
+        params=params, cfg=cfg,
         prices=np.empty((m, steps + 1, n)),
         states=np.empty((m, steps + 1, n), dtype=np.uint8),
         normals=np.empty((m, steps, n)),
@@ -242,7 +239,6 @@ def simulate_paths(params: MarketParams, intensity, cfg: PathConfig, s0) -> Path
 class WealthBundle:
     """Wealth series aligned to a market bundle's time grid."""
 
-    x0: float
     values: np.ndarray  # (n_paths, n_steps+1), strictly positive
 
     @property
@@ -311,7 +307,7 @@ def evolve_wealth(bundle: PathBundle, strategy: Strategy, x0: float) -> WealthBu
 
     if X.min() <= 0.0:
         raise RuntimeError("wealth path hit zero; admissibility was violated")
-    return WealthBundle(x0=x0, values=X)
+    return WealthBundle(values=X)
 
 
 def dump_paths_csv(bundle: PathBundle, wealth: WealthBundle, path: str):
@@ -320,6 +316,7 @@ def dump_paths_csv(bundle: PathBundle, wealth: WealthBundle, path: str):
     A ``.gz`` suffix switches on gzip compression.
     """
     n = bundle.params.n
+    dt = bundle.cfg.dt
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "wt", newline="") as fh:
         writer = csv.writer(fh)
@@ -328,6 +325,6 @@ def dump_paths_csv(bundle: PathBundle, wealth: WealthBundle, path: str):
         for p in range(bundle.n_paths):
             for k in range(bundle.cfg.n_steps + 1):
                 bits = "".join(str(int(b)) for b in bundle.states[p, k])
-                writer.writerow([p, k, f"{bundle.times[k]:.10g}"]
+                writer.writerow([p, k, f"{k * dt:.10g}"]
                                 + [f"{v:.10g}" for v in bundle.prices[p, k]]
                                 + [bits, f"{wealth.values[p, k]:.10g}"])

@@ -29,12 +29,13 @@ G)|)`` of a bound with their gradient pointing out of the box.  When no
 coordinate is epsilon-active and the Hessian is negative definite the
 row takes a full Newton step; otherwise each coordinate takes its own
 Newton step, the diagonally scaled gradient step, capped at the box
-width so that a flat coordinate (no volatility and no hazard) steps
-across the box.  Trials are projected onto the box, which
-:func:`validate_box` keeps inside the log domain of G.  A trial is
-accepted when G stays within rounding of its value at the iterate, since
-G cannot resolve a Newton step's gain near the maximizer; rows still
-searching halve their step.
+width as a trust region.  Every stock's volatility must be positive
+(:class:`LogControlProblem` checks it), so each Hessian diagonal entry
+is at most ``-sigma^2`` and every step is finite.  Trials are projected
+onto the box, which :func:`validate_box` keeps inside the log domain of
+G.  A trial is accepted when G stays within rounding of its value at the
+iterate, since G cannot resolve a Newton step's gain near the maximizer;
+rows still searching halve their step.
 
 The Kuhn-Tucker case, the multipliers and the residual are read from the
 final held set, the coordinates sitting at a bound with their gradient
@@ -53,22 +54,32 @@ clamped to the box of the surviving stock; with both stocks gone only
 the bank account remains.
 
 :func:`solve_kt_batch` solves arrays of hazard pairs.
-:meth:`LogStrategy.allocations` is the query path for price and
-default-state rows: it reads their hazards from the intensity model's
-``rates_matrix``, the call the simulation makes, solves the pre-default
-rows with :func:`solve_kt_batch` and the single-survivor rows by the
-closed form.  :meth:`LogStrategy.step_allocations` starts the pre-default
-rows from the previous step's allocations.
+:meth:`LogStrategy.allocations` is the one query path for price and
+default-state rows, for the active investor and the passive comparator
+alike (the comparator's intensity is a constant).  It reads every row's
+hazards with one call of the intensity model's ``rates_matrix``, the call
+the simulation makes, solves the pre-default rows with
+:func:`solve_kt_batch` and the single-survivor rows by the closed form.
+Pre-default rows that share one hazard pair and one start row pose one
+problem, solved once: a row's answer does not depend on the rest of its
+batch, so this is exact.  :meth:`LogStrategy.step_allocations` starts
+each pre-default row from its path's previous allocation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from contagionopt.dynamics import Strategy
-from contagionopt.model import AdmissibleBox, MarketParams, validate_box
+from contagionopt.model import (
+    AdmissibleBox,
+    ConstantIntensity,
+    MarketParams,
+    require_volatility,
+    validate_box,
+)
 
 __all__ = [
     "LogControlProblem",
@@ -96,7 +107,9 @@ _MAX_HALVINGS = 60
 
 @dataclass(frozen=True)
 class LogControlProblem:
-    """Two-stock market, intensity model, and validated admissible box."""
+    """Two-stock market, intensity model, and validated admissible box.
+
+    A stock without volatility raises ``ValueError`` naming it."""
 
     params: MarketParams
     intensity: object
@@ -109,6 +122,7 @@ class LogControlProblem:
             raise ValueError("box must be two-dimensional")
         if np.any(self.box.lower >= self.box.upper):
             raise ValueError("box must have nonempty interior in each coordinate")
+        require_volatility(self.params)
         worst = validate_box(self.box, self.params)
         if worst < 0.0:
             raise ValueError(f"box violates the post-default floor (worst margin {worst:.4g})")
@@ -175,11 +189,7 @@ def _solve_batch(c: _Coef, box: AdmissibleBox, hS, hP, start=None):
         x = np.clip(np.asarray(start, dtype=float), lo, hi)
     else:
         det = c.S00 * c.S11 - c.S01**2
-        if det > 0.0:
-            merton = np.array([c.S11 * c.t0 - c.S01 * c.t1,
-                               c.S00 * c.t1 - c.S01 * c.t0]) / det
-        else:  # singular covariance (zero volatility): start from no exposure
-            merton = np.zeros(2)
+        merton = np.array([c.S11 * c.t0 - c.S01 * c.t1, c.S00 * c.t1 - c.S01 * c.t0]) / det
         x = np.tile(np.clip(merton, lo, hi), (hS.size, 1))
 
     iters = np.zeros(hS.size, dtype=np.int64)
@@ -194,10 +204,9 @@ def _solve_batch(c: _Coef, box: AdmissibleBox, hS, hP, start=None):
             break
         iters[act] += 1
 
-        # per-coordinate Newton step, capped at the box width; a flat
-        # coordinate (zero curvature) therefore steps across the box
-        step = g / np.maximum(np.maximum(-hdiag, np.abs(g) / width),
-                              np.finfo(float).tiny)
+        # per-coordinate Newton step, capped at the box width: a trust
+        # region for a coordinate whose curvature is small against its gradient
+        step = g / np.maximum(-hdiag, np.abs(g) / width)
         eps = np.minimum(_EPS_ACTIVE,
                          np.abs(xa - np.clip(xa + g, lo, hi)).max(axis=1))[:, None]
         near = ((xa <= lo + eps) & (g < 0.0)) | ((xa >= hi - eps) & (g > 0.0))
@@ -259,94 +268,76 @@ def solve_kt_batch(prob: LogControlProblem, hS, hP, start=None):
 
 
 def single_survivor_formula(mu: float, sigma: float, r: float, h) -> np.ndarray:
-    """Unclamped optimal fraction in the last surviving stock.
-
-    For a riskless stock (sigma = 0) the limit is returned: ``1 - h /
-    (mu - r)`` for a positive excess drift and an unbounded preference
-    (``+-inf``, to be clamped by the caller) otherwise.
-    """
+    """Unclamped optimal fraction in the last surviving stock, for
+    ``sigma > 0``."""
     h = np.asarray(h, dtype=float)
     excess = mu - r
     s2 = sigma**2
-    if s2 == 0.0:
-        if excess > 0.0:
-            return np.where(h > 0.0, 1.0 - h / excess, np.inf)
-        if excess < 0.0:
-            return np.full(h.shape, -np.inf)
-        return np.where(h > 0.0, -np.inf, 0.0)
     return (excess + s2 - np.sqrt((excess - s2) ** 2 + 4.0 * s2 * h)) / (2.0 * s2)
 
 
 class LogStrategy(Strategy):
     """Log-optimal allocation rule.
 
-    With ``hbar=None`` the hazards are read from the problem's intensity
-    model at the queried prices; with a numeric ``hbar`` the same solver
-    runs on the constant pair ``(hbar, hbar)`` instead (the passive
-    comparator); that pair is solved once, at construction.  The constant
-    also replaces the hazard in the single-survivor closed form.
-    ``kt_cases`` counts the Kuhn-Tucker case of every pre-default query,
-    indexed like ``CASE_NAMES``; ``kt_newton_iters`` counts the rows the
-    KT solver ran on, their Newton iterations and the most any row took.
+    The hazards are read from the problem's intensity model at the
+    queried prices.  A numeric ``hbar`` replaces that model with
+    ``ConstantIntensity(hbar)`` (the passive comparator); nothing else
+    differs.  ``kt_cases`` counts the Kuhn-Tucker case of every
+    pre-default query, indexed like ``CASE_NAMES``; ``kt_newton_iters``
+    counts the rows the KT solver ran on, their Newton iterations and the
+    most any row took.
     """
 
     def __init__(self, problem: LogControlProblem, hbar: float | None = None):
+        if hbar is not None:
+            problem = replace(problem, intensity=ConstantIntensity(hbar))
         self.problem = problem
         self.box = problem.box
         self.hbar = hbar
         # solver-health counters
         self.kt_cases = np.zeros(len(CASE_NAMES), dtype=np.int64)
         self.kt_newton_iters = {"rows": 0, "total": 0, "max": 0}
-        if hbar is not None:
-            pi, case_id, _, _, iters = solve_kt_batch(problem, [hbar], [hbar])
-            self._passive_pi, self._passive_case = pi[0], int(case_id[0])
-            self._count_newton(iters)
-
-    def _count_newton(self, iters):
-        count = self.kt_newton_iters
-        count["rows"] += iters.size
-        count["total"] += int(iters.sum())
-        count["max"] = max(count["max"], int(iters.max(initial=0)))
 
     def step_allocations(self, t, x, prices, states, prev):
         """Start each pre-default row's KT solve from its path's previous
         allocation; a pre-default row was pre-default at the previous step
         too, since defaults are absorbing."""
-        start = None
-        if prev is not None and self.hbar is None:
-            start = prev[(np.asarray(states) == 0).all(axis=1)]
-        return self.allocations(t, x, prices, states, start=start)
+        return self.allocations(t, x, prices, states, start=prev)
 
     def allocations(self, t, x, prices, states, start=None):
         """Allocations as :meth:`Strategy.allocations`; ``start`` (one row
-        per pre-default row) seeds their KT solves."""
+        per path) seeds the KT solves of the pre-default rows.
+
+        When every pre-default row has the same hazard pair and the same
+        start row (or none), they pose one problem, which is solved once.
+        """
         prob = self.problem
         params = prob.params
         states = np.asarray(states)
         prices = np.asarray(prices, dtype=float)
         out = np.zeros_like(prices)
+        rates = prob.intensity.rates_matrix(states, prices)
 
         pre = (states == 0).all(axis=1)
-        if self.hbar is not None:
-            out[pre] = self._passive_pi
-            self.kt_cases[self._passive_case] += int(pre.sum())
-        elif pre.any():
-            rates = prob.intensity.rates_matrix(states[pre], prices[pre])
-            pi, case_id, _, _, iters = solve_kt_batch(prob, rates[:, 0], rates[:, 1], start)
-            self.kt_cases += np.bincount(case_id, minlength=len(CASE_NAMES))
-            self._count_newton(iters)
+        if pre.any():
+            h = rates[pre]
+            if start is not None:
+                start = np.asarray(start, dtype=float)[pre]
+            one = (h == h[0]).all() and (start is None or (start == start[0]).all())
+            rows = slice(0, 1) if one else slice(None)
+            pi, case_id, _, _, iters = solve_kt_batch(
+                prob, h[rows, 0], h[rows, 1], None if start is None else start[rows])
             out[pre] = pi
+            self.kt_cases += np.bincount(np.broadcast_to(case_id, h.shape[:1]),
+                                         minlength=len(CASE_NAMES))
+            count = self.kt_newton_iters
+            count["rows"] += iters.size
+            count["total"] += int(iters.sum())
+            count["max"] = max(count["max"], int(iters.max()))
 
         for stock in (0, 1):
-            other = 1 - stock
-            mask = (states[:, stock] == 0) & (states[:, other] == 1)
-            if not mask.any():
-                continue
-            if self.hbar is not None:
-                h = np.full(int(mask.sum()), float(self.hbar))
-            else:
-                h = prob.intensity.rates_matrix(states[mask], prices[mask])[:, stock]
+            mask = (states[:, stock] == 0) & (states[:, 1 - stock] == 1)
             raw = single_survivor_formula(params.mu[stock], params.sigma[stock],
-                                          params.r, h)
+                                          params.r, rates[mask, stock])
             out[mask, stock] = np.clip(raw, prob.box.lower[stock], prob.box.upper[stock])
         return out

@@ -25,6 +25,7 @@ __all__ = [
     "ReciprocalIntensity",
     "AdmissibleBox",
     "validate_box",
+    "require_volatility",
     "jump_factors",
     "intensity_from_config",
     "from_section",
@@ -42,7 +43,9 @@ class MarketParams:
     mu : array, shape (n,)
         Stock drifts (1/yr).
     sigma : array, shape (n,)
-        Stock volatilities (1/sqrt(yr)), strictly positive.
+        Stock volatilities (1/sqrt(yr)), nonnegative.  Zero is accepted
+        so that simulations can run deterministic markets; the control
+        solvers require positive volatility (:func:`require_volatility`).
     rho : array, shape (n, n)
         Correlation matrix of the driving Brownian motions; symmetric,
         unit diagonal, positive definite.
@@ -66,8 +69,7 @@ class MarketParams:
         n = mu.shape[0]
         if sigma.shape != (n,) or rho.shape != (n, n) or L.shape != (n, n):
             raise ValueError("inconsistent parameter dimensions")
-        # zero volatility is tolerated for degenerate test markets; the
-        # control solvers themselves require sigma > 0
+        # zero volatility is accepted for deterministic simulations only
         if not np.all(sigma >= 0.0):
             raise ValueError("sigma must be nonnegative")
         if not np.allclose(rho, rho.T, atol=1e-12) or not np.allclose(np.diag(rho), 1.0):
@@ -253,6 +255,16 @@ class AdmissibleBox:
         """All 2^n corner allocations, in lexicographic (lower/upper) order."""
         corners = list(product(*zip(self.lower, self.upper)))
         return np.array(corners)
+
+
+def require_volatility(params: MarketParams):
+    """Raise ``ValueError`` naming the first stock (S or P) of a two-stock
+    market whose volatility is not positive; the control solvers divide by
+    ``sigma^2``."""
+    for name, sigma in zip("SP", params.sigma):
+        if not sigma > 0.0:
+            raise ValueError(f"stock {name} has volatility {sigma:g}; "
+                             "the control solvers need sigma > 0")
 
 
 def jump_factors(L: np.ndarray, pi: np.ndarray) -> np.ndarray:

@@ -41,7 +41,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from contagionopt.dynamics import Strategy
-from contagionopt.model import AdmissibleBox, MarketParams, from_section, jump_factors
+from contagionopt.model import (AdmissibleBox, MarketParams, from_section, jump_factors,
+                               require_volatility)
 
 __all__ = [
     "GridSpec",
@@ -370,11 +371,14 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
     node sees the same factors, and a flat value stays flat.  The
     recursion then runs on the node ``(0, 0)`` alone, where the driftless
     chain stays put, and its ``f`` and controls are copied to every node.
+
+    A stock without volatility raises ``ValueError`` naming it.
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie strictly inside (0, 1)")
     if params.n != 2 or box.n != 2:
         raise ValueError("power-utility grid solver is specialized to two stocks")
+    require_volatility(params)
     validate_cfl(grid, params, gamma, box)
 
     dt = grid.dt
@@ -452,11 +456,13 @@ class PowerGridStrategy(Strategy):
     default the surviving stock gets its constant Merton fraction,
     additionally capped so a further default keeps ``eps_a`` of wealth.
     ``pre_default_queries`` and ``out_of_domain`` count the pre-default
-    queries and the clamped ones among them.
+    queries and the clamped ones among them.  A stock without volatility
+    raises ``ValueError`` naming it.
     """
 
     def __init__(self, value_grid: ValueGrid, params: MarketParams,
                  gamma: float, box: AdmissibleBox):
+        require_volatility(params)
         self.value_grid = value_grid
         self.params = params
         self.gamma = gamma

@@ -93,21 +93,22 @@ class TestSimulatePaths:
 
 class TestEvolveWealth:
     def test_wealth_prefix_does_not_depend_on_path_count(self):
-        # the active log strategy starts each path's KT solve from that
-        # path's previous allocation, so a path's wealth is its own history's
+        # the log strategies start each path's KT solve from that path's
+        # previous allocation, so a path's wealth is its own history's
         from contagionopt.logopt import LogControlProblem, LogStrategy
         params = benchmark_params()
         box = AdmissibleBox(lower=[-1.0, -1.0], upper=[0.5, 0.5], eps_a=0.01)
         problem = LogControlProblem(params=params, intensity=benchmark_intensity(), box=box)
 
-        def wealth(n_paths):
+        def wealth(n_paths, hbar):
             cfg = PathConfig(horizon=0.5, n_steps=40, n_paths=n_paths, master_seed=8)
             bundle = simulate_paths(params, benchmark_intensity(), cfg, [100.0, 100.0])
-            return evolve_wealth(bundle, LogStrategy(problem), 100.0).values
+            return evolve_wealth(bundle, LogStrategy(problem, hbar=hbar), 100.0).values
 
-        full = wealth(2500)
-        for k in (1000, 1024, 1500):  # inside, at and across a simulation block edge
-            assert full[:k].tobytes() == wealth(k).tobytes(), k
+        for hbar in (None, 0.1):  # the active strategy and the passive comparator
+            full = wealth(2500, hbar)
+            for k in (1000, 1024, 1500):  # inside, at and across a simulation block edge
+                assert full[:k].tobytes() == wealth(k, hbar).tobytes(), (hbar, k)
 
     def test_bank_account_is_exact(self):
         params = benchmark_params()

@@ -6,14 +6,12 @@ import pytest
 
 from contagionopt.dynamics import simulate_paths
 from contagionopt.experiments import (
-    SweepEntry,
     _apply_param_overrides,
     builtin_config,
     builtin_config_names,
     config_from_dict,
     run_comparison,
     run_crisis,
-    run_experiment,
     run_power_comparison,
     run_sweep,
 )
@@ -77,8 +75,14 @@ class TestConfig:
         assert cfg.paths.master_seed == 7 and cfg.paths.n_paths == 123
 
     def test_unknown_sweep_parameter_rejected(self):
-        with pytest.raises(ValueError, match="nonsense"):
-            SweepEntry(label="x", set={"nonsense": 1.0})
+        # "weights" is a field of the power-clamp family, set as k1 and k2
+        for key in ("weights", "family", "nonsense"):
+            doc = base_doc()
+            doc["experiment"] = {"kind": "sweep", "entries": [{"label": "x", "set": {key: 0.5}}]}
+            with pytest.raises(ValueError) as exc:
+                config_from_dict(doc)
+            assert str(exc.value) == (f"sweep entry 'x': overrides ['{key}'] do not apply "
+                                      "to PowerClampIntensity")
         doc = base_doc()
         doc["experiment"] = {"kind": "sweep", "sweep_mode": "bogus", "entries": []}
         with pytest.raises(ValueError, match="sweep mode: 'bogus'"):
@@ -279,16 +283,7 @@ class TestRunCrisis:
         with pytest.raises(ValueError, match="reciprocal"):
             config_from_dict(doc)
 
-    def test_no_motion_world_with_matching_hazard(self):
-        # frozen prices keep the reciprocal hazard pinned at the comparator
-        # value, so both strategies coincide on every path that stays
-        # pre-default (a default moves prices and lets them diverge)
-        doc = base_doc(intensity={"family": "reciprocal", "c": 20.0})
-        doc["market"]["mu"] = [0.0, 0.0]
-        doc["market"]["sigma"] = [0.0, 0.0]
-        doc["experiment"]["kind"] = "crisis"
-        result = run_crisis(config_from_dict(doc))
-        assert result.active.no_default == result.passive.no_default
+    def test_builtin_crisis_defaults_and_cohort_ordering(self):
         cfg = builtin_config("crisis-reciprocal", n_paths=1200)
         assert isinstance(cfg.intensity, ReciprocalIntensity)
         result = run_crisis(cfg)
@@ -367,15 +362,12 @@ class TestOutputsAndDeterminism:
         bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0)
         pre_default = (bundle.states[:, :-1] == 0).all(axis=2).sum()
         assert sum(cases.values()) == 2 * pre_default
-        # the active side solves every pre-default path-step, the passive
-        # side its constant pair once
+        # the active side solves every pre-default path-step but those of
+        # step 0, where all paths sit at s0 and pose one problem; the
+        # passive side solves its constant pair once per step
         newton = manifest["solver_health"]["kt_newton_iters"]
-        assert newton["rows"] == pre_default + 1
+        assert newton["rows"] == pre_default - cfg.paths.n_paths + 1 + cfg.paths.n_steps
         assert 0 < newton["max"] <= newton["total"]
-
-    def test_run_experiment_dispatch(self):
-        result = run_experiment(config_from_dict(base_doc()))
-        assert result.n_paths == 800
 
 
 class TestCLI:
@@ -414,12 +406,16 @@ class TestCLI:
          ["No such file", "missing.npz"]),
         (["power-compare", "--builtin", "benchmark-inferred", "--grid", "{missing}"],
          ["is a 'compare' experiment, not 'power-compare'"]),
+        (["power-compare", "--config", "{flat}"],
+         ["stock S has volatility 0; the control solvers need sigma > 0"]),
     ], ids=["solve-power-without-grid", "missing-key", "leftover-cap", "missing-grid",
-            "kind-checked-before-grid"])
+            "kind-checked-before-grid", "zero-volatility"])
     def test_bad_config_is_one_line(self, tmp_path, capsys, argv, needles):
         no_box = base_doc()
         del no_box["box"]
-        docs = {"no_box": no_box,
+        flat = power_doc()
+        flat["market"]["sigma"] = [0.0, 0.4]
+        docs = {"no_box": no_box, "flat": flat,
                 "cap": base_doc(intensity={"family": "reciprocal", "c": 20.0, "cap": 2000.0})}
         paths = {"missing": tmp_path / "missing.npz"}
         for name, doc in docs.items():

@@ -194,22 +194,12 @@ class TestPreDefaultControl:
                 assert b.pi[1] <= a.pi[1] + 1e-9
                 done += 1
 
-    def test_zero_volatility_market_still_solved(self):
-        # no diffusion: G is concave purely through the hazard log terms
-        params = MarketParams.two_stock(0.05, 0.0, 0.0, 0.0, 0.0, 0.0, 0.2, 0.3)
-        prob = LogControlProblem(params=params, intensity=ConstantIntensity(0.1),
-                                 box=AdmissibleBox([-1.0, -1.0], [0.5, 0.5]))
-        for hS, hP in ((0.1, 0.1), (0.8, 0.05), (0.0, 0.0)):
-            sol = solve_one(prob, hS, hP)
-            lo, hi = prob.box.lower, prob.box.upper
-            s = np.linspace(lo[0], hi[0], 401)
-            p = np.linspace(lo[1], hi[1], 401)
-            S, P = np.meshgrid(s, p, indexing="ij")
-            vals = g_reference(prob, hS, hP, S, P)
-            i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-            cell = (hi - lo) / 400.0
-            assert abs(sol.pi[0] - S[i, j]) <= cell[0] + 1e-9
-            assert abs(sol.pi[1] - P[i, j]) <= cell[1] + 1e-9
+    def test_zero_volatility_rejected(self):
+        for sigma, name in (((0.0, 0.4), "S"), ((0.3, 0.0), "P")):
+            params = MarketParams.two_stock(0.05, 0.10, 0.15, *sigma, 0.0, 0.2, 0.3)
+            with pytest.raises(ValueError, match=f"stock {name} has volatility 0; "):
+                LogControlProblem(params=params, intensity=ConstantIntensity(0.1),
+                                  box=AdmissibleBox([-1.0, -1.0], [0.5, 0.5]))
 
     def test_unconverged_row_raises_naming_its_hazards(self, monkeypatch):
         monkeypatch.setattr(logopt, "_MAX_ITER", 0)  # rows stay at the Merton start
@@ -300,6 +290,36 @@ class TestLogStrategy:
         sol = solve_one(prob, *pre_default_hazards(prob, 100.0, 100.0))
         assert np.array_equal(pi[0], sol.pi)
 
+    def test_rows_posing_one_problem_are_solved_once(self, monkeypatch):
+        # six pre-default rows at one price share a hazard pair; two
+        # defaulted rows ride along
+        prob = benchmark_problem()
+        states = np.array([[0, 0]] * 6 + [[1, 0], [1, 1]], dtype=np.uint8)
+        prices = np.array([[80.0, 120.0]] * 6 + [[0.0, 90.0], [0.0, 0.0]])
+        pre = (states == 0).all(axis=1)
+        hS, hP = (np.full(6, h) for h in pre_default_hazards(prob, 80.0, 120.0))
+        same = np.tile([0.2, -0.3], (8, 1))
+        mixed = same.copy()
+        mixed[3] = [-0.5, 0.1]
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].size)
+            return solve_kt_batch(*args, **kwargs)
+
+        monkeypatch.setattr(logopt, "solve_kt_batch", counting)
+        for start, rows in ((None, 1), (same, 1), (mixed, 6)):
+            calls.clear()
+            strat = LogStrategy(prob)
+            got = strat.allocations(0.0, np.full(8, 100.0), prices, states, start=start)
+            assert calls == [rows]
+            pi, case_id, _, _, _ = solve_kt_batch(
+                prob, hS, hP, None if start is None else start[pre])
+            assert np.array_equal(got[pre], pi)
+            assert np.array_equal(strat.kt_cases,
+                                  np.bincount(case_id, minlength=len(CASE_NAMES)))
+            assert strat.kt_newton_iters["rows"] == rows
+
     def test_passive_strategy_solves_its_constant_pair_once(self, monkeypatch):
         prob = benchmark_problem()
         cfg = PathConfig(horizon=1.0, n_steps=20, n_paths=400, master_seed=41)
@@ -313,7 +333,10 @@ class TestLogStrategy:
         monkeypatch.setattr(logopt, "solve_kt_batch", counting)
         strat = LogStrategy(prob, hbar=0.1)
         evolve_wealth(bundle, strat, 100.0)
-        assert len(calls) <= 1
+        # every pre-default row of a query poses the same problem, solved
+        # once per step on one row
+        assert [len(hS) for _, hS, _, _ in calls] == [1] * cfg.n_steps
+        assert strat.kt_newton_iters["rows"] == cfg.n_steps
         # against the per-row solve of every pre-default path-step
         pre = (bundle.states[:, :-1] == 0).all(axis=2)
         n = int(pre.sum())
@@ -409,7 +432,9 @@ class TestWarmStart:
         xc = evolve_wealth(bundle, cold, 100.0).values
         assert np.max(np.abs(xw / xc - 1.0)) <= 1e-10
         assert np.array_equal(warm.kt_cases, cold.kt_cases)
+        # at step 0 every path sits at s0, so its rows pose one problem
         pre = int((bundle.states[:, :-1] == 0).all(axis=2).sum())
-        assert warm.kt_newton_iters["rows"] == cold.kt_newton_iters["rows"] == pre
+        assert warm.kt_newton_iters["rows"] == cold.kt_newton_iters["rows"] \
+            == pre - cfg.n_paths + 1
         assert warm.kt_newton_iters["total"] < cold.kt_newton_iters["total"]
         assert 0 < warm.kt_newton_iters["max"] <= logopt._MAX_ITER

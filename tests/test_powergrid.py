@@ -484,3 +484,14 @@ class TestPowerParams:
                                   power_box())
         vg = solve_power_value(grid, benchmark_params(), benchmark_intensity(), 0.5, power_box())
         assert vg.gamma == 0.5
+
+    def test_zero_volatility_rejected(self):
+        grid = GridSpec(horizon=0.02, delta=1.0, dt=0.01, s_max=4.0, p_max=4.0, n_control=5)
+        vg = solve_power_value(grid, benchmark_params(), benchmark_intensity(), GAMMA,
+                               power_box())
+        for sigma, name in (((0.0, 0.4), "S"), ((0.3, 0.0), "P")):
+            params = MarketParams.two_stock(0.05, 0.10, 0.15, *sigma, 0.0, 0.2, 0.3)
+            with pytest.raises(ValueError, match=f"stock {name} has volatility 0; "):
+                solve_power_value(grid, params, benchmark_intensity(), GAMMA, power_box())
+            with pytest.raises(ValueError, match=f"stock {name} has volatility 0; "):
+                PowerGridStrategy(vg, params, GAMMA, power_box())

@@ -1,0 +1,48 @@
+"""Digest every shipped config's output table at a reduced size.
+
+Prints one JSON object keyed by config name, one config a line: the
+sha256 of the run's ``to_csv()`` text and, for the log-utility runs, the
+nonzero Kuhn-Tucker case counts of its manifest.  Every config runs at
+400 paths and 40 steps; ``power-compare`` configs run at horizon 0.02
+with 10 steps, so their two value grids stay small.
+
+The tables of a change are unchanged when two checkouts print the same
+object.  The package is imported from ``PYTHONPATH``, so point it at the
+checkout to digest:
+
+    PYTHONPATH=src python3 tools/table_digests.py
+"""
+
+from __future__ import annotations
+
+import copy
+import hashlib
+import json
+
+from contagionopt.experiments import RUNNERS, builtin_config, builtin_config_names, config_from_dict
+
+N_PATHS, N_STEPS = 400, 40
+POWER_HORIZON, POWER_STEPS = 0.02, 10
+
+
+def digest(name: str) -> dict:
+    doc = copy.deepcopy(builtin_config(name).raw)
+    if doc["experiment"]["kind"] == "power-compare":
+        doc["paths"].update(horizon=POWER_HORIZON, n_steps=POWER_STEPS)
+    else:
+        doc["paths"]["n_steps"] = N_STEPS
+    cfg = config_from_dict(doc, n_paths=N_PATHS)
+    result = RUNNERS[cfg.kind](cfg)
+    out = {"sha256": hashlib.sha256(result.to_csv().encode()).hexdigest()}
+    if "kt_cases" in result.health:
+        out["kt_cases"] = {case: n for case, n in result.health["kt_cases"].items() if n}
+    return out
+
+
+def main():
+    lines = [f"{json.dumps(name)}: {json.dumps(digest(name))}" for name in builtin_config_names()]
+    print("{\n" + ",\n".join(lines) + "\n}")
+
+
+if __name__ == "__main__":
+    main()
