@@ -146,11 +146,17 @@ def _simulate_block(params: MarketParams, intensity, cfg: PathConfig, s0,
     dt = cfg.dt
     chol = params.chol()
 
-    # per-path streams: exponential clocks first, then step normals
+    # per-path streams: exponential clocks first, then step normals.  One
+    # generator serves the block; each path resets it to the start of the
+    # Philox stream keyed by (master_seed, path index), with an empty buffer
     raw = np.empty((m, cfg.n_steps, n))
     clocks = np.empty((m, n))
+    bits = np.random.Philox(key=0)
+    gen = np.random.Generator(bits)
+    fresh = bits.state  # counter 0, empty buffer
     for k in range(m):
-        gen = np.random.Generator(np.random.Philox(key=[cfg.master_seed, lo + k]))
+        fresh["state"] = {"counter": [0, 0, 0, 0], "key": [cfg.master_seed, lo + k]}
+        bits.state = fresh
         clocks[k] = gen.exponential(1.0, size=n)
         raw[k] = gen.standard_normal((cfg.n_steps, n))
     normals = raw @ chol.T

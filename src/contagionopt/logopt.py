@@ -168,8 +168,8 @@ def _held(x, g, box: AdmissibleBox):
     residual, the largest gradient among the free coordinates."""
     low = (x == box.lower) & (g < 0.0)
     high = (x == box.upper) & (g > 0.0)
-    residual = np.where(low | high, 0.0, np.abs(g)).max(axis=1)
-    return low, high, residual
+    free = np.where(low | high, 0.0, np.abs(g))
+    return low, high, np.maximum(free[:, 0], free[:, 1])
 
 
 def _solve_batch(c: _Coef, box: AdmissibleBox, hS, hP, start=None):
@@ -207,11 +207,13 @@ def _solve_batch(c: _Coef, box: AdmissibleBox, hS, hP, start=None):
         # per-coordinate Newton step, capped at the box width: a trust
         # region for a coordinate whose curvature is small against its gradient
         step = g / np.maximum(-hdiag, np.abs(g) / width)
-        eps = np.minimum(_EPS_ACTIVE,
-                         np.abs(xa - np.clip(xa + g, lo, hi)).max(axis=1))[:, None]
+        # two-column reductions are written out per column: far cheaper
+        # than an axis reduction on short rows, and NaN propagates the same
+        dist = np.abs(xa - np.clip(xa + g, lo, hi))
+        eps = np.minimum(_EPS_ACTIVE, np.maximum(dist[:, 0], dist[:, 1]))[:, None]
         near = ((xa <= lo + eps) & (g < 0.0)) | ((xa >= hi - eps) & (g > 0.0))
         det = hdiag[:, 0] * hdiag[:, 1] - hoff**2
-        full = np.nonzero(~near.any(axis=1) & (det > 0.0))[0]
+        full = np.nonzero(~(near[:, 0] | near[:, 1]) & (det > 0.0))[0]
         gf, hf, of, df = g[full], hdiag[full], hoff[full], det[full]
         step[full, 0] = (of * gf[:, 1] - hf[:, 1] * gf[:, 0]) / df
         step[full, 1] = (of * gf[:, 0] - hf[:, 0] * gf[:, 1]) / df
@@ -231,7 +233,7 @@ def _solve_batch(c: _Coef, box: AdmissibleBox, hS, hP, start=None):
             alpha *= 0.5
         # a row that found no acceptable trial, or whose step no longer
         # moves it, has reached what rounding lets it resolve
-        moved = (new != xa).any(axis=1)
+        moved = (new[:, 0] != xa[:, 0]) | (new[:, 1] != xa[:, 1])
         x[act] = new
         act = act[moved]
         if act.size == 0:

@@ -365,6 +365,8 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
     the box) is tried from the node's current best, and a trial that is
     admissible and strictly better becomes the new best, so later offsets
     start from it.  The result is never worse than the coarse argmax.
+    The walk carries one flat lattice index per node, and the point each
+    offset reaches from each lattice point is tabulated once per solve.
 
     When the hazards are the same at every node (a price-free intensity
     such as the constant comparator), the value is flat in price: every
@@ -399,8 +401,11 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
 
     fine, admissible, coarse = _quarter_lattice(box, params.L, grid.n_control)
     feats = _features(params, gamma, fine, grid)
+    # trial_of[o, q]: the quarter-lattice point that offset o reaches from q
     n_fine = 4 * grid.n_control - 3
-    offsets = [(a, b) for a in range(-4, 5) for b in range(-4, 5) if (a, b) != (0, 0)]
+    qi, qj = np.divmod(np.arange(n_fine * n_fine, dtype=np.intp), n_fine)
+    trial_of = np.stack([np.clip(qi + a, 0, n_fine - 1) * n_fine + np.clip(qj + b, 0, n_fine - 1)
+                         for a in range(-4, 5) for b in range(-4, 5) if (a, b) != (0, 0)])
 
     n_slices = grid.n_slices
     f = np.empty((n_slices + 1, ns, np_))
@@ -424,16 +429,12 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
         at = coarse[best]
 
         if grid.refine:
-            i, j = np.divmod(at, n_fine)
-            for a, b in offsets:
-                ti = np.clip(i + a, 0, n_fine - 1)
-                tj = np.clip(j + b, 0, n_fine - 1)
-                trial = ti * n_fine + tj
-                val = np.einsum("ij,ji->i", feats[trial], nodes)
+            for nbr in trial_of:
+                trial = nbr[at]
+                val = np.einsum("ij,ji->i", feats.take(trial, axis=0), nodes)
                 upd = admissible[trial] & (val > vbest)
                 vbest = np.where(upd, val, vbest)
-                i, j = np.where(upd, ti, i), np.where(upd, tj, j)
-            at = i * n_fine + j
+                at = np.where(upd, trial, at)
 
         v = vbest.reshape(ns, np_)
         if not np.all(np.isfinite(v)) or v.min() <= 0.0:

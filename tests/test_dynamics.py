@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from contagionopt.dynamics import (
+    _BLOCK,
     ConstantAllocation,
     PathConfig,
     WealthBundle,
@@ -89,6 +90,34 @@ class TestSimulatePaths:
     def test_rejects_bad_rho(self):
         with pytest.raises(ValueError):
             MarketParams.two_stock(0.05, 0.1, 0.15, 0.3, 0.4, 1.0 + 1e-9, 0.2, 0.3)
+
+    def test_each_path_draws_its_own_philox_stream(self):
+        # path i's clocks are the first two exponentials of the Philox
+        # stream keyed (seed, i), its normals the next standard normals
+        # correlated by the Cholesky factor; paths 1023 and 1024 straddle
+        # a simulation block edge
+        params = benchmark_params()
+        cfg = PathConfig(horizon=0.5, n_steps=20, n_paths=1100, master_seed=77)
+        assert _BLOCK < cfg.n_paths
+        bundle = simulate_paths(params, benchmark_intensity(), cfg, [100.0, 100.0])
+        for i in (0, _BLOCK - 1, _BLOCK, cfg.n_paths - 1):
+            gen = np.random.Generator(np.random.Philox(key=[cfg.master_seed, i]))
+            assert np.array_equal(bundle.clocks[i], gen.exponential(1.0, 2)), i
+            raw = gen.standard_normal((cfg.n_steps, 2))
+            assert np.array_equal(bundle.normals[i], raw @ params.chol().T), i
+
+    def test_seeds_above_two_to_the_63_keep_their_streams_apart(self):
+        # the key is the exact 64-bit seed, not a float rounding of it
+        params = benchmark_params()
+        clocks = []
+        for seed in (2**63 + 1, 2**63 + 2, 2**64 - 1):
+            cfg = PathConfig(horizon=0.5, n_steps=2, n_paths=2, master_seed=seed)
+            bundle = simulate_paths(params, benchmark_intensity(), cfg, [100.0, 100.0])
+            key = np.array([seed, 1], dtype=np.uint64)
+            gen = np.random.Generator(np.random.Philox(key=key))
+            assert np.array_equal(bundle.clocks[1], gen.exponential(1.0, 2)), seed
+            clocks.append(bundle.clocks[1])
+        assert len({c.tobytes() for c in clocks}) == 3
 
 
 class TestEvolveWealth:

@@ -1,14 +1,18 @@
 """Digest every shipped config's output table at a reduced size.
 
 Prints one JSON object keyed by config name, one config a line: the
-sha256 of the run's ``to_csv()`` text and, for the log-utility runs, the
-nonzero Kuhn-Tucker case counts of its manifest.  Every config runs at
-400 paths and 40 steps; ``power-compare`` configs run at horizon 0.02
-with 10 steps, so their two value grids stay small.
+sha256 of the run's ``to_csv()`` text, for the log-utility runs the
+nonzero Kuhn-Tucker case counts of its manifest, and for the
+``power-compare`` runs the sha256 of the bytes of ``f`` and ``controls``
+of the two value grids it reads (``value_grid``: the config's
+intensity; ``value_grid_const``: the constant comparator).  Every config
+runs at 400 paths and 40 steps; ``power-compare`` configs run at horizon
+0.02 with 10 steps, so their two value grids stay small.
 
 The tables of a change are unchanged when two checkouts print the same
-object.  The package is imported from ``PYTHONPATH``, so point it at the
-checkout to digest:
+object, and so, bit for bit, are the power DP's value grids.  The
+package is imported from ``PYTHONPATH``, so point it at the checkout to
+digest:
 
     PYTHONPATH=src python3 tools/table_digests.py
 """
@@ -20,9 +24,15 @@ import hashlib
 import json
 
 from contagionopt.experiments import RUNNERS, builtin_config, builtin_config_names, config_from_dict
+from contagionopt.model import ConstantIntensity
+from contagionopt.powergrid import solve_power_value
 
 N_PATHS, N_STEPS = 400, 40
 POWER_HORIZON, POWER_STEPS = 0.02, 10
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def digest(name: str) -> dict:
@@ -32,10 +42,17 @@ def digest(name: str) -> dict:
     else:
         doc["paths"]["n_steps"] = N_STEPS
     cfg = config_from_dict(doc, n_paths=N_PATHS)
-    result = RUNNERS[cfg.kind](cfg)
-    out = {"sha256": hashlib.sha256(result.to_csv().encode()).hexdigest()}
+    grids = {}
+    if cfg.kind == "power-compare":
+        grids = {key: solve_power_value(cfg.grid, cfg.market, intensity, cfg.gamma, cfg.box)
+                 for key, intensity in (("value_grid", cfg.intensity),
+                                        ("value_grid_const", ConstantIntensity(cfg.hbar)))}
+    result = RUNNERS[cfg.kind](cfg, **grids)
+    out = {"sha256": _sha256(result.to_csv().encode())}
     if "kt_cases" in result.health:
         out["kt_cases"] = {case: n for case, n in result.health["kt_cases"].items() if n}
+    for key, vg in grids.items():
+        out[key] = {"f": _sha256(vg.f.tobytes()), "controls": _sha256(vg.controls.tobytes())}
     return out
 
 
