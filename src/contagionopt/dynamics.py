@@ -65,9 +65,16 @@ class PathConfig:
         return self.horizon / self.n_steps
 
 
-@dataclass
+@dataclass(frozen=True)
 class PathBundle:
-    """Simulated stock/default trajectories with RNG provenance."""
+    """Simulated stock/default trajectories with RNG provenance.
+
+    A bundle from :func:`simulate_paths` is read-only: the dataclass is
+    frozen and its five arrays have ``flags.writeable`` off, so a write
+    into market state raises ``ValueError`` at the write.  Every strategy
+    evaluated on one bundle therefore sees one market (common random
+    numbers), and one :meth:`rng_digest` serves the whole run.
+    """
 
     params: MarketParams
     cfg: PathConfig
@@ -87,10 +94,12 @@ class PathBundle:
 
     def rng_digest(self) -> str:
         """SHA-256 over the Gaussian increments and exponential clocks,
-        used to assert common random numbers across strategy runs."""
+        hashed in place from the array buffers.  The bundle is read-only,
+        so one digest identifies the random numbers of every strategy run
+        on it."""
         h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.normals).tobytes())
-        h.update(np.ascontiguousarray(self.clocks).tobytes())
+        h.update(np.ascontiguousarray(self.normals))
+        h.update(np.ascontiguousarray(self.clocks))
         return h.hexdigest()
 
 
@@ -100,7 +109,9 @@ class Strategy(ABC):
     Outputs must lie in the strategy's admissible box, keep every
     post-default wealth fraction at or above ``eps_a``, and be zero for
     defaulted stocks.  Implementations must be read-only during
-    evaluation: :func:`evolve_wealth` queries each step through
+    evaluation; the ``prices`` and ``states`` of a simulated bundle are
+    read-only arrays, so a write into them raises ``ValueError``.
+    :func:`evolve_wealth` queries each step through
     :meth:`step_allocations`, handing it the previous step's allocations,
     so per-path history lives with the caller, not the strategy.
     """
@@ -180,34 +191,27 @@ def _simulate_block(params: MarketParams, intensity, cfg: PathConfig, s0,
 
         new_hazard = cum_hazard + rates * dt
         crossed = alive & (new_hazard >= clocks)
-        n_crossed = crossed.sum(axis=1)
 
         prices = np.where(alive, prices * np.exp(drift + vol * normals[:, k]), 0.0)
 
-        defaulter = np.full(m, -1, dtype=np.int64)
-        single = np.nonzero(n_crossed == 1)[0]
-        if single.size:
-            defaulter[single] = np.argmax(crossed[single], axis=1)
-        for path in np.nonzero(n_crossed >= 2)[0]:
-            # two clocks crossed within one step: the earlier interpolated
-            # crossing defaults; the others' hazard is advanced only to that
-            # point (strictly below their clocks) and re-tested next step
-            cand = np.nonzero(crossed[path])[0]
-            frac = (clocks[path, cand] - cum_hazard[path, cand]) / (rates[path, cand] * dt)
-            win = int(np.argmin(frac))
-            defaulter[path] = cand[win]
-            losers = np.delete(cand, win)
-            new_hazard[path, losers] = (cum_hazard[path, losers]
-                                        + rates[path, losers] * dt * frac[win])
-        cum_hazard = new_hazard
-
-        hit = np.nonzero(defaulter >= 0)[0]
+        hit = np.flatnonzero(crossed.any(axis=1))
         if hit.size:
-            j = defaulter[hit]
+            # the earliest interpolated crossing defaults; any other clock
+            # crossed in the step has its hazard advanced only to that point
+            # (strictly below its clock) and is re-tested next step
+            frac = np.divide(clocks - cum_hazard, rates * dt,
+                             out=np.full((m, n), np.inf), where=crossed)
+            first = frac.argmin(axis=1)
+            j = first[hit]
+            crossed[hit, j] = False  # leaves the other crossed clocks
+            p, q = np.nonzero(crossed)
+            new_hazard[p, q] = cum_hazard[p, q] + rates[p, q] * dt * frac[p, first[p]]
+
             prices[hit] *= 1.0 - params.L[:, j].T
             prices[hit, j] = 0.0
             states[hit, j] = 1
             default_step[hit, j] = k
+        cum_hazard = new_hazard
 
         out.prices[lo:hi, k + 1] = prices
         out.states[lo:hi, k + 1] = states
@@ -219,7 +223,7 @@ def simulate_paths(params: MarketParams, intensity, cfg: PathConfig, s0) -> Path
     """Simulate the contagion market from initial prices ``s0``.
 
     Paths are generated in fixed blocks; the first ``k`` paths of a run
-    equal a ``k``-path run with the same seed.
+    equal a ``k``-path run with the same seed.  The bundle is read-only.
     """
     s0 = np.atleast_1d(np.asarray(s0, dtype=float))
     if s0.shape != (params.n,):
@@ -238,6 +242,9 @@ def simulate_paths(params: MarketParams, intensity, cfg: PathConfig, s0) -> Path
     )
     for lo in range(0, m, _BLOCK):
         _simulate_block(params, intensity, cfg, s0, lo, min(lo + _BLOCK, m), bundle)
+    for arr in (bundle.prices, bundle.states, bundle.normals, bundle.clocks,
+                bundle.default_step):
+        arr.flags.writeable = False
     return bundle
 
 

@@ -17,9 +17,11 @@ default may be left out, and an unknown or missing key raises
 ``ValueError`` naming it; ``utility`` holds ``kind`` and ``gamma`` only.
 
 Every comparison evaluates both strategies on one simulated path bundle
-(common random numbers), asserted by digesting the bundle's Gaussian
-increments and exponential clocks.  Output CSVs are byte-identical for a
-given config and seed.
+(common random numbers).  The bundle is read-only, so no strategy can
+change the market the other sees, and it is digested once: the digest of
+its Gaussian increments and exponential clocks goes into the manifest.
+A sweep's misspecified investors share the benchmark's bundle the same
+way.  Output CSVs are byte-identical for a given config and seed.
 """
 
 from __future__ import annotations
@@ -297,11 +299,7 @@ def _compare(cfg: ExperimentConfig, out_dir: str | None, t0: float,
     manifest's solver-health section, and ``t0`` is when the run began."""
     bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0)
     digest = bundle.rng_digest()
-    terminal = []
-    for strategy in (active, passive):
-        terminal.append(evolve_wealth(bundle, strategy, cfg.x0).terminal)
-        if bundle.rng_digest() != digest:  # common-random-number discipline
-            raise RuntimeError("path bundle mutated during strategy evaluation")
+    terminal = [evolve_wealth(bundle, s, cfg.x0).terminal for s in (active, passive)]
 
     mask = bundle.default_mask()
     result = ComparisonResult(

@@ -345,14 +345,6 @@ class ValueGrid:
         return cls(grid=grid, gamma=gamma, f=f, controls=controls)
 
 
-def _shift(v: np.ndarray, ds: int, dp: int) -> np.ndarray:
-    """Value at the (ds, dp)-neighbor with out-of-lattice moves redirected
-    to the boundary node itself (clamped indices)."""
-    i = np.clip(np.arange(v.shape[0]) + ds, 0, v.shape[0] - 1)
-    j = np.clip(np.arange(v.shape[1]) + dp, 0, v.shape[1] - 1)
-    return v[np.ix_(i, j)]
-
-
 def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
                       gamma: float, box: AdmissibleBox) -> ValueGrid:
     """Backward dynamic programming on the nine-point chain.
@@ -414,7 +406,10 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
     v = np.ones((ns, np_))
 
     for k in range(n_slices - 1, -1, -1):
-        moved = [_shift(v, *move) for move in TRANSITION_MOVES]
+        # value at each move's neighbour; a move off the lattice reads the
+        # boundary node itself, which the one-node edge pad supplies
+        padded = np.pad(v, 1, mode="edge")
+        moved = [padded[1 + a:1 + a + ns, 1 + b:1 + b + np_] for a, b in TRANSITION_MOVES]
         # node factors matching _features: the driftless expectation, the
         # gain of each upwind move s+, s-, p+, p-, and the branch sources
         ev0 = sum(q * vm for q, vm in zip(probs0, moved))
@@ -465,8 +460,6 @@ class PowerGridStrategy(Strategy):
                  gamma: float, box: AdmissibleBox):
         require_volatility(params)
         self.value_grid = value_grid
-        self.params = params
-        self.gamma = gamma
         self.box = box
         self.out_of_domain = 0  # solver-health counters
         self.pre_default_queries = 0

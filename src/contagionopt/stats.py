@@ -40,13 +40,13 @@ class SampleStats:
     q_high: float
 
 
-def summarize(samples, q_low: float = Q_LOW, q_high: float = Q_HIGH) -> SampleStats:
+def summarize(samples) -> SampleStats:
     """Summary statistics of a one-dimensional sample."""
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
         raise ValueError("cannot summarize an empty sample")
     std = float(x.std(ddof=1)) if x.size > 1 else float("nan")
-    lo, hi = np.quantile(x, [q_low, q_high])
+    lo, hi = np.quantile(x, [Q_LOW, Q_HIGH])
     return SampleStats(n=int(x.size), mean=float(x.mean()), std=std,
                        q_low=float(lo), q_high=float(hi))
 

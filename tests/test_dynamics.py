@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -74,6 +77,45 @@ class TestSimulatePaths:
         assert both.mean() > 0.9
         same_step = both & (bundle.default_step[:, 0] == bundle.default_step[:, 1])
         assert not same_step.any()
+
+    def test_default_steps_match_the_exact_default_times(self):
+        # with constant hazards stock i's clock is reached after
+        # x_i = clock_i / (h_i dt) steps, so it defaults at step
+        # ceil(x_i) - 1; when both land in one step the earlier crossing
+        # defaults and the other, its hazard stopped short of its clock,
+        # defaults a step later
+        h = np.array([3.0, 5.0])
+        cfg = PathConfig(horizon=1.0, n_steps=8, n_paths=20000, master_seed=21)
+        bundle = simulate_paths(benchmark_params(), ConstantIntensity(h), cfg,
+                                [100.0, 100.0])
+        x = bundle.clocks / (h * cfg.dt)
+        expect = np.ceil(x).astype(np.int64) - 1
+        same = expect[:, 0] == expect[:, 1]
+        rows = np.flatnonzero(same)
+        expect[rows, x[rows].argmax(axis=1)] += 1
+        expect[expect >= cfg.n_steps] = -1
+        clear = (np.abs(x - np.round(x)) > 1e-9).all(axis=1)
+        assert clear.sum() > 19000 and (same & clear).sum() > 1000
+        assert np.array_equal(bundle.default_step[clear], expect[clear])
+
+    def test_bundle_is_read_only(self):
+        cfg = PathConfig(horizon=1.0, n_steps=10, n_paths=50, master_seed=14)
+        bundle = simulate_paths(benchmark_params(), ConstantIntensity(1.0), cfg,
+                                [100.0, 100.0])
+        for name in ("prices", "states", "normals", "clocks", "default_step"):
+            arr = getattr(bundle, name)
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        with pytest.raises(FrozenInstanceError):
+            bundle.prices = bundle.prices.copy()
+
+    def test_rng_digest_hashes_normals_then_clocks(self):
+        cfg = PathConfig(horizon=1.0, n_steps=10, n_paths=50, master_seed=15)
+        bundle = simulate_paths(benchmark_params(), benchmark_intensity(), cfg,
+                                [100.0, 100.0])
+        expect = hashlib.sha256(bundle.normals.tobytes() + bundle.clocks.tobytes())
+        assert bundle.rng_digest() == expect.hexdigest()
 
     def test_path_prefix_does_not_depend_on_path_count(self):
         params = benchmark_params()
@@ -202,6 +244,22 @@ class TestEvolveWealth:
         bundle = simulate_paths(params, ConstantIntensity(2.0), cfg, [100.0, 100.0])
         with pytest.raises(RuntimeError):
             evolve_wealth(bundle, Bad([0.3, 0.3]), x0=100.0)
+
+    @pytest.mark.parametrize("field", ["prices", "states"])
+    def test_strategy_writing_market_state_raises(self, field):
+        class Scribbler(ConstantAllocation):
+            def allocations(self, t, x, prices, states):
+                if field == "prices":
+                    prices *= 0.5
+                else:
+                    states[:] = 1
+                return super().allocations(t, x, prices, states)
+
+        cfg = PathConfig(horizon=1.0, n_steps=10, n_paths=50, master_seed=13)
+        bundle = simulate_paths(benchmark_params(), ConstantIntensity(1.0), cfg,
+                                [100.0, 100.0])
+        with pytest.raises(ValueError, match="read-only"):
+            evolve_wealth(bundle, Scribbler([0.1, 0.1]), x0=100.0)
 
     def test_box_violation_aborts(self):
         params = benchmark_params()

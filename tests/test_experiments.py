@@ -4,7 +4,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from contagionopt.dynamics import simulate_paths
+from contagionopt.dynamics import PathBundle, simulate_paths
 from contagionopt.experiments import (
     _apply_param_overrides,
     builtin_config,
@@ -225,6 +225,20 @@ class TestRunComparison:
             n_no = rep.no_default.n if rep.no_default else 0
             assert n_def + n_no == result.n_paths
         assert len(result.rng_digest) == 64
+
+    def test_bundle_is_digested_once(self, monkeypatch):
+        calls = []
+        digest = PathBundle.rng_digest
+
+        def counted(bundle):
+            calls.append(1)
+            return digest(bundle)
+
+        monkeypatch.setattr(PathBundle, "rng_digest", counted)
+        doc = base_doc()
+        doc["paths"]["n_paths"] = 200
+        result = run_comparison(config_from_dict(doc))
+        assert len(calls) == 1 and len(result.rng_digest) == 64
 
     def test_wrong_utility_rejected(self):
         doc = base_doc()

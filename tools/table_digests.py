@@ -1,8 +1,9 @@
 """Digest every shipped config's output table at a reduced size.
 
 Prints one JSON object keyed by config name, one config a line: the
-sha256 of the run's ``to_csv()`` text, for the log-utility runs the
-nonzero Kuhn-Tucker case counts of its manifest, and for the
+sha256 of the run's ``to_csv()`` text, the ``rng_digest`` of the path
+bundle it simulated, for the log-utility runs the nonzero Kuhn-Tucker
+case counts of its manifest, and for the
 ``power-compare`` runs the sha256 of the bytes of ``f`` and ``controls``
 of the two value grids it reads (``value_grid``: the config's
 intensity; ``value_grid_const``: the constant comparator).  Every config
@@ -10,7 +11,8 @@ runs at 400 paths and 40 steps; ``power-compare`` configs run at horizon
 0.02 with 10 steps, so their two value grids stay small.
 
 The tables of a change are unchanged when two checkouts print the same
-object, and so, bit for bit, are the power DP's value grids.  The
+object, and so, bit for bit, are the simulated random numbers and the
+power DP's value grids.  The
 package is imported from ``PYTHONPATH``, so point it at the checkout to
 digest:
 
@@ -48,7 +50,7 @@ def digest(name: str) -> dict:
                  for key, intensity in (("value_grid", cfg.intensity),
                                         ("value_grid_const", ConstantIntensity(cfg.hbar)))}
     result = RUNNERS[cfg.kind](cfg, **grids)
-    out = {"sha256": _sha256(result.to_csv().encode())}
+    out = {"sha256": _sha256(result.to_csv().encode()), "rng_digest": result.rng_digest}
     if "kt_cases" in result.health:
         out["kt_cases"] = {case: n for case, n in result.health["kt_cases"].items() if n}
     for key, vg in grids.items():
