@@ -108,9 +108,11 @@ class Strategy(ABC):
 
     Outputs must lie in the strategy's admissible box, keep every
     post-default wealth fraction at or above ``eps_a``, and be zero for
-    defaulted stocks.  Implementations must be read-only during
-    evaluation; the ``prices`` and ``states`` of a simulated bundle are
-    read-only arrays, so a write into them raises ``ValueError``.
+    defaulted stocks.  A strategy may not write into the market arrays it
+    is handed, and that is enforced: the ``prices`` and ``states`` of a
+    simulated bundle are read-only arrays, so a write into them raises
+    ``ValueError``.  A strategy may update its own state, such as the
+    solver-health counters of the log and power strategies.
     :func:`evolve_wealth` queries each step through
     :meth:`step_allocations`, handing it the previous step's allocations,
     so per-path history lives with the caller, not the strategy.

@@ -14,7 +14,8 @@ name and the output table (:data:`KINDS`), and the runner
 ``experiment`` sections and each sweep entry map onto their dataclass
 fields by name (:func:`~contagionopt.model.from_section`): a field with a
 default may be left out, and an unknown or missing key raises
-``ValueError`` naming it; ``utility`` holds ``kind`` and ``gamma`` only.
+``ValueError`` naming it; ``utility`` holds ``kind`` and, for the power
+utility only, a ``gamma`` in (0, 1).
 
 Every comparison evaluates both strategies on one simulated path bundle
 (common random numbers).  The bundle is read-only, so no strategy can
@@ -45,7 +46,8 @@ from contagionopt.model import (
     from_section,
     intensity_from_config,
 )
-from contagionopt.powergrid import GridSpec, PowerGridStrategy, solve_power_value, validate_cfl
+from contagionopt.powergrid import (GridSpec, PowerGridStrategy, _check_gamma, solve_power_value,
+                                   validate_cfl)
 from contagionopt.stats import CSV_HEADER, cohort_report, csv_row, summarize
 
 __all__ = [
@@ -121,8 +123,7 @@ class ExperimentConfig:
         if self.kind == "crisis" and not isinstance(self.intensity, ReciprocalIntensity):
             raise ValueError("crisis experiment requires the reciprocal intensity family")
         if self.kind == "power-compare":
-            if self.gamma is None:
-                raise ValueError("power utility requires gamma")
+            _check_gamma(self.gamma, "utility.gamma")
             if self.grid is None:
                 raise ValueError("power-compare requires a grid section")
         if self.kind != "sweep" and self.hbar is None:
@@ -197,6 +198,9 @@ def _config(doc: dict, seed: int | None, n_paths: int | None) -> ExperimentConfi
     if doc["utility"]["kind"] != utility:
         raise ValueError(f"a {cfg.kind!r} experiment takes the {utility!r} utility, "
                          f"not {doc['utility']['kind']!r}")
+    if utility == "log" and "gamma" in doc["utility"]:
+        raise ValueError(f"utility: 'gamma' applies to the power utility only, "
+                         f"not to a {cfg.kind!r} experiment")
     return cfg
 
 
@@ -439,7 +443,7 @@ def run_power_comparison(cfg: ExperimentConfig, out_dir: str | None = None,
                                   / max(queries, 1),
         }
 
-    active, passive = (PowerGridStrategy(vg, cfg.market, gamma, cfg.box)
+    active, passive = (PowerGridStrategy(vg, cfg.market, cfg.box)
                        for vg in (value_grid, value_grid_const))
     return _compare(cfg, out_dir, t0, active, passive, health)
 

@@ -13,7 +13,10 @@ box constraints give first-order (Kuhn-Tucker) conditions
     dG/dpi_S + mu_1 - mu_2 = 0,    dG/dpi_P + mu_3 - mu_4 = 0,
 
 with nonnegative multipliers attached to the lower/upper bounds and the
-usual complementary slackness.
+usual complementary slackness.  The terms ``theta' pi``, ``Sigma pi``,
+``pi' Sigma pi`` and the two jump factors are written once, by the
+market's :class:`~contagionopt.model.TwoStockMarket` record, which the
+power-utility solver reads too.
 
 Every hazard pair of a batch is solved by the projected Newton method of
 Bertsekas (*Projected Newton methods for optimization problems with
@@ -30,7 +33,8 @@ coordinate is epsilon-active and the Hessian is negative definite the
 row takes a full Newton step; otherwise each coordinate takes its own
 Newton step, the diagonally scaled gradient step, capped at the box
 width as a trust region.  Every stock's volatility must be positive
-(:class:`LogControlProblem` checks it), so each Hessian diagonal entry
+(the problem's :class:`~contagionopt.model.TwoStockMarket` record checks
+it), so each Hessian diagonal entry
 is at most ``-sigma^2`` and every step is finite.  Trials are projected
 onto the box, which :func:`validate_box` keeps inside the log domain of
 G.  A trial is accepted when G stays within rounding of its value at the
@@ -68,7 +72,7 @@ each pre-default row from its path's previous allocation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -77,7 +81,7 @@ from contagionopt.model import (
     AdmissibleBox,
     ConstantIntensity,
     MarketParams,
-    require_volatility,
+    TwoStockMarket,
     validate_box,
 )
 
@@ -109,55 +113,39 @@ _MAX_HALVINGS = 60
 class LogControlProblem:
     """Two-stock market, intensity model, and validated admissible box.
 
-    A stock without volatility raises ``ValueError`` naming it."""
+    ``market``, the :class:`TwoStockMarket` record, is built once and rejects
+    a market that is not two stocks with positive volatilities."""
 
     params: MarketParams
     intensity: object
     box: AdmissibleBox
+    market: TwoStockMarket = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.params.n != 2:
-            raise ValueError("log-utility control solver is specialized to two stocks")
+        object.__setattr__(self, "market", TwoStockMarket(self.params))
         if self.box.n != 2:
             raise ValueError("box must be two-dimensional")
         if np.any(self.box.lower >= self.box.upper):
             raise ValueError("box must have nonempty interior in each coordinate")
-        require_volatility(self.params)
         worst = validate_box(self.box, self.params)
         if worst < 0.0:
             raise ValueError(f"box violates the post-default floor (worst margin {worst:.4g})")
 
 
-class _Coef:
-    """Coefficients of G shared by every row of a batch."""
-
-    __slots__ = ("t0", "t1", "S00", "S01", "S11", "LS", "LP")
-
-    def __init__(self, params: MarketParams):
-        cov = params.cov
-        self.t0, self.t1 = params.theta
-        self.S00, self.S01, self.S11 = cov[0, 0], cov[0, 1], cov[1, 1]
-        self.LS = params.L[0, 1]
-        self.LP = params.L[1, 0]
-
-
-def _g(c: _Coef, hS, hP, piS, piP):
+def _g(c: TwoStockMarket, hS, hP, piS, piP):
     """G values; both jump factors must be positive."""
-    d1 = 1.0 - piS - c.LP * piP
-    d2 = 1.0 - c.LS * piS - piP
-    quad = 0.5 * (c.S00 * piS**2 + 2.0 * c.S01 * piS * piP + c.S11 * piP**2)
-    return c.t0 * piS + c.t1 * piP - quad + hS * np.log(d1) + hP * np.log(d2)
+    d1, d2 = c.jumps(piS, piP)
+    return c.excess(piS, piP) - 0.5 * c.quad(piS, piP) + hS * np.log(d1) + hP * np.log(d2)
 
 
-def _derivs(c: _Coef, hS, hP, x):
+def _derivs(c: TwoStockMarket, hS, hP, x):
     """Gradient (m, 2), Hessian diagonal (m, 2) and off-diagonal (m,) at rows ``x``."""
     piS, piP = x[:, 0], x[:, 1]
-    d1 = 1.0 - piS - c.LP * piP
-    d2 = 1.0 - c.LS * piS - piP
+    d1, d2 = c.jumps(piS, piP)
     r1, r2 = hS / d1, hP / d2
     q1, q2 = r1 / d1, r2 / d2
-    g = np.column_stack([c.t0 - (c.S00 * piS + c.S01 * piP) - r1 - c.LS * r2,
-                         c.t1 - (c.S01 * piS + c.S11 * piP) - c.LP * r1 - r2])
+    cov0, cov1 = c.cov_pi(piS, piP)
+    g = np.column_stack([c.t0 - cov0 - r1 - c.LS * r2, c.t1 - cov1 - c.LP * r1 - r2])
     hdiag = np.column_stack([-c.S00 - q1 - c.LS**2 * q2, -c.S11 - c.LP**2 * q1 - q2])
     hoff = -c.S01 - c.LP * q1 - c.LS * q2
     return g, hdiag, hoff
@@ -172,13 +160,21 @@ def _held(x, g, box: AdmissibleBox):
     return low, high, np.maximum(free[:, 0], free[:, 1])
 
 
-def _solve_batch(c: _Coef, box: AdmissibleBox, hS, hP, start=None):
-    """Projected Newton iteration for all rows, from ``start`` (m, 2)
-    clipped to the box, or from the clipped Merton point.
+def solve_kt_batch(prob: LogControlProblem, hS, hP, start=None):
+    """Pre-default controls for arrays of hazard pairs by projected Newton,
+    each row started from its row of ``start`` (m, 2) clipped to the box, or
+    from the clipped Merton point; a ``start`` of another shape, or not
+    finite, raises ``ValueError``.
 
-    Returns ``(pi (m, 2), case_id, multipliers (m, 4), residual,
-    newton_iters)``.
+    Returns ``(pi (m, 2), case_id, multipliers (m, 4), residual, newton_iters)``.
     """
+    hS = np.atleast_1d(np.asarray(hS, dtype=float))
+    hP = np.atleast_1d(np.asarray(hP, dtype=float))
+    if hS.shape != hP.shape:
+        raise ValueError(f"hazard arrays differ in shape: h_S {hS.shape}, h_P {hP.shape}")
+    if np.any(hS < 0.0) or np.any(hP < 0.0):
+        raise ValueError("hazard rates must be nonnegative")
+    c, box = prob.market, prob.box
     lo, hi = box.lower, box.upper
     width = hi - lo
     if start is not None:
@@ -250,23 +246,6 @@ def _solve_batch(c: _Coef, box: AdmissibleBox, hS, hP, start=None):
     case_id = _CASE_OF_SIDES[low[:, 0] + 2 * high[:, 0], low[:, 1] + 2 * high[:, 1]]
     mult = np.stack([np.where(low, -g, 0.0), np.where(high, g, 0.0)], axis=2)
     return x, case_id, mult.reshape(-1, 4), residual, iters
-
-
-def solve_kt_batch(prob: LogControlProblem, hS, hP, start=None):
-    """Pre-default controls for arrays of hazard pairs, each row started
-    from its row of ``start`` (m, 2) clipped to the box, or from the
-    clipped Merton point.
-
-    Returns ``(pi, case_id, multipliers, residual, newton_iters)``.  A
-    ``start`` of another shape, or not finite, raises ``ValueError``.
-    """
-    hS = np.atleast_1d(np.asarray(hS, dtype=float))
-    hP = np.atleast_1d(np.asarray(hP, dtype=float))
-    if hS.shape != hP.shape:
-        raise ValueError(f"hazard arrays differ in shape: h_S {hS.shape}, h_P {hP.shape}")
-    if np.any(hS < 0.0) or np.any(hP < 0.0):
-        raise ValueError("hazard rates must be nonnegative")
-    return _solve_batch(_Coef(prob.params), prob.box, hS, hP, start)
 
 
 def single_survivor_formula(mu: float, sigma: float, r: float, h) -> np.ndarray:

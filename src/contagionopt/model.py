@@ -25,7 +25,7 @@ __all__ = [
     "ReciprocalIntensity",
     "AdmissibleBox",
     "validate_box",
-    "require_volatility",
+    "TwoStockMarket",
     "jump_factors",
     "intensity_from_config",
     "from_section",
@@ -45,7 +45,7 @@ class MarketParams:
     sigma : array, shape (n,)
         Stock volatilities (1/sqrt(yr)), nonnegative.  Zero is accepted
         so that simulations can run deterministic markets; the control
-        solvers require positive volatility (:func:`require_volatility`).
+        solvers require positive volatility (:class:`TwoStockMarket`).
     rho : array, shape (n, n)
         Correlation matrix of the driving Brownian motions; symmetric,
         unit diagonal, positive definite.
@@ -257,14 +257,42 @@ class AdmissibleBox:
         return np.array(corners)
 
 
-def require_volatility(params: MarketParams):
-    """Raise ``ValueError`` naming the first stock (S or P) of a two-stock
-    market whose volatility is not positive; the control solvers divide by
-    ``sigma^2``."""
-    for name, sigma in zip("SP", params.sigma):
-        if not sigma > 0.0:
-            raise ValueError(f"stock {name} has volatility {sigma:g}; "
-                             "the control solvers need sigma > 0")
+class TwoStockMarket:
+    """The market of stocks S and P as both control solvers read it: the
+    constructor checks that it has two stocks with sigma > 0 (the solvers
+    divide by ``sigma^2``), and the methods write the terms of an allocation
+    ``(pi_S, pi_P)``.  ``L_S`` is the loss of S when P defaults, ``L_P`` of P."""
+
+    __slots__ = ("params", "t0", "t1", "S00", "S01", "S11", "LS", "LP")
+
+    def __init__(self, params: MarketParams):
+        if params.n != 2:
+            raise ValueError(f"the control solvers are specialized to two stocks, not {params.n}")
+        for name, sigma in zip("SP", params.sigma):
+            if not sigma > 0.0:
+                raise ValueError(f"stock {name} has volatility {sigma:g}; "
+                                 "the control solvers need sigma > 0")
+        cov = params.cov
+        self.params = params
+        self.t0, self.t1 = params.theta
+        self.S00, self.S01, self.S11 = cov[0, 0], cov[0, 1], cov[1, 1]
+        self.LS, self.LP = params.L[0, 1], params.L[1, 0]
+
+    def excess(self, piS, piP):
+        """``theta' pi``."""
+        return self.t0 * piS + self.t1 * piP
+
+    def cov_pi(self, piS, piP):
+        """The two components of ``Sigma pi``."""
+        return self.S00 * piS + self.S01 * piP, self.S01 * piS + self.S11 * piP
+
+    def quad(self, piS, piP):
+        """``pi' Sigma pi``."""
+        return self.S00 * piS**2 + 2.0 * self.S01 * piS * piP + self.S11 * piP**2
+
+    def jumps(self, piS, piP):
+        """Wealth fractions kept if S defaults and if P defaults."""
+        return 1.0 - piS - self.LP * piP, 1.0 - self.LS * piS - piP
 
 
 def jump_factors(L: np.ndarray, pi: np.ndarray) -> np.ndarray:

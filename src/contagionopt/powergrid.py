@@ -31,18 +31,24 @@ their mass on the boundary node itself.
 The probabilities, killing rate and source are written once, as factors
 that the standalone functions and the DP share; the scheme is monotone,
 which is what makes it converge, wherever :func:`validate_cfl` passes.
+Their market terms ``theta' pi``, ``Sigma pi`` and ``pi' Sigma pi`` come
+from :class:`~contagionopt.model.TwoStockMarket`, the record the log
+solver reads, which is also the solvers' one check of two stocks with
+positive volatilities.  The jump factors come from the n-stock
+:func:`~contagionopt.model.jump_factors`, as the admissibility mask does.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from numbers import Real
 
 import numpy as np
 
 from contagionopt.dynamics import Strategy
-from contagionopt.model import (AdmissibleBox, MarketParams, from_section, jump_factors,
-                               require_volatility)
+from contagionopt.model import (AdmissibleBox, MarketParams, TwoStockMarket, from_section,
+                               jump_factors)
 
 __all__ = [
     "GridSpec",
@@ -71,6 +77,12 @@ TRANSITION_MOVES = (
 
 class CFLViolationError(ValueError):
     """A lattice transition probability left [0, 1]."""
+
+
+def _check_gamma(gamma, what: str):
+    """Raise ``ValueError`` naming ``what`` unless ``gamma`` is a number in (0, 1)."""
+    if not (isinstance(gamma, Real) and 0.0 < gamma < 1.0):
+        raise ValueError(f"{what} must lie strictly inside (0, 1), not {gamma!r}")
 
 
 @dataclass(frozen=True)
@@ -168,18 +180,16 @@ def _upwind(c1, c2, grid: GridSpec):
     return tuple(k1 * np.maximum(c, 0.0) for c in (c1, -c1, c2, -c2))
 
 
-def _control_terms(params: MarketParams, gamma: float, pi):
+def _control_terms(market: TwoStockMarket, gamma: float, pi):
     """Per-unit-price drifts ``c1, c2`` of the transformed state process,
     the control part ``beta_c`` of the killing rate (``beta`` without the
     hazards) and the jump factors of allocations ``pi[..., 2]``."""
     pi = np.asarray(pi, dtype=float)
     piS, piP = pi[..., 0], pi[..., 1]
-    cov, theta = params.cov, params.theta
-    c1 = params.mu[0] + gamma * (cov[0, 0] * piS + cov[0, 1] * piP)
-    c2 = params.mu[1] + gamma * (cov[0, 1] * piS + cov[1, 1] * piP)
-    quad = cov[0, 0] * piS**2 + 2.0 * cov[0, 1] * piS * piP + cov[1, 1] * piP**2
-    beta_c = -params.r * gamma - gamma * (theta[0] * piS + theta[1] * piP
-                                          + 0.5 * (gamma - 1.0) * quad)
+    params = market.params
+    c1, c2 = (mu + gamma * cov for mu, cov in zip(params.mu, market.cov_pi(piS, piP)))
+    beta_c = -params.r * gamma - gamma * (market.excess(piS, piP)
+                                          + 0.5 * (gamma - 1.0) * market.quad(piS, piP))
     return c1, c2, beta_c, jump_factors(params.L, pi)
 
 
@@ -190,13 +200,13 @@ def _branch_sources(t, grid: GridSpec, params: MarketParams, gamma: float, hS, h
             hP * g1(t, grid.horizon, params, gamma, stock=0))
 
 
-def _features(params: MarketParams, gamma: float, pi, grid: GridSpec) -> np.ndarray:
+def _features(market: TwoStockMarket, gamma: float, pi, grid: GridSpec) -> np.ndarray:
     """The seven per-control factors of a DP candidate, shape
     ``pi.shape[:-1] + (7,)``: ``exp(-beta_c dt)``, its products with the
     four upwind drift probabilities per unit price, and the two jump factors
     raised to ``gamma``.  A candidate's value is their dot product with the
     node factors built in :func:`solve_power_value`."""
-    c1, c2, beta_c, jumps = _control_terms(params, gamma, pi)
+    c1, c2, beta_c, jumps = _control_terms(market, gamma, pi)
     eb = np.exp(-beta_c * grid.dt)
     # clamped at zero so inadmissible trials, masked out afterwards, stay finite
     jg = np.maximum(jumps, 0.0) ** gamma
@@ -245,9 +255,8 @@ def transition_probs(node, pi, grid: GridSpec, params: MarketParams, gamma: floa
     """
     s = np.asarray(node[0], dtype=float)
     p = np.asarray(node[1], dtype=float)
-    piS = np.asarray(pi[0], dtype=float)
-    piP = np.asarray(pi[1], dtype=float)
-    c1, c2, _, _ = _control_terms(params, gamma, np.stack(np.broadcast_arrays(piS, piP), -1))
+    piS, piP = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in pi))
+    c1, c2, _, _ = _control_terms(TwoStockMarket(params), gamma, np.stack([piS, piP], -1))
     probs = _nine_probs(s, p, c1, c2, grid, params)
     _check_probs(probs, s, p, (piS, piP), "control")
     return probs
@@ -262,7 +271,7 @@ def discount_and_source(s, p, pi, t, grid: GridSpec, params: MarketParams,
     times the surviving stock's closed-form factor times the wealth jump
     factor raised to ``gamma``.
     """
-    _, _, beta_c, jumps = _control_terms(params, gamma, pi)
+    _, _, beta_c, jumps = _control_terms(TwoStockMarket(params), gamma, pi)
     if np.any(jumps <= 0.0):
         raise ValueError(f"allocation infeasible: jump factors ({jumps[0]:.4g}, {jumps[1]:.4g})")
     hS, hP = _pre_default_rates(intensity, s, p)
@@ -282,7 +291,7 @@ def validate_cfl(grid: GridSpec, params: MarketParams, gamma: float,
     lattice of the refinement).
     """
     corners = box.vertices()
-    c1s, c2s, _, _ = _control_terms(params, gamma, corners)
+    c1s, c2s, _, _ = _control_terms(TwoStockMarket(params), gamma, corners)
     S, P = np.meshgrid(grid.s_nodes(), grid.p_nodes(), indexing="ij")
     margin = 1.0
     for c1 in (c1s.min(), c1s.max()):
@@ -317,9 +326,10 @@ class ValueGrid:
         """Read a grid written by :meth:`save`.
 
         A file that is not an npz archive, lacks one of the arrays
-        ``meta``, ``f`` and ``controls``, whose meta does not name the :class:`GridSpec` fields
-        and ``gamma``, or whose arrays do not have the shapes its grid
-        implies raises ``ValueError`` naming the file.
+        ``meta``, ``f`` and ``controls``, whose meta does not name the
+        :class:`GridSpec` fields and a ``gamma`` in (0, 1), or whose arrays
+        do not have the shapes its grid implies raises ``ValueError``
+        naming the file.
         """
         try:
             data = np.load(path)
@@ -334,6 +344,7 @@ class ValueGrid:
             if "gamma" not in meta:
                 raise ValueError("meta has no gamma")
             gamma = meta.pop("gamma")
+            _check_gamma(gamma, "meta gamma")
             grid = from_section(GridSpec, meta, "meta")
             nodes = (grid.s_nodes().size, grid.p_nodes().size)
             for name, arr, shape in (("f", f, (grid.n_slices + 1, *nodes)),
@@ -366,13 +377,13 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
     recursion then runs on the node ``(0, 0)`` alone, where the driftless
     chain stays put, and its ``f`` and controls are copied to every node.
 
-    A stock without volatility raises ``ValueError`` naming it.
+    A ``gamma`` outside (0, 1), or a market that is not two stocks with
+    positive volatilities (:class:`TwoStockMarket`), raises ``ValueError``.
     """
-    if not (0.0 < gamma < 1.0):
-        raise ValueError("gamma must lie strictly inside (0, 1)")
-    if params.n != 2 or box.n != 2:
-        raise ValueError("power-utility grid solver is specialized to two stocks")
-    require_volatility(params)
+    _check_gamma(gamma, "gamma")
+    market = TwoStockMarket(params)
+    if box.n != 2:
+        raise ValueError("box must be two-dimensional")
     validate_cfl(grid, params, gamma, box)
 
     dt = grid.dt
@@ -392,7 +403,7 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
     probs0 = _nine_probs(S, P, 0.0, 0.0, grid, params)  # the chain without drift
 
     fine, admissible, coarse = _quarter_lattice(box, params.L, grid.n_control)
-    feats = _features(params, gamma, fine, grid)
+    feats = _features(market, gamma, fine, grid)
     # trial_of[o, q]: the quarter-lattice point that offset o reaches from q
     n_fine = 4 * grid.n_control - 3
     qi, qj = np.divmod(np.arange(n_fine * n_fine, dtype=np.intp), n_fine)
@@ -452,19 +463,19 @@ class PowerGridStrategy(Strategy):
     default the surviving stock gets its constant Merton fraction,
     additionally capped so a further default keeps ``eps_a`` of wealth.
     ``pre_default_queries`` and ``out_of_domain`` count the pre-default
-    queries and the clamped ones among them.  A stock without volatility
-    raises ``ValueError`` naming it.
+    queries and the clamped ones among them.  The utility's ``gamma`` is
+    the grid's.  A market that is not two stocks with positive
+    volatilities raises ``ValueError`` (:class:`TwoStockMarket`).
     """
 
-    def __init__(self, value_grid: ValueGrid, params: MarketParams,
-                 gamma: float, box: AdmissibleBox):
-        require_volatility(params)
+    def __init__(self, value_grid: ValueGrid, params: MarketParams, box: AdmissibleBox):
+        TwoStockMarket(params)  # two stocks, both with sigma > 0
         self.value_grid = value_grid
         self.box = box
         self.out_of_domain = 0  # solver-health counters
         self.pre_default_queries = 0
         self._post = [
-            merton_power_control(params, gamma, box.lower[i],
+            merton_power_control(params, value_grid.gamma, box.lower[i],
                                  min(box.upper[i], 1.0 - box.eps_a), stock=i)
             for i in range(2)
         ]

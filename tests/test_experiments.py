@@ -1,3 +1,6 @@
+import csv
+import gzip
+import hashlib
 import json
 from dataclasses import asdict, replace
 
@@ -17,8 +20,9 @@ from contagionopt.experiments import (
 )
 from contagionopt.cli import main as cli_main
 from contagionopt.logopt import CASE_NAMES
+from contagionopt.stats import CSV_HEADER
 from contagionopt.model import ConstantIntensity, PowerClampIntensity, ReciprocalIntensity
-from contagionopt.powergrid import ValueGrid, validate_cfl
+from contagionopt.powergrid import ValueGrid, solve_power_value, validate_cfl
 
 
 def base_doc(**overrides):
@@ -132,6 +136,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="'compare' experiment takes the 'log' utility, "
                                              "not 'power'"):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize("gamma", [1.5, 0.0, "0.5"])
+    def test_power_gamma_outside_the_unit_interval_rejected(self, gamma):
+        doc = power_doc()
+        doc["utility"]["gamma"] = gamma
+        with pytest.raises(ValueError) as exc:
+            config_from_dict(doc)
+        assert str(exc.value) == f"utility.gamma must lie strictly inside (0, 1), not {gamma!r}"
+
+    def test_gamma_on_a_log_kind_rejected(self):
+        doc = base_doc(utility={"kind": "log", "gamma": 0.5})
+        with pytest.raises(ValueError) as exc:
+            config_from_dict(doc)
+        assert str(exc.value) == ("utility: 'gamma' applies to the power utility only, "
+                                  "not to a 'compare' experiment")
 
     def test_overrides_apply_per_intensity_family(self):
         market = config_from_dict(base_doc()).market
@@ -282,6 +301,35 @@ class TestRunSweep:
         _, stats, _ = result.entries[0]
         assert abs(stats.mean / result.benchmark.mean - 1.0) < 0.01
 
+    def test_table_has_a_benchmark_row_and_one_row_per_entry(self):
+        cfg = self.sweep_doc([{"label": "h0=5", "set": {"h0": 5.0}},
+                              {"label": "h0=15", "set": {"h0": 15.0}}], n_paths=100)
+        result = run_sweep(cfg)
+        lines = result.to_csv().splitlines()
+        assert lines[0] == "label,n,mean,mean_pct,std,std_pct,q023,q023_pct,q977,q977_pct"
+        assert len(lines) == 2 + len(cfg.entries)
+
+        def split(line):  # label, the five statistics, the four percent cells
+            c = line.split(",")
+            return c[0], [c[i] for i in (1, 2, 4, 6, 8)], [c[i] for i in (3, 5, 7, 9)]
+
+        def values(s):
+            return [str(s.n)] + [f"{v:.6g}" for v in (s.mean, s.std, s.q_low, s.q_high)]
+
+        assert split(lines[1]) == ("benchmark", values(result.benchmark), ["", "", "", ""])
+        for (label, stats, pct), line in zip(result.entries, lines[2:]):
+            assert split(line) == (label, values(stats),
+                                   [pct[k] for k in ("mean", "std", "q023", "q977")])
+
+    def test_out_dir_holds_the_table_its_manifest_hashes(self, tmp_path):
+        cfg = self.sweep_doc([{"label": "h0=5", "set": {"h0": 5.0}}], n_paths=100)
+        result = run_sweep(cfg, out_dir=str(tmp_path))
+        data = (tmp_path / "sweep.csv").read_bytes()
+        assert data == result.to_csv().encode()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["outputs"] == {"sweep.csv": "sha256:" + hashlib.sha256(data).hexdigest()}
+        assert (manifest["kind"], manifest["rng_digest"]) == ("sweep", result.rng_digest)
+
     def test_perturbed_world_changes_the_bundle(self):
         cfg = self.sweep_doc([{"label": "sigma_s=0.36", "set": {"sigma_s": 0.36}}],
                              mode="perturbed-world", n_paths=500)
@@ -361,7 +409,6 @@ class TestOutputsAndDeterminism:
         assert b1 == b2
 
     def test_manifest_hashes_outputs(self, tmp_path):
-        import hashlib
         cfg = config_from_dict(base_doc())
         run_comparison(cfg, out_dir=str(tmp_path))
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -402,6 +449,55 @@ class TestCLI:
         assert out == ""
         assert err == (f"contagionopt {command}: error: config {config!r} is a "
                        f"{kind!r} experiment, not {command!r}\n")
+
+    def test_simulate_writes_one_row_per_path_step(self, tmp_path, capsys):
+        cli_main(["simulate", "--builtin", "benchmark-inferred", "--paths", "3",
+                  "--out", str(tmp_path)])
+        target = tmp_path / "paths.csv.gz"
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 2 and out[0].startswith("simulated 3 paths, default fraction ")
+        assert out[1] == f"wrote {target}"
+        with gzip.open(target, "rt", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["path_id", "step", "t", "S_1", "S_2", "z_bits", "X"]
+        n_steps = builtin_config("benchmark-inferred").paths.n_steps
+        assert len(rows) - 1 == 3 * (n_steps + 1)
+
+    def test_solve_power_prints_and_saves_its_grid(self, tmp_path, capsys):
+        doc = power_doc(n_paths=50)
+        config = tmp_path / "power.json"
+        config.write_text(json.dumps(doc))
+        cli_main(["solve-power", "--config", str(config), "--out", str(tmp_path)])
+        cfg = config_from_dict(doc)
+        vg = solve_power_value(cfg.grid, cfg.market, cfg.intensity, cfg.gamma, cfg.box)
+        target = tmp_path / "value_grid.npz"
+        i, j = (int(x / cfg.grid.delta) for x in cfg.s0)  # s0 sits on a node
+        assert capsys.readouterr().out == (
+            f"value factor at t=0, (s={cfg.s0[0]:g}, p={cfg.s0[1]:g}): {vg.f[0][i, j]:.8f}\n"
+            f"argmax control there: {np.array2string(vg.controls[0][i, j], precision=6)}\n"
+            f"wrote {target}\n")
+        back = ValueGrid.load(str(target))
+        assert back.grid == vg.grid and back.gamma == vg.gamma
+        assert np.array_equal(back.f, vg.f) and np.array_equal(back.controls, vg.controls)
+
+    def test_list_configs_prints_the_shipped_names(self, capsys):
+        cli_main(["list-configs"])
+        assert capsys.readouterr().out.splitlines() == [
+            "benchmark-inferred", "crisis-reciprocal", "paramset1", "paramset2",
+            "power-benchmark", "sweep-intensity", "sweep-market"]
+
+    def test_compare_prints_the_hashed_table_and_the_defaults(self, tmp_path, capsys):
+        cli_main(["compare", "--builtin", "benchmark-inferred", "--paths", "200",
+                  "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        data = (tmp_path / "comparison.csv").read_bytes()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert out.encode() == data and out.startswith(CSV_HEADER + "\n")
+        assert manifest["outputs"] == {
+            "comparison.csv": "sha256:" + hashlib.sha256(data).hexdigest()}
+        cfg = builtin_config("benchmark-inferred", n_paths=200)
+        bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0)
+        assert err == f"# defaults: {int(bundle.default_mask().sum())} / 200\n"
 
     def test_config_error_is_one_line(self, capsys):
         # the power config's box breaks the log solver's post-default floor
@@ -470,7 +566,8 @@ class TestCLI:
         ("no-meta", "missing arrays ['meta']"),
         ("controls-3x3", "controls has shape (200, 3, 3, 2), its grid implies (200, 17, 17, 2)"),
         ("npy", "not an npz archive"),
-    ], ids=["unknown-meta-key", "no-meta", "controls-3x3", "npy"])
+        ("meta-gamma-1.5", "meta gamma must lie strictly inside (0, 1), not 1.5"),
+    ], ids=["unknown-meta-key", "no-meta", "controls-3x3", "npy", "meta-gamma-1.5"])
     def test_malformed_value_grid_is_one_line(self, tmp_path, capsys, case, needle):
         doc = power_doc(n_paths=50)
         cfg = config_from_dict(doc)
@@ -481,6 +578,8 @@ class TestCLI:
                   "controls": np.zeros((grid.n_slices, *nodes, 2))}
         if case == "unknown-meta-key":
             meta["foo"] = 1
+        if case == "meta-gamma-1.5":
+            meta["gamma"] = 1.5
         if case == "controls-3x3":
             arrays["controls"] = np.zeros((grid.n_slices, 3, 3, 2))
         if case != "no-meta":

@@ -64,7 +64,7 @@ def solve_one(prob, hS, hP):
 
 def g_value(prob, hS, hP, pi):
     """The solver's own G at one allocation."""
-    return float(logopt._g(logopt._Coef(prob.params), hS, hP, pi[0], pi[1]))
+    return float(logopt._g(prob.market, hS, hP, pi[0], pi[1]))
 
 
 def g_reference(prob, hS, hP, piS, piP):

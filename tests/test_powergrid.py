@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from contagionopt.logopt import LogControlProblem, solve_kt_batch
 from contagionopt.model import (
     AdmissibleBox,
     ConstantIntensity,
@@ -437,19 +438,19 @@ class TestPowerStrategy:
 
     def test_lattice_node_query_returns_stored_argmax(self):
         vg, params, box = self.solved()
-        strat = PowerGridStrategy(vg, params, GAMMA, box)
+        strat = PowerGridStrategy(vg, params, box)
         pi = strat.allocation(0.0, 100.0, np.array([4.0, 7.0]), (0, 0))
         assert np.array_equal(pi, vg.controls[0][4, 7])
 
     def test_all_defaulted_gives_zero(self):
         vg, params, box = self.solved()
-        strat = PowerGridStrategy(vg, params, GAMMA, box)
+        strat = PowerGridStrategy(vg, params, box)
         pi = strat.allocation(0.3, 100.0, np.array([0.0, 0.0]), (1, 1))
         assert np.array_equal(pi, [0.0, 0.0])
 
     def test_out_of_domain_clamps_and_counts(self):
         vg, params, box = self.solved()
-        strat = PowerGridStrategy(vg, params, GAMMA, box)
+        strat = PowerGridStrategy(vg, params, box)
         inside = strat.allocation(0.0, 100.0, np.array([12.0, 7.0]), (0, 0))
         outside = strat.allocation(0.0, 100.0, np.array([50.0, 7.0]), (0, 0))
         assert np.array_equal(inside, outside)
@@ -458,7 +459,7 @@ class TestPowerStrategy:
 
     def test_post_default_merton_with_floor_cap(self):
         vg, params, box = self.solved()
-        strat = PowerGridStrategy(vg, params, GAMMA, box)
+        strat = PowerGridStrategy(vg, params, box)
         # surviving P: raw Merton 0.10/(0.16*0.5) = 1.25, box cap 1.0, floor cap 0.99
         pi = strat.allocation(0.2, 100.0, np.array([0.0, 8.0]), (1, 0))
         assert pi[0] == 0.0 and pi[1] == pytest.approx(0.99)
@@ -468,7 +469,7 @@ class TestPowerStrategy:
 
     def test_time_slice_selection(self):
         vg, params, box = self.solved()
-        strat = PowerGridStrategy(vg, params, GAMMA, box)
+        strat = PowerGridStrategy(vg, params, box)
         a = strat.allocation(0.0, 100.0, np.array([6.0, 6.0]), (0, 0))
         b = strat.allocation(0.995, 100.0, np.array([6.0, 6.0]), (0, 0))
         assert np.array_equal(b, vg.controls[-1][6, 6])
@@ -494,4 +495,31 @@ class TestPowerParams:
             with pytest.raises(ValueError, match=f"stock {name} has volatility 0; "):
                 solve_power_value(grid, params, benchmark_intensity(), GAMMA, power_box())
             with pytest.raises(ValueError, match=f"stock {name} has volatility 0; "):
-                PowerGridStrategy(vg, params, GAMMA, power_box())
+                PowerGridStrategy(vg, params, power_box())
+
+
+class TestLogLimit:
+    """As gamma -> 0 the DP's objective over pi at a node, divided by gamma,
+    tends to the log rate G at the node's hazards (f and g1 tend to 1,
+    J^gamma = 1 + gamma ln J + O(gamma^2), the drift terms are O(gamma^2)),
+    so the DP's controls tend to the KT solver's."""
+
+    def test_dp_control_gap_to_kt_shrinks_first_order_in_gamma(self):
+        params, intensity = benchmark_params(), benchmark_intensity()
+        box = AdmissibleBox([-1.0, -1.0], [0.5, 0.5])
+        grid = GridSpec(horizon=0.01, delta=5.0, dt=0.002, s_max=60.0, p_max=60.0,
+                        n_control=21)
+        # interior nodes only: an edge node's clamped moves bias its drift terms
+        S, P = np.meshgrid(grid.s_nodes()[1:-1], grid.p_nodes()[1:-1], indexing="ij")
+        prices = np.column_stack([S.ravel(), P.ravel()])
+        rates = intensity.rates_matrix(np.zeros(prices.shape, dtype=np.uint8), prices)
+        kt = solve_kt_batch(LogControlProblem(params, intensity, box),
+                            rates[:, 0], rates[:, 1])[0]
+        gaps = []
+        for gamma in (0.3, 0.1, 0.03, 0.01):
+            controls = solve_power_value(grid, params, intensity, gamma, box).controls[0]
+            gaps.append(np.abs(controls[1:-1, 1:-1].reshape(-1, 2) - kt).max())
+        assert all(a > b for a, b in zip(gaps, gaps[1:]))
+        # first order predicts gap(0.03) = 0.3 gap(0.1) until the quarter step
+        # of the control lattice (0.019 here) is reached
+        assert gaps[2] < gaps[1] / 2

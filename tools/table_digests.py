@@ -2,9 +2,10 @@
 
 Prints one JSON object keyed by config name, one config a line: the
 sha256 of the run's ``to_csv()`` text, the ``rng_digest`` of the path
-bundle it simulated, for the log-utility runs the nonzero Kuhn-Tucker
-case counts of its manifest, and for the
-``power-compare`` runs the sha256 of the bytes of ``f`` and ``controls``
+bundle it simulated, the whole ``solver_health`` of its manifest (for
+the log-utility runs the Kuhn-Tucker case counts and Newton iterations,
+for ``power-compare`` the CFL margin and out-of-domain fraction), and for
+the ``power-compare`` runs the sha256 of the bytes of ``f`` and ``controls``
 of the two value grids it reads (``value_grid``: the config's
 intensity; ``value_grid_const``: the constant comparator).  Every config
 runs at 400 paths and 40 steps; ``power-compare`` configs run at horizon
@@ -12,7 +13,8 @@ runs at 400 paths and 40 steps; ``power-compare`` configs run at horizon
 
 The tables of a change are unchanged when two checkouts print the same
 object, and so, bit for bit, are the simulated random numbers and the
-power DP's value grids.  The
+power DP's value grids; equal Newton counts show that the KT solver took
+the same iterations.  The
 package is imported from ``PYTHONPATH``, so point it at the checkout to
 digest:
 
@@ -50,9 +52,8 @@ def digest(name: str) -> dict:
                  for key, intensity in (("value_grid", cfg.intensity),
                                         ("value_grid_const", ConstantIntensity(cfg.hbar)))}
     result = RUNNERS[cfg.kind](cfg, **grids)
-    out = {"sha256": _sha256(result.to_csv().encode()), "rng_digest": result.rng_digest}
-    if "kt_cases" in result.health:
-        out["kt_cases"] = {case: n for case, n in result.health["kt_cases"].items() if n}
+    out = {"sha256": _sha256(result.to_csv().encode()), "rng_digest": result.rng_digest,
+           "solver_health": result.health}
     for key, vg in grids.items():
         out[key] = {"f": _sha256(vg.f.tobytes()), "controls": _sha256(vg.controls.tobytes())}
     return out
