@@ -15,7 +15,8 @@ name and the output table (:data:`KINDS`), and the runner
 fields by name (:func:`~contagionopt.model.from_section`): a field with a
 default may be left out, and an unknown or missing key raises
 ``ValueError`` naming it; ``utility`` holds ``kind`` and, for the power
-utility only, a ``gamma`` in (0, 1).
+utility only, a ``gamma`` in (0, 1).  A ``grid`` section belongs to a
+``power-compare`` experiment only, and is rejected elsewhere.
 
 Every comparison evaluates both strategies on one simulated path bundle
 (common random numbers).  The bundle is read-only, so no strategy can
@@ -164,12 +165,15 @@ def _config(doc: dict, seed: int | None, n_paths: int | None) -> ExperimentConfi
         raise ValueError(f"utility: unknown keys {unknown}")
     overrides = {k: v for k, v in (("n_paths", n_paths), ("master_seed", seed)) if v is not None}
     paths = from_section(PathConfig, {**doc["paths"], **overrides}, "paths")
+    exp = doc["experiment"]
     grid = None
     if "grid" in doc:
+        if exp.get("kind") != "power-compare":
+            raise ValueError(f"grid: the section applies to a power-compare experiment only, "
+                             f"not to a {exp.get('kind')!r} experiment")
         grid = from_section(GridSpec, doc["grid"], "grid", horizon=paths.horizon)
     intensity = intensity_from_config(doc["intensity"])
     box = from_section(AdmissibleBox, doc["box"], "box")
-    exp = doc["experiment"]
     sweep_keys = sorted({"entries", "sweep_mode"} & exp.keys())
     if sweep_keys and exp.get("kind") != "sweep":
         raise ValueError(f"experiment: {sweep_keys} apply to a sweep only, "

@@ -39,14 +39,22 @@ is at most ``-sigma^2`` and every step is finite.  Trials are projected
 onto the box, which :func:`validate_box` keeps inside the log domain of
 G.  A trial is accepted when G stays within rounding of its value at the
 iterate, since G cannot resolve a Newton step's gain near the maximizer;
-rows still searching halve their step.
+the full step is tried on every row at once, and only the rows it fails
+halve their step.  A row leaves the iteration when its residual reaches
+the stationarity target or its step no longer moves it; the batch is
+filtered only on iterations where some row leaves.
 
 The Kuhn-Tucker case, the multipliers and the residual are read from the
 final held set, the coordinates sitting at a bound with their gradient
 pointing out: a held coordinate's multiplier is its outward gradient, and
-the residual is the largest gradient of a free coordinate.  A row whose
-residual misses ``1e-8`` raises ``RuntimeError``.  Each row's Newton
-iterations, the steps it took before it stopped, are returned too.
+the residual is the largest gradient of a free coordinate.  The gradient
+of that read-out is the one the iteration last took at the row's final
+allocation: a row that leaves keeps it, since either it was just taken or
+the row has not moved since.  Only a row that still moved on the last
+allowed iteration holds a gradient from before that move, and has it
+taken afresh.  A row whose residual misses ``1e-8`` raises
+``RuntimeError``.  Each row's Newton iterations, the steps it took before
+it stopped, are returned too.
 
 After one default the problem collapses to one dimension and has the
 closed form
@@ -138,26 +146,43 @@ def _g(c: TwoStockMarket, hS, hP, piS, piP):
     return c.excess(piS, piP) - 0.5 * c.quad(piS, piP) + hS * np.log(d1) + hP * np.log(d2)
 
 
-def _derivs(c: TwoStockMarket, hS, hP, x):
-    """Gradient (m, 2), Hessian diagonal (m, 2) and off-diagonal (m,) at rows ``x``."""
-    piS, piP = x[:, 0], x[:, 1]
+def _derivs(c: TwoStockMarket, hS, hP, piS, piP):
+    """Gradient ``(g_S, g_P)``, Hessian diagonal ``(H_SS, H_PP)`` and
+    off-diagonal ``H_SP`` at allocations ``(piS, piP)``, one array per
+    coordinate."""
     d1, d2 = c.jumps(piS, piP)
     r1, r2 = hS / d1, hP / d2
     q1, q2 = r1 / d1, r2 / d2
     cov0, cov1 = c.cov_pi(piS, piP)
-    g = np.column_stack([c.t0 - cov0 - r1 - c.LS * r2, c.t1 - cov1 - c.LP * r1 - r2])
-    hdiag = np.column_stack([-c.S00 - q1 - c.LS**2 * q2, -c.S11 - c.LP**2 * q1 - q2])
-    hoff = -c.S01 - c.LP * q1 - c.LS * q2
-    return g, hdiag, hoff
+    g = (c.t0 - cov0 - r1 - c.LS * r2, c.t1 - cov1 - c.LP * r1 - r2)
+    hdiag = (-c.S00 - q1 - c.LS**2 * q2, -c.S11 - c.LP**2 * q1 - q2)
+    return g, hdiag, -c.S01 - c.LP * q1 - c.LS * q2
 
 
 def _held(x, g, box: AdmissibleBox):
     """Held coordinates (at a bound, gradient pointing out) and the KKT
-    residual, the largest gradient among the free coordinates."""
-    low = (x == box.lower) & (g < 0.0)
-    high = (x == box.upper) & (g > 0.0)
-    free = np.where(low | high, 0.0, np.abs(g))
-    return low, high, np.maximum(free[:, 0], free[:, 1])
+    residual, the largest gradient among the free coordinates.  ``x`` and
+    ``g`` are pairs of coordinate arrays, and so are the two held masks."""
+    low = tuple((xj == b) & (gj < 0.0) for xj, gj, b in zip(x, g, box.lower))
+    high = tuple((xj == b) & (gj > 0.0) for xj, gj, b in zip(x, g, box.upper))
+    free = [np.where(lj | hj, 0.0, np.abs(gj)) for lj, hj, gj in zip(low, high, g)]
+    return low, high, np.maximum(free[0], free[1])
+
+
+def _put_cols(a, rows, cols):
+    """``a[rows] = v`` for the (m, 2) array ``a``, given the two columns of
+    ``v``: two column scatters cost a fraction of numpy's row scatter."""
+    a[:, 0][rows], a[:, 1][rows] = cols
+
+
+def _same_rows(a) -> bool:
+    """True when every row of the (m, 2) array ``a`` equals its first."""
+    return bool((a[:, 0] == a[0, 0]).all() and (a[:, 1] == a[0, 1]).all())
+
+
+def _clip(x, lo, hi):
+    """``np.clip(x, lo, hi)`` bit for bit, at a fraction of its call cost."""
+    return np.minimum(np.maximum(x, lo), hi)
 
 
 def solve_kt_batch(prob: LogControlProblem, hS, hP, start=None):
@@ -188,64 +213,95 @@ def solve_kt_batch(prob: LogControlProblem, hS, hP, start=None):
         merton = np.array([c.S11 * c.t0 - c.S01 * c.t1, c.S00 * c.t1 - c.S01 * c.t0]) / det
         x = np.tile(np.clip(merton, lo, hi), (hS.size, 1))
 
-    iters = np.zeros(hS.size, dtype=np.int64)
-    act = np.arange(hS.size)
-    for _ in range(_MAX_ITER):
-        xa, hs, hp = x[act], hS[act], hP[act]
-        g, hdiag, hoff = _derivs(c, hs, hp, xa)
-        keep = _held(xa, g, box)[2] > _GRAD_TOL
-        act, xa, hs, hp, g, hdiag, hoff = (
-            a[keep] for a in (act, xa, hs, hp, g, hdiag, hoff))
-        if act.size == 0:
+    n = hS.size
+    iters = np.empty(n, dtype=np.int64)
+    grad = np.empty((n, 2))
+    # the rows still iterating: their indices, hazards and, one array per
+    # coordinate, iterates.  Arithmetic on (m, 2) arrays against per-column
+    # bounds costs several times the same on two coordinate arrays.  The
+    # rows are filtered only when one leaves, which writes its x, gradient
+    # and iteration count.
+    rows, hs, hp, xa = np.arange(n), hS, hP, (x[:, 0], x[:, 1])
+    for it in range(_MAX_ITER):
+        g, hd, hoff = _derivs(c, hs, hp, *xa)
+        done = ~(_held(xa, g, box)[2] > _GRAD_TOL)
+        if done.any():
+            out = rows[done]
+            _put_cols(x, out, [a[done] for a in xa])
+            _put_cols(grad, out, [a[done] for a in g])
+            iters[out] = it
+            keep = ~done
+            rows, hs, hp, hoff = (a[keep] for a in (rows, hs, hp, hoff))
+            xa, g, hd = ([a[keep] for a in pair] for pair in (xa, g, hd))
+        if rows.size == 0:
             break
-        iters[act] += 1
 
         # per-coordinate Newton step, capped at the box width: a trust
         # region for a coordinate whose curvature is small against its gradient
-        step = g / np.maximum(-hdiag, np.abs(g) / width)
-        # two-column reductions are written out per column: far cheaper
-        # than an axis reduction on short rows, and NaN propagates the same
-        dist = np.abs(xa - np.clip(xa + g, lo, hi))
-        eps = np.minimum(_EPS_ACTIVE, np.maximum(dist[:, 0], dist[:, 1]))[:, None]
-        near = ((xa <= lo + eps) & (g < 0.0)) | ((xa >= hi - eps) & (g > 0.0))
-        det = hdiag[:, 0] * hdiag[:, 1] - hoff**2
-        full = np.nonzero(~(near[:, 0] | near[:, 1]) & (det > 0.0))[0]
-        gf, hf, of, df = g[full], hdiag[full], hoff[full], det[full]
-        step[full, 0] = (of * gf[:, 1] - hf[:, 1] * gf[:, 0]) / df
-        step[full, 1] = (of * gf[:, 0] - hf[:, 0] * gf[:, 1]) / df
+        step = [gj / np.maximum(-hj, np.abs(gj) / wj) for gj, hj, wj in zip(g, hd, width)]
+        dist = [np.abs(xj - _clip(xj + gj, lj, uj)) for xj, gj, lj, uj in zip(xa, g, lo, hi)]
+        eps = np.minimum(_EPS_ACTIVE, np.maximum(dist[0], dist[1]))
+        near = [((xj <= lj + eps) & (gj < 0.0)) | ((xj >= uj - eps) & (gj > 0.0))
+                for xj, gj, lj, uj in zip(xa, g, lo, hi)]
+        det = hd[0] * hd[1] - hoff**2
+        full = ~(near[0] | near[1]) & (det > 0.0)
+        np.divide(hoff * g[1] - hd[1] * g[0], det, out=step[0], where=full)
+        np.divide(hoff * g[0] - hd[0] * g[1], det, out=step[1], where=full)
 
-        g0 = _g(c, hs, hp, xa[:, 0], xa[:, 1])
+        g0 = _g(c, hs, hp, *xa)
         floor = g0 - _G_ROUNDING * (1.0 + np.abs(g0))
-        new = xa.copy()
-        alpha = 1.0
-        search = np.arange(act.size)
-        for _ in range(_MAX_HALVINGS):
-            trial = np.clip(xa[search] + alpha * step[search], lo, hi)
-            ok = _g(c, hs[search], hp[search], trial[:, 0], trial[:, 1]) >= floor[search]
-            new[search[ok]] = trial[ok]
-            search = search[~ok]
-            if search.size == 0:
-                break
-            alpha *= 0.5
+        # the full step is tried on every row; rows it fails halve their step
+        new = [_clip(xj + sj, lj, uj) for xj, sj, lj, uj in zip(xa, step, lo, hi)]
+        ok = _g(c, hs, hp, *new) >= floor
+        if not ok.all():
+            search = np.flatnonzero(~ok)
+            for nj, xj in zip(new, xa):
+                nj[search] = xj[search]
+            alpha = 0.5
+            for _ in range(_MAX_HALVINGS - 1):
+                trial = [_clip(xj[search] + alpha * sj[search], lj, uj)
+                         for xj, sj, lj, uj in zip(xa, step, lo, hi)]
+                ok = _g(c, hs[search], hp[search], *trial) >= floor[search]
+                for nj, tj in zip(new, trial):
+                    nj[search[ok]] = tj[ok]
+                search = search[~ok]
+                if search.size == 0:
+                    break
+                alpha *= 0.5
         # a row that found no acceptable trial, or whose step no longer
-        # moves it, has reached what rounding lets it resolve
-        moved = (new[:, 0] != xa[:, 0]) | (new[:, 1] != xa[:, 1])
-        x[act] = new
-        act = act[moved]
-        if act.size == 0:
-            break
+        # moves it, has reached what rounding lets it resolve; its gradient
+        # was taken at xa, which equals new
+        moved = (new[0] != xa[0]) | (new[1] != xa[1])
+        if not moved.all():
+            stay = ~moved
+            out = rows[stay]
+            _put_cols(x, out, [a[stay] for a in new])
+            _put_cols(grad, out, [a[stay] for a in g])
+            iters[out] = it + 1
+            rows, hs, hp = (a[moved] for a in (rows, hs, hp))
+            new = [a[moved] for a in new]
+            if rows.size == 0:
+                break
+        xa = new
+    else:
+        # rows that moved on the last iteration hold a gradient from before
+        # that move, so theirs is taken afresh
+        _put_cols(x, rows, xa)
+        _put_cols(grad, rows, _derivs(c, hs, hp, *xa)[0])
+        iters[rows] = _MAX_ITER
 
-    g = _derivs(c, hS, hP, x)[0]
-    low, high, residual = _held(x, g, box)
+    low, high, residual = _held(x.T, grad.T, box)
     bad = np.nonzero(~(residual <= _ACCEPT_TOL))[0]
     if bad.size:
         k = bad[0]
         raise RuntimeError(
             f"KT solver missed the KKT tolerance at hazards (h_S, h_P) = "
             f"({hS[k]:.17g}, {hP[k]:.17g}): residual {residual[k]:.3g}")
-    case_id = _CASE_OF_SIDES[low[:, 0] + 2 * high[:, 0], low[:, 1] + 2 * high[:, 1]]
-    mult = np.stack([np.where(low, -g, 0.0), np.where(high, g, 0.0)], axis=2)
-    return x, case_id, mult.reshape(-1, 4), residual, iters
+    case_id = _CASE_OF_SIDES[low[0] + 2 * high[0], low[1] + 2 * high[1]]
+    gS, gP = grad.T
+    mult = np.column_stack([np.where(low[0], -gS, 0.0), np.where(high[0], gS, 0.0),
+                            np.where(low[1], -gP, 0.0), np.where(high[1], gP, 0.0)])
+    return x, case_id, mult, residual, iters
 
 
 def single_survivor_formula(mu: float, sigma: float, r: float, h) -> np.ndarray:
@@ -299,16 +355,19 @@ class LogStrategy(Strategy):
         out = np.zeros_like(prices)
         rates = prob.intensity.rates_matrix(states, prices)
 
-        pre = (states == 0).all(axis=1)
+        # per-column masks and compress: far cheaper than an axis reduction
+        # or a boolean row index on two columns
+        alive = [states[:, 0] == 0, states[:, 1] == 0]
+        pre = alive[0] & alive[1]
         if pre.any():
-            h = rates[pre]
+            h = rates.compress(pre, axis=0)
             if start is not None:
-                start = np.asarray(start, dtype=float)[pre]
-            one = (h == h[0]).all() and (start is None or (start == start[0]).all())
+                start = np.asarray(start, dtype=float).compress(pre, axis=0)
+            one = _same_rows(h) and (start is None or _same_rows(start))
             rows = slice(0, 1) if one else slice(None)
             pi, case_id, _, _, iters = solve_kt_batch(
                 prob, h[rows, 0], h[rows, 1], None if start is None else start[rows])
-            out[pre] = pi
+            _put_cols(out, pre, pi.T)
             self.kt_cases += np.bincount(np.broadcast_to(case_id, h.shape[:1]),
                                          minlength=len(CASE_NAMES))
             count = self.kt_newton_iters
@@ -317,8 +376,8 @@ class LogStrategy(Strategy):
             count["max"] = max(count["max"], int(iters.max()))
 
         for stock in (0, 1):
-            mask = (states[:, stock] == 0) & (states[:, 1 - stock] == 1)
+            mask = alive[stock] & (states[:, 1 - stock] == 1)
             raw = single_survivor_formula(params.mu[stock], params.sigma[stock],
-                                          params.r, rates[mask, stock])
-            out[mask, stock] = np.clip(raw, prob.box.lower[stock], prob.box.upper[stock])
+                                          params.r, rates[:, stock][mask])
+            out[:, stock][mask] = np.clip(raw, prob.box.lower[stock], prob.box.upper[stock])
         return out

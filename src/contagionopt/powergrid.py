@@ -269,14 +269,21 @@ def discount_and_source(s, p, pi, t, grid: GridSpec, params: MarketParams,
 
     The source carries one term per default branch: the branch hazard
     times the surviving stock's closed-form factor times the wealth jump
-    factor raised to ``gamma``.
+    factor raised to ``gamma``.  ``pi`` may be one allocation (2,) or a
+    batch ``(..., 2)``; an infeasible one raises ``ValueError``, which names the
+    first infeasible row of a batch.
     """
     _, _, beta_c, jumps = _control_terms(TwoStockMarket(params), gamma, pi)
-    if np.any(jumps <= 0.0):
-        raise ValueError(f"allocation infeasible: jump factors ({jumps[0]:.4g}, {jumps[1]:.4g})")
+    rows = jumps.reshape(-1, 2)
+    bad = np.flatnonzero((rows <= 0.0).any(axis=1))
+    if bad.size:
+        k = bad[0]
+        where = f" in row {k}" if jumps.ndim > 1 else ""
+        raise ValueError(f"allocation infeasible{where}: jump factors "
+                         f"({rows[k, 0]:.4g}, {rows[k, 1]:.4g})")
     hS, hP = _pre_default_rates(intensity, s, p)
     srcS, srcP = _branch_sources(t, grid, params, gamma, hS, hP)
-    return beta_c + hS + hP, srcS * jumps[0]**gamma + srcP * jumps[1]**gamma
+    return beta_c + hS + hP, srcS * jumps[..., 0]**gamma + srcP * jumps[..., 1]**gamma
 
 
 def validate_cfl(grid: GridSpec, params: MarketParams, gamma: float,

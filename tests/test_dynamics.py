@@ -196,6 +196,39 @@ class TestEvolveWealth:
         wealth = evolve_wealth(bundle, ConstantAllocation([1.0]), x0=10.0)
         assert np.allclose(wealth.terminal, 10.0 * np.exp(0.08), rtol=1e-12)
 
+    def test_wealth_steps_equal_the_matrix_formulas_bit_for_bit(self):
+        # the step loop sums pi' Sigma pi and the diffusion column by column;
+        # the reference here writes them as einsum and an axis sum, and
+        # finds each step's defaults by comparing default_step with it
+        class PriceTilt(ConstantAllocation):
+            def allocations(self, t, x, prices, states):
+                return np.where(states == 1, 0.0, np.clip(0.001 * (prices - 90.0), -0.3, 0.3))
+
+        def reference(bundle, strategy, x0):
+            p, dt = bundle.params, bundle.cfg.dt
+            xs = [np.full(bundle.n_paths, x0)]
+            for k in range(bundle.cfg.n_steps):
+                pi = strategy.allocations(k * dt, xs[-1], bundle.prices[:, k],
+                                          bundle.states[:, k])
+                quad = np.einsum("ij,jk,ik->i", pi, p.cov, pi)
+                diffusion = (pi * p.sigma * bundle.normals[:, k]).sum(axis=1) * np.sqrt(dt)
+                x = xs[-1] * np.exp((p.r + pi @ p.theta - 0.5 * quad) * dt + diffusion)
+                path, stock = np.nonzero(bundle.default_step == k)
+                x[path] *= 1.0 - np.einsum("ij,ji->i", pi[path], p.L[:, stock])
+                xs.append(x)
+            return np.column_stack(xs)
+
+        three = MarketParams(r=0.05, mu=[0.1, 0.12, 0.15], sigma=[0.3, 0.35, 0.4],
+                             rho=[[1.0, 0.2, 0.1], [0.2, 1.0, 0.3], [0.1, 0.3, 1.0]],
+                             L=[[1.0, 0.2, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])
+        for params in (benchmark_params(), three):
+            cfg = PathConfig(horizon=1.0, n_steps=60, n_paths=1500, master_seed=10)
+            bundle = simulate_paths(params, ConstantIntensity(0.8), cfg, [100.0] * params.n)
+            assert (bundle.default_step >= 0).sum() > 100
+            strategy = PriceTilt([0.0] * params.n)
+            got = evolve_wealth(bundle, strategy, x0=100.0).values
+            assert got.tobytes() == reference(bundle, strategy, 100.0).tobytes(), params.n
+
     def test_default_step_wealth_ratio(self):
         params = benchmark_params()
         cfg = PathConfig(horizon=1.0, n_steps=100, n_paths=300, master_seed=9)
@@ -242,7 +275,7 @@ class TestEvolveWealth:
         params = benchmark_params()
         cfg = PathConfig(horizon=1.0, n_steps=60, n_paths=200, master_seed=11)
         bundle = simulate_paths(params, ConstantIntensity(2.0), cfg, [100.0, 100.0])
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="allocated to a defaulted stock"):
             evolve_wealth(bundle, Bad([0.3, 0.3]), x0=100.0)
 
     @pytest.mark.parametrize("field", ["prices", "states"])
@@ -266,9 +299,9 @@ class TestEvolveWealth:
         box = AdmissibleBox(lower=[-0.1, -0.1], upper=[0.1, 0.1], eps_a=0.01)
         cfg = PathConfig(horizon=0.5, n_steps=10, n_paths=20, master_seed=12)
         bundle = simulate_paths(params, ZERO_H, cfg, [100.0, 100.0])
-        strat = ConstantAllocation([0.3, 0.0], box=box)
-        with pytest.raises(RuntimeError):
-            evolve_wealth(bundle, strat, x0=100.0)
+        for pi in ([0.3, 0.0], [0.0, -0.2]):  # above S's upper, below P's lower bound
+            with pytest.raises(RuntimeError, match="left the admissible box at step 0"):
+                evolve_wealth(bundle, ConstantAllocation(pi, box=box), x0=100.0)
 
 
 def estimate_log_value(params, intensity, strategy, cfg, s0, x0):

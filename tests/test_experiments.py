@@ -97,22 +97,28 @@ class TestConfig:
         ("experiment", "hbr"), ("entry", "mode"), ("market", "mu_s"), ("utility", "gama"),
     ])
     def test_unknown_section_key_rejected(self, section, key):
-        doc = base_doc(grid={"delta": 1.0, "dt": 0.01, "s_max": 10.0, "p_max": 10.0})
-        doc["experiment"] = {"kind": "sweep", "entries": [{"label": "x", "set": {}}]}
+        if section == "grid":
+            doc = power_doc()
+        else:
+            doc = base_doc()
+            doc["experiment"] = {"kind": "sweep", "entries": [{"label": "x", "set": {}}]}
         target = doc["experiment"]["entries"][0] if section == "entry" else doc[section]
         target[key] = 1
         with pytest.raises(ValueError, match=f"unknown keys \\['{key}'\\]"):
             config_from_dict(doc)
 
     def test_section_defaults_come_from_the_dataclasses(self):
-        doc = base_doc(grid={"delta": 1.0, "dt": 0.01, "s_max": 10.0, "p_max": 10.0})
+        doc = base_doc()
         del doc["box"]["eps_a"]
         doc["experiment"] = {"kind": "sweep"}
         cfg = config_from_dict(doc)
         assert cfg.box.eps_a == 0.01
+        assert (cfg.x0, cfg.hbar, cfg.sweep_mode, cfg.entries, cfg.grid) == \
+            (100.0, None, "misspecified-investor", (), None)
+        doc = power_doc()
+        doc["grid"] = {"delta": 1.0, "dt": 0.01, "s_max": 10.0, "p_max": 10.0}
+        cfg = config_from_dict(doc)
         assert (cfg.grid.n_control, cfg.grid.refine, cfg.grid.horizon) == (41, True, 1.0)
-        assert (cfg.x0, cfg.hbar, cfg.sweep_mode, cfg.entries) == \
-            (100.0, None, "misspecified-investor", ())
 
     @pytest.mark.parametrize("overrides, needle", [
         ({"rho": 1.5}, "rho is not positive definite"),
@@ -130,6 +136,19 @@ class TestConfig:
             run_sweep(config_from_dict(doc))
         assert str(exc.value) == f"sweep entry 'bad': {needle}"
         assert simulated == []
+
+    @pytest.mark.parametrize("kind", ["compare", "crisis", "sweep"])
+    def test_grid_section_rejected_outside_power_compare(self, kind):
+        doc = base_doc()
+        if kind == "crisis":
+            doc["intensity"] = {"family": "reciprocal", "c": 20.0}
+        doc["experiment"]["kind"] = kind
+        config_from_dict(doc)  # loads without the grid section
+        doc["grid"] = power_doc()["grid"]
+        with pytest.raises(ValueError) as exc:
+            config_from_dict(doc)
+        assert str(exc.value) == ("grid: the section applies to a power-compare experiment "
+                                  f"only, not to a '{kind}' experiment")
 
     def test_utility_must_match_the_kind(self):
         doc = base_doc(utility={"kind": "power", "gamma": 0.5})

@@ -363,6 +363,53 @@ class TestLogStrategy:
         assert n_alone > 0  # some rows took the single-survivor branch
 
 
+def mixed_batch():
+    """Benchmark hazard pairs, two thirds started from the answer at nearby
+    hazards (as a simulation step starts them) and one third from the
+    origin, so the rows end interior, on an edge and in a corner after 0
+    to 6 Newton iterations."""
+    prob = benchmark_problem()
+    rng = np.random.default_rng(5)
+    hS, hP = rng.uniform(0.02, 0.6, size=(2, 60))
+    start = solve_kt_batch(prob, hS * 1.01, hP * 0.99)[0]
+    start[::3] = 0.0
+    return prob, hS, hP, start
+
+
+class TestSolverPaths:
+    def test_mixed_batch_rows_equal_their_solo_solves(self):
+        # rows leave the batch at different iterations, so its filters run
+        # on some iterations and not on others; no output may depend on that
+        prob, hS, hP, start = mixed_batch()
+        batch = solve_kt_batch(prob, hS, hP, start)
+        assert {"interior", "S-low", "P-low", "S-low/P-low"} <= {CASE_NAMES[c] for c in batch[1]}
+        assert np.unique(batch[4]).size >= 4
+        for k in range(hS.size):
+            solo = solve_kt_batch(prob, hS[k:k + 1], hP[k:k + 1], start[k:k + 1])
+            for got, want in zip(batch, solo):
+                assert np.array_equal(got[k:k + 1], want), k
+
+    def test_rows_moving_at_the_iteration_cap_read_a_fresh_gradient(self, monkeypatch):
+        # a row that moved on the last allowed iteration carries a gradient
+        # from before that move; its read-out must come from its final x,
+        # here held set, residual and multipliers written out in the test
+        prob, hS, hP, start = mixed_batch()
+        warm = np.arange(hS.size) % 3 > 0  # converged within the cap
+        hS, hP, start = hS[warm], hP[warm], start[warm]
+        monkeypatch.setattr(logopt, "_MAX_ITER", 3)
+        x, case_id, mult, residual, iters = solve_kt_batch(prob, hS, hP, start)
+        assert (iters == 3).sum() >= 10 and (iters < 3).any()
+        g = np.column_stack(logopt._derivs(prob.market, hS, hP, x[:, 0], x[:, 1])[0])
+        low = (x == prob.box.lower) & (g < 0.0)
+        high = (x == prob.box.upper) & (g > 0.0)
+        fresh = np.where(low | high, 0.0, np.abs(g)).max(axis=1)
+        assert np.array_equal(residual, fresh)
+        sides = logopt._CASE_OF_SIDES[low[:, 0] + 2 * high[:, 0], low[:, 1] + 2 * high[:, 1]]
+        assert np.array_equal(case_id, sides)
+        want = np.stack([np.where(low, -g, 0.0), np.where(high, g, 0.0)], axis=2)
+        assert np.array_equal(mult, want.reshape(-1, 4))
+
+
 @st.composite
 def warm_start_cases(draw):
     """A random admissible problem (market and box), a batch of hazard

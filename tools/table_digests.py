@@ -7,7 +7,11 @@ the log-utility runs the Kuhn-Tucker case counts and Newton iterations,
 for ``power-compare`` the CFL margin and out-of-domain fraction), and for
 the ``power-compare`` runs the sha256 of the bytes of ``f`` and ``controls``
 of the two value grids it reads (``value_grid``: the config's
-intensity; ``value_grid_const``: the constant comparator).  Every config
+intensity; ``value_grid_const``: the constant comparator), and the
+sha256 of every wealth path array the run evolves (``wealth``, in call
+order).  The tables print 6 significant figures, so only the wealth
+digests show a last-bit change in wealth; they are taken by wrapping the
+``evolve_wealth`` name that ``experiments`` binds.  Every config
 runs at 400 paths and 40 steps; ``power-compare`` configs run at horizon
 0.02 with 10 steps, so their two value grids stay small.
 
@@ -27,6 +31,7 @@ import copy
 import hashlib
 import json
 
+from contagionopt import experiments
 from contagionopt.experiments import RUNNERS, builtin_config, builtin_config_names, config_from_dict
 from contagionopt.model import ConstantIntensity
 from contagionopt.powergrid import solve_power_value
@@ -37,6 +42,14 @@ POWER_HORIZON, POWER_STEPS = 0.02, 10
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _recording_evolve(evolve, wealth: list):
+    def wrapper(*args, **kwargs):
+        out = evolve(*args, **kwargs)
+        wealth.append(_sha256(out.values.tobytes()))
+        return out
+    return wrapper
 
 
 def digest(name: str) -> dict:
@@ -51,9 +64,15 @@ def digest(name: str) -> dict:
         grids = {key: solve_power_value(cfg.grid, cfg.market, intensity, cfg.gamma, cfg.box)
                  for key, intensity in (("value_grid", cfg.intensity),
                                         ("value_grid_const", ConstantIntensity(cfg.hbar)))}
-    result = RUNNERS[cfg.kind](cfg, **grids)
+    wealth = []
+    evolve = experiments.evolve_wealth
+    experiments.evolve_wealth = _recording_evolve(evolve, wealth)
+    try:
+        result = RUNNERS[cfg.kind](cfg, **grids)
+    finally:
+        experiments.evolve_wealth = evolve
     out = {"sha256": _sha256(result.to_csv().encode()), "rng_digest": result.rng_digest,
-           "solver_health": result.health}
+           "solver_health": result.health, "wealth": wealth}
     for key, vg in grids.items():
         out[key] = {"f": _sha256(vg.f.tobytes()), "controls": _sha256(vg.controls.tobytes())}
     return out
