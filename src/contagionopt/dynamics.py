@@ -13,8 +13,9 @@ new state.
 Every path owns a counter-based RNG stream keyed by
 ``(master_seed, path_index)``, so a path's results are bit-identical
 whatever the path count or block partition of the run.  The streams are
-drawn in fixed blocks of paths; the hazard, price and default step loop
-runs once over all paths, and so does the wealth step loop.
+drawn in fixed blocks of paths, each path's draws written in place; the
+hazard, price and default step loop runs once over all paths, column by
+column, and so does the wealth step loop.
 """
 
 from __future__ import annotations
@@ -156,19 +157,24 @@ class ConstantAllocation(Strategy):
 
 def _draw_block(cfg: PathConfig, chol: np.ndarray, lo: int, hi: int, out: PathBundle):
     """Clocks and correlated normals of paths ``lo`` to ``hi``: each path's
-    exponential clocks first, then its step normals."""
+    unit-exponential clocks first, then its step normals.  Both are drawn
+    in place, the clocks into the bundle's row and the normals into the
+    block's raw array, which is then correlated."""
     n = chol.shape[0]
     raw = np.empty((hi - lo, cfg.n_steps, n))
     # one generator serves the block; each path resets it to the start of
-    # the Philox stream keyed by (master_seed, path index), with an empty buffer
+    # the Philox stream keyed by (master_seed, path index), with an empty
+    # buffer, which costs a fraction of a new Philox per path
     bits = np.random.Philox(key=0)
     gen = np.random.Generator(bits)
     fresh = bits.state  # counter 0, empty buffer
+    key = [cfg.master_seed, lo]
+    fresh["state"] = {"counter": [0, 0, 0, 0], "key": key}
     for k in range(hi - lo):
-        fresh["state"] = {"counter": [0, 0, 0, 0], "key": [cfg.master_seed, lo + k]}
+        key[1] = lo + k
         bits.state = fresh
-        out.clocks[lo + k] = gen.exponential(1.0, size=n)
-        raw[k] = gen.standard_normal((cfg.n_steps, n))
+        gen.standard_exponential(out=out.clocks[lo + k])
+        gen.standard_normal(out=raw[k])
     out.normals[lo:hi] = raw @ chol.T
 
 
@@ -177,8 +183,10 @@ def simulate_paths(params: MarketParams, intensity, cfg: PathConfig, s0) -> Path
 
     The random numbers are drawn in fixed blocks of paths, which bounds
     the raw draw array; the hazard, price and default steps then run once
-    over all paths.  The first ``k`` paths of a run equal a ``k``-path
-    run with the same seed.  The bundle is read-only.
+    over all paths, one stock column at a time, and a step's defaults are
+    resolved on the rows where a clock crossed.  The first ``k`` paths of
+    a run equal a ``k``-path run with the same seed.  The bundle is
+    read-only.
     """
     s0 = np.atleast_1d(np.asarray(s0, dtype=float))
     if s0.shape != (params.n,):
@@ -203,7 +211,8 @@ def simulate_paths(params: MarketParams, intensity, cfg: PathConfig, s0) -> Path
     dt = cfg.dt
     prices = np.tile(s0, (m, 1))
     states = np.zeros((m, n), dtype=np.uint8)
-    cum_hazard = np.zeros((m, n))
+    hazard = np.zeros((m, n))
+    crossed = np.empty((m, n), dtype=bool)
     default_step = out.default_step
     default_step.fill(-1)
     out.prices[:, 0] = prices
@@ -213,32 +222,40 @@ def simulate_paths(params: MarketParams, intensity, cfg: PathConfig, s0) -> Path
     vol = params.sigma * np.sqrt(dt)
 
     for k in range(steps):
-        alive = states == 0
         rates = intensity.rates_matrix(states, prices)
+        new_hazard = hazard + rates * dt
 
-        new_hazard = cum_hazard + rates * dt
-        crossed = alive & (new_hazard >= clocks)
+        # column by column: an (m, n) operation against per-stock drift and
+        # volatility, or along the short axis, costs several times n
+        # operations on single columns
+        z = normals[:, k]
+        hit = False
+        for i in range(n):
+            alive = states[:, i] == 0
+            col = np.greater_equal(new_hazard[:, i], clocks[:, i], out=crossed[:, i])
+            col &= alive
+            hit = hit | col
+            prices[:, i] = np.where(alive, prices[:, i] * np.exp(drift[i] + vol[i] * z[:, i]),
+                                    0.0)
+        hit = np.flatnonzero(hit)
 
-        prices = np.where(alive, prices * np.exp(drift + vol * normals[:, k]), 0.0)
-
-        hit = np.flatnonzero(crossed.any(axis=1))
         if hit.size:
             # the earliest interpolated crossing defaults; any other clock
             # crossed in the step has its hazard advanced only to that point
             # (strictly below its clock) and is re-tested next step
-            frac = np.divide(clocks - cum_hazard, rates * dt,
-                             out=np.full((m, n), np.inf), where=crossed)
-            first = frac.argmin(axis=1)
-            j = first[hit]
-            crossed[hit, j] = False  # leaves the other crossed clocks
-            p, q = np.nonzero(crossed)
-            new_hazard[p, q] = cum_hazard[p, q] + rates[p, q] * dt * frac[p, first[p]]
+            rates_h, crossed_h = rates[hit], crossed[hit]
+            frac = np.divide(clocks[hit] - hazard[hit], rates_h * dt,
+                             out=np.full(crossed_h.shape, np.inf), where=crossed_h)
+            j = frac.argmin(axis=1)
+            crossed_h[np.arange(hit.size), j] = False  # leaves the other crossed clocks
+            p, q = np.nonzero(crossed_h)
+            new_hazard[hit[p], q] = hazard[hit[p], q] + rates_h[p, q] * dt * frac[p, j[p]]
 
             prices[hit] *= 1.0 - params.L[:, j].T
             prices[hit, j] = 0.0
             states[hit, j] = 1
             default_step[hit, j] = k
-        cum_hazard = new_hazard
+        hazard = new_hazard
 
         out.prices[:, k + 1] = prices
         out.states[:, k + 1] = states

@@ -133,6 +133,14 @@ def _own_first_weights(weights: np.ndarray, n: int) -> np.ndarray:
     return W
 
 
+def _dead_columns(states: np.ndarray) -> list:
+    """Per-stock default masks of an (m, n) state array.  The hazard
+    families mask, sum and write column by column: one operation on an
+    (m, n) array against a per-column operand or along its short axis
+    costs several times n operations on single columns."""
+    return [states[:, i] == 1 for i in range(states.shape[1])]
+
+
 @dataclass(frozen=True)
 class PowerClampIntensity:
     """Clamped power-law hazard of a weighted price sum.
@@ -168,14 +176,23 @@ class PowerClampIntensity:
         """
         n = states.shape[1]
         W = _own_first_weights(np.asarray(self.weights), n)
-        masked = np.where(states == 1, 0.0, prices)
+        dead = _dead_columns(states)
+        masked = np.empty(states.shape)
+        for i in range(n):
+            masked[:, i] = np.where(dead[i], 0.0, prices[:, i])
+        # the weighted sums stay one matrix product: a column sum
+        # k0 * s0 + k1 * s1 rounds differently in the last bit on some rows
         totals = masked @ W.T
+        out = np.empty(states.shape)
         # a zero or vanishing total sends the raw rate to inf, clamped to h_max
         with np.errstate(divide="ignore", over="ignore"):
-            raw = self.h0 * np.power(totals, -self.alpha, where=totals > 0.0,
-                                     out=np.full_like(totals, np.inf))
-        rates = np.clip(raw, self.h_min, self.h_max)
-        return np.where(states == 1, 0.0, rates)
+            for i in range(n):
+                total = totals[:, i]
+                raw = self.h0 * np.power(total, -self.alpha, where=total > 0.0,
+                                         out=np.full(total.shape, np.inf))
+                rate = np.minimum(np.maximum(raw, self.h_min), self.h_max)
+                out[:, i] = np.where(dead[i], 0.0, rate)
+        return out
 
 
 @dataclass(frozen=True)
@@ -191,11 +208,18 @@ class ReciprocalIntensity:
             raise ValueError("c must be positive")
 
     def rates_matrix(self, states: np.ndarray, prices: np.ndarray) -> np.ndarray:
-        masked = np.where(states == 1, 0.0, prices)
-        totals = masked.sum(axis=1, keepdims=True)
+        dead = _dead_columns(states)
+        # summed column by column from zero: the bits of an axis sum for up
+        # to seven stocks
+        total = 0.0
+        for i, d in enumerate(dead):
+            total = total + np.where(d, 0.0, prices[:, i])
         with np.errstate(divide="ignore"):
-            rates = np.where(totals > 0.0, self.c / totals, np.inf)
-        return np.where(states == 1, 0.0, np.broadcast_to(rates, states.shape))
+            rate = np.where(total > 0.0, self.c / total, np.inf)
+        out = np.empty(states.shape)
+        for i, d in enumerate(dead):
+            out[:, i] = np.where(d, 0.0, rate)
+        return out
 
 
 @dataclass(frozen=True)

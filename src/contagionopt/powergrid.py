@@ -473,6 +473,12 @@ class PowerGridStrategy(Strategy):
     queries and the clamped ones among them.  The utility's ``gamma`` is
     the grid's.  A market that is not two stocks with positive
     volatilities raises ``ValueError`` (:class:`TwoStockMarket`).
+
+    A query makes one pass over all its rows, column by column: every row
+    is interpolated (a defaulted stock's price is clamped like any other),
+    and a post-default row then takes its Merton fraction or zero in place
+    of the result.  The four bilinear weights are computed once for both
+    controls, which are read in place from the slice's flat array.
     """
 
     def __init__(self, value_grid: ValueGrid, params: MarketParams, box: AdmissibleBox):
@@ -487,35 +493,47 @@ class PowerGridStrategy(Strategy):
             for i in range(2)
         ]
 
-    def _interp_controls(self, t: float, s: np.ndarray, p: np.ndarray) -> np.ndarray:
-        vg = self.value_grid
-        grid = vg.grid
-        k = min(grid.n_slices - 1, max(0, int(np.floor(t / grid.dt + 1e-12))))
-        table = vg.controls[k]
-        self.pre_default_queries += s.shape[0]
-        self.out_of_domain += int(np.count_nonzero((s > grid.s_max) | (p > grid.p_max)))
+    def _cells(self, s: np.ndarray, p: np.ndarray):
+        """Each row's lower-left node as the flat index ``2 (i np + j)`` into
+        a control slice, and its bilinear weights for the corners (i, j),
+        (i+1, j), (i, j+1) and (i+1, j+1), prices clamped to the domain.
+        Its temporaries are freed on return, so they do not add to a
+        query's peak memory."""
+        grid = self.value_grid.grid
+        ns, np_ = self.value_grid.controls.shape[1:3]
         sc = np.clip(s, 0.0, grid.s_max)
         pc = np.clip(p, 0.0, grid.p_max)
-        ns, np_ = table.shape[0], table.shape[1]
         i = np.minimum((sc / grid.delta).astype(np.int64), ns - 2)
         j = np.minimum((pc / grid.delta).astype(np.int64), np_ - 2)
         u = (sc - i * grid.delta) / grid.delta
         w = (pc - j * grid.delta) / grid.delta
-        out = np.empty((s.shape[0], 2))
-        for c in range(2):
-            tbl = table[:, :, c]
-            out[:, c] = ((1 - u) * (1 - w) * tbl[i, j] + u * (1 - w) * tbl[i + 1, j]
-                         + (1 - u) * w * tbl[i, j + 1] + u * w * tbl[i + 1, j + 1])
-        return out
+        return 2 * (i * np_ + j), ((1 - u) * (1 - w), u * (1 - w), (1 - u) * w, u * w)
 
     def allocations(self, t, x, prices, states):
         states = np.asarray(states)
         prices = np.asarray(prices, dtype=float)
-        out = np.zeros_like(prices)
-        pre = (states == 0).all(axis=1)
-        if pre.any():
-            out[pre] = self._interp_controls(float(t), prices[pre, 0], prices[pre, 1])
-        for stock in (0, 1):
-            mask = (states[:, stock] == 0) & (states[:, 1 - stock] == 1)
-            out[mask, stock] = self._post[stock]
+        grid = self.value_grid.grid
+        k = min(grid.n_slices - 1, max(0, int(np.floor(float(t) / grid.dt + 1e-12))))
+        # one pass over every row, column by column: masks, weights and
+        # lookups on single columns cost a fraction of a boolean row gather
+        # and scatter or an axis reduction of two columns
+        alive = [states[:, 0] == 0, states[:, 1] == 0]
+        pre = alive[0] & alive[1]
+        s, p = prices[:, 0], prices[:, 1]
+        self.pre_default_queries += int(np.count_nonzero(pre))
+        self.out_of_domain += int(np.count_nonzero(pre & ((s > grid.s_max) | (p > grid.p_max))))
+        node, weights = self._cells(s, p)
+        # control c at corner (i + a, j + b) sits at flat index
+        # node + 2 (a np + b) + c: a take of node from the slice shifted by that
+        np_ = self.value_grid.controls.shape[2]
+        shifts = (0, 2 * np_, 2, 2 * np_ + 2)
+        flat = self.value_grid.controls[k].reshape(-1)
+        out = np.empty(prices.shape)
+        for c in range(2):
+            # summed corner by corner in place, in the order (i, j), (i+1, j),
+            # (i, j+1), (i+1, j+1)
+            interp = weights[0] * flat[c:].take(node)
+            for weight, shift in zip(weights[1:], shifts[1:]):
+                interp += weight * flat[c + shift:].take(node)
+            out[:, c] = np.where(pre, interp, np.where(alive[c], self._post[c], 0.0))
         return out

@@ -13,7 +13,13 @@ from contagionopt.dynamics import (
     evolve_wealth,
     simulate_paths,
 )
-from contagionopt.model import AdmissibleBox, ConstantIntensity, MarketParams
+from contagionopt.model import (
+    AdmissibleBox,
+    ConstantIntensity,
+    MarketParams,
+    PowerClampIntensity,
+    ReciprocalIntensity,
+)
 
 from test_model import benchmark_intensity, benchmark_params
 
@@ -22,6 +28,12 @@ ZERO_H = ConstantIntensity(0.0)
 
 def single_stock(mu=0.10, sigma=0.25, r=0.03):
     return MarketParams(r=r, mu=[mu], sigma=[sigma], rho=[[1.0]], L=[[1.0]])
+
+
+def three_stock_params():
+    return MarketParams(r=0.05, mu=[0.1, 0.12, 0.15], sigma=[0.3, 0.35, 0.4],
+                        rho=[[1.0, 0.2, 0.1], [0.2, 1.0, 0.3], [0.1, 0.3, 1.0]],
+                        L=[[1.0, 0.2, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])
 
 
 class TestSimulatePaths:
@@ -134,19 +146,82 @@ class TestSimulatePaths:
             MarketParams.two_stock(0.05, 0.1, 0.15, 0.3, 0.4, 1.0 + 1e-9, 0.2, 0.3)
 
     def test_each_path_draws_its_own_philox_stream(self):
-        # path i's clocks are the first two exponentials of the Philox
+        # path i's clocks are the first n exponentials of the Philox
         # stream keyed (seed, i), its normals the next standard normals
         # correlated by the Cholesky factor; paths 1023 and 1024 straddle
-        # a simulation block edge
-        params = benchmark_params()
-        cfg = PathConfig(horizon=0.5, n_steps=20, n_paths=1100, master_seed=77)
-        assert _BLOCK < cfg.n_paths
-        bundle = simulate_paths(params, benchmark_intensity(), cfg, [100.0, 100.0])
-        for i in (0, _BLOCK - 1, _BLOCK, cfg.n_paths - 1):
-            gen = np.random.Generator(np.random.Philox(key=[cfg.master_seed, i]))
-            assert np.array_equal(bundle.clocks[i], gen.exponential(1.0, 2)), i
-            raw = gen.standard_normal((cfg.n_steps, 2))
-            assert np.array_equal(bundle.normals[i], raw @ params.chol().T), i
+        # a simulation block edge.  Two and three stocks, twenty steps and
+        # one: the edge shapes of the rows the draws are written into
+        three = three_stock_params()
+        for params, intensity, n_steps in ((benchmark_params(), benchmark_intensity(), 20),
+                                           (three, ConstantIntensity(0.5), 20),
+                                           (benchmark_params(), benchmark_intensity(), 1),
+                                           (three, ConstantIntensity(0.5), 1)):
+            n = params.n
+            cfg = PathConfig(horizon=0.5, n_steps=n_steps, n_paths=1100, master_seed=77)
+            assert _BLOCK < cfg.n_paths
+            bundle = simulate_paths(params, intensity, cfg, [100.0] * n)
+            for i in (0, _BLOCK - 1, _BLOCK, cfg.n_paths - 1):
+                gen = np.random.Generator(np.random.Philox(key=[cfg.master_seed, i]))
+                assert np.array_equal(bundle.clocks[i], gen.exponential(1.0, n)), (n, n_steps, i)
+                raw = gen.standard_normal((cfg.n_steps, n))
+                assert np.array_equal(bundle.normals[i], raw @ params.chol().T), (n, n_steps, i)
+
+    def test_step_loop_equals_the_matrix_formulas_bit_for_bit(self):
+        # the simulation steps column by column; its prices, states and
+        # default steps must keep the bits of this (m, n) step loop
+        def reference(params, intensity, bundle, s0):
+            cfg = bundle.cfg
+            m, n, dt = cfg.n_paths, params.n, cfg.dt
+            prices = np.tile(s0, (m, 1))
+            states = np.zeros((m, n), dtype=np.uint8)
+            cum_hazard = np.zeros((m, n))
+            default_step = np.full((m, n), -1)
+            out_p, out_s = [prices], [states.copy()]
+            drift = (params.mu - 0.5 * params.sigma**2) * dt
+            vol = params.sigma * np.sqrt(dt)
+            deferred = 0
+            for k in range(cfg.n_steps):
+                alive = states == 0
+                rates = intensity.rates_matrix(states, prices)
+                new_hazard = cum_hazard + rates * dt
+                crossed = alive & (new_hazard >= bundle.clocks)
+                prices = np.where(alive, prices * np.exp(drift + vol * bundle.normals[:, k]), 0.0)
+                hit = np.flatnonzero(crossed.any(axis=1))
+                if hit.size:
+                    frac = np.divide(bundle.clocks - cum_hazard, rates * dt,
+                                     out=np.full((m, n), np.inf), where=crossed)
+                    first = frac.argmin(axis=1)
+                    j = first[hit]
+                    crossed[hit, j] = False
+                    p, q = np.nonzero(crossed)
+                    deferred += p.size
+                    new_hazard[p, q] = cum_hazard[p, q] + rates[p, q] * dt * frac[p, first[p]]
+                    prices[hit] *= 1.0 - params.L[:, j].T
+                    prices[hit, j] = 0.0
+                    states[hit, j] = 1
+                    default_step[hit, j] = k
+                cum_hazard = new_hazard
+                out_p.append(prices)
+                out_s.append(states.copy())
+            return np.stack(out_p, axis=1), np.stack(out_s, axis=1), default_step, deferred
+
+        three = three_stock_params()
+        cases = [(benchmark_params(), benchmark_intensity()),
+                 (benchmark_params(), ReciprocalIntensity(c=150.0)),
+                 (three, PowerClampIntensity(h0=100.0, weights=(0.5, 0.3, 0.2), alpha=1.0,
+                                             h_min=0.05, h_max=3.0)),
+                 (three, ReciprocalIntensity(c=200.0)),
+                 (three, ConstantIntensity([0.5, 1.0, 0.8]))]
+        for params, intensity in cases:
+            cfg = PathConfig(horizon=1.0, n_steps=12, n_paths=1500, master_seed=21)
+            s0 = np.array([100.0, 80.0, 60.0][:params.n])
+            bundle = simulate_paths(params, intensity, cfg, s0)
+            prices, states, default_step, deferred = reference(params, intensity, bundle, s0)
+            # clocks crossed in a step after the first one there are re-tested
+            assert deferred > 0, intensity
+            assert bundle.prices.tobytes() == prices.tobytes(), intensity
+            assert bundle.states.tobytes() == states.tobytes(), intensity
+            assert np.array_equal(bundle.default_step, default_step), intensity
 
     def test_seeds_above_two_to_the_63_keep_their_streams_apart(self):
         # the key is the exact 64-bit seed, not a float rounding of it
@@ -218,10 +293,7 @@ class TestEvolveWealth:
                 xs.append(x)
             return np.column_stack(xs)
 
-        three = MarketParams(r=0.05, mu=[0.1, 0.12, 0.15], sigma=[0.3, 0.35, 0.4],
-                             rho=[[1.0, 0.2, 0.1], [0.2, 1.0, 0.3], [0.1, 0.3, 1.0]],
-                             L=[[1.0, 0.2, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])
-        for params in (benchmark_params(), three):
+        for params in (benchmark_params(), three_stock_params()):
             cfg = PathConfig(horizon=1.0, n_steps=60, n_paths=1500, master_seed=10)
             bundle = simulate_paths(params, ConstantIntensity(0.8), cfg, [100.0] * params.n)
             assert (bundle.default_step >= 0).sum() > 100

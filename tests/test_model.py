@@ -171,6 +171,58 @@ class TestRatesMatrix:
                     want = formula(model, i, bits, prices[m])
                     assert got[m, i] == pytest.approx(want, rel=1e-14, abs=0.0)
 
+    def test_equals_the_matrix_expressions_bit_for_bit(self):
+        # the families compute column by column; their rates must keep the
+        # bits of these (m, n) expressions, the power-clamp totals included:
+        # they are one matrix product, which a column sum
+        # k0 * s0 + k1 * s1 does not reproduce on every row
+        def power_clamp(h, states, prices):
+            n = states.shape[1]
+            W = np.empty((n, n))
+            for i in range(n):
+                W[i, i] = h.weights[0]
+                W[i, [j for j in range(n) if j != i]] = h.weights[1:]
+            totals = np.where(states == 1, 0.0, prices) @ W.T
+            with np.errstate(divide="ignore", over="ignore"):
+                raw = h.h0 * np.power(totals, -h.alpha, where=totals > 0.0,
+                                      out=np.full_like(totals, np.inf))
+            return np.where(states == 1, 0.0, np.clip(raw, h.h_min, h.h_max))
+
+        def reciprocal(h, states, prices):
+            totals = np.where(states == 1, 0.0, prices).sum(axis=1, keepdims=True)
+            with np.errstate(divide="ignore"):
+                rates = np.where(totals > 0.0, h.c / totals, np.inf)
+            return np.where(states == 1, 0.0, np.broadcast_to(rates, states.shape))
+
+        rng = np.random.default_rng(11)
+        m = 10_000
+        for n in (2, 3):
+            models = [
+                (PowerClampIntensity(h0=10.0, weights=(0.7, 0.3, 0.2)[:n], alpha=1.0,
+                                     h_min=0.05, h_max=1.0), power_clamp),
+                (PowerClampIntensity(h0=40.0, weights=(0.45, 0.35, 0.2)[:n], alpha=1.7,
+                                     h_min=1e-3, h_max=10.0), power_clamp),
+                (ReciprocalIntensity(c=20.0), reciprocal),
+            ]
+            # prices over four decades and exact zeros, so that totals fall
+            # below, inside and above the clamp and some are zero; some
+            # rows have every stock defaulted.  The arrays are read as the
+            # simulation's step slices are: strided views of a path array
+            prices = np.zeros((m, 3, n))
+            prices[:, 1] = 10.0 ** rng.uniform(-1.0, 3.0, (m, n))
+            prices[:, 1][rng.random((m, n)) < 0.1] = 0.0
+            states = np.zeros((m, 3, n), dtype=np.uint8)
+            states[:, 1] = rng.random((m, n)) < 0.3
+            states[:50, 1] = 1
+            s, p = states[:, 1], prices[:, 1]
+            live_total = np.where(s == 1, 0.0, p).sum(axis=1)
+            assert np.any((live_total == 0.0) & (s == 0).any(axis=1))
+            for model, written_out in models:
+                want = written_out(model, s, p)
+                got = model.rates_matrix(s, p)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (n, model)
+
 
 class TestValidateBox:
     def test_identity_loss_full_investment_rejected(self):

@@ -493,6 +493,56 @@ class TestPowerStrategy:
         assert np.array_equal(b, vg.controls[-1][6, 6])
         assert np.array_equal(a, vg.controls[0][6, 6])
 
+    def test_batch_query_equals_the_bilinear_formula_bit_for_bit(self):
+        # random controls on a grid with more S nodes than P nodes, so that
+        # every weight and every corner read shows in the result
+        params, box = benchmark_params(), power_box()
+        grid = GridSpec(horizon=0.05, delta=1.5, dt=0.01, s_max=12.0, p_max=9.0, n_control=5)
+        ns, np_ = grid.s_nodes().size, grid.p_nodes().size
+        rng = np.random.default_rng(3)
+        controls = rng.uniform(-1.0, 1.0, (grid.n_slices, ns, np_, 2))
+        vg = ValueGrid(grid=grid, gamma=GAMMA, f=np.ones((grid.n_slices + 1, ns, np_)),
+                       controls=controls)
+        # pre-default rows at nodes, between nodes, at exactly s_max / p_max,
+        # and beyond one or both edges (the last five, out of domain)
+        nodes = np.column_stack([rng.integers(0, ns, 30), rng.integers(0, np_, 30)]) * grid.delta
+        between = rng.uniform(0.0, 1.0, (300, 2)) * [grid.s_max, grid.p_max]
+        edges = [[12.0, 4.0], [5.0, 9.0], [12.0, 9.0], [0.0, 0.0], [0.0, 9.0], [12.0, 0.0]]
+        beyond = [[30.0, 4.0], [5.0, 20.0], [30.0, 20.0], [12.5, 9.0], [12.0, 9.5]]
+        pre = np.vstack([nodes, between, edges, beyond])
+        # defaulted rows: the dead stock's price lies beyond s_max and
+        # p_max, and some survivors' prices lie beyond theirs
+        dead = np.array([[50.0, 4.0], [50.0, 20.0], [5.0, 50.0], [30.0, 50.0], [50.0, 50.0]])
+        dead_bits = np.array([[1, 0], [1, 0], [0, 1], [0, 1], [1, 1]], dtype=np.uint8)
+        order = rng.permutation(len(pre) + len(dead))
+        prices = np.vstack([pre, dead])[order]
+        states = np.vstack([np.zeros(pre.shape, dtype=np.uint8), dead_bits])[order]
+
+        k = 2
+        strat = PowerGridStrategy(vg, params, box)
+        got = strat.allocations(k * grid.dt + 0.004, np.ones(len(prices)), prices, states)
+
+        # the bilinear formula in the order the strategy has always used
+        sc = np.clip(prices[:, 0], 0.0, grid.s_max)
+        pc = np.clip(prices[:, 1], 0.0, grid.p_max)
+        i = np.minimum((sc / grid.delta).astype(np.int64), ns - 2)
+        j = np.minimum((pc / grid.delta).astype(np.int64), np_ - 2)
+        u = (sc - i * grid.delta) / grid.delta
+        w = (pc - j * grid.delta) / grid.delta
+        alive = states == 0
+        want = np.empty(prices.shape)
+        for c in range(2):
+            tbl = controls[k][:, :, c]
+            interp = ((1 - u) * (1 - w) * tbl[i, j] + u * (1 - w) * tbl[i + 1, j]
+                      + (1 - u) * w * tbl[i, j + 1] + u * w * tbl[i + 1, j + 1])
+            merton = merton_power_control(params, GAMMA, box.lower[c],
+                                          min(box.upper[c], 1.0 - box.eps_a), stock=c)
+            want[:, c] = np.where(alive.all(axis=1), interp,
+                                  np.where(alive[:, c], merton, 0.0))
+        assert np.array_equal(got, want)
+        assert strat.pre_default_queries == len(pre)
+        assert strat.out_of_domain == len(beyond)
+
 
 class TestPowerParams:
     def test_gamma_domain(self):
