@@ -289,9 +289,9 @@ def _check_admissible(pi: np.ndarray, states: np.ndarray, L: np.ndarray,
         raise RuntimeError(
             f"strategy violates the post-default floor at step {step}: "
             f"path {bad[0]}, column {bad[1]}, factor {factors[bad]:.6g}")
-    # column by column: a comparison of (m, n) against per-column bounds
-    # costs several times n column comparisons
-    if box is not None and any(np.any((col < lo - 1e-9) | (col > hi + 1e-9))
+    # each column's extremes against its bounds: two reductions cost less
+    # than two comparisons, an or and a reduction of the whole column
+    if box is not None and any(col.min() < lo - 1e-9 or col.max() > hi + 1e-9
                                for col, lo, hi in zip(pi.T, box.lower, box.upper)):
         raise RuntimeError(f"strategy left the admissible box at step {step}")
 

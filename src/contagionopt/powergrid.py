@@ -66,6 +66,8 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-12
+# rows per block of the coarse candidates' first maximum (_first_max)
+_MAX_BLOCK = 16
 
 # lattice moves in fixed order: stay, s+, s-, p+, p-, then the diagonals
 # carrying rho+ mass ((+,+), (-,-)) and rho- mass ((+,-), (-,+))
@@ -164,6 +166,35 @@ def control_lattice(box: AdmissibleBox, L: np.ndarray, n_control: int) -> np.nda
     return pts[coarse]
 
 
+def _first_max(a: np.ndarray):
+    """Row index and value of each column's first maximum of a finite 2-D
+    array: ``np.argmax(a, axis=0)`` and ``a.max(axis=0)``, bit for bit.
+
+    Each column's maximum is taken over blocks of ``_MAX_BLOCK`` rows; the
+    first block holding the largest one is found among these few block
+    maxima, and ``argmax`` runs on that block's rows only.  A reduction
+    along axis 0 is vectorized over the columns, ``argmax`` along it is
+    not.  The input must be finite: ``np.argmax`` returns a column's first
+    NaN, which no comparison of block maxima singles out.  The DP's coarse
+    candidates are finite: their controls are admissible, so their
+    features are, and so are the node factors of a finite value, which the
+    DP checks every slice.
+    """
+    n, c = a.shape
+    full = n // _MAX_BLOCK
+    block_max = np.empty((-(-n // _MAX_BLOCK), c))
+    a[:full * _MAX_BLOCK].reshape(full, _MAX_BLOCK, c).max(axis=1, out=block_max[:full])
+    if full < len(block_max):
+        a[full * _MAX_BLOCK:].max(axis=0, out=block_max[full])
+    block = block_max.argmax(axis=0)
+    cols = np.arange(c)
+    # a short last block is read as the last _MAX_BLOCK rows: the rows it
+    # borrows from the block before hold no maximum, as that block does not
+    start = np.minimum(block * _MAX_BLOCK, max(n - _MAX_BLOCK, 0))
+    rows = np.arange(min(_MAX_BLOCK, n))[:, None] * c + cols
+    return start + a.take(rows + start * c).argmax(axis=0), block_max.take(block * c + cols)
+
+
 def _pre_default_rates(intensity, s, p):
     """Pre-default hazards ``(h_S, h_P)`` on broadcast price arrays, read
     from ``intensity.rates_matrix`` exactly as the simulation reads them."""
@@ -208,7 +239,8 @@ def _features(market: TwoStockMarket, gamma: float, pi, grid: GridSpec) -> np.nd
     node factors built in :func:`solve_power_value`."""
     c1, c2, beta_c, jumps = _control_terms(market, gamma, pi)
     eb = np.exp(-beta_c * grid.dt)
-    # clamped at zero so inadmissible trials, masked out afterwards, stay finite
+    # clamped at zero so an inadmissible point's features stay finite; the
+    # DP then sets its first factor to -inf
     jg = np.maximum(jumps, 0.0) ** gamma
     return np.stack([eb, *(eb * u for u in _upwind(c1, c2, grid)),
                      jg[..., 0], jg[..., 1]], axis=-1)
@@ -378,11 +410,22 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
     The walk carries one flat lattice index per node, and the point each
     offset reaches from each lattice point is tabulated once per solve.
 
+    The coarse candidates are one product per slice, and each node's
+    first maximum among them is found by blocks of rows (the result of
+    ``np.argmax``, at a fraction of its cost along this axis).  The walk
+    needs no admissibility test: once the coarse features are taken, an
+    inadmissible point's first feature is set to -inf, and its node
+    factor, the discounted driftless expectation, is positive while the
+    value is, so an inadmissible trial is worth -inf and never taken.
+
     When the hazards are the same at every node (a price-free intensity
     such as the constant comparator), the value is flat in price: every
     node sees the same factors, and a flat value stays flat.  The
     recursion then runs on the node ``(0, 0)`` alone, where the driftless
     chain stays put, and its ``f`` and controls are copied to every node.
+    Its walk reads each trial from a table of the values of every
+    quarter-lattice point, computed once per slice, and steps through the
+    offsets on Python scalars, not one numpy call per offset.
 
     A ``gamma`` outside (0, 1), or a market that is not two stocks with
     positive volatilities (:class:`TwoStockMarket`), raises ``ValueError``.
@@ -411,6 +454,11 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
 
     fine, admissible, coarse = _quarter_lattice(box, params.L, grid.n_control)
     feats = _features(market, gamma, fine, grid)
+    coarse_feats = feats[coarse]
+    # for the walk, an inadmissible point's first factor is -inf; its node
+    # factor ehd ev0 is positive while v is, so such a trial's value is -inf
+    # (NaN if ehd underflows) and never strictly better
+    feats[~admissible, 0] = -np.inf
     # trial_of[o, q]: the quarter-lattice point that offset o reaches from q
     n_fine = 4 * grid.n_control - 3
     qi, qj = np.divmod(np.arange(n_fine * n_fine, dtype=np.intp), n_fine)
@@ -436,18 +484,27 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
         nodes = np.stack([ehd * ev0, *(ehd * g for g in gains),
                           srcS * dt, srcP * dt]).reshape(7, -1)
 
-        cand = feats[coarse] @ nodes
-        best = np.argmax(cand, axis=0)
-        vbest = np.take_along_axis(cand, best[None, :], axis=0)[0]
+        # no name keeps the candidates, so one slice's array is freed before
+        # the next slice's is made
+        best, vbest = _first_max(coarse_feats @ nodes)
         at = coarse[best]
 
-        if grid.refine:
+        if grid.refine and flat:
+            # one node: every trial's value is in this slice's table
+            table = np.einsum("ij,ji->i", feats, np.broadcast_to(nodes, (7, len(feats))))
+            q, val = at.item(0), vbest.item(0)
+            for nbr in trial_of:
+                trial = nbr.item(q)
+                if table.item(trial) > val:
+                    q, val = trial, table.item(trial)
+            at[0], vbest[0] = q, val
+        elif grid.refine:
             for nbr in trial_of:
                 trial = nbr[at]
                 val = np.einsum("ij,ji->i", feats.take(trial, axis=0), nodes)
-                upd = admissible[trial] & (val > vbest)
-                vbest = np.where(upd, val, vbest)
-                at = np.where(upd, trial, at)
+                upd = val > vbest
+                np.copyto(vbest, val, where=upd)
+                np.copyto(at, trial, where=upd)
 
         v = vbest.reshape(ns, np_)
         if not np.all(np.isfinite(v)) or v.min() <= 0.0:

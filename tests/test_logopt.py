@@ -248,6 +248,21 @@ class TestSingleSurvivor:
         assert got[0] == 0.0
         assert got[1] == pytest.approx(float(want), rel=1e-13, abs=0)
 
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(excess=st.floats(-0.2, 0.3), sigma=st.floats(0.1, 0.8), h=st.floats(0.0, 3.0),
+           lower=st.floats(-2.0, 0.0), upper=st.floats(0.05, 0.95))
+    def test_clipped_formula_is_the_grid_maximum_within_one_cell(self, excess, sigma, h,
+                                                                 lower, upper):
+        # the one-stock log growth rate (mu-r) pi - sigma^2 pi^2 / 2 + h ln(1-pi)
+        # is strictly concave on pi < 1, so the box's grid maximum sits in a
+        # cell next to the clipped stationary point
+        r = 0.05
+        grid = np.linspace(lower, upper, 2001)
+        rate = excess * grid - 0.5 * sigma**2 * grid**2 + h * np.log1p(-grid)
+        want = grid[np.argmax(rate)]
+        got = np.clip(single_survivor_formula(r + excess, sigma, r, h), lower, upper)
+        assert abs(got - want) <= (upper - lower) / 2000 * (1 + 1e-9)
+
 
 class TestLogStrategy:
     def test_all_defaulted_gives_zero(self):

@@ -9,8 +9,10 @@ from contagionopt.model import (
     ConstantIntensity,
     MarketParams,
     PowerClampIntensity,
+    TwoStockMarket,
 )
 from contagionopt.powergrid import (
+    _MAX_BLOCK,
     CFLViolationError,
     GridSpec,
     PowerGridStrategy,
@@ -23,6 +25,12 @@ from contagionopt.powergrid import (
     solve_power_value,
     transition_probs,
     validate_cfl,
+    _branch_sources,
+    _features,
+    _first_max,
+    _nine_probs,
+    _pre_default_rates,
+    _quarter_lattice,
 )
 
 from test_model import benchmark_intensity, benchmark_params
@@ -211,7 +219,102 @@ class TestDiscountAndSource:
         assert str(exc.value) == "allocation infeasible in row 1: jump factors (-0.26, 0.56)"
 
 
+def former_solve(grid, params, intensity, gamma, box):
+    """``f`` and controls of the DP's slice loop as first written: the
+    coarse maximum by ``np.argmax`` and ``take_along_axis``, and a walk that
+    evaluates every trial with ``einsum`` and masks it by admissibility,
+    on every node, or on node (0, 0) for a price-free hazard."""
+    S, P = np.meshgrid(grid.s_nodes(), grid.p_nodes(), indexing="ij")
+    shape = S.shape
+    hS, hP = _pre_default_rates(intensity, S, P)
+    flat = np.ptp(hS) == 0.0 and np.ptp(hP) == 0.0
+    if flat:
+        S, P, hS, hP = (a[:1, :1] for a in (S, P, hS, hP))
+    ns, np_ = S.shape
+    dt = grid.dt
+    ehd = np.exp(-(hS + hP) * dt)
+    probs0 = _nine_probs(S, P, 0.0, 0.0, grid, params)
+    fine, admissible, coarse = _quarter_lattice(box, params.L, grid.n_control)
+    feats = _features(TwoStockMarket(params), gamma, fine, grid)
+    n_fine = 4 * grid.n_control - 3
+    qi, qj = np.divmod(np.arange(n_fine * n_fine), n_fine)
+    trial_of = [np.clip(qi + a, 0, n_fine - 1) * n_fine + np.clip(qj + b, 0, n_fine - 1)
+                for a in range(-4, 5) for b in range(-4, 5) if (a, b) != (0, 0)]
+    f = np.empty((grid.n_slices + 1, ns, np_))
+    f[-1] = 1.0
+    controls = np.empty((grid.n_slices, ns, np_, 2))
+    v = np.ones((ns, np_))
+    for k in range(grid.n_slices - 1, -1, -1):
+        padded = np.pad(v, 1, mode="edge")
+        moved = [padded[1 + a:1 + a + ns, 1 + b:1 + b + np_] for a, b in TRANSITION_MOVES]
+        ev0 = sum(q * vm for q, vm in zip(probs0, moved))
+        gains = [x * (vm - v) for x, vm in zip((S, S, P, P), moved[1:5])]
+        srcS, srcP = _branch_sources(k * dt, grid, params, gamma, hS, hP)
+        nodes = np.stack([ehd * ev0, *(ehd * g for g in gains),
+                          srcS * dt, srcP * dt]).reshape(7, -1)
+        cand = feats[coarse] @ nodes
+        best = np.argmax(cand, axis=0)
+        vbest = np.take_along_axis(cand, best[None, :], axis=0)[0]
+        at = coarse[best]
+        for nbr in trial_of if grid.refine else ():
+            trial = nbr[at]
+            val = np.einsum("ij,ji->i", feats.take(trial, axis=0), nodes)
+            upd = admissible[trial] & (val > vbest)
+            vbest = np.where(upd, val, vbest)
+            at = np.where(upd, trial, at)
+        v = vbest.reshape(ns, np_)
+        f[k] = v
+        controls[k] = fine[at].reshape(ns, np_, 2)
+    return (np.broadcast_to(f, (grid.n_slices + 1, *shape)),
+            np.broadcast_to(controls, (grid.n_slices, *shape, 2)))
+
+
+class TestFirstMax:
+    def test_equals_argmax_and_max(self):
+        b = _MAX_BLOCK
+        ties = np.zeros((2 * b + 3, 4))
+        ties[[2, b - 1], 0] = 1.0              # within one block
+        ties[[b - 1, b, 2 * b], 1] = 1.0       # across blocks
+        ties[[b + 4, 2 * b + 2], 2] = 1.0      # reaching the short last block
+        ties[[2 * b + 1, 2 * b + 2], 3] = 1.0  # inside the short last block
+        ties[b - 2, 3] = 0.5                   # after an earlier, smaller peak
+        arrays = [ties]
+        rng = np.random.default_rng(5)
+        for n in (1, b - 3, b, b + 1, 3 * b, 3 * b + 5):
+            for c in (1, 7):
+                arrays += [rng.standard_normal((n, c)),
+                           rng.integers(0, 3, (n, c)).astype(float),
+                           np.full((n, c), -2.5)]
+        for a in arrays:
+            idx, val = _first_max(a)
+            assert np.array_equal(idx, np.argmax(a, axis=0))
+            assert np.array_equal(val, np.max(a, axis=0))
+        assert _first_max(ties)[0].tolist() == [2, b - 1, b + 4, 2 * b + 1]
+
+
 class TestSolvePowerValue:
+    def test_slice_loop_equals_the_former_loop_bit_for_bit(self):
+        # a price-dependent hazard and the flat grid of a constant one at
+        # rho = +-0.1, with and without the walk, on the full box and on a
+        # box whose post-default floor 0.5 holds the optimum; in all but one
+        # case the walk moves some control.  169 coarse points fill several
+        # row blocks and a short last one
+        floor = AdmissibleBox(lower=[0.0, 0.0], upper=[0.3, 1.0], eps_a=0.5)
+        cases = [(power_box(), PowerClampIntensity(h0=1.0, weights=(0.7, 0.3), alpha=1.0,
+                                                   h_min=0.05, h_max=1.0)),
+                 (floor, PowerClampIntensity(h0=0.1, weights=(0.7, 0.3), alpha=1.0,
+                                             h_min=0.01, h_max=1.0)),
+                 (power_box(), ConstantIntensity([0.02, 0.06])),
+                 (floor, ConstantIntensity(0.03))]
+        for refine in (False, True):
+            grid = GridSpec(0.03, 1.0, 0.005, 6.0, 6.0, n_control=13, refine=refine)
+            for (box, h), rho in itertools.product(cases, (-0.1, 0.1)):
+                params = MarketParams.two_stock(0.05, 0.10, 0.15, 0.30, 0.40, rho, 0.2, 0.3)
+                vg = solve_power_value(grid, params, h, GAMMA, box)
+                f, controls = former_solve(grid, params, h, GAMMA, box)
+                assert np.array_equal(vg.f, f)
+                assert np.array_equal(vg.controls, controls)
+
     def test_terminal_slice_is_one(self):
         grid = GridSpec(horizon=0.5, delta=1.0, dt=0.01, s_max=10.0, p_max=10.0,
                         n_control=11)
