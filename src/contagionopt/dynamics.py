@@ -12,10 +12,7 @@ new state.
 
 Every path owns a counter-based RNG stream keyed by
 ``(master_seed, path_index)``, so a path's results are bit-identical
-whatever the path count or block partition of the run.  The streams are
-drawn in fixed blocks of paths, each path's draws written in place; the
-hazard, price and default step loop runs once over all paths, column by
-column, and so does the wealth step loop.
+whatever the path count or block partition of the run.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from contagionopt.model import AdmissibleBox, MarketParams, jump_factors
+from contagionopt.model import AdmissibleBox, MarketParams, _alive_columns, jump_factors
 
 __all__ = [
     "PathConfig",
@@ -156,15 +153,14 @@ class ConstantAllocation(Strategy):
 
 
 def _draw_block(cfg: PathConfig, chol: np.ndarray, lo: int, hi: int, out: PathBundle):
-    """Clocks and correlated normals of paths ``lo`` to ``hi``: each path's
-    unit-exponential clocks first, then its step normals.  Both are drawn
-    in place, the clocks into the bundle's row and the normals into the
-    block's raw array, which is then correlated."""
+    """Write the clocks and correlated normals of paths ``lo`` to ``hi`` into
+    ``out``: each path draws its unit-exponential clocks first, then its
+    step normals."""
     n = chol.shape[0]
     raw = np.empty((hi - lo, cfg.n_steps, n))
     # one generator serves the block; each path resets it to the start of
     # the Philox stream keyed by (master_seed, path index), with an empty
-    # buffer, which costs a fraction of a new Philox per path
+    # buffer, where a new Philox would begin
     bits = np.random.Philox(key=0)
     gen = np.random.Generator(bits)
     fresh = bits.state  # counter 0, empty buffer
@@ -182,11 +178,8 @@ def simulate_paths(params: MarketParams, intensity, cfg: PathConfig, s0) -> Path
     """Simulate the contagion market from initial prices ``s0``.
 
     The random numbers are drawn in fixed blocks of paths, which bounds
-    the raw draw array; the hazard, price and default steps then run once
-    over all paths, one stock column at a time, and a step's defaults are
-    resolved on the rows where a clock crossed.  The first ``k`` paths of
-    a run equal a ``k``-path run with the same seed.  The bundle is
-    read-only.
+    the raw draw array.  The first ``k`` paths of a run equal a ``k``-path
+    run with the same seed.  The bundle is read-only.
     """
     s0 = np.atleast_1d(np.asarray(s0, dtype=float))
     if s0.shape != (params.n,):
@@ -225,13 +218,9 @@ def simulate_paths(params: MarketParams, intensity, cfg: PathConfig, s0) -> Path
         rates = intensity.rates_matrix(states, prices)
         new_hazard = hazard + rates * dt
 
-        # column by column: an (m, n) operation against per-stock drift and
-        # volatility, or along the short axis, costs several times n
-        # operations on single columns
         z = normals[:, k]
         hit = False
-        for i in range(n):
-            alive = states[:, i] == 0
+        for i, alive in enumerate(_alive_columns(states)):
             col = np.greater_equal(new_hazard[:, i], clocks[:, i], out=crossed[:, i])
             col &= alive
             hit = hit | col
@@ -289,8 +278,6 @@ def _check_admissible(pi: np.ndarray, states: np.ndarray, L: np.ndarray,
         raise RuntimeError(
             f"strategy violates the post-default floor at step {step}: "
             f"path {bad[0]}, column {bad[1]}, factor {factors[bad]:.6g}")
-    # each column's extremes against its bounds: two reductions cost less
-    # than two comparisons, an or and a reduction of the whole column
     if box is not None and any(col.min() < lo - 1e-9 or col.max() > hi + 1e-9
                                for col, lo, hi in zip(pi.T, box.lower, box.upper)):
         raise RuntimeError(f"strategy left the admissible box at step {step}")
@@ -305,9 +292,10 @@ def evolve_wealth(bundle: PathBundle, strategy: Strategy, x0: float) -> WealthBu
     ``1 - sum_i L[i, j] pi_i`` at the pre-jump allocation.  Each step
     queries :meth:`Strategy.step_allocations` with the previous step's
     allocations, so a path's controls depend on its own history only.
-    The step loop runs over all paths at once; the default events are
-    ordered by step once per call.
+    A non-finite or nonpositive ``x0`` raises ``ValueError``.
     """
+    if not np.isfinite(x0):
+        raise ValueError(f"initial wealth must be finite, not {x0}")
     if x0 <= 0.0:
         raise ValueError("initial wealth must be positive")
     params = bundle.params
@@ -338,7 +326,7 @@ def evolve_wealth(bundle: PathBundle, strategy: Strategy, x0: float) -> WealthBu
 
         # pi' Sigma pi and the diffusion summed column by column from zero,
         # in (a, b) order: for up to seven stocks the bits of np.einsum and
-        # of an axis sum, at a fraction of their per-call cost
+        # of an axis sum
         z = bundle.normals[:, k]
         cols = [pi[:, a] for a in range(n)]
         quad = diffusion = 0.0

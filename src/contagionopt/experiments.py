@@ -129,6 +129,10 @@ class ExperimentConfig:
                 raise ValueError("power-compare requires a grid section")
         if self.kind != "sweep" and self.hbar is None:
             raise ValueError(f"{self.kind} requires a comparator hbar")
+        if not 0.0 < self.x0 < np.inf:
+            raise ValueError(f"experiment.x0 must be finite and > 0, not {self.x0!r}")
+        if self.hbar is not None and not 0.0 <= self.hbar < np.inf:
+            raise ValueError(f"experiment.hbar must be finite and >= 0, not {self.hbar!r}")
         if self.sweep_mode not in SWEEP_MODES:
             raise ValueError(f"unknown sweep mode: {self.sweep_mode!r}; have {list(SWEEP_MODES)}")
 
@@ -150,12 +154,27 @@ def config_from_dict(doc: dict, seed: int | None = None,
                      n_paths: int | None = None) -> ExperimentConfig:
     """Build a validated config; ``seed``/``n_paths`` override the document.
 
-    A missing required key raises ``ValueError`` naming it.
+    A missing required key, or a number that is NaN or infinite (``json``
+    reads both), raises ``ValueError`` naming its key.
     """
+    _check_finite(doc, "")
     try:
         return _config(doc, seed, n_paths)
     except KeyError as exc:  # every subscript in _config reads a required key
         raise ValueError(f"config is missing the required key {exc.args[0]!r}") from None
+
+
+def _check_finite(node, path: str):
+    """Raise ``ValueError`` naming the key path, such as ``market.mu[0]``, of
+    the first NaN or infinite number in the config document ``node``."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _check_finite(value, f"{path}.{key}" if path else str(key))
+    elif isinstance(node, (list, tuple)):
+        for k, value in enumerate(node):
+            _check_finite(value, f"{path}[{k}]")
+    elif isinstance(node, float) and not np.isfinite(node):
+        raise ValueError(f"{path} must be a finite number, not {node}")
 
 
 def _config(doc: dict, seed: int | None, n_paths: int | None) -> ExperimentConfig:
@@ -318,11 +337,6 @@ def _compare(cfg: ExperimentConfig, out_dir: str | None, t0: float,
         rng_digest=digest,
         health=health(active, passive),
     )
-    for rep in (result.active, result.passive):
-        n_def = rep.default.n if rep.default else 0
-        n_no = rep.no_default.n if rep.no_default else 0
-        if n_def + n_no != result.n_paths or n_def != result.n_default:
-            raise RuntimeError("cohort sizes do not conserve the path count")
     if out_dir:
         _emit(cfg, out_dir, result.to_csv(), result.health, digest,
               time.perf_counter() - t0)

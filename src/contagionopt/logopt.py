@@ -34,27 +34,25 @@ row takes a full Newton step; otherwise each coordinate takes its own
 Newton step, the diagonally scaled gradient step, capped at the box
 width as a trust region.  Every stock's volatility must be positive
 (the problem's :class:`~contagionopt.model.TwoStockMarket` record checks
-it), so each Hessian diagonal entry
-is at most ``-sigma^2`` and every step is finite.  Trials are projected
-onto the box, which :func:`validate_box` keeps inside the log domain of
-G.  A trial is accepted when G stays within rounding of its value at the
-iterate, since G cannot resolve a Newton step's gain near the maximizer;
-the full step is tried on every row at once, and only the rows it fails
-halve their step.  A row leaves the iteration when its residual reaches
-the stationarity target or its step no longer moves it; the batch is
-filtered only on iterations where some row leaves.
+it), so each Hessian diagonal entry is at most ``-sigma^2`` and every
+step is finite.  Trials are projected onto the box, which
+:func:`validate_box` keeps inside the log domain of G.  A trial is
+accepted when G stays within rounding of its value at the iterate, since
+G cannot resolve a Newton step's gain near the maximizer; the full step
+is tried on every row at once, and only the rows it fails halve their
+step.
 
-The Kuhn-Tucker case, the multipliers and the residual are read from the
+Every iteration begins with one exit test, the only place a row leaves:
+a row leaves when its residual reaches the stationarity target, when its
+last step did not move it, or on the pass after ``_MAX_ITER`` steps.  The
+batch is filtered only on iterations where some row leaves.  A leaving
+row's gradient is the one the test just took at its final allocation, and
+its Newton iterations are the steps it took before it left.  The
+Kuhn-Tucker case, the multipliers and the residual are read from the
 final held set, the coordinates sitting at a bound with their gradient
 pointing out: a held coordinate's multiplier is its outward gradient, and
-the residual is the largest gradient of a free coordinate.  The gradient
-of that read-out is the one the iteration last took at the row's final
-allocation: a row that leaves keeps it, since either it was just taken or
-the row has not moved since.  Only a row that still moved on the last
-allowed iteration holds a gradient from before that move, and has it
-taken afresh.  A row whose residual misses ``1e-8`` raises
-``RuntimeError``.  Each row's Newton iterations, the steps it took before
-it stopped, are returned too.
+the residual is the largest gradient of a free coordinate.  A row whose
+residual misses ``1e-8`` raises ``RuntimeError``.
 
 After one default the problem collapses to one dimension and has the
 closed form
@@ -90,6 +88,7 @@ from contagionopt.model import (
     ConstantIntensity,
     MarketParams,
     TwoStockMarket,
+    _alive_columns,
     validate_box,
 )
 
@@ -171,7 +170,7 @@ def _held(x, g, box: AdmissibleBox):
 
 def _put_cols(a, rows, cols):
     """``a[rows] = v`` for the (m, 2) array ``a``, given the two columns of
-    ``v``: two column scatters cost a fraction of numpy's row scatter."""
+    ``v``."""
     a[:, 0][rows], a[:, 1][rows] = cols
 
 
@@ -181,15 +180,15 @@ def _same_rows(a) -> bool:
 
 
 def _clip(x, lo, hi):
-    """``np.clip(x, lo, hi)`` bit for bit, at a fraction of its call cost."""
+    """``np.clip(x, lo, hi)``, bit for bit."""
     return np.minimum(np.maximum(x, lo), hi)
 
 
 def solve_kt_batch(prob: LogControlProblem, hS, hP, start=None):
     """Pre-default controls for arrays of hazard pairs by projected Newton,
     each row started from its row of ``start`` (m, 2) clipped to the box, or
-    from the clipped Merton point; a ``start`` of another shape, or not
-    finite, raises ``ValueError``.
+    from the clipped Merton point.  Non-finite or negative hazards, and a
+    ``start`` of another shape or not finite, raise ``ValueError``.
 
     Returns ``(pi (m, 2), case_id, multipliers (m, 4), residual, newton_iters)``.
     """
@@ -197,6 +196,8 @@ def solve_kt_batch(prob: LogControlProblem, hS, hP, start=None):
     hP = np.atleast_1d(np.asarray(hP, dtype=float))
     if hS.shape != hP.shape:
         raise ValueError(f"hazard arrays differ in shape: h_S {hS.shape}, h_P {hP.shape}")
+    if not (np.isfinite(hS).all() and np.isfinite(hP).all()):
+        raise ValueError("hazard rates must be finite")
     if np.any(hS < 0.0) or np.any(hP < 0.0):
         raise ValueError("hazard rates must be nonnegative")
     c, box = prob.market, prob.box
@@ -217,14 +218,13 @@ def solve_kt_batch(prob: LogControlProblem, hS, hP, start=None):
     iters = np.empty(n, dtype=np.int64)
     grad = np.empty((n, 2))
     # the rows still iterating: their indices, hazards and, one array per
-    # coordinate, iterates.  Arithmetic on (m, 2) arrays against per-column
-    # bounds costs several times the same on two coordinate arrays.  The
-    # rows are filtered only when one leaves, which writes its x, gradient
-    # and iteration count.
+    # coordinate, iterates.  The exit test is the one place that writes a
+    # leaving row's x, gradient and count; the last pass is the cap.
     rows, hs, hp, xa = np.arange(n), hS, hP, (x[:, 0], x[:, 1])
-    for it in range(_MAX_ITER):
+    stuck = False
+    for it in range(_MAX_ITER + 1):
         g, hd, hoff = _derivs(c, hs, hp, *xa)
-        done = ~(_held(xa, g, box)[2] > _GRAD_TOL)
+        done = stuck | ~(_held(xa, g, box)[2] > _GRAD_TOL) | (it == _MAX_ITER)
         if done.any():
             out = rows[done]
             _put_cols(x, out, [a[done] for a in xa])
@@ -269,26 +269,10 @@ def solve_kt_batch(prob: LogControlProblem, hS, hP, start=None):
                     break
                 alpha *= 0.5
         # a row that found no acceptable trial, or whose step no longer
-        # moves it, has reached what rounding lets it resolve; its gradient
-        # was taken at xa, which equals new
-        moved = (new[0] != xa[0]) | (new[1] != xa[1])
-        if not moved.all():
-            stay = ~moved
-            out = rows[stay]
-            _put_cols(x, out, [a[stay] for a in new])
-            _put_cols(grad, out, [a[stay] for a in g])
-            iters[out] = it + 1
-            rows, hs, hp = (a[moved] for a in (rows, hs, hp))
-            new = [a[moved] for a in new]
-            if rows.size == 0:
-                break
+        # moves it, has reached what rounding lets it resolve: it leaves at
+        # the next exit test
+        stuck = (new[0] == xa[0]) & (new[1] == xa[1])
         xa = new
-    else:
-        # rows that moved on the last iteration hold a gradient from before
-        # that move, so theirs is taken afresh
-        _put_cols(x, rows, xa)
-        _put_cols(grad, rows, _derivs(c, hs, hp, *xa)[0])
-        iters[rows] = _MAX_ITER
 
     low, high, residual = _held(x.T, grad.T, box)
     bad = np.nonzero(~(residual <= _ACCEPT_TOL))[0]
@@ -343,10 +327,8 @@ class LogStrategy(Strategy):
 
     def allocations(self, t, x, prices, states, start=None):
         """Allocations as :meth:`Strategy.allocations`; ``start`` (one row
-        per path) seeds the KT solves of the pre-default rows.
-
-        When every pre-default row has the same hazard pair and the same
-        start row (or none), they pose one problem, which is solved once.
+        per path) seeds the KT solves of the pre-default rows.  Pre-default
+        rows that all share one hazard pair and one start row are solved once.
         """
         prob = self.problem
         params = prob.params
@@ -355,9 +337,7 @@ class LogStrategy(Strategy):
         out = np.zeros_like(prices)
         rates = prob.intensity.rates_matrix(states, prices)
 
-        # per-column masks and compress: far cheaper than an axis reduction
-        # or a boolean row index on two columns
-        alive = [states[:, 0] == 0, states[:, 1] == 0]
+        alive = _alive_columns(states)
         pre = alive[0] & alive[1]
         if pre.any():
             h = rates.compress(pre, axis=0)
@@ -376,7 +356,7 @@ class LogStrategy(Strategy):
             count["max"] = max(count["max"], int(iters.max()))
 
         for stock in (0, 1):
-            mask = alive[stock] & (states[:, 1 - stock] == 1)
+            mask = alive[stock] & ~pre
             raw = single_survivor_formula(params.mu[stock], params.sigma[stock],
                                           params.r, rates[:, stock][mask])
             out[:, stock][mask] = np.clip(raw, prob.box.lower[stock], prob.box.upper[stock])

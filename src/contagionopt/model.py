@@ -133,12 +133,10 @@ def _own_first_weights(weights: np.ndarray, n: int) -> np.ndarray:
     return W
 
 
-def _dead_columns(states: np.ndarray) -> list:
-    """Per-stock default masks of an (m, n) state array.  The hazard
-    families mask, sum and write column by column: one operation on an
-    (m, n) array against a per-column operand or along its short axis
-    costs several times n operations on single columns."""
-    return [states[:, i] == 1 for i in range(states.shape[1])]
+def _alive_columns(states: np.ndarray) -> list:
+    """Survival masks of an (m, n) default-state array, one boolean column
+    per stock."""
+    return [states[:, i] == 0 for i in range(states.shape[1])]
 
 
 @dataclass(frozen=True)
@@ -161,9 +159,9 @@ class PowerClampIntensity:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if self.h0 <= 0.0 or self.alpha <= 0.0:
+        if not (self.h0 > 0.0 and self.alpha > 0.0):
             raise ValueError("h0 and alpha must be positive")
-        if any(w < 0.0 for w in self.weights):
+        if not all(w >= 0.0 for w in self.weights):
             raise ValueError("weights must be nonnegative")
         if not (0.0 < self.h_min <= self.h_max):
             raise ValueError("need 0 < h_min <= h_max")
@@ -176,10 +174,8 @@ class PowerClampIntensity:
         """
         n = states.shape[1]
         W = _own_first_weights(np.asarray(self.weights), n)
-        dead = _dead_columns(states)
-        masked = np.empty(states.shape)
-        for i in range(n):
-            masked[:, i] = np.where(dead[i], 0.0, prices[:, i])
+        alive = _alive_columns(states)
+        masked = np.column_stack([np.where(a, prices[:, i], 0.0) for i, a in enumerate(alive)])
         # the weighted sums stay one matrix product: a column sum
         # k0 * s0 + k1 * s1 rounds differently in the last bit on some rows
         totals = masked @ W.T
@@ -191,7 +187,7 @@ class PowerClampIntensity:
                 raw = self.h0 * np.power(total, -self.alpha, where=total > 0.0,
                                          out=np.full(total.shape, np.inf))
                 rate = np.minimum(np.maximum(raw, self.h_min), self.h_max)
-                out[:, i] = np.where(dead[i], 0.0, rate)
+                out[:, i] = np.where(alive[i], rate, 0.0)
         return out
 
 
@@ -204,22 +200,19 @@ class ReciprocalIntensity:
     c: float
 
     def __post_init__(self):
-        if self.c <= 0.0:
+        if not self.c > 0.0:
             raise ValueError("c must be positive")
 
     def rates_matrix(self, states: np.ndarray, prices: np.ndarray) -> np.ndarray:
-        dead = _dead_columns(states)
+        alive = _alive_columns(states)
         # summed column by column from zero: the bits of an axis sum for up
         # to seven stocks
         total = 0.0
-        for i, d in enumerate(dead):
-            total = total + np.where(d, 0.0, prices[:, i])
+        for i, a in enumerate(alive):
+            total = total + np.where(a, prices[:, i], 0.0)
         with np.errstate(divide="ignore"):
             rate = np.where(total > 0.0, self.c / total, np.inf)
-        out = np.empty(states.shape)
-        for i, d in enumerate(dead):
-            out[:, i] = np.where(d, 0.0, rate)
-        return out
+        return np.column_stack([np.where(a, rate, 0.0) for a in alive])
 
 
 @dataclass(frozen=True)
@@ -227,13 +220,15 @@ class ConstantIntensity:
     """State- and price-independent hazard, one constant per stock.
 
     A scalar ``c`` applies to every stock; a sequence gives per-stock
-    rates.
+    rates, each finite and nonnegative.
     """
 
     c: object
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
+        if not np.isfinite(c).all():
+            raise ValueError("c must be finite")
         if np.any(c < 0.0):
             raise ValueError("c must be nonnegative")
         object.__setattr__(self, "c", c)

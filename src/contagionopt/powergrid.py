@@ -47,8 +47,8 @@ from numbers import Real
 import numpy as np
 
 from contagionopt.dynamics import Strategy
-from contagionopt.model import (AdmissibleBox, MarketParams, TwoStockMarket, from_section,
-                               jump_factors)
+from contagionopt.model import (AdmissibleBox, MarketParams, TwoStockMarket, _alive_columns,
+                               from_section, jump_factors)
 
 __all__ = [
     "GridSpec",
@@ -172,13 +172,12 @@ def _first_max(a: np.ndarray):
 
     Each column's maximum is taken over blocks of ``_MAX_BLOCK`` rows; the
     first block holding the largest one is found among these few block
-    maxima, and ``argmax`` runs on that block's rows only.  A reduction
-    along axis 0 is vectorized over the columns, ``argmax`` along it is
-    not.  The input must be finite: ``np.argmax`` returns a column's first
-    NaN, which no comparison of block maxima singles out.  The DP's coarse
-    candidates are finite: their controls are admissible, so their
-    features are, and so are the node factors of a finite value, which the
-    DP checks every slice.
+    maxima, and ``argmax`` runs on that block's rows only.  The input must
+    be finite: ``np.argmax`` returns a column's first NaN, which no
+    comparison of block maxima singles out.  The DP's coarse candidates
+    are finite: their controls are admissible, so their features are, and
+    so are the node factors of a finite value, which the DP checks every
+    slice.
     """
     n, c = a.shape
     full = n // _MAX_BLOCK
@@ -301,21 +300,15 @@ def discount_and_source(s, p, pi, t, grid: GridSpec, params: MarketParams,
 
     The source carries one term per default branch: the branch hazard
     times the surviving stock's closed-form factor times the wealth jump
-    factor raised to ``gamma``.  ``pi`` may be one allocation (2,) or a
-    batch ``(..., 2)``; an infeasible one raises ``ValueError``, which names the
-    first infeasible row of a batch.
+    factor raised to ``gamma``.  An infeasible allocation ``pi`` (2,) raises
+    ``ValueError``.
     """
     _, _, beta_c, jumps = _control_terms(TwoStockMarket(params), gamma, pi)
-    rows = jumps.reshape(-1, 2)
-    bad = np.flatnonzero((rows <= 0.0).any(axis=1))
-    if bad.size:
-        k = bad[0]
-        where = f" in row {k}" if jumps.ndim > 1 else ""
-        raise ValueError(f"allocation infeasible{where}: jump factors "
-                         f"({rows[k, 0]:.4g}, {rows[k, 1]:.4g})")
+    if np.any(jumps <= 0.0):
+        raise ValueError(f"allocation infeasible: jump factors ({jumps[0]:.4g}, {jumps[1]:.4g})")
     hS, hP = _pre_default_rates(intensity, s, p)
     srcS, srcP = _branch_sources(t, grid, params, gamma, hS, hP)
-    return beta_c + hS + hP, srcS * jumps[..., 0]**gamma + srcP * jumps[..., 1]**gamma
+    return beta_c + hS + hP, srcS * jumps[0]**gamma + srcP * jumps[1]**gamma
 
 
 def validate_cfl(grid: GridSpec, params: MarketParams, gamma: float,
@@ -407,13 +400,10 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
     the box) is tried from the node's current best, and a trial that is
     admissible and strictly better becomes the new best, so later offsets
     start from it.  The result is never worse than the coarse argmax.
-    The walk carries one flat lattice index per node, and the point each
-    offset reaches from each lattice point is tabulated once per solve.
 
-    The coarse candidates are one product per slice, and each node's
-    first maximum among them is found by blocks of rows (the result of
-    ``np.argmax``, at a fraction of its cost along this axis).  The walk
-    needs no admissibility test: once the coarse features are taken, an
+    Each node's first maximum among the coarse candidates is the one
+    ``np.argmax`` finds (:func:`_first_max`).  The walk needs no
+    admissibility test: once the coarse features are taken, an
     inadmissible point's first feature is set to -inf, and its node
     factor, the discounted driftless expectation, is positive while the
     value is, so an inadmissible trial is worth -inf and never taken.
@@ -423,9 +413,8 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
     node sees the same factors, and a flat value stays flat.  The
     recursion then runs on the node ``(0, 0)`` alone, where the driftless
     chain stays put, and its ``f`` and controls are copied to every node.
-    Its walk reads each trial from a table of the values of every
-    quarter-lattice point, computed once per slice, and steps through the
-    offsets on Python scalars, not one numpy call per offset.
+    Its walk reads each trial from one table of every quarter-lattice
+    point's value per slice.
 
     A ``gamma`` outside (0, 1), or a market that is not two stocks with
     positive volatilities (:class:`TwoStockMarket`), raises ``ValueError``.
@@ -531,11 +520,9 @@ class PowerGridStrategy(Strategy):
     the grid's.  A market that is not two stocks with positive
     volatilities raises ``ValueError`` (:class:`TwoStockMarket`).
 
-    A query makes one pass over all its rows, column by column: every row
-    is interpolated (a defaulted stock's price is clamped like any other),
-    and a post-default row then takes its Merton fraction or zero in place
-    of the result.  The four bilinear weights are computed once for both
-    controls, which are read in place from the slice's flat array.
+    Every row of a query is interpolated (a defaulted stock's price is
+    clamped like any other), and a post-default row then takes its Merton
+    fraction or zero in place of the result.
     """
 
     def __init__(self, value_grid: ValueGrid, params: MarketParams, box: AdmissibleBox):
@@ -571,10 +558,7 @@ class PowerGridStrategy(Strategy):
         prices = np.asarray(prices, dtype=float)
         grid = self.value_grid.grid
         k = min(grid.n_slices - 1, max(0, int(np.floor(float(t) / grid.dt + 1e-12))))
-        # one pass over every row, column by column: masks, weights and
-        # lookups on single columns cost a fraction of a boolean row gather
-        # and scatter or an axis reduction of two columns
-        alive = [states[:, 0] == 0, states[:, 1] == 0]
+        alive = _alive_columns(states)
         pre = alive[0] & alive[1]
         s, p = prices[:, 0], prices[:, 1]
         self.pre_default_queries += int(np.count_nonzero(pre))

@@ -6,12 +6,14 @@ raise.  A ``{tmp}`` in the message stands for that directory.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from contagionopt.dynamics import ConstantAllocation, PathConfig, evolve_wealth, simulate_paths
-from contagionopt.experiments import builtin_config, builtin_config_names, config_from_dict
+from contagionopt.experiments import (builtin_config, builtin_config_names, config_from_dict,
+                                      load_config)
 from contagionopt.logopt import LogControlProblem, solve_kt_batch
 from contagionopt.model import (
     AdmissibleBox,
@@ -53,6 +55,20 @@ def grid_without_gamma(tmp):
     ValueGrid.load(str(tmp / "grid.npz"))
 
 
+def experiment_doc(**changes):
+    return base_doc(experiment={**base_doc()["experiment"], **changes})
+
+
+def load_json_text(tmp, text):
+    """Load a config file holding ``text``, as written by hand."""
+    (tmp / "config.json").write_text(text)
+    load_config(str(tmp / "config.json"))
+
+
+def kt_hazards(hS, hP):
+    solve_kt_batch(LogControlProblem(benchmark_params(), benchmark_intensity(), BOX), hS, hP)
+
+
 CASES = [
     ("path-horizon", lambda tmp: PathConfig(0.0, 10, 10, 1),
      ValueError, "horizon must be positive"),
@@ -68,6 +84,10 @@ CASES = [
      ValueError, "initial prices must be positive"),
     ("x0-nonpositive", lambda tmp: evolve_wealth(bundle(), ConstantAllocation([0.0, 0.0]), 0.0),
      ValueError, "initial wealth must be positive"),
+    ("x0-nan", lambda tmp: evolve_wealth(bundle(), ConstantAllocation([0.0, 0.0]), np.nan),
+     ValueError, "initial wealth must be finite, not nan"),
+    ("x0-inf", lambda tmp: evolve_wealth(bundle(), ConstantAllocation([0.0, 0.0]), np.inf),
+     ValueError, "initial wealth must be finite, not inf"),
     ("non-finite-allocation",
      lambda tmp: evolve_wealth(bundle(), ConstantAllocation([np.nan, 0.0]), 100.0),
      RuntimeError, "strategy returned non-finite allocation at step 0"),
@@ -93,6 +113,16 @@ CASES = [
      ValueError, "c must be positive"),
     ("constant-c", lambda tmp: ConstantIntensity([0.1, -0.1]),
      ValueError, "c must be nonnegative"),
+    ("constant-c-nan", lambda tmp: ConstantIntensity(np.nan),
+     ValueError, "c must be finite"),
+    ("constant-c-inf", lambda tmp: ConstantIntensity([0.1, np.inf]),
+     ValueError, "c must be finite"),
+    ("power-clamp-h0-nan", lambda tmp: power_clamp(h0=np.nan),
+     ValueError, "h0 and alpha must be positive"),
+    ("power-clamp-weights-nan", lambda tmp: power_clamp(weights=(0.7, np.nan)),
+     ValueError, "weights must be nonnegative"),
+    ("reciprocal-c-nan", lambda tmp: ReciprocalIntensity(c=np.nan),
+     ValueError, "c must be positive"),
     ("box-lengths", lambda tmp: AdmissibleBox([-1.0], [0.5, 0.5]),
      ValueError, "lower/upper must have the same length"),
     ("box-inverted", lambda tmp: AdmissibleBox([-1.0, 0.6], [0.5, 0.5]),
@@ -132,9 +162,28 @@ CASES = [
     ("log-box-interior", lambda tmp: LogControlProblem(
         benchmark_params(), benchmark_intensity(), AdmissibleBox([-1.0, 0.5], [0.5, 0.5])),
      ValueError, "box must have nonempty interior in each coordinate"),
-    ("negative-hazard", lambda tmp: solve_kt_batch(
-        LogControlProblem(benchmark_params(), benchmark_intensity(), BOX), [0.1], [-0.1]),
+    ("negative-hazard", lambda tmp: kt_hazards([0.1], [-0.1]),
      ValueError, "hazard rates must be nonnegative"),
+    ("nan-hazard", lambda tmp: kt_hazards([0.1, np.nan], [0.1, 0.1]),
+     ValueError, "hazard rates must be finite"),
+    ("inf-hazard", lambda tmp: kt_hazards([0.1], [np.inf]),
+     ValueError, "hazard rates must be finite"),
+    ("config-x0-nan", lambda tmp: load_json_text(
+        tmp, json.dumps(experiment_doc(x0=0.0)).replace('"x0": 0.0', '"x0": NaN')),
+     ValueError, "experiment.x0 must be a finite number, not nan"),
+    ("config-hbar-nan", lambda tmp: config_from_dict(experiment_doc(hbar=np.nan)),
+     ValueError, "experiment.hbar must be a finite number, not nan"),
+    ("config-list-inf", lambda tmp: load_json_text(
+        tmp, json.dumps(base_doc()).replace("[0.1, 0.15]", "[0.1, Infinity]")),
+     ValueError, "market.mu[1] must be a finite number, not inf"),
+    ("config-x0-negative", lambda tmp: config_from_dict(experiment_doc(x0=-1)),
+     ValueError, "experiment.x0 must be finite and > 0, not -1"),
+    ("config-hbar-negative", lambda tmp: config_from_dict(experiment_doc(hbar=-0.1)),
+     ValueError, "experiment.hbar must be finite and >= 0, not -0.1"),
+    ("experiment-x0-inf", lambda tmp: replace(config_from_dict(base_doc()), x0=np.inf),
+     ValueError, "experiment.x0 must be finite and > 0, not inf"),
+    ("experiment-hbar-inf", lambda tmp: replace(config_from_dict(base_doc()), hbar=np.inf),
+     ValueError, "experiment.hbar must be finite and >= 0, not inf"),
     ("grid-meta-gamma", grid_without_gamma,
      ValueError, "value grid {tmp}/grid.npz: meta has no gamma"),
     ("log-three-stocks", lambda tmp: LogControlProblem(THREE_STOCKS, ConstantIntensity(0.1), BOX),

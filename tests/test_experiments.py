@@ -9,6 +9,7 @@ import pytest
 
 from contagionopt.dynamics import PathBundle, simulate_paths
 from contagionopt.experiments import (
+    RUNNERS,
     _apply_param_overrides,
     builtin_config,
     builtin_config_names,
@@ -448,6 +449,26 @@ class TestOutputsAndDeterminism:
         newton = manifest["solver_health"]["kt_newton_iters"]
         assert newton["rows"] == pre_default - cfg.paths.n_paths + 1 + cfg.paths.n_steps
         assert 0 < newton["max"] <= newton["total"]
+
+
+# solver health of two log runs at 400 paths and 40 steps: nonzero KT cases
+# and the Newton counts, which move when a row's exit or count does
+PINNED_HEALTH = {
+    "benchmark-inferred": ({"interior": 29110}, {"rows": 14196, "total": 41714, "max": 6}),
+    "crisis-reciprocal": ({"interior": 6946, "S-low/P-low": 6946},
+                          {"rows": 6587, "total": 9, "max": 6}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_HEALTH))
+def test_log_solver_health_is_pinned(name):
+    doc = builtin_config(name).raw
+    doc["paths"]["n_steps"] = 40
+    cfg = config_from_dict(doc, n_paths=400)
+    cases, newton = PINNED_HEALTH[name]
+    health = RUNNERS[cfg.kind](cfg).health
+    assert health["kt_cases"] == {case: cases.get(case, 0) for case in CASE_NAMES}
+    assert health["kt_newton_iters"] == newton
 
 
 class TestCLI:

@@ -404,6 +404,23 @@ class TestSolverPaths:
             for got, want in zip(batch, solo):
                 assert np.array_equal(got[k:k + 1], want), k
 
+    def test_a_stuck_row_counts_the_step_that_did_not_move_it(self, monkeypatch):
+        # with no stationarity target a row leaves before the cap only when
+        # a step no longer moves it, and its count takes in that step:
+        # capped one step earlier it ends at the same x, two steps earlier
+        # it does not
+        prob, hS, hP, start = mixed_batch()
+        monkeypatch.setattr(logopt, "_GRAD_TOL", -1.0)
+        monkeypatch.setattr(logopt, "_ACCEPT_TOL", np.inf)
+        x, _, _, _, iters = solve_kt_batch(prob, hS, hP, start)
+        stuck = np.flatnonzero(iters < logopt._MAX_ITER)
+        assert stuck.size >= 30 and (iters[stuck] >= 2).sum() >= 20
+        for k in stuck:
+            for back in (1, 2) if iters[k] >= 2 else (1,):
+                monkeypatch.setattr(logopt, "_MAX_ITER", iters[k] - back)
+                capped = solve_kt_batch(prob, hS[k:k + 1], hP[k:k + 1], start[k:k + 1])[0]
+                assert np.array_equal(capped[0], x[k]) == (back == 1), (k, back)
+
     def test_rows_moving_at_the_iteration_cap_read_a_fresh_gradient(self, monkeypatch):
         # a row that moved on the last allowed iteration carries a gradient
         # from before that move; its read-out must come from its final x,

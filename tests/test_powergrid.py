@@ -200,24 +200,6 @@ class TestDiscountAndSource:
             discount_and_source(10.0, 10.0, (1.2, 0.2), 0.0, self.grid(),
                                 benchmark_params(), ConstantIntensity(0.0), GAMMA)
 
-    def test_batch_rows_equal_their_single_results(self):
-        # the jump factors are read by column, so each row of a batch of
-        # allocations gets its own sources
-        params, h = benchmark_params(), benchmark_intensity()
-        pis = np.array([[0.1, 0.2], [0.4, -0.3]])
-        beta, g = discount_and_source(50.0, 60.0, pis, 0.0, self.grid(), params, h, GAMMA)
-        for k, pi in enumerate(pis):
-            beta_k, g_k = discount_and_source(50.0, 60.0, pi, 0.0, self.grid(), params, h, GAMMA)
-            assert beta[k] == beta_k and g[k] == g_k
-        assert g == pytest.approx([0.3440, 0.3673], abs=5e-5)
-
-    def test_infeasible_batch_row_named(self):
-        pis = np.array([[0.1, 0.2], [1.2, 0.2], [1.5, 0.0]])
-        with pytest.raises(ValueError) as exc:
-            discount_and_source(50.0, 60.0, pis, 0.0, self.grid(), benchmark_params(),
-                                benchmark_intensity(), GAMMA)
-        assert str(exc.value) == "allocation infeasible in row 1: jump factors (-0.26, 0.56)"
-
 
 def former_solve(grid, params, intensity, gamma, box):
     """``f`` and controls of the DP's slice loop as first written: the
