@@ -30,7 +30,6 @@ from contagionopt.model import AdmissibleBox, MarketParams, _alive_columns, jump
 __all__ = [
     "PathConfig",
     "PathBundle",
-    "WealthBundle",
     "Strategy",
     "ConstantAllocation",
     "simulate_paths",
@@ -115,7 +114,8 @@ class Strategy(ABC):
     solver-health counters of the log and power strategies.
     :func:`evolve_wealth` queries each step through
     :meth:`step_allocations`, handing it the previous step's allocations,
-    so per-path history lives with the caller, not the strategy.
+    so per-path history lives with the caller, not the strategy.  Every
+    query is a batch of rows; a single path is a batch of one.
     """
 
     box: AdmissibleBox | None = None
@@ -133,12 +133,6 @@ class Strategy(ABC):
         first).  A strategy may start a search from it; by default it is
         ignored."""
         return self.allocations(t, x, prices, states)
-
-    def allocation(self, t: float, x: float, prices: np.ndarray,
-                   bits: tuple) -> np.ndarray:
-        """Allocation for a single path in the default state ``bits``."""
-        return self.allocations(t, np.array([x]), np.asarray(prices, dtype=float)[None, :],
-                                np.array([bits], dtype=np.uint8))[0]
 
 
 class ConstantAllocation(Strategy):
@@ -254,17 +248,6 @@ def simulate_paths(params: MarketParams, intensity, cfg: PathConfig, s0) -> Path
     return out
 
 
-@dataclass
-class WealthBundle:
-    """Wealth series aligned to a market bundle's time grid."""
-
-    values: np.ndarray  # (n_paths, n_steps+1), strictly positive
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.values[:, -1]
-
-
 def _check_admissible(pi: np.ndarray, states: np.ndarray, L: np.ndarray,
                       box: AdmissibleBox | None, step: int):
     if not np.all(np.isfinite(pi)):
@@ -283,8 +266,10 @@ def _check_admissible(pi: np.ndarray, states: np.ndarray, L: np.ndarray,
         raise RuntimeError(f"strategy left the admissible box at step {step}")
 
 
-def evolve_wealth(bundle: PathBundle, strategy: Strategy, x0: float) -> WealthBundle:
-    """Wealth under piecewise-constant controls sampled once per step.
+def evolve_wealth(bundle: PathBundle, strategy: Strategy, x0: float) -> np.ndarray:
+    """Wealth under piecewise-constant controls sampled once per step, as
+    an ``(n_paths, n_steps+1)`` array on the bundle's time grid whose
+    first column is ``x0`` and whose every entry is positive.
 
     Between defaults wealth advances by the exact lognormal step implied
     by the frozen allocation, reusing the bundle's Gaussian increments;
@@ -311,13 +296,6 @@ def evolve_wealth(bundle: PathBundle, strategy: Strategy, x0: float) -> WealthBu
     X[:, 0] = x0
     x = X[:, 0].copy()
 
-    # default events ordered by step, each step's in (path, stock) order
-    hit_path, hit_stock = np.nonzero(bundle.default_step >= 0)
-    hit_step = bundle.default_step[hit_path, hit_stock]
-    order = np.argsort(hit_step, kind="stable")
-    hit_path, hit_stock = hit_path[order], hit_stock[order]
-    bounds = np.searchsorted(hit_step[order], np.arange(cfg.n_steps + 1)).tolist()
-
     pi = None
     for k in range(cfg.n_steps):
         states_k = bundle.states[:, k]
@@ -336,26 +314,23 @@ def evolve_wealth(bundle: PathBundle, strategy: Strategy, x0: float) -> WealthBu
             diffusion = diffusion + cols[a] * sigma[a] * z[:, a]
         x = x * np.exp((params.r + pi @ theta - 0.5 * quad) * dt + diffusion * sdt)
 
-        lo, hi = bounds[k], bounds[k + 1]
-        if hi > lo:
-            p, j = hit_path[lo:hi], hit_stock[lo:hi]
+        # this step's defaults in (path, stock) order
+        p, j = np.divmod(np.flatnonzero(bundle.default_step == k), n)
+        if p.size:
             x[p] *= 1.0 - np.einsum("ij,ji->i", pi[p], params.L[:, j])
         X[:, k + 1] = x
 
     if X.min() <= 0.0:
         raise RuntimeError("wealth path hit zero; admissibility was violated")
-    return WealthBundle(values=X)
+    return X
 
 
-def dump_paths_csv(bundle: PathBundle, wealth: WealthBundle, path: str):
-    """Write per-step rows ``path_id, step, t, S_1..S_n, z_bits, X``.
-
-    A ``.gz`` suffix switches on gzip compression.
-    """
+def dump_paths_csv(bundle: PathBundle, wealth: np.ndarray, path: str):
+    """Write per-step rows ``path_id, step, t, S_1..S_n, z_bits, X`` as
+    gzip-compressed CSV; ``wealth`` is an :func:`evolve_wealth` array."""
     n = bundle.params.n
     dt = bundle.cfg.dt
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "wt", newline="") as fh:
+    with gzip.open(path, "wt", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["path_id", "step", "t"] + [f"S_{i+1}" for i in range(n)]
                         + ["z_bits", "X"])
@@ -364,4 +339,4 @@ def dump_paths_csv(bundle: PathBundle, wealth: WealthBundle, path: str):
                 bits = "".join(str(int(b)) for b in bundle.states[p, k])
                 writer.writerow([p, k, f"{k * dt:.10g}"]
                                 + [f"{v:.10g}" for v in bundle.prices[p, k]]
-                                + [bits, f"{wealth.values[p, k]:.10g}"])
+                                + [bits, f"{wealth[p, k]:.10g}"])

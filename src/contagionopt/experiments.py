@@ -326,7 +326,7 @@ def _compare(cfg: ExperimentConfig, out_dir: str | None, t0: float,
     manifest's solver-health section, and ``t0`` is when the run began."""
     bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0)
     digest = bundle.rng_digest()
-    terminal = [evolve_wealth(bundle, s, cfg.x0).terminal for s in (active, passive)]
+    terminal = [evolve_wealth(bundle, s, cfg.x0)[:, -1] for s in (active, passive)]
 
     mask = bundle.default_mask()
     result = ComparisonResult(
@@ -402,7 +402,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> SweepResult:
     bench_bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0)
     digest = bench_bundle.rng_digest()
     bench_strategy = LogStrategy(problem)
-    bench_stats = summarize(evolve_wealth(bench_bundle, bench_strategy, cfg.x0).terminal)
+    bench_stats = summarize(evolve_wealth(bench_bundle, bench_strategy, cfg.x0)[:, -1])
 
     strategies = [bench_strategy]
     entries = []
@@ -414,7 +414,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> SweepResult:
             bundle = bench_bundle
         else:  # the world itself is perturbed; same seed keeps draws common
             bundle = simulate_paths(market2, intensity2, cfg.paths, cfg.s0)
-        stats = summarize(evolve_wealth(bundle, strategy2, cfg.x0).terminal)
+        stats = summarize(evolve_wealth(bundle, strategy2, cfg.x0)[:, -1])
         pct = {"mean": _pct(stats.mean, bench_stats.mean),
                "std": _pct(stats.std, bench_stats.std),
                "q023": _pct(stats.q_low, bench_stats.q_low),

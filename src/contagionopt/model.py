@@ -34,7 +34,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MarketParams:
-    """Constant coefficients of the market.
+    """Constant coefficients of the market, each one finite.
 
     Parameters
     ----------
@@ -69,6 +69,9 @@ class MarketParams:
         n = mu.shape[0]
         if sigma.shape != (n,) or rho.shape != (n, n) or L.shape != (n, n):
             raise ValueError("inconsistent parameter dimensions")
+        for name, value in (("r", self.r), ("mu", mu), ("sigma", sigma), ("rho", rho), ("L", L)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
         # zero volatility is accepted for deterministic simulations only
         if not np.all(sigma >= 0.0):
             raise ValueError("sigma must be nonnegative")
@@ -234,8 +237,7 @@ class ConstantIntensity:
         object.__setattr__(self, "c", c)
 
     def rates_matrix(self, states: np.ndarray, prices: np.ndarray) -> np.ndarray:
-        rates = np.broadcast_to(self.c, states.shape) if self.c.shape[0] > 1 else self.c[0]
-        return np.where(states == 1, 0.0, rates)
+        return np.where(states == 1, 0.0, self.c)
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,10 @@ every strict improvement; every candidate is a point of one quarter-step
 lattice, searched by index.  Transitions that would leave the lattice put
 their mass on the boundary node itself.
 
-The probabilities, killing rate and source are written once, as factors
-that the standalone functions and the DP share; the scheme is monotone,
-which is what makes it converge, wherever :func:`validate_cfl` passes.
+The probabilities, killing rate and source are written once, as the
+factors that :func:`solve_power_value` and :func:`validate_cfl` share;
+the scheme is monotone, which is what makes it converge, wherever
+:func:`validate_cfl` passes.
 Their market terms ``theta' pi``, ``Sigma pi`` and ``pi' Sigma pi`` come
 from :class:`~contagionopt.model.TwoStockMarket`, the record the log
 solver reads, which is also the solvers' one check of two stocks with
@@ -58,8 +59,6 @@ __all__ = [
     "g1",
     "merton_power_control",
     "control_lattice",
-    "transition_probs",
-    "discount_and_source",
     "validate_cfl",
     "solve_power_value",
     "PowerGridStrategy",
@@ -275,40 +274,6 @@ def _check_probs(probs, s, p, control, what: str):
             f"transition probability {probs[(move, *idx)]:.6g} for move "
             f"{TRANSITION_MOVES[move]} at node (s={s:.6g}, p={p:.6g}) under {what} "
             f"({c0:.6g}, {c1:.6g}); shrink dt or the domain")
-
-
-def transition_probs(node, pi, grid: GridSpec, params: MarketParams, gamma: float):
-    """Nine-point transition probabilities at ``node=(s, p)`` under the
-    allocation ``pi``; broadcastable over array inputs.
-
-    Raises :class:`CFLViolationError` (naming the offending node and
-    control) if any probability leaves ``[0, 1]`` beyond 1e-12.
-    """
-    s = np.asarray(node[0], dtype=float)
-    p = np.asarray(node[1], dtype=float)
-    piS, piP = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in pi))
-    c1, c2, _, _ = _control_terms(TwoStockMarket(params), gamma, np.stack([piS, piP], -1))
-    probs = _nine_probs(s, p, c1, c2, grid, params)
-    _check_probs(probs, s, p, (piS, piP), "control")
-    return probs
-
-
-def discount_and_source(s, p, pi, t, grid: GridSpec, params: MarketParams,
-                        intensity, gamma: float):
-    """Killing rate ``beta`` and running source ``g`` of the transformed
-    equation at pre-default prices ``(s, p)``.
-
-    The source carries one term per default branch: the branch hazard
-    times the surviving stock's closed-form factor times the wealth jump
-    factor raised to ``gamma``.  An infeasible allocation ``pi`` (2,) raises
-    ``ValueError``.
-    """
-    _, _, beta_c, jumps = _control_terms(TwoStockMarket(params), gamma, pi)
-    if np.any(jumps <= 0.0):
-        raise ValueError(f"allocation infeasible: jump factors ({jumps[0]:.4g}, {jumps[1]:.4g})")
-    hS, hP = _pre_default_rates(intensity, s, p)
-    srcS, srcP = _branch_sources(t, grid, params, gamma, hS, hP)
-    return beta_c + hS + hP, srcS * jumps[0]**gamma + srcP * jumps[1]**gamma
 
 
 def validate_cfl(grid: GridSpec, params: MarketParams, gamma: float,

@@ -13,11 +13,13 @@ from contagionopt.dynamics import ConstantAllocation, PathConfig, evolve_wealth,
 from contagionopt.experiments import builtin_config, config_from_dict, run_comparison, run_crisis, run_sweep
 from contagionopt.logopt import LogStrategy, single_survivor_formula
 from contagionopt.model import AdmissibleBox, ConstantIntensity, MarketParams
-from contagionopt.powergrid import GridSpec, control_lattice, solve_power_value, transition_probs
+from contagionopt.powergrid import GridSpec, control_lattice, solve_power_value
 
+from test_dynamics import one_row
 from test_experiments import base_doc
 from test_logopt import g_reference, random_problem, solve_one
 from test_model import benchmark_params
+from test_powergrid import scheme
 
 
 def _report(name: str, ok: bool, detail: str):
@@ -35,7 +37,7 @@ def test_01_transition_probability_normalization():
     p = rng.uniform(0.0, grid.p_max, n)
     piS = rng.uniform(-1.0, 1.0, n)
     piP = rng.uniform(-1.0, 1.0, n)
-    probs = transition_probs((s, p), (piS, piP), grid, params, 0.5)
+    probs = scheme(s, p, np.column_stack([piS, piP]), grid, params, 0.5)[0]
     in_range = bool(np.all(probs >= -1e-12) and np.all(probs <= 1.0 + 1e-12))
     sum_err = float(np.max(np.abs(probs.sum(axis=0) - 1.0)))
     elapsed = time.perf_counter() - t0
@@ -133,7 +135,7 @@ def test_06_bank_account_exactness():
     bundle = simulate_paths(params, benchmark_intensity(), cfg, [100.0, 100.0])
     wealth = evolve_wealth(bundle, ConstantAllocation([0.0, 0.0]), x0=100.0)
     target = 100.0 * np.exp(params.r * cfg.horizon)
-    worst = float(np.max(np.abs(wealth.terminal / target - 1.0)))
+    worst = float(np.max(np.abs(wealth[:, -1] / target - 1.0)))
     ok = worst <= 1e-12
     _report("bank-account exactness", ok,
             f"max relative error {worst:.2e} over every path (<= 1e-12)")
@@ -151,8 +153,8 @@ def test_07_benchmark_comparison_pattern():
     active = LogStrategy(problem)
     passive = LogStrategy(problem, hbar=cfg.hbar)
     s0 = np.asarray(cfg.s0, dtype=float)
-    pi_a = active.allocation(0.0, cfg.x0, s0, (0, 0))
-    pi_p = passive.allocation(0.0, cfg.x0, s0, (0, 0))
+    pi_a = one_row(active, 0.0, cfg.x0, s0, (0, 0))
+    pi_p = one_row(passive, 0.0, cfg.x0, s0, (0, 0))
     controls_equal = bool(np.array_equal(pi_a, pi_p))
 
     elapsed = time.perf_counter() - t0

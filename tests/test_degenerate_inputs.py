@@ -100,6 +100,22 @@ CASES = [
     ("rho-asymmetric", lambda tmp: MarketParams(0.05, [0.1, 0.1], [0.3, 0.3],
                                                 [[1.0, 0.2], [0.1, 1.0]], np.eye(2)),
      ValueError, "rho must be symmetric with unit diagonal"),
+    ("market-r-nan", lambda tmp: MarketParams.two_stock(np.nan, 0.1, 0.15, 0.3, 0.4, 0.0, 0.2, 0.3),
+     ValueError, "r must be finite"),
+    ("market-r-inf", lambda tmp: MarketParams.two_stock(np.inf, 0.1, 0.15, 0.3, 0.4, 0.0, 0.2, 0.3),
+     ValueError, "r must be finite"),
+    ("market-mu-inf", lambda tmp: MarketParams.two_stock(0.05, np.inf, 0.15, 0.3, 0.4, 0.0, 0.2,
+                                                         0.3),
+     ValueError, "mu must be finite"),
+    ("market-sigma-inf", lambda tmp: MarketParams.two_stock(0.05, 0.1, 0.15, np.inf, 0.4, 0.0,
+                                                            0.2, 0.3),
+     ValueError, "sigma must be finite"),
+    ("market-rho-nan", lambda tmp: MarketParams.two_stock(0.05, 0.1, 0.15, 0.3, 0.4, np.nan, 0.2,
+                                                          0.3),
+     ValueError, "rho must be finite"),
+    ("market-loss-nan", lambda tmp: MarketParams.two_stock(0.05, 0.1, 0.15, 0.3, 0.4, 0.0, np.nan,
+                                                           0.3),
+     ValueError, "L must be finite"),
     ("loss-diagonal", lambda tmp: MarketParams(0.05, [0.1, 0.1], [0.3, 0.3], np.eye(2),
                                                [[0.9, 0.2], [0.3, 1.0]]),
      ValueError, "L must have unit diagonal"),

@@ -8,7 +8,6 @@ from contagionopt.dynamics import (
     _BLOCK,
     ConstantAllocation,
     PathConfig,
-    WealthBundle,
     dump_paths_csv,
     evolve_wealth,
     simulate_paths,
@@ -28,6 +27,12 @@ ZERO_H = ConstantIntensity(0.0)
 
 def single_stock(mu=0.10, sigma=0.25, r=0.03):
     return MarketParams(r=r, mu=[mu], sigma=[sigma], rho=[[1.0]], L=[[1.0]])
+
+
+def one_row(strategy, t, x, prices, bits):
+    """A strategy's allocation for a single path in the default state ``bits``."""
+    return strategy.allocations(t, np.array([x]), np.asarray(prices, dtype=float)[None, :],
+                                np.array([bits], dtype=np.uint8))[0]
 
 
 def three_stock_params():
@@ -249,7 +254,7 @@ class TestEvolveWealth:
         def wealth(n_paths, hbar):
             cfg = PathConfig(horizon=0.5, n_steps=40, n_paths=n_paths, master_seed=8)
             bundle = simulate_paths(params, benchmark_intensity(), cfg, [100.0, 100.0])
-            return evolve_wealth(bundle, LogStrategy(problem, hbar=hbar), 100.0).values
+            return evolve_wealth(bundle, LogStrategy(problem, hbar=hbar), 100.0)
 
         for hbar in (None, 0.1):  # the active strategy and the passive comparator
             full = wealth(2500, hbar)
@@ -262,14 +267,14 @@ class TestEvolveWealth:
         bundle = simulate_paths(params, benchmark_intensity(), cfg, [100.0, 100.0])
         wealth = evolve_wealth(bundle, ConstantAllocation([0.0, 0.0]), x0=100.0)
         target = 100.0 * np.exp(params.r * 1.0)
-        assert np.allclose(wealth.terminal, target, rtol=1e-12)
+        assert np.allclose(wealth[:, -1], target, rtol=1e-12)
 
     def test_fully_invested_deterministic_single_stock(self):
         params = single_stock(mu=0.08, sigma=0.0)
         cfg = PathConfig(horizon=1.0, n_steps=100, n_paths=8, master_seed=8)
         bundle = simulate_paths(params, ZERO_H, cfg, [50.0])
         wealth = evolve_wealth(bundle, ConstantAllocation([1.0]), x0=10.0)
-        assert np.allclose(wealth.terminal, 10.0 * np.exp(0.08), rtol=1e-12)
+        assert np.allclose(wealth[:, -1], 10.0 * np.exp(0.08), rtol=1e-12)
 
     def test_wealth_steps_equal_the_matrix_formulas_bit_for_bit(self):
         # the step loop sums pi' Sigma pi and the diffusion column by column;
@@ -298,7 +303,7 @@ class TestEvolveWealth:
             bundle = simulate_paths(params, ConstantIntensity(0.8), cfg, [100.0] * params.n)
             assert (bundle.default_step >= 0).sum() > 100
             strategy = PriceTilt([0.0] * params.n)
-            got = evolve_wealth(bundle, strategy, x0=100.0).values
+            got = evolve_wealth(bundle, strategy, x0=100.0)
             assert got.tobytes() == reference(bundle, strategy, 100.0).tobytes(), params.n
 
     def test_default_step_wealth_ratio(self):
@@ -321,7 +326,7 @@ class TestEvolveWealth:
                 diff_factor = np.exp((params.r + pi @ params.theta - 0.5 * quad) * dt
                                      + diffusion)
                 jump = 1.0 - pi @ params.L[:, j]
-                ratio = wealth.values[path, first + 1] / wealth.values[path, first]
+                ratio = wealth[path, first + 1] / wealth[path, first]
                 assert ratio == pytest.approx(diff_factor * jump, rel=1e-12, abs=0)
                 checked += 1
         assert checked > 5
@@ -333,10 +338,10 @@ class TestEvolveWealth:
         strat = ConstantAllocation([0.2, -0.3])
         w1 = evolve_wealth(bundle, strat, x0=100.0)
         w2 = evolve_wealth(bundle, strat, x0=200.0)
-        assert np.array_equal(w2.values, 2.0 * w1.values)
+        assert np.array_equal(w2, 2.0 * w1)
         # second moment therefore scales exactly as x0^2
-        m1 = np.mean(w1.terminal**2)
-        m2 = np.mean(w2.terminal**2)
+        m1 = np.mean(w1[:, -1]**2)
+        m2 = np.mean(w2[:, -1]**2)
         assert np.isfinite(m1) and m2 == pytest.approx(4.0 * m1, rel=1e-15, abs=0)
 
     def test_defaulted_allocation_aborts(self):
@@ -379,7 +384,7 @@ class TestEvolveWealth:
 def estimate_log_value(params, intensity, strategy, cfg, s0, x0):
     """Mean and standard error of ln X_T over a simulated bundle."""
     logs = np.log(evolve_wealth(simulate_paths(params, intensity, cfg, s0), strategy,
-                                x0).terminal)
+                                x0)[:, -1])
     return float(logs.mean()), float(logs.std(ddof=1) / np.sqrt(len(logs)))
 
 
@@ -431,3 +436,6 @@ class TestPathDump:
         assert rows[0] == ["path_id", "step", "t", "S_1", "S_2", "z_bits", "X"]
         assert len(rows) == 1 + 3 * 5
         assert rows[1][2] == "0" and rows[1][5] == "00"
+        # rows run path by path, step by step, as the wealth array does
+        assert wealth.shape == (3, 5)
+        assert [row[-1] for row in rows[1:]] == [f"{v:.10g}" for v in wealth.ravel()]

@@ -16,6 +16,7 @@ from contagionopt.logopt import (
 )
 from contagionopt.model import AdmissibleBox, ConstantIntensity, MarketParams, validate_box
 
+from test_dynamics import one_row
 from test_model import benchmark_intensity, benchmark_params
 
 
@@ -235,7 +236,7 @@ class TestSingleSurvivor:
         crisis = LogControlProblem(params=prob.params,
                                    intensity=ConstantIntensity(50.0),
                                    box=prob.box)
-        pi = LogStrategy(crisis).allocation(0.0, 100.0, np.array([0.0, 10.0]), (1, 0))
+        pi = one_row(LogStrategy(crisis), 0.0, 100.0, np.array([0.0, 10.0]), (1, 0))
         assert np.array_equal(pi, [0.0, -1.0])
 
     def test_uses_surviving_stock_parameters(self):
@@ -244,7 +245,7 @@ class TestSingleSurvivor:
         p = 40.0
         h = 10.0 / (0.7 * p)
         want = np.clip(single_survivor_formula(0.15, 0.40, 0.05, h), -1.0, 0.5)
-        got = LogStrategy(prob).allocation(0.0, 100.0, np.array([0.0, p]), (1, 0))
+        got = one_row(LogStrategy(prob), 0.0, 100.0, np.array([0.0, p]), (1, 0))
         assert got[0] == 0.0
         assert got[1] == pytest.approx(float(want), rel=1e-13, abs=0)
 
@@ -267,7 +268,7 @@ class TestSingleSurvivor:
 class TestLogStrategy:
     def test_all_defaulted_gives_zero(self):
         strat = LogStrategy(benchmark_problem())
-        pi = strat.allocation(0.0, 100.0, np.array([0.0, 0.0]), (1, 1))
+        pi = one_row(strat, 0.0, 100.0, np.array([0.0, 0.0]), (1, 1))
         assert np.array_equal(pi, [0.0, 0.0])
 
     def test_fixed_mode_matches_state_dependent_at_equal_hazard(self):
@@ -279,8 +280,8 @@ class TestLogStrategy:
         hS, hP = pre_default_hazards(prob, s, p)
         fixed = LogStrategy(prob, hbar=hS)
         assert hS == hP
-        a = state_dep.allocation(0.0, 100.0, np.array([s, p]), (0, 0))
-        b = fixed.allocation(0.0, 100.0, np.array([s, p]), (0, 0))
+        a = one_row(state_dep, 0.0, 100.0, np.array([s, p]), (0, 0))
+        b = one_row(fixed, 0.0, 100.0, np.array([s, p]), (0, 0))
         assert np.array_equal(a, b)
 
     def test_benchmark_initial_controls_coincide_with_hbar_point_one(self):
@@ -289,8 +290,8 @@ class TestLogStrategy:
         state_dep = LogStrategy(prob)
         fixed = LogStrategy(prob, hbar=0.1)
         s0 = np.array([100.0, 100.0])
-        a = state_dep.allocation(0.0, 100.0, s0, (0, 0))
-        b = fixed.allocation(0.0, 100.0, s0, (0, 0))
+        a = one_row(state_dep, 0.0, 100.0, s0, (0, 0))
+        b = one_row(fixed, 0.0, 100.0, s0, (0, 0))
         assert np.array_equal(a, b)
 
     def test_mixed_state_batch(self):
@@ -507,8 +508,8 @@ class TestWarmStart:
         cfg = PathConfig(horizon=1.0, n_steps=25, n_paths=500, master_seed=43)
         bundle = simulate_paths(prob.params, prob.intensity, cfg, [100.0, 100.0])
         warm, cold = LogStrategy(prob), ColdLogStrategy(prob)
-        xw = evolve_wealth(bundle, warm, 100.0).values
-        xc = evolve_wealth(bundle, cold, 100.0).values
+        xw = evolve_wealth(bundle, warm, 100.0)
+        xc = evolve_wealth(bundle, cold, 100.0)
         assert np.max(np.abs(xw / xc - 1.0)) <= 1e-10
         assert np.array_equal(warm.kt_cases, cold.kt_cases)
         # at step 0 every path sits at s0, so its rows pose one problem

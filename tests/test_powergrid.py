@@ -19,13 +19,13 @@ from contagionopt.powergrid import (
     TRANSITION_MOVES,
     ValueGrid,
     control_lattice,
-    discount_and_source,
     g1,
     merton_power_control,
     solve_power_value,
-    transition_probs,
     validate_cfl,
     _branch_sources,
+    _check_probs,
+    _control_terms,
     _features,
     _first_max,
     _nine_probs,
@@ -33,9 +33,28 @@ from contagionopt.powergrid import (
     _quarter_lattice,
 )
 
+from test_dynamics import one_row
 from test_model import benchmark_intensity, benchmark_params
 
 GAMMA = 0.5
+
+
+def scheme(s, p, pi, grid, params, gamma, intensity=ConstantIntensity(0.0), t=0.0):
+    """The chain's nine transition probabilities (TRANSITION_MOVES order),
+    killing rate ``beta`` and running source ``g`` at pre-default prices
+    ``(s, p)`` under allocations ``pi[..., 2]``, composed from the DP's
+    factors.  Broadcasts over array inputs; a probability outside [0, 1]
+    beyond 1e-12 raises :class:`CFLViolationError` naming the node and
+    control.  A negative jump factor counts as zero in ``g``, as in the
+    DP's features."""
+    s, p, pi = (np.asarray(x, dtype=float) for x in (s, p, pi))
+    c1, c2, beta_c, jumps = _control_terms(TwoStockMarket(params), gamma, pi)
+    probs = _nine_probs(s, p, c1, c2, grid, params)
+    _check_probs(probs, s, p, (pi[..., 0], pi[..., 1]), "control")
+    hS, hP = _pre_default_rates(intensity, s, p)
+    srcS, srcP = _branch_sources(t, grid, params, gamma, hS, hP)
+    jg = np.maximum(jumps, 0.0) ** gamma
+    return probs, beta_c + hS + hP, srcS * jg[..., 0] + srcP * jg[..., 1]
 
 
 def power_box(upper=1.0):
@@ -99,7 +118,7 @@ class TestTransitionProbs:
             (1, -1): 0.0,
             (-1, 1): 0.0,
         }
-        probs = transition_probs((s, p), (piS, piP), self.grid(), params, gamma)
+        probs = scheme(s, p, (piS, piP), self.grid(), params, gamma)[0]
         assert probs[0] == pytest.approx(stay, rel=1e-12, abs=0)
         for move, want in side.items():
             got = probs[TRANSITION_MOVES.index(move)]
@@ -116,7 +135,7 @@ class TestTransitionProbs:
             p = rng.uniform(lo, 20.0, 5000)
             piS = rng.uniform(-1.0, 1.0, 5000)
             piP = rng.uniform(-1.0, 1.0, 5000)
-            probs = transition_probs((s, p), (piS, piP), grid, params, GAMMA)
+            probs = scheme(s, p, np.column_stack([piS, piP]), grid, params, GAMMA)[0]
             assert np.all(probs >= -1e-12) and np.all(probs <= 1.0 + 1e-12)
             assert np.max(np.abs(probs.sum(axis=0) - 1.0)) <= 1e-12
             # (+,+) and (-,-) carry positive correlation, (+,-) and (-,+) negative
@@ -124,15 +143,13 @@ class TestTransitionProbs:
             assert np.all((probs[7:] > 0.0) == (rho < 0.0))
 
     def test_zero_correlation_kills_diagonals(self):
-        probs = transition_probs((10.0, 5.0), (0.3, -0.2),
-                                 GridSpec(1.0, 1.0, 0.005, 20.0, 20.0),
-                                 benchmark_params(), GAMMA)
+        probs = scheme(10.0, 5.0, (0.3, -0.2), GridSpec(1.0, 1.0, 0.005, 20.0, 20.0),
+                       benchmark_params(), GAMMA)[0]
         assert np.all(probs[5:] == 0.0)
 
     def test_cfl_violation_raises_with_location(self):
         with pytest.raises(CFLViolationError, match="s=100"):
-            transition_probs((100.0, 100.0), (0.0, 0.0), self.grid(),
-                             benchmark_params(), GAMMA)
+            scheme(100.0, 100.0, (0.0, 0.0), self.grid(), benchmark_params(), GAMMA)
 
     def test_validate_cfl_rejects_large_domain_with_coarse_dt(self):
         grid = GridSpec(horizon=1.0, delta=5.0, dt=0.1, s_max=400.0, p_max=400.0)
@@ -144,7 +161,7 @@ class TestTransitionProbs:
         grid = GridSpec(horizon=1.0, delta=1.0, dt=0.005, s_max=20.0, p_max=20.0)
         margin = validate_cfl(grid, params, GAMMA, box)
         S, P = np.meshgrid(grid.s_nodes(), grid.p_nodes(), indexing="ij")
-        stays = [transition_probs((S, P), pi, grid, params, GAMMA)[0].min()
+        stays = [scheme(S, P, pi, grid, params, GAMMA)[0][0].min()
                  for pi in box.vertices()]
         # the check bounds the drift coefficients by their box extremes
         assert 0.0 < margin <= min(stays)
@@ -161,8 +178,7 @@ class TestDiscountAndSource:
     def test_zero_hazard(self):
         params = benchmark_params()
         pi = np.array([0.3, -0.4])
-        beta, g = discount_and_source(10.0, 10.0, pi, 0.2, self.grid(), params,
-                                      ConstantIntensity(0.0), GAMMA)
+        _, beta, g = scheme(10.0, 10.0, pi, self.grid(), params, GAMMA, t=0.2)
         quad = pi @ params.cov @ pi
         want = (-0.05 * GAMMA - GAMMA * (pi @ params.theta)
                 + 0.5 * GAMMA * (1.0 - GAMMA) * quad)
@@ -172,8 +188,7 @@ class TestDiscountAndSource:
     def test_zero_allocation_symmetric_stocks(self):
         params = MarketParams.two_stock(0.05, 0.10, 0.10, 0.30, 0.30, 0.0, 0.2, 0.2)
         h = ConstantIntensity(0.3)
-        beta, g = discount_and_source(10.0, 10.0, (0.0, 0.0), 0.4, self.grid(),
-                                      params, h, GAMMA)
+        _, beta, g = scheme(10.0, 10.0, (0.0, 0.0), self.grid(), params, GAMMA, h, t=0.4)
         assert float(beta) == pytest.approx(-0.05 * GAMMA + 0.6, rel=1e-13, abs=0)
         assert float(g) == pytest.approx(0.6 * float(g1(0.4, 1.0, params, GAMMA)),
                                          rel=1e-13)
@@ -183,7 +198,7 @@ class TestDiscountAndSource:
         h = benchmark_intensity()
         s, p, t = 14.0, 6.0, 0.3
         pi = (0.25, -0.5)
-        beta, g = discount_and_source(s, p, pi, t, self.grid(), params, h, GAMMA)
+        _, beta, g = scheme(s, p, pi, self.grid(), params, GAMMA, h, t)
         hS, hP = h.rates_matrix(np.zeros((1, 2), dtype=np.uint8), np.array([[s, p]]))[0]
         quad = (0.09 * pi[0]**2 + 0.16 * pi[1]**2)
         want_beta = (-0.05 * GAMMA + hS + hP
@@ -194,11 +209,6 @@ class TestDiscountAndSource:
                   + hP * float(g1(t, 1.0, params, GAMMA, stock=0)) * jP**GAMMA)
         assert float(beta) == pytest.approx(want_beta, rel=1e-13, abs=0)
         assert float(g) == pytest.approx(want_g, rel=1e-13, abs=0)
-
-    def test_infeasible_allocation_rejected(self):
-        with pytest.raises(ValueError):
-            discount_and_source(10.0, 10.0, (1.2, 0.2), 0.0, self.grid(),
-                                benchmark_params(), ConstantIntensity(0.0), GAMMA)
 
 
 def former_solve(grid, params, intensity, gamma, box):
@@ -349,7 +359,7 @@ class TestSolvePowerValue:
         pi = (0.4, -0.3)
         for i, s in enumerate(s_nodes):
             for j, p in enumerate(p_nodes):
-                probs = transition_probs((s, p), pi, grid, params, GAMMA)
+                probs = scheme(s, p, pi, grid, params, GAMMA)[0]
                 ev, eb = 0.0, 0.0
                 for w, (ds, dp) in zip(probs, TRANSITION_MOVES):
                     ii = min(max(i + ds, 0), len(s_nodes) - 1)
@@ -359,7 +369,7 @@ class TestSolvePowerValue:
                 assert eb >= ev - 1e-14
 
     def test_dp_is_its_own_scheme(self):
-        # one slice replayed from the standalone scheme functions, with the
+        # one slice replayed from the scheme's factors (scheme), with the
         # correlated (diagonal) moves switched on.  h0 = 1 keeps the hazard,
         # and so v1, varying over [0, 6]^2, where the benchmark intensity is
         # clamped at h_max and a flat v1 would hide every move; there the
@@ -392,18 +402,11 @@ class TestSolvePowerValue:
                 for i, s in enumerate(s_nodes):
                     for j, p in enumerate(p_nodes):
                         def values(pis):
-                            probs = transition_probs((s, p), (pis[:, 0], pis[:, 1]),
-                                                     grid, params, GAMMA)
+                            probs, beta, g = scheme(s, p, pis, grid, params, GAMMA, h)
                             ev = sum(w * v1[min(max(i + ds, 0), len(s_nodes) - 1),
                                             min(max(j + dp, 0), len(p_nodes) - 1)]
                                      for w, (ds, dp) in zip(probs, TRANSITION_MOVES))
-                            out = []
-                            for pi, e in zip(pis, ev):
-                                beta, g = discount_and_source(s, p, pi, 0.0, grid, params,
-                                                              h, GAMMA)
-                                out.append(float(g) * grid.dt
-                                           + np.exp(-float(beta) * grid.dt) * e)
-                            return out
+                            return list(g * grid.dt + np.exp(-beta * grid.dt) * ev)
 
                         cand = values(lattice)
                         best, vbest = lattice[int(np.argmax(cand))], max(cand)
@@ -542,20 +545,20 @@ class TestPowerStrategy:
     def test_lattice_node_query_returns_stored_argmax(self):
         vg, params, box = self.solved()
         strat = PowerGridStrategy(vg, params, box)
-        pi = strat.allocation(0.0, 100.0, np.array([4.0, 7.0]), (0, 0))
+        pi = one_row(strat, 0.0, 100.0, np.array([4.0, 7.0]), (0, 0))
         assert np.array_equal(pi, vg.controls[0][4, 7])
 
     def test_all_defaulted_gives_zero(self):
         vg, params, box = self.solved()
         strat = PowerGridStrategy(vg, params, box)
-        pi = strat.allocation(0.3, 100.0, np.array([0.0, 0.0]), (1, 1))
+        pi = one_row(strat, 0.3, 100.0, np.array([0.0, 0.0]), (1, 1))
         assert np.array_equal(pi, [0.0, 0.0])
 
     def test_out_of_domain_clamps_and_counts(self):
         vg, params, box = self.solved()
         strat = PowerGridStrategy(vg, params, box)
-        inside = strat.allocation(0.0, 100.0, np.array([12.0, 7.0]), (0, 0))
-        outside = strat.allocation(0.0, 100.0, np.array([50.0, 7.0]), (0, 0))
+        inside = one_row(strat, 0.0, 100.0, np.array([12.0, 7.0]), (0, 0))
+        outside = one_row(strat, 0.0, 100.0, np.array([50.0, 7.0]), (0, 0))
         assert np.array_equal(inside, outside)
         assert strat.out_of_domain == 1
         assert strat.pre_default_queries == 2
@@ -564,17 +567,17 @@ class TestPowerStrategy:
         vg, params, box = self.solved()
         strat = PowerGridStrategy(vg, params, box)
         # surviving P: raw Merton 0.10/(0.16*0.5) = 1.25, box cap 1.0, floor cap 0.99
-        pi = strat.allocation(0.2, 100.0, np.array([0.0, 8.0]), (1, 0))
+        pi = one_row(strat, 0.2, 100.0, np.array([0.0, 8.0]), (1, 0))
         assert pi[0] == 0.0 and pi[1] == pytest.approx(0.99)
         # surviving S: raw Merton 1.11 -> same cap
-        pi = strat.allocation(0.2, 100.0, np.array([8.0, 0.0]), (0, 1))
+        pi = one_row(strat, 0.2, 100.0, np.array([8.0, 0.0]), (0, 1))
         assert pi[1] == 0.0 and pi[0] == pytest.approx(0.99)
 
     def test_time_slice_selection(self):
         vg, params, box = self.solved()
         strat = PowerGridStrategy(vg, params, box)
-        a = strat.allocation(0.0, 100.0, np.array([6.0, 6.0]), (0, 0))
-        b = strat.allocation(0.995, 100.0, np.array([6.0, 6.0]), (0, 0))
+        a = one_row(strat, 0.0, 100.0, np.array([6.0, 6.0]), (0, 0))
+        b = one_row(strat, 0.995, 100.0, np.array([6.0, 6.0]), (0, 0))
         assert np.array_equal(b, vg.controls[-1][6, 6])
         assert np.array_equal(a, vg.controls[0][6, 6])
 

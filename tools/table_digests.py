@@ -47,7 +47,7 @@ def _sha256(data: bytes) -> str:
 def _recording_evolve(evolve, wealth: list):
     def wrapper(*args, **kwargs):
         out = evolve(*args, **kwargs)
-        wealth.append(_sha256(out.values.tobytes()))
+        wealth.append(_sha256(out.tobytes()))
         return out
     return wrapper
 
