@@ -15,23 +15,6 @@ Modules:
 - :mod:`contagionopt.experiments` -- config-driven experiment runner.
 """
 
-from contagionopt.model import (
-    AdmissibleBox,
-    ConstantIntensity,
-    MarketParams,
-    PowerClampIntensity,
-    ReciprocalIntensity,
-    validate_box,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibleBox",
-    "ConstantIntensity",
-    "MarketParams",
-    "PowerClampIntensity",
-    "ReciprocalIntensity",
-    "validate_box",
-    "__version__",
-]
+__all__ = ["__version__"]

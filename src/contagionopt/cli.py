@@ -3,20 +3,21 @@
 Every subcommand takes a JSON experiment config (``--config PATH`` or a
 shipped ``--builtin NAME``); ``--seed`` and ``--paths`` override the
 document, and ``--out`` names the output directory.  The experiment
-subcommands ``compare``, ``sweep``, ``crisis`` and ``power-compare`` are
-named after the experiment kinds, and each runs only configs of its own
-kind.
+subcommands come from :data:`~contagionopt.experiments.KINDS`, one per
+kind, named after it, with its runner's first docstring line as help; each
+runs only configs of its own kind.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
 from contagionopt.dynamics import ConstantAllocation, dump_paths_csv, evolve_wealth, simulate_paths
-from contagionopt.experiments import (RUNNERS, ComparisonResult, builtin_config,
+from contagionopt.experiments import (KINDS, ComparisonResult, builtin_config,
                                       builtin_config_names, load_config)
 from contagionopt.logopt import CASE_NAMES, LogControlProblem, LogStrategy, solve_kt_batch
 from contagionopt.powergrid import ValueGrid, solve_power_value
@@ -43,7 +44,6 @@ def _cmd_simulate(args):
     frac = bundle.default_mask().mean()
     print(f"simulated {cfg.paths.n_paths} paths, default fraction {frac:.4f}")
     if args.out:
-        import os
         os.makedirs(args.out, exist_ok=True)
         # the dumped wealth column is the bank-account reference (pi = 0)
         wealth = evolve_wealth(bundle, ConstantAllocation(np.zeros(cfg.market.n)), cfg.x0)
@@ -84,7 +84,6 @@ def _cmd_solve_power(args):
     print(f"value factor at t=0, (s={s_nodes[i]:g}, p={p_nodes[j]:g}): {vg.f[0][i, j]:.8f}")
     print(f"argmax control there: {np.array2string(vg.controls[0][i, j], precision=6)}")
     if args.out:
-        import os
         os.makedirs(args.out, exist_ok=True)
         target = os.path.join(args.out, "value_grid.npz")
         vg.save(target)
@@ -96,10 +95,10 @@ def _cmd_run(args):
     cfg = _load(args)
     grids = {}
     # a config of another kind fails the runner's kind check before any grid is read
-    if args.command == "power-compare" and cfg.kind == args.command:
+    if hasattr(args, "grid") and cfg.kind == args.command:
         grids = {"value_grid": ValueGrid.load(args.grid) if args.grid else None,
                  "value_grid_const": ValueGrid.load(args.grid_const) if args.grid_const else None}
-    result = RUNNERS[args.command](cfg, out_dir=args.out, **grids)
+    result = KINDS[args.command].runner(cfg, out_dir=args.out, **grids)
     print(result.to_csv(), end="")
     if isinstance(result, ComparisonResult):
         print(f"# defaults: {result.n_default} / {result.n_paths}", file=sys.stderr)
@@ -130,14 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_solve_power)
 
-    for kind, help_text in (("compare", "active vs passive strategies, log utility"),
-                            ("sweep", "parameter robustness sweep"),
-                            ("crisis", "depressed-initial-price comparison"),
-                            ("power-compare", "active vs passive, power utility")):
-        p = sub.add_parser(kind, help=help_text)
+    for name, kind in KINDS.items():
+        p = sub.add_parser(name, help=kind.runner.__doc__.splitlines()[0])
         _add_common(p)
         p.set_defaults(func=_cmd_run)
-        if kind == "power-compare":
+        if "grid" in kind.keys:
             p.add_argument("--grid", help="reuse a saved value grid (npz) for the active side")
             p.add_argument("--grid-const", help="reuse a saved value grid for the passive side")
 

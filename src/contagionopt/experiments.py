@@ -7,16 +7,17 @@ comparisons of active (price-dependent hazard) versus passive (constant
 proxy hazard) strategies, the robustness sweeps, the depressed-initial-
 price crisis comparison, and the power-utility comparison.
 
-The experiment's ``kind`` picks the utility the ``utility`` section must
-name and the output table (:data:`KINDS`), and the runner
-(:data:`RUNNERS`), which rejects a config of another kind.  The
-``market`` (besides ``s0``), ``box``, ``paths``, ``grid`` and
-``experiment`` sections and each sweep entry map onto their dataclass
+The experiment's ``kind`` picks its row of :data:`KINDS`, the one table
+of experiment kinds: the utility the ``utility`` section must name, the
+output table, the runner (which rejects a config of another kind) and
+the kind-only keys the kind takes, of ``hbar``, ``gamma``, ``grid``,
+``entries`` and ``sweep_mode``; a config naming one it does not take is
+rejected.  The ``market`` (besides ``s0``), ``box``, ``paths``, ``grid``
+and ``experiment`` sections and each sweep entry map onto their dataclass
 fields by name (:func:`~contagionopt.model.from_section`): a field with a
 default may be left out, and an unknown or missing key raises
 ``ValueError`` naming it; ``utility`` holds ``kind`` and, for the power
-utility only, a ``gamma`` in (0, 1).  A ``grid`` section belongs to a
-``power-compare`` experiment only, and is rejected elsewhere.
+utility only, a ``gamma`` in (0, 1).
 
 Every comparison evaluates both strategies on one simulated path bundle
 (common random numbers).  The bundle is read-only, so no strategy can
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, fields, replace
 from importlib import resources
@@ -53,7 +55,7 @@ from contagionopt.stats import CSV_HEADER, cohort_report, csv_row, summarize
 
 __all__ = [
     "KINDS",
-    "RUNNERS",
+    "Kind",
     "ExperimentConfig",
     "SweepEntry",
     "ComparisonResult",
@@ -71,13 +73,6 @@ __all__ = [
 ACTIVE_LABEL = "h(S,P)"
 PASSIVE_LABEL = "constant h"
 
-# experiment kind -> (utility, output table)
-KINDS = {
-    "compare": ("log", "comparison.csv"),
-    "crisis": ("log", "crisis.csv"),
-    "sweep": ("log", "sweep.csv"),
-    "power-compare": ("power", "power_comparison.csv"),
-}
 SWEEP_MODES = ("misspecified-investor", "perturbed-world")
 
 _MARKET_FIELDS = ("r", "mu_s", "mu_p", "sigma_s", "sigma_p", "rho", "loss_s", "loss_p")
@@ -99,8 +94,7 @@ class ExperimentConfig:
     ``sweep_mode`` applies to every sweep entry: ``misspecified-investor``
     keeps the simulated world at the config's values and hands the
     perturbed values to the investor's solver; ``perturbed-world``
-    changes both.  A config of another kind may not name ``entries`` or
-    ``sweep_mode``.
+    changes both.
     """
 
     name: str
@@ -119,16 +113,14 @@ class ExperimentConfig:
     raw: dict = None  # original document, echoed into the run manifest
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown experiment kind: {self.kind!r}; have {list(KINDS)}")
+        kind = KINDS[self.kind]
         if self.kind == "crisis" and not isinstance(self.intensity, ReciprocalIntensity):
             raise ValueError("crisis experiment requires the reciprocal intensity family")
-        if self.kind == "power-compare":
+        if "gamma" in kind.keys:
             _check_gamma(self.gamma, "utility.gamma")
-            if self.grid is None:
-                raise ValueError("power-compare requires a grid section")
-        if self.kind != "sweep" and self.hbar is None:
-            raise ValueError(f"{self.kind} requires a comparator hbar")
+        for key, what in (("grid", "a grid section"), ("hbar", "a comparator hbar")):
+            if key in kind.keys and getattr(self, key) is None:
+                raise ValueError(f"{self.kind} requires {what}")
         if not 0.0 < self.x0 < np.inf:
             raise ValueError(f"experiment.x0 must be finite and > 0, not {self.x0!r}")
         if self.hbar is not None and not 0.0 <= self.hbar < np.inf:
@@ -179,24 +171,29 @@ def _check_finite(node, path: str):
 
 def _config(doc: dict, seed: int | None, n_paths: int | None) -> ExperimentConfig:
     market, s0 = _market_from_dict(doc["market"])
-    unknown = sorted(doc["utility"].keys() - {"kind", "gamma"})
+    utility = doc["utility"]
+    unknown = sorted(utility.keys() - {"kind", "gamma"})
     if unknown:
         raise ValueError(f"utility: unknown keys {unknown}")
     overrides = {k: v for k, v in (("n_paths", n_paths), ("master_seed", seed)) if v is not None}
     paths = from_section(PathConfig, {**doc["paths"], **overrides}, "paths")
     exp = doc["experiment"]
-    grid = None
-    if "grid" in doc:
-        if exp.get("kind") != "power-compare":
-            raise ValueError(f"grid: the section applies to a power-compare experiment only, "
-                             f"not to a {exp.get('kind')!r} experiment")
-        grid = from_section(GridSpec, doc["grid"], "grid", horizon=paths.horizon)
+    name = exp["kind"]
+    if name not in KINDS:
+        raise ValueError(f"unknown experiment kind: {name!r}; have {list(KINDS)}")
+    kind = KINDS[name]
+    if utility["kind"] != kind.utility:
+        raise ValueError(f"a {name!r} experiment takes the {kind.utility!r} utility, "
+                         f"not {utility['kind']!r}")
+    # each kind-only key, in the section that holds it
+    held = {"hbar": exp, "gamma": utility, "grid": doc, "entries": exp, "sweep_mode": exp}
+    foreign = [key for key, section in held.items() if key in section and key not in kind.keys]
+    if foreign:
+        raise ValueError(f"a {name!r} experiment does not take {foreign}")
+    grid = (from_section(GridSpec, doc["grid"], "grid", horizon=paths.horizon)
+            if "grid" in doc else None)
     intensity = intensity_from_config(doc["intensity"])
     box = from_section(AdmissibleBox, doc["box"], "box")
-    sweep_keys = sorted({"entries", "sweep_mode"} & exp.keys())
-    if sweep_keys and exp.get("kind") != "sweep":
-        raise ValueError(f"experiment: {sweep_keys} apply to a sweep only, "
-                         f"not to a {exp.get('kind')!r} experiment")
     entries = tuple(from_section(SweepEntry, e, f"sweep entry {i}")
                     for i, e in enumerate(exp.get("entries", ())))
     for entry in entries:  # fail here, not after the sweep's benchmark row has run
@@ -205,7 +202,7 @@ def _config(doc: dict, seed: int | None, n_paths: int | None) -> ExperimentConfi
             LogControlProblem(params=market2, intensity=intensity2, box=box)
         except ValueError as exc:
             raise ValueError(f"sweep entry {entry.label!r}: {exc}") from None
-    cfg = from_section(
+    return from_section(
         ExperimentConfig, {**exp, "entries": entries}, "experiment",
         name=doc.get("name", "unnamed"),
         market=market,
@@ -213,18 +210,10 @@ def _config(doc: dict, seed: int | None, n_paths: int | None) -> ExperimentConfi
         intensity=intensity,
         box=box,
         paths=paths,
-        gamma=doc["utility"].get("gamma"),
+        gamma=utility.get("gamma"),
         grid=grid,
         raw=doc,
     )
-    utility, _ = KINDS[cfg.kind]
-    if doc["utility"]["kind"] != utility:
-        raise ValueError(f"a {cfg.kind!r} experiment takes the {utility!r} utility, "
-                         f"not {doc['utility']['kind']!r}")
-    if utility == "log" and "gamma" in doc["utility"]:
-        raise ValueError(f"utility: 'gamma' applies to the power utility only, "
-                         f"not to a {cfg.kind!r} experiment")
-    return cfg
 
 
 def load_config(path: str, seed: int | None = None,
@@ -325,7 +314,6 @@ def _compare(cfg: ExperimentConfig, out_dir: str | None, t0: float,
     tabulate both by default cohort; ``health(active, passive)`` gives the
     manifest's solver-health section, and ``t0`` is when the run began."""
     bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0)
-    digest = bundle.rng_digest()
     terminal = [evolve_wealth(bundle, s, cfg.x0)[:, -1] for s in (active, passive)]
 
     mask = bundle.default_mask()
@@ -334,17 +322,17 @@ def _compare(cfg: ExperimentConfig, out_dir: str | None, t0: float,
         passive=cohort_report(PASSIVE_LABEL, terminal[1], mask),
         n_default=int(mask.sum()),
         n_paths=cfg.paths.n_paths,
-        rng_digest=digest,
+        rng_digest=bundle.rng_digest(),
         health=health(active, passive),
     )
     if out_dir:
-        _emit(cfg, out_dir, result.to_csv(), result.health, digest,
-              time.perf_counter() - t0)
+        _emit(cfg, out_dir, result, time.perf_counter() - t0)
     return result
 
 
-def _log_comparison(cfg: ExperimentConfig, out_dir: str | None) -> ComparisonResult:
-    """Active-versus-passive log-utility comparison."""
+def _log_comparison(cfg: ExperimentConfig, out_dir: str | None, kind: str) -> ComparisonResult:
+    """Active-versus-passive log-utility comparison of a ``kind`` config."""
+    _require_kind(cfg, kind)
     t0 = time.perf_counter()
     problem = LogControlProblem(params=cfg.market, intensity=cfg.intensity, box=cfg.box)
     return _compare(cfg, out_dir, t0, LogStrategy(problem),
@@ -353,14 +341,12 @@ def _log_comparison(cfg: ExperimentConfig, out_dir: str | None) -> ComparisonRes
 
 def run_comparison(cfg: ExperimentConfig, out_dir: str | None = None) -> ComparisonResult:
     """Active-versus-passive comparison under the log utility."""
-    _require_kind(cfg, "compare")
-    return _log_comparison(cfg, out_dir)
+    return _log_comparison(cfg, out_dir, "compare")
 
 
 def run_crisis(cfg: ExperimentConfig, out_dir: str | None = None) -> ComparisonResult:
     """Comparison with depressed initial prices and reciprocal hazard."""
-    _require_kind(cfg, "crisis")
-    return _log_comparison(cfg, out_dir)
+    return _log_comparison(cfg, out_dir, "crisis")
 
 
 @dataclass
@@ -400,7 +386,6 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> SweepResult:
     t0 = time.perf_counter()
     problem = LogControlProblem(params=cfg.market, intensity=cfg.intensity, box=cfg.box)
     bench_bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0)
-    digest = bench_bundle.rng_digest()
     bench_strategy = LogStrategy(problem)
     bench_stats = summarize(evolve_wealth(bench_bundle, bench_strategy, cfg.x0)[:, -1])
 
@@ -422,11 +407,10 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> SweepResult:
         entries.append((entry.label, stats, pct))
         strategies.append(strategy2)
 
-    health = _log_health(*strategies)
     result = SweepResult(benchmark=bench_stats, entries=tuple(entries),
-                         rng_digest=digest, health=health)
+                         rng_digest=bench_bundle.rng_digest(), health=_log_health(*strategies))
     if out_dir:
-        _emit(cfg, out_dir, result.to_csv(), health, digest, time.perf_counter() - t0)
+        _emit(cfg, out_dir, result, time.perf_counter() - t0)
     return result
 
 
@@ -466,19 +450,31 @@ def run_power_comparison(cfg: ExperimentConfig, out_dir: str | None = None,
     return _compare(cfg, out_dir, t0, active, passive, health)
 
 
-# experiment kind -> its runner
-RUNNERS = {"compare": run_comparison, "crisis": run_crisis, "sweep": run_sweep,
-           "power-compare": run_power_comparison}
+@dataclass(frozen=True)
+class Kind:
+    """A row of :data:`KINDS`; a kind requires each of ``hbar``, ``gamma``
+    and ``grid`` that it takes."""
+
+    utility: str
+    table: str
+    runner: object
+    keys: tuple
 
 
-def _emit(cfg: ExperimentConfig, out_dir: str, text: str, health: dict,
-          rng_digest: str, wall_time: float):
-    """Write the kind's output CSV plus a JSON manifest with its content hash."""
-    import os
+KINDS = {
+    "compare": Kind("log", "comparison.csv", run_comparison, ("hbar",)),
+    "crisis": Kind("log", "crisis.csv", run_crisis, ("hbar",)),
+    "sweep": Kind("log", "sweep.csv", run_sweep, ("entries", "sweep_mode")),
+    "power-compare": Kind("power", "power_comparison.csv", run_power_comparison,
+                          ("hbar", "gamma", "grid")),
+}
 
+
+def _emit(cfg: ExperimentConfig, out_dir: str, result, wall_time: float):
+    """Write the result's CSV table plus a JSON manifest with its content hash."""
     os.makedirs(out_dir, exist_ok=True)
-    _, name = KINDS[cfg.kind]
-    data = text.encode()
+    name = KINDS[cfg.kind].table
+    data = result.to_csv().encode()
     with open(os.path.join(out_dir, name), "wb") as fh:
         fh.write(data)
     manifest = {
@@ -488,8 +484,8 @@ def _emit(cfg: ExperimentConfig, out_dir: str, text: str, health: dict,
         "n_paths": cfg.paths.n_paths,
         "config": cfg.raw,
         "outputs": {name: "sha256:" + hashlib.sha256(data).hexdigest()},
-        "rng_digest": rng_digest,
-        "solver_health": health,
+        "rng_digest": result.rng_digest,
+        "solver_health": result.health,
         "wall_time_s": round(wall_time, 3),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:

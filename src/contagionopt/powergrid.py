@@ -138,20 +138,15 @@ def merton_power_control(params: MarketParams, gamma: float, lo: float, hi: floa
     return float(np.clip(raw, lo, hi))
 
 
-def _admissible(pi, L: np.ndarray, box: AdmissibleBox) -> np.ndarray:
-    """Which allocations ``pi[..., n]`` keep every post-default wealth
-    fraction at or above ``eps_a``."""
-    return (jump_factors(L, pi) >= box.eps_a).all(axis=-1)
-
-
 def _quarter_lattice(box: AdmissibleBox, L: np.ndarray, n_control: int):
     """Row-major points of the quarter-step lattice over the box, their
-    admissibility, and the indices of the admissible control-lattice points
+    admissibility (every post-default wealth fraction at or above
+    ``eps_a``), and the indices of the admissible control-lattice points
     among them (every fourth point per axis)."""
     n = 4 * n_control - 3
     axes = [np.linspace(box.lower[i], box.upper[i], n) for i in range(box.n)]
     pts = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
-    ok = _admissible(pts, L, box)
+    ok = (jump_factors(L, pts) >= box.eps_a).all(axis=-1)
     coarse = np.flatnonzero(ok & (np.indices((n,) * box.n).reshape(box.n, -1) % 4 == 0).all(0))
     if coarse.size == 0:
         raise ValueError("no admissible control lattice point; box and eps_a incompatible")

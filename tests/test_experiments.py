@@ -9,7 +9,7 @@ import pytest
 
 from contagionopt.dynamics import PathBundle, simulate_paths
 from contagionopt.experiments import (
-    RUNNERS,
+    KINDS,
     _apply_param_overrides,
     builtin_config,
     builtin_config_names,
@@ -19,7 +19,7 @@ from contagionopt.experiments import (
     run_power_comparison,
     run_sweep,
 )
-from contagionopt.cli import main as cli_main
+from contagionopt.cli import build_parser, main as cli_main
 from contagionopt.logopt import CASE_NAMES
 from contagionopt.stats import CSV_HEADER
 from contagionopt.model import ConstantIntensity, PowerClampIntensity, ReciprocalIntensity
@@ -143,13 +143,14 @@ class TestConfig:
         doc = base_doc()
         if kind == "crisis":
             doc["intensity"] = {"family": "reciprocal", "c": 20.0}
+        if kind == "sweep":
+            del doc["experiment"]["hbar"]  # a sweep takes no comparator
         doc["experiment"]["kind"] = kind
         config_from_dict(doc)  # loads without the grid section
         doc["grid"] = power_doc()["grid"]
         with pytest.raises(ValueError) as exc:
             config_from_dict(doc)
-        assert str(exc.value) == ("grid: the section applies to a power-compare experiment "
-                                  f"only, not to a '{kind}' experiment")
+        assert str(exc.value) == f"a '{kind}' experiment does not take ['grid']"
 
     def test_utility_must_match_the_kind(self):
         doc = base_doc(utility={"kind": "power", "gamma": 0.5})
@@ -169,8 +170,15 @@ class TestConfig:
         doc = base_doc(utility={"kind": "log", "gamma": 0.5})
         with pytest.raises(ValueError) as exc:
             config_from_dict(doc)
-        assert str(exc.value) == ("utility: 'gamma' applies to the power utility only, "
-                                  "not to a 'compare' experiment")
+        assert str(exc.value) == "a 'compare' experiment does not take ['gamma']"
+
+    def test_hbar_on_a_sweep_rejected(self):
+        doc = base_doc()
+        doc["experiment"] = {"kind": "sweep", "hbar": 0.1,
+                             "entries": [{"label": "x", "set": {"mu_s": 0.12}}]}
+        with pytest.raises(ValueError) as exc:
+            config_from_dict(doc)
+        assert str(exc.value) == "a 'sweep' experiment does not take ['hbar']"
 
     def test_overrides_apply_per_intensity_family(self):
         market = config_from_dict(base_doc()).market
@@ -216,8 +224,7 @@ class TestConfig:
         doc["experiment"][key] = value
         with pytest.raises(ValueError) as exc:
             config_from_dict(doc)
-        assert str(exc.value) == (f"experiment: ['{key}'] apply to a sweep only, "
-                                  f"not to a '{kind}' experiment")
+        assert str(exc.value) == f"a '{kind}' experiment does not take ['{key}']"
 
     def test_kind_validation(self):
         doc = base_doc()
@@ -466,12 +473,20 @@ def test_log_solver_health_is_pinned(name):
     doc["paths"]["n_steps"] = 40
     cfg = config_from_dict(doc, n_paths=400)
     cases, newton = PINNED_HEALTH[name]
-    health = RUNNERS[cfg.kind](cfg).health
+    health = KINDS[cfg.kind].runner(cfg).health
     assert health["kt_cases"] == {case: cases.get(case, 0) for case in CASE_NAMES}
     assert health["kt_newton_iters"] == newton
 
 
 class TestCLI:
+    def test_experiment_subcommands_come_from_the_kind_table(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        other = ["simulate", "solve-log", "solve-power", "list-configs"]
+        assert [name for name in sub.choices if name not in other] == list(KINDS)
+        helps = {action.dest: action.help for action in sub._choices_actions}
+        for name, kind in KINDS.items():
+            assert helps[name] == kind.runner.__doc__.splitlines()[0]
+
     @pytest.mark.parametrize("command, config", [
         (command, config)
         for command in ("compare", "sweep", "crisis", "power-compare")

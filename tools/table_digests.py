@@ -32,7 +32,7 @@ import hashlib
 import json
 
 from contagionopt import experiments
-from contagionopt.experiments import RUNNERS, builtin_config, builtin_config_names, config_from_dict
+from contagionopt.experiments import KINDS, builtin_config, builtin_config_names, config_from_dict
 from contagionopt.model import ConstantIntensity
 from contagionopt.powergrid import solve_power_value
 
@@ -68,7 +68,7 @@ def digest(name: str) -> dict:
     evolve = experiments.evolve_wealth
     experiments.evolve_wealth = _recording_evolve(evolve, wealth)
     try:
-        result = RUNNERS[cfg.kind](cfg, **grids)
+        result = KINDS[cfg.kind].runner(cfg, **grids)
     finally:
         experiments.evolve_wealth = evolve
     out = {"sha256": _sha256(result.to_csv().encode()), "rng_digest": result.rng_digest,
