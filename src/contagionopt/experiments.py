@@ -17,7 +17,10 @@ and ``experiment`` sections and each sweep entry map onto their dataclass
 fields by name (:func:`~contagionopt.model.from_section`): a field with a
 default may be left out, and an unknown or missing key raises
 ``ValueError`` naming it; ``utility`` holds ``kind`` and, for the power
-utility only, a ``gamma`` in (0, 1).
+utility only, a ``gamma`` in (0, 1).  A sweep entry's ``set`` is a
+partial config document, such as ``{"market": {"mu": [0.12, 0.15]}}``:
+its ``market`` and ``intensity`` keys (but ``s0``) replace the document's
+own, and the merged sections are read as the document's are.
 
 Every comparison evaluates both strategies on one simulated path bundle
 (common random numbers).  The bundle is read-only, so no strategy can
@@ -33,7 +36,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from importlib import resources
 from numbers import Real
 
@@ -75,12 +78,13 @@ PASSIVE_LABEL = "constant h"
 
 SWEEP_MODES = ("misspecified-investor", "perturbed-world")
 
-_MARKET_FIELDS = ("r", "mu_s", "mu_p", "sigma_s", "sigma_p", "rho", "loss_s", "loss_p")
+_NUMERIC = ("market", "intensity")  # sections whose values, but ``family``, are numbers
+_SECTIONS = (*_NUMERIC, "utility", "box", "paths", "grid", "experiment", "set")
 
 
 @dataclass(frozen=True)
 class SweepEntry:
-    """One perturbation row: its label and the parameters it overrides."""
+    """A sweep entry as written: its label and ``set``, a partial config document."""
 
     label: str
     set: dict
@@ -108,7 +112,7 @@ class ExperimentConfig:
     x0: float = 100.0
     hbar: float | None = None  # constant comparator hazard of the passive side
     sweep_mode: str = "misspecified-investor"
-    entries: tuple = ()  # SweepEntry rows of a sweep
+    entries: tuple = ()  # (label, LogControlProblem) of each sweep entry's merged sections
     grid: GridSpec | None = None
     raw: dict = None  # original document, echoed into the run manifest
 
@@ -146,25 +150,31 @@ def config_from_dict(doc: dict, seed: int | None = None,
                      n_paths: int | None = None) -> ExperimentConfig:
     """Build a validated config; ``seed``/``n_paths`` override the document.
 
-    A missing required key, or a number that is NaN or infinite (``json``
-    reads both), raises ``ValueError`` naming its key.
+    A missing key or a bad value (:func:`_check_values`) raises ``ValueError`` naming it.
     """
-    _check_finite(doc, "")
+    _check_values(doc, "")
     try:
         return _config(doc, seed, n_paths)
     except KeyError as exc:  # every subscript in _config reads a required key
         raise ValueError(f"config is missing the required key {exc.args[0]!r}") from None
 
 
-def _check_finite(node, path: str):
-    """Raise ``ValueError`` naming the key path, such as ``market.mu[0]``, of
-    the first NaN or infinite number in the config document ``node``."""
+def _check_values(node, path: str, numeric: bool = False):
+    """Raise ``ValueError`` naming the key path, such as ``market.mu[0]``, of the
+    first bad value in config document ``node``: a section that is not an object,
+    a ``market`` or ``intensity`` value (a sweep entry's too) other than ``family``
+    that is not a number (a bool is not one) or a list of numbers, or a NaN or inf."""
     if isinstance(node, dict):
         for key, value in node.items():
-            _check_finite(value, f"{path}.{key}" if path else str(key))
+            at = f"{path}.{key}" if path else str(key)
+            if key in _SECTIONS and not isinstance(value, dict):
+                raise ValueError(f"{at} must be an object, not {value!r}")
+            _check_values(value, at, key != "family" and (numeric or key in _NUMERIC))
     elif isinstance(node, (list, tuple)):
         for k, value in enumerate(node):
-            _check_finite(value, f"{path}[{k}]")
+            _check_values(value, f"{path}[{k}]", numeric)
+    elif numeric and (isinstance(node, bool) or not isinstance(node, Real)):
+        raise ValueError(f"{path} must be a number, not {node!r}")
     elif isinstance(node, float) and not np.isfinite(node):
         raise ValueError(f"{path} must be a finite number, not {node}")
 
@@ -179,7 +189,7 @@ def _config(doc: dict, seed: int | None, n_paths: int | None) -> ExperimentConfi
     paths = from_section(PathConfig, {**doc["paths"], **overrides}, "paths")
     exp = doc["experiment"]
     name = exp["kind"]
-    if name not in KINDS:
+    if not isinstance(name, str) or name not in KINDS:
         raise ValueError(f"unknown experiment kind: {name!r}; have {list(KINDS)}")
     kind = KINDS[name]
     if utility["kind"] != kind.utility:
@@ -194,14 +204,8 @@ def _config(doc: dict, seed: int | None, n_paths: int | None) -> ExperimentConfi
             if "grid" in doc else None)
     intensity = intensity_from_config(doc["intensity"])
     box = from_section(AdmissibleBox, doc["box"], "box")
-    entries = tuple(from_section(SweepEntry, e, f"sweep entry {i}")
+    entries = tuple(_sweep_row(doc, box, from_section(SweepEntry, e, f"sweep entry {i}"))
                     for i, e in enumerate(exp.get("entries", ())))
-    for entry in entries:  # fail here, not after the sweep's benchmark row has run
-        try:
-            market2, intensity2 = _apply_param_overrides(market, intensity, entry.set)
-            LogControlProblem(params=market2, intensity=intensity2, box=box)
-        except ValueError as exc:
-            raise ValueError(f"sweep entry {entry.label!r}: {exc}") from None
     return from_section(
         ExperimentConfig, {**exp, "entries": entries}, "experiment",
         name=doc.get("name", "unnamed"),
@@ -236,36 +240,19 @@ def builtin_config(name: str, seed: int | None = None,
     return config_from_dict(json.loads(ref.read_text()), seed=seed, n_paths=n_paths)
 
 
-def _apply_param_overrides(market: MarketParams, intensity, overrides: dict):
-    """Rebuild market and intensity with selected fields replaced.
-
-    The names are the two-stock market's (:data:`_MARKET_FIELDS`) and the
-    intensity family's fields, with the power-clamp ``weights`` set one by
-    one as ``k1`` and ``k2``.  A value that is not a number, or a name
-    that is not one of these, raises ``ValueError`` naming it.
-    """
-    for k, v in overrides.items():
-        if isinstance(v, bool) or not isinstance(v, Real):
-            raise ValueError(f"override {k!r} must be a number, not {v!r}")
-    have = set(_MARKET_FIELDS)
-    for f in fields(intensity):
-        have |= {"k1", "k2"} if f.name == "weights" else {f.name}
-    foreign = [k for k in overrides if k not in have]
-    if foreign:
-        raise ValueError(f"overrides {foreign} do not apply to {type(intensity).__name__}")
-    m = dict(r=market.r, mu_s=market.mu[0], mu_p=market.mu[1],
-             sigma_s=market.sigma[0], sigma_p=market.sigma[1],
-             rho=market.rho[0, 1], loss_s=market.L[0, 1], loss_p=market.L[1, 0])
-    for k in _MARKET_FIELDS:
-        if k in overrides:
-            m[k] = float(overrides[k])
-    new_market = MarketParams.two_stock(**m)
-
-    changes = {k: v for k, v in overrides.items() if k not in _MARKET_FIELDS}
-    if "k1" in changes or "k2" in changes:
-        k1, k2 = intensity.weights
-        changes["weights"] = (changes.pop("k1", k1), changes.pop("k2", k2))
-    return new_market, replace(intensity, **changes)
+def _sweep_row(doc: dict, box: AdmissibleBox, entry: SweepEntry) -> tuple:
+    """The ``(label, LogControlProblem)`` row of a sweep entry: the document's
+    ``market`` and ``intensity`` sections with the keys the entry sets."""
+    part = entry.set
+    try:
+        foreign = sorted({*part} - {*_NUMERIC}) + sorted({"s0"} & part.get("market", {}).keys())
+        if foreign:
+            raise ValueError(f"can set only market (not s0) and intensity keys, not {foreign}")
+        market, _ = _market_from_dict({**doc["market"], **part.get("market", {})})
+        intensity = intensity_from_config({**doc["intensity"], **part.get("intensity", {})})
+        return entry.label, LogControlProblem(params=market, intensity=intensity, box=box)
+    except ValueError as exc:
+        raise ValueError(f"sweep entry {entry.label!r}: {exc}") from None
 
 
 @dataclass
@@ -351,63 +338,49 @@ def run_crisis(cfg: ExperimentConfig, out_dir: str | None = None) -> ComparisonR
 
 @dataclass
 class SweepResult:
-    """Benchmark row plus one row per perturbation, with percent deltas."""
+    """Benchmark row plus one ``(label, SampleStats)`` row per sweep entry."""
 
     benchmark: object  # SampleStats
-    entries: tuple     # (label, SampleStats, {stat: pct-string})
+    entries: tuple     # (label, SampleStats)
     rng_digest: str
     health: dict
 
     def to_csv(self) -> str:
         lines = ["label,n,mean,mean_pct,std,std_pct,q023,q023_pct,q977,q977_pct"]
         b = self.benchmark
-        lines.append(f"benchmark,{b.n},{b.mean:.6g},,{b.std:.6g},,"
-                     f"{b.q_low:.6g},,{b.q_high:.6g},")
-        for label, s, pct in self.entries:
-            lines.append(f"{label},{s.n},{s.mean:.6g},{pct['mean']},{s.std:.6g},"
-                         f"{pct['std']},{s.q_low:.6g},{pct['q023']},"
-                         f"{s.q_high:.6g},{pct['q977']}")
+        for k, (label, s) in enumerate((("benchmark", b), *self.entries)):
+            cells = [label, str(s.n)]
+            for value, base in ((s.mean, b.mean), (s.std, b.std), (s.q_low, b.q_low),
+                                (s.q_high, b.q_high)):
+                pct = f"({100.0 * (value - base) / base + 0.0:.2f}%)" if k else ""
+                cells += [f"{value:.6g}", pct]
+            lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
-
-
-def _pct(value: float, base: float) -> str:
-    return f"({100.0 * (value - base) / base + 0.0:.2f}%)"
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> SweepResult:
     """Robustness sweep of the active strategy's terminal-wealth statistics.
 
-    Each entry perturbs named parameters; in ``misspecified-investor``
-    mode only the investor's solver sees the perturbed values, in
-    ``perturbed-world`` mode the simulated market changes too.  The world
-    (and hence the benchmark row) always uses the config's own values.
+    Each ``(label, problem)`` row of ``cfg.entries`` was built when the config
+    loaded.  In ``misspecified-investor`` mode only the investor's solver sees
+    its problem; in ``perturbed-world`` mode the simulated world is the
+    problem's too.  The benchmark row always uses the config's own values.
     """
     _require_kind(cfg, "sweep")
     t0 = time.perf_counter()
     problem = LogControlProblem(params=cfg.market, intensity=cfg.intensity, box=cfg.box)
     bench_bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0)
-    bench_strategy = LogStrategy(problem)
-    bench_stats = summarize(evolve_wealth(bench_bundle, bench_strategy, cfg.x0)[:, -1])
+    strategies = [LogStrategy(p) for p in (problem, *(p for _, p in cfg.entries))]
+    stats = []
+    for k, strategy in enumerate(strategies):
+        bundle = bench_bundle
+        if k and cfg.sweep_mode == "perturbed-world":  # same seed keeps draws common
+            bundle = simulate_paths(strategy.problem.params, strategy.problem.intensity,
+                                    cfg.paths, cfg.s0)
+        stats.append(summarize(evolve_wealth(bundle, strategy, cfg.x0)[:, -1]))
 
-    strategies = [bench_strategy]
-    entries = []
-    for entry in cfg.entries:
-        market2, intensity2 = _apply_param_overrides(cfg.market, cfg.intensity, entry.set)
-        problem2 = LogControlProblem(params=market2, intensity=intensity2, box=cfg.box)
-        strategy2 = LogStrategy(problem2)
-        if cfg.sweep_mode == "misspecified-investor":
-            bundle = bench_bundle
-        else:  # the world itself is perturbed; same seed keeps draws common
-            bundle = simulate_paths(market2, intensity2, cfg.paths, cfg.s0)
-        stats = summarize(evolve_wealth(bundle, strategy2, cfg.x0)[:, -1])
-        pct = {"mean": _pct(stats.mean, bench_stats.mean),
-               "std": _pct(stats.std, bench_stats.std),
-               "q023": _pct(stats.q_low, bench_stats.q_low),
-               "q977": _pct(stats.q_high, bench_stats.q_high)}
-        entries.append((entry.label, stats, pct))
-        strategies.append(strategy2)
-
-    result = SweepResult(benchmark=bench_stats, entries=tuple(entries),
+    result = SweepResult(benchmark=stats[0],
+                         entries=tuple(zip((label for label, _ in cfg.entries), stats[1:])),
                          rng_digest=bench_bundle.rng_digest(), health=_log_health(*strategies))
     if out_dir:
         _emit(cfg, out_dir, result, time.perf_counter() - t0)

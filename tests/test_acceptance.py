@@ -193,13 +193,14 @@ def test_09_noop_sweep_reports_exact_zeros():
     doc["paths"]["n_paths"] = 500
     doc["experiment"] = {
         "kind": "sweep", "x0": 100.0, "sweep_mode": "misspecified-investor",
-        "entries": [{"label": "noop", "set": {"h0": 10.0, "k1": 0.7, "k2": 0.3}}],
+        "entries": [{"label": "noop",
+                     "set": {"intensity": {"h0": 10.0, "weights": [0.7, 0.3]}}}],
     }
     result = run_sweep(config_from_dict(doc))
-    _, stats, pct = result.entries[0]
-    ok = all(v == "(0.00%)" for v in pct.values()) and stats == result.benchmark
-    _report("no-op sweep reports exact zero deltas", ok,
-            f"pct columns = {sorted(set(pct.values()))}")
+    _, stats = result.entries[0]
+    pct = result.to_csv().splitlines()[2].split(",")[3::2]
+    ok = pct == ["(0.00%)"] * 4 and stats == result.benchmark
+    _report("no-op sweep reports exact zero deltas", ok, f"pct columns = {sorted(set(pct))}")
 
 
 def test_10_rerun_determinism(tmp_path):

@@ -192,6 +192,16 @@ CASES = [
     ("config-list-inf", lambda tmp: load_json_text(
         tmp, json.dumps(base_doc()).replace("[0.1, 0.15]", "[0.1, Infinity]")),
      ValueError, "market.mu[1] must be a finite number, not inf"),
+    ("config-grid-null", lambda tmp: config_from_dict({**power_doc(), "grid": None}),
+     ValueError, "grid must be an object, not None"),
+    ("config-kind-list", lambda tmp: config_from_dict(experiment_doc(kind=["compare"])),
+     ValueError, "unknown experiment kind: ['compare']; "
+                 "have ['compare', 'crisis', 'sweep', 'power-compare']"),
+    ("config-market-list", lambda tmp: config_from_dict(base_doc(market=[1])),
+     ValueError, "market must be an object, not [1]"),
+    ("config-entry-set", lambda tmp: config_from_dict(
+        base_doc(experiment={"kind": "sweep", "entries": [{"label": "x", "set": 5}]})),
+     ValueError, "experiment.entries[0].set must be an object, not 5"),
     ("config-x0-negative", lambda tmp: config_from_dict(experiment_doc(x0=-1)),
      ValueError, "experiment.x0 must be finite and > 0, not -1"),
     ("config-hbar-negative", lambda tmp: config_from_dict(experiment_doc(hbar=-0.1)),

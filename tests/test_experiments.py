@@ -1,3 +1,4 @@
+import copy
 import csv
 import gzip
 import hashlib
@@ -10,7 +11,6 @@ import pytest
 from contagionopt.dynamics import PathBundle, simulate_paths
 from contagionopt.experiments import (
     KINDS,
-    _apply_param_overrides,
     builtin_config,
     builtin_config_names,
     config_from_dict,
@@ -22,7 +22,7 @@ from contagionopt.experiments import (
 from contagionopt.cli import build_parser, main as cli_main
 from contagionopt.logopt import CASE_NAMES
 from contagionopt.stats import CSV_HEADER
-from contagionopt.model import ConstantIntensity, PowerClampIntensity, ReciprocalIntensity
+from contagionopt.model import ReciprocalIntensity
 from contagionopt.powergrid import ValueGrid, solve_power_value, validate_cfl
 
 
@@ -41,6 +41,14 @@ def base_doc(**overrides):
         "experiment": {"kind": "compare", "hbar": 0.1, "x0": 100.0},
     }
     doc.update(overrides)
+    return doc
+
+
+def sweep_of(*sets, intensity=None):
+    """A sweep of ``base_doc`` whose entries set ``sets``, labelled by position."""
+    doc = base_doc() if intensity is None else base_doc(intensity=intensity)
+    doc["experiment"] = {"kind": "sweep",
+                         "entries": [{"label": str(k), "set": e} for k, e in enumerate(sets)]}
     return doc
 
 
@@ -80,14 +88,19 @@ class TestConfig:
         assert cfg.paths.master_seed == 7 and cfg.paths.n_paths == 123
 
     def test_unknown_sweep_parameter_rejected(self):
-        # "weights" is a field of the power-clamp family, set as k1 and k2
-        for key in ("weights", "family", "nonsense"):
-            doc = base_doc()
-            doc["experiment"] = {"kind": "sweep", "entries": [{"label": "x", "set": {key: 0.5}}]}
+        # a name of the earlier one-by-one vocabulary, a key of no field, another family
+        for part, message in (
+            ({"k1": 0.5}, "can set only market (not s0) and intensity keys, not ['k1']"),
+            ({"market": {"mu_s": 0.12}}, "market: unknown keys ['mu_s'], missing keys []"),
+            ({"intensity": {"nonsense": 0.5}},
+             "intensity family 'power_clamp': unknown keys ['nonsense'], missing keys []"),
+            ({"intensity": {"family": "reciprocal"}},
+             "intensity family 'reciprocal': unknown keys ['alpha', 'h0', 'h_max', 'h_min', "
+             "'weights'], missing keys ['c']"),
+        ):
             with pytest.raises(ValueError) as exc:
-                config_from_dict(doc)
-            assert str(exc.value) == (f"sweep entry 'x': overrides ['{key}'] do not apply "
-                                      "to PowerClampIntensity")
+                config_from_dict(sweep_of(part))
+            assert str(exc.value) == f"sweep entry '0': {message}"
         doc = base_doc()
         doc["experiment"] = {"kind": "sweep", "sweep_mode": "bogus", "entries": []}
         with pytest.raises(ValueError, match="sweep mode: 'bogus'"):
@@ -121,21 +134,26 @@ class TestConfig:
         cfg = config_from_dict(doc)
         assert (cfg.grid.n_control, cfg.grid.refine, cfg.grid.horizon) == (41, True, 1.0)
 
-    @pytest.mark.parametrize("overrides, needle", [
-        ({"rho": 1.5}, "rho is not positive definite"),
-        ({"c": 1.0}, "overrides ['c'] do not apply to PowerClampIntensity"),
-        ({"loss_p": 0.99}, "box violates the post-default floor (worst margin -0.005)"),
-    ], ids=["rho", "c", "loss_p"])
-    def test_sweep_entry_checked_when_the_config_loads(self, monkeypatch, overrides, needle):
-        doc = base_doc()
-        doc["experiment"] = {"kind": "sweep", "entries": [
-            {"label": "fine", "set": {"mu_s": 0.12}}, {"label": "bad", "set": overrides}]}
+    @pytest.mark.parametrize("part, needle", [
+        ({"market": {"rho": 1.5}}, "rho is not positive definite"),
+        ({"intensity": {"c": 1.0}},
+         "intensity family 'power_clamp': unknown keys ['c'], missing keys []"),
+        ({"market": {"L": [[1.0, 0.2], [0.99, 1.0]]}},
+         "box violates the post-default floor (worst margin -0.005)"),
+        ({"market": {"s0": [90.0, 90.0]}},
+         "can set only market (not s0) and intensity keys, not ['s0']"),
+        ({"box": {"eps_a": 0.02}}, "can set only market (not s0) and intensity keys, not ['box']"),
+        ({"paths": {"n_paths": 10}, "market": {"r": 0.02}},
+         "can set only market (not s0) and intensity keys, not ['paths']"),
+    ], ids=["rho", "c", "loss_p", "s0", "box", "paths"])
+    def test_sweep_entry_checked_when_the_config_loads(self, monkeypatch, part, needle):
+        doc = sweep_of({"market": {"mu": [0.12, 0.15]}}, part)
         simulated = []
         monkeypatch.setattr("contagionopt.experiments.simulate_paths",
                             lambda *a, **k: simulated.append(a))
         with pytest.raises(ValueError) as exc:
             run_sweep(config_from_dict(doc))
-        assert str(exc.value) == f"sweep entry 'bad': {needle}"
+        assert str(exc.value) == f"sweep entry '1': {needle}"
         assert simulated == []
 
     @pytest.mark.parametrize("kind", ["compare", "crisis", "sweep"])
@@ -175,44 +193,66 @@ class TestConfig:
     def test_hbar_on_a_sweep_rejected(self):
         doc = base_doc()
         doc["experiment"] = {"kind": "sweep", "hbar": 0.1,
-                             "entries": [{"label": "x", "set": {"mu_s": 0.12}}]}
+                             "entries": [{"label": "x", "set": {"market": {"r": 0.02}}}]}
         with pytest.raises(ValueError) as exc:
             config_from_dict(doc)
         assert str(exc.value) == "a 'sweep' experiment does not take ['hbar']"
 
     def test_overrides_apply_per_intensity_family(self):
-        market = config_from_dict(base_doc()).market
-        power = PowerClampIntensity(h0=10.0, weights=(0.7, 0.3), alpha=1.0,
-                                    h_min=0.05, h_max=1.0)
-        new_market, new = _apply_param_overrides(market, power, {"k1": 0.5, "r": 0.02})
-        assert new == replace(power, weights=(0.5, 0.3))  # k2 kept
-        assert new_market.r == 0.02 and np.array_equal(new_market.L, market.L)
-        _, new = _apply_param_overrides(market, ReciprocalIntensity(c=20.0), {"c": 30.0})
-        assert new == ReciprocalIntensity(c=30.0)
-        _, new = _apply_param_overrides(market, ConstantIntensity(0.1), {"c": 0.2})
-        assert np.array_equal(new.c, [0.2])
-        for intensity, overrides in ((ReciprocalIntensity(c=20.0), {"h0": 5.0}),
-                                     (ConstantIntensity(0.1), {"k1": 0.5})):
-            with pytest.raises(ValueError, match="do not apply"):
-                _apply_param_overrides(market, intensity, overrides)
+        base = config_from_dict(base_doc())
+        (label, problem), = config_from_dict(sweep_of(
+            {"intensity": {"weights": [0.5, 0.3]}, "market": {"r": 0.02}})).entries
+        assert label == "0" and problem.intensity == replace(base.intensity, weights=(0.5, 0.3))
+        assert problem.params.r == 0.02 and np.array_equal(problem.params.L, base.market.L)
+        assert np.array_equal(problem.box.vertices(), base.box.vertices())
+        reciprocal = {"family": "reciprocal", "c": 20.0}
+        (_, problem), = config_from_dict(sweep_of({"intensity": {"c": 30.0}},
+                                                   intensity=reciprocal)).entries
+        assert problem.intensity == ReciprocalIntensity(c=30.0)
+        (_, problem), = config_from_dict(sweep_of(
+            {"intensity": {"c": 0.2}}, intensity={"family": "constant", "c": 0.1})).entries
+        assert np.array_equal(problem.intensity.c, [0.2])
+        for intensity, part, key in ((reciprocal, {"h0": 5.0}, "h0"),
+                                     ({"family": "constant", "c": 0.1}, {"weights": [0.5]},
+                                      "weights")):
+            with pytest.raises(ValueError, match=f"unknown keys \\['{key}'\\]"):
+                config_from_dict(sweep_of({"intensity": part}, intensity=intensity))
 
-    @pytest.mark.parametrize("overrides, message", [
-        ({"h0": "5"}, "override 'h0' must be a number, not '5'"),
-        ({"mu_s": None}, "override 'mu_s' must be a number, not None"),
-        ({"alpha": True}, "override 'alpha' must be a number, not True"),
-        ({"h0": 5.0, "c": 1.0}, "overrides ['c'] do not apply to PowerClampIntensity"),
-    ], ids=["string", "none", "bool", "foreign"])
-    def test_override_errors_name_their_cause(self, overrides, message):
-        market = config_from_dict(base_doc()).market
-        power = PowerClampIntensity(h0=10.0, weights=(0.7, 0.3), alpha=1.0,
-                                    h_min=0.05, h_max=1.0)
+    @pytest.mark.parametrize("part, message", [
+        ({"intensity": {"h0": "5"}},
+         "experiment.entries[1].set.intensity.h0 must be a number, not '5'"),
+        ({"market": {"mu": [0.12, None]}},
+         "experiment.entries[1].set.market.mu[1] must be a number, not None"),
+        ({"intensity": {"alpha": True}},
+         "experiment.entries[1].set.intensity.alpha must be a number, not True"),
+        ({"intensity": {"weights": [0.5, False]}},
+         "experiment.entries[1].set.intensity.weights[1] must be a number, not False"),
+        ({"market": {"L": [[1.0, "0.2"], [0.3, 1.0]]}},
+         "experiment.entries[1].set.market.L[0][1] must be a number, not '0.2'"),
+        ({"intensity": {"h0": 5.0, "c": 1.0}},
+         "sweep entry '1': intensity family 'power_clamp': unknown keys ['c'], missing keys []"),
+    ], ids=["string", "none", "bool", "bool-in-list", "string-in-nested-list", "foreign"])
+    def test_override_errors_name_their_cause(self, part, message):
         with pytest.raises(ValueError) as exc:
-            _apply_param_overrides(market, power, overrides)
+            config_from_dict(sweep_of({"market": {"r": 0.02}}, part))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("intensity", "h0", "5", "intensity.h0 must be a number, not '5'"),
+        ("intensity", "weights", [0.7, True], "intensity.weights[1] must be a number, not True"),
+        ("market", "r", True, "market.r must be a number, not True"),
+        ("market", "s0", [100.0, "100"], "market.s0[1] must be a number, not '100'"),
+    ], ids=["h0", "weights", "r", "s0"])
+    def test_main_sections_take_numbers_only(self, section, key, value, message):
+        doc = base_doc()
+        doc[section][key] = value
+        with pytest.raises(ValueError) as exc:
+            config_from_dict(doc)
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("kind", ["compare", "crisis", "power-compare"])
     @pytest.mark.parametrize("key, value", [
-        ("entries", [{"label": "x", "set": {"mu_s": 0.12}}]),
+        ("entries", [{"label": "x", "set": {"market": {"r": 0.02}}}]),
         ("sweep_mode", "perturbed-world"),
     ], ids=["entries", "sweep_mode"])
     def test_sweep_keys_rejected_outside_a_sweep(self, kind, key, value):
@@ -306,31 +346,33 @@ class TestRunSweep:
 
     def test_noop_sweep_reports_exact_zero_deltas(self):
         for mode in ("misspecified-investor", "perturbed-world"):
-            cfg = self.sweep_doc([{"label": "noop", "set": {"h0": 10.0}}], mode=mode,
-                                 n_paths=400)
+            cfg = self.sweep_doc([{"label": "noop", "set": {"intensity": {"h0": 10.0}}}],
+                                 mode=mode, n_paths=400)
             result = run_sweep(cfg)
-            label, stats, pct = result.entries[0]
+            label, stats = result.entries[0]
             assert stats == result.benchmark
-            assert all(v == "(0.00%)" for v in pct.values())
+            cells = result.to_csv().splitlines()[2].split(",")
+            assert [cells[i] for i in (3, 5, 7, 9)] == ["(0.00%)"] * 4
 
     def test_h0_misestimation_moves_std_in_opposite_directions(self):
-        cfg = self.sweep_doc([{"label": "h0=5", "set": {"h0": 5.0}},
-                              {"label": "h0=15", "set": {"h0": 15.0}}])
+        cfg = self.sweep_doc([{"label": "h0=5", "set": {"intensity": {"h0": 5.0}}},
+                              {"label": "h0=15", "set": {"intensity": {"h0": 15.0}}}])
         result = run_sweep(cfg)
-        (_, lo, _), (_, hi, _) = result.entries
+        (_, lo), (_, hi) = result.entries
         assert lo.std < result.benchmark.std
         assert hi.std > result.benchmark.std
 
     def test_balanced_weights_barely_move_the_mean(self):
         cfg = self.sweep_doc([{"label": "k1=0.5,k2=0.5",
-                               "set": {"k1": 0.5, "k2": 0.5}}], n_paths=2000)
+                               "set": {"intensity": {"weights": [0.5, 0.5]}}}], n_paths=2000)
         result = run_sweep(cfg)
-        _, stats, _ = result.entries[0]
+        _, stats = result.entries[0]
         assert abs(stats.mean / result.benchmark.mean - 1.0) < 0.01
 
     def test_table_has_a_benchmark_row_and_one_row_per_entry(self):
-        cfg = self.sweep_doc([{"label": "h0=5", "set": {"h0": 5.0}},
-                              {"label": "h0=15", "set": {"h0": 15.0}}], n_paths=100)
+        cfg = self.sweep_doc([{"label": "h0=5", "set": {"intensity": {"h0": 5.0}}},
+                              {"label": "h0=15", "set": {"intensity": {"h0": 15.0}}}],
+                             n_paths=100)
         result = run_sweep(cfg)
         lines = result.to_csv().splitlines()
         assert lines[0] == "label,n,mean,mean_pct,std,std_pct,q023,q023_pct,q977,q977_pct"
@@ -343,13 +385,19 @@ class TestRunSweep:
         def values(s):
             return [str(s.n)] + [f"{v:.6g}" for v in (s.mean, s.std, s.q_low, s.q_high)]
 
-        assert split(lines[1]) == ("benchmark", values(result.benchmark), ["", "", "", ""])
-        for (label, stats, pct), line in zip(result.entries, lines[2:]):
-            assert split(line) == (label, values(stats),
-                                   [pct[k] for k in ("mean", "std", "q023", "q977")])
+        b = result.benchmark
+        assert split(lines[1]) == ("benchmark", values(b), ["", "", "", ""])
+        for (label, stats), line in zip(result.entries, lines[2:]):
+            got_label, got_values, pct = split(line)
+            assert (got_label, got_values) == (label, values(stats))
+            for cell, value, base in zip(pct, (stats.mean, stats.std, stats.q_low, stats.q_high),
+                                         (b.mean, b.std, b.q_low, b.q_high)):
+                assert cell.startswith("(") and cell.endswith("%)")
+                assert len(cell.split(".")[1]) == len("00%)")  # two decimals
+                assert abs(float(cell[1:-2]) - 100.0 * (value - base) / base) <= 0.005 + 1e-12
 
     def test_out_dir_holds_the_table_its_manifest_hashes(self, tmp_path):
-        cfg = self.sweep_doc([{"label": "h0=5", "set": {"h0": 5.0}}], n_paths=100)
+        cfg = self.sweep_doc([{"label": "h0=5", "set": {"intensity": {"h0": 5.0}}}], n_paths=100)
         result = run_sweep(cfg, out_dir=str(tmp_path))
         data = (tmp_path / "sweep.csv").read_bytes()
         assert data == result.to_csv().encode()
@@ -358,11 +406,25 @@ class TestRunSweep:
         assert (manifest["kind"], manifest["rng_digest"]) == ("sweep", result.rng_digest)
 
     def test_perturbed_world_changes_the_bundle(self):
-        cfg = self.sweep_doc([{"label": "sigma_s=0.36", "set": {"sigma_s": 0.36}}],
+        cfg = self.sweep_doc([{"label": "sigma_s=0.36",
+                               "set": {"market": {"sigma": [0.36, 0.4]}}}],
                              mode="perturbed-world", n_paths=500)
         result = run_sweep(cfg)
-        _, stats, _ = result.entries[0]
+        _, stats = result.entries[0]
         assert stats != result.benchmark
+
+    @pytest.mark.parametrize("name, digest", [
+        ("sweep-intensity", "cf61182f4c338b49465933b7ad1ae724808c6a3fac33ec30bcec41dd23ac6784"),
+        ("sweep-market", "5df7fb0c7dd7cf4fd07fd235ebbb6a2f14e321438ca8d51e10c7b88f3360b680"),
+    ])
+    def test_shipped_sweep_tables_are_pinned(self, name, digest):
+        """The sha256 of each shipped sweep's table at 200 paths and 20 steps,
+        recorded when its entries still named parameters one by one
+        (``k1``, ``mu_s``, ``loss_p``, ...)."""
+        doc = copy.deepcopy(builtin_config(name).raw)
+        doc["paths"]["n_steps"] = 20
+        result = run_sweep(config_from_dict(doc, n_paths=200))
+        assert hashlib.sha256(result.to_csv().encode()).hexdigest() == digest
 
 
 class TestRunCrisis:
