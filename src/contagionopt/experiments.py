@@ -162,14 +162,23 @@ def config_from_dict(doc: dict, seed: int | None = None,
 def _check_values(node, path: str, numeric: bool = False):
     """Raise ``ValueError`` naming the key path, such as ``market.mu[0]``, of the
     first bad value in config document ``node``: a section that is not an object,
-    a ``market`` or ``intensity`` value (a sweep entry's too) other than ``family``
-    that is not a number (a bool is not one) or a list of numbers, or a NaN or inf."""
-    if isinstance(node, dict):
+    ``experiment.entries`` that is not a list of objects, a ``market`` or
+    ``intensity`` value (a sweep entry's too) other than ``family`` that is not a
+    number (a bool is not one) or a list of numbers, or a NaN or inf.  With
+    ``numeric``, ``node`` itself must be a number or a list of numbers."""
+    if isinstance(node, dict) and not numeric:
         for key, value in node.items():
             at = f"{path}.{key}" if path else str(key)
             if key in _SECTIONS and not isinstance(value, dict):
                 raise ValueError(f"{at} must be an object, not {value!r}")
-            _check_values(value, at, key != "family" and (numeric or key in _NUMERIC))
+            if at == "experiment.entries" and not (
+                    isinstance(value, (list, tuple)) and all(isinstance(e, dict) for e in value)):
+                raise ValueError(f"{at} must be a list of objects, not {value!r}")
+            if key in _NUMERIC:
+                for name, v in value.items():
+                    _check_values(v, f"{at}.{name}", name != "family")
+            else:
+                _check_values(value, at)
     elif isinstance(node, (list, tuple)):
         for k, value in enumerate(node):
             _check_values(value, f"{path}[{k}]", numeric)

@@ -28,19 +28,23 @@ a simulation starts each path from its allocation at the previous step
 2006, sections 6 and 18); the start moves where the iteration begins,
 and the answer only by solver rounding.  Each iteration finds the
 epsilon-active coordinates: those within ``min(eps_0, |pi - P(pi + grad
-G)|)`` of a bound with their gradient pointing out of the box.  When no
-coordinate is epsilon-active and the Hessian is negative definite the
-row takes a full Newton step; otherwise each coordinate takes its own
-Newton step, the diagonally scaled gradient step, capped at the box
-width as a trust region.  Every stock's volatility must be positive
-(the problem's :class:`~contagionopt.model.TwoStockMarket` record checks
-it), so each Hessian diagonal entry is at most ``-sigma^2`` and every
-step is finite.  Trials are projected onto the box, which
+G)|)`` of a bound with their gradient pointing out of the box.  Only a
+coordinate within ``eps_0`` of a bound can be epsilon-active or held, so
+the test runs only on iterations where some row has one; on the others
+every coordinate is free.  When no coordinate is epsilon-active and the
+Hessian is negative definite the row takes a full Newton step; otherwise
+each coordinate takes its own Newton step, the diagonally scaled gradient
+step, capped at the box width as a trust region (computed only on
+iterations where some row takes it).  Every stock's volatility must be
+positive (the problem's :class:`~contagionopt.model.TwoStockMarket` record
+checks it), so each Hessian diagonal entry is at most ``-sigma^2`` and
+every step is finite.  Trials are projected onto the box, which
 :func:`validate_box` keeps inside the log domain of G.  A trial is
 accepted when G stays within rounding of its value at the iterate, since
 G cannot resolve a Newton step's gain near the maximizer; the full step
 is tried on every row at once, and only the rows it fails halve their
-step.
+step.  The G of a row's accepted trial is its G at the next iterate, so G
+is evaluated at the iterate on the first iteration only.
 
 Every iteration begins with one exit test, the only place a row leaves:
 a row leaves when its residual reaches the stationarity target, when its
@@ -217,14 +221,21 @@ def solve_kt_batch(prob: LogControlProblem, hS, hP, start=None):
     n = hS.size
     iters = np.empty(n, dtype=np.int64)
     grad = np.empty((n, 2))
-    # the rows still iterating: their indices, hazards and, one array per
-    # coordinate, iterates.  The exit test is the one place that writes a
-    # leaving row's x, gradient and count; the last pass is the cap.
-    rows, hs, hp, xa = np.arange(n), hS, hP, (x[:, 0], x[:, 1])
+    # the rows still iterating: their indices, hazards and, one contiguous
+    # array per coordinate, iterates.  The exit test is the one place that
+    # writes a leaving row's x, gradient and count; the last pass is the cap.
+    rows, hs, hp, xa = np.arange(n), hS, hP, (x[:, 0].copy(), x[:, 1].copy())
+    g0 = None  # G at the iterates: taken on the first pass, then the accepted trials'
+    inner = lo + _EPS_ACTIVE, hi - _EPS_ACTIVE
     stuck = False
     for it in range(_MAX_ITER + 1):
         g, hd, hoff = _derivs(c, hs, hp, *xa)
-        done = stuck | ~(_held(xa, g, box)[2] > _GRAD_TOL) | (it == _MAX_ITER)
+        # only a coordinate within eps_0 of a bound can be held or
+        # epsilon-active; with none, every coordinate is free
+        edge = rows.size > 0 and any(xj.min() <= a or xj.max() >= b
+                                     for xj, a, b in zip(xa, *inner))
+        residual = _held(xa, g, box)[2] if edge else np.maximum(np.abs(g[0]), np.abs(g[1]))
+        done = stuck | ~(residual > _GRAD_TOL) | (it == _MAX_ITER)
         if done.any():
             out = rows[done]
             _put_cols(x, out, [a[done] for a in xa])
@@ -233,26 +244,35 @@ def solve_kt_batch(prob: LogControlProblem, hS, hP, start=None):
             keep = ~done
             rows, hs, hp, hoff = (a[keep] for a in (rows, hs, hp, hoff))
             xa, g, hd = ([a[keep] for a in pair] for pair in (xa, g, hd))
+            g0 = None if g0 is None else g0[keep]
         if rows.size == 0:
             break
+        if g0 is None:
+            g0 = _g(c, hs, hp, *xa)
 
-        # per-coordinate Newton step, capped at the box width: a trust
-        # region for a coordinate whose curvature is small against its gradient
-        step = [gj / np.maximum(-hj, np.abs(gj) / wj) for gj, hj, wj in zip(g, hd, width)]
-        dist = [np.abs(xj - _clip(xj + gj, lj, uj)) for xj, gj, lj, uj in zip(xa, g, lo, hi)]
-        eps = np.minimum(_EPS_ACTIVE, np.maximum(dist[0], dist[1]))
-        near = [((xj <= lj + eps) & (gj < 0.0)) | ((xj >= uj - eps) & (gj > 0.0))
-                for xj, gj, lj, uj in zip(xa, g, lo, hi)]
         det = hd[0] * hd[1] - hoff**2
-        full = ~(near[0] | near[1]) & (det > 0.0)
-        np.divide(hoff * g[1] - hd[1] * g[0], det, out=step[0], where=full)
-        np.divide(hoff * g[0] - hd[0] * g[1], det, out=step[1], where=full)
+        full = det > 0.0
+        if edge:
+            dist = [np.abs(xj - _clip(xj + gj, lj, uj)) for xj, gj, lj, uj in zip(xa, g, lo, hi)]
+            eps = np.minimum(_EPS_ACTIVE, np.maximum(dist[0], dist[1]))
+            near = [((xj <= lj + eps) & (gj < 0.0)) | ((xj >= uj - eps) & (gj > 0.0))
+                    for xj, gj, lj, uj in zip(xa, g, lo, hi)]
+            full &= ~(near[0] | near[1])
+        newton = (hoff * g[1] - hd[1] * g[0], hoff * g[0] - hd[0] * g[1])
+        if full.all():
+            step = [nj / det for nj in newton]
+        else:
+            # per-coordinate Newton step, capped at the box width: a trust region
+            # for a coordinate whose curvature is small against its gradient
+            step = [gj / np.maximum(-hj, np.abs(gj) / wj) for gj, hj, wj in zip(g, hd, width)]
+            for sj, nj in zip(step, newton):
+                np.divide(nj, det, out=sj, where=full)
 
-        g0 = _g(c, hs, hp, *xa)
         floor = g0 - _G_ROUNDING * (1.0 + np.abs(g0))
         # the full step is tried on every row; rows it fails halve their step
         new = [_clip(xj + sj, lj, uj) for xj, sj, lj, uj in zip(xa, step, lo, hi)]
-        ok = _g(c, hs, hp, *new) >= floor
+        gnew = _g(c, hs, hp, *new)
+        ok = gnew >= floor
         if not ok.all():
             search = np.flatnonzero(~ok)
             for nj, xj in zip(new, xa):
@@ -261,18 +281,21 @@ def solve_kt_batch(prob: LogControlProblem, hS, hP, start=None):
             for _ in range(_MAX_HALVINGS - 1):
                 trial = [_clip(xj[search] + alpha * sj[search], lj, uj)
                          for xj, sj, lj, uj in zip(xa, step, lo, hi)]
-                ok = _g(c, hs[search], hp[search], *trial) >= floor[search]
+                gt = _g(c, hs[search], hp[search], *trial)
+                ok = gt >= floor[search]
                 for nj, tj in zip(new, trial):
                     nj[search[ok]] = tj[ok]
+                gnew[search[ok]] = gt[ok]
                 search = search[~ok]
                 if search.size == 0:
                     break
                 alpha *= 0.5
         # a row that found no acceptable trial, or whose step no longer
         # moves it, has reached what rounding lets it resolve: it leaves at
-        # the next exit test
+        # the next exit test, before its G (a failed trial's when it found
+        # none) is read
         stuck = (new[0] == xa[0]) & (new[1] == xa[1])
-        xa = new
+        xa, g0 = new, gnew
 
     low, high, residual = _held(x.T, grad.T, box)
     bad = np.nonzero(~(residual <= _ACCEPT_TOL))[0]

@@ -161,6 +161,8 @@ class PowerClampIntensity:
     h_max: float
 
     def __post_init__(self):
+        if np.ndim(self.weights) != 1 or len(self.weights) == 0:
+            raise ValueError(f"weights must be a nonempty list of numbers, not {self.weights!r}")
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         if not (self.h0 > 0.0 and self.alpha > 0.0):
             raise ValueError("h0 and alpha must be positive")
@@ -368,6 +370,6 @@ def intensity_from_config(spec: dict):
     names the class and every other key is one of its fields."""
     params = dict(spec)
     family = params.pop("family", None)
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise ValueError(f"unknown intensity family: {family!r}")
     return from_section(_FAMILIES[family], params, f"intensity family {family!r}")

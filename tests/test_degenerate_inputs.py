@@ -202,6 +202,21 @@ CASES = [
     ("config-entry-set", lambda tmp: config_from_dict(
         base_doc(experiment={"kind": "sweep", "entries": [{"label": "x", "set": 5}]})),
      ValueError, "experiment.entries[0].set must be an object, not 5"),
+    ("config-weights-scalar", lambda tmp: config_from_dict(
+        base_doc(intensity={**base_doc()["intensity"], "weights": 0.5})),
+     ValueError, "weights must be a nonempty list of numbers, not 0.5"),
+    ("config-entries-scalar", lambda tmp: config_from_dict(
+        base_doc(experiment={"kind": "sweep", "entries": 5})),
+     ValueError, "experiment.entries must be a list of objects, not 5"),
+    ("config-entries-item", lambda tmp: config_from_dict(
+        base_doc(experiment={"kind": "sweep", "entries": [5]})),
+     ValueError, "experiment.entries must be a list of objects, not [5]"),
+    ("config-market-object-value", lambda tmp: config_from_dict(
+        base_doc(market={**base_doc()["market"], "mu": {"a": 0.1}})),
+     ValueError, "market.mu must be a number, not {{'a': 0.1}}"),
+    ("config-family-list", lambda tmp: config_from_dict(
+        base_doc(intensity={**base_doc()["intensity"], "family": ["power_clamp"]})),
+     ValueError, "unknown intensity family: ['power_clamp']"),
     ("config-x0-negative", lambda tmp: config_from_dict(experiment_doc(x0=-1)),
      ValueError, "experiment.x0 must be finite and > 0, not -1"),
     ("config-hbar-negative", lambda tmp: config_from_dict(experiment_doc(hbar=-0.1)),

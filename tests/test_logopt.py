@@ -1,3 +1,4 @@
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -441,6 +442,151 @@ class TestSolverPaths:
         assert np.array_equal(case_id, sides)
         want = np.stack([np.where(low, -g, 0.0), np.where(high, g, 0.0)], axis=2)
         assert np.array_equal(mult, want.reshape(-1, 4))
+
+
+def former_solve_kt(prob, hS, hP, start=None):
+    """``solve_kt_batch`` as first written with one row exit, for inputs it
+    accepts: every pass takes G at the iterate, the epsilon-active test and
+    the per-coordinate step on all rows."""
+    hS = np.atleast_1d(np.asarray(hS, dtype=float))
+    hP = np.atleast_1d(np.asarray(hP, dtype=float))
+    c, box = prob.market, prob.box
+    lo, hi = box.lower, box.upper
+    width = hi - lo
+    if start is not None:
+        x = np.clip(np.asarray(start, dtype=float), lo, hi)
+    else:
+        det = c.S00 * c.S11 - c.S01**2
+        merton = np.array([c.S11 * c.t0 - c.S01 * c.t1, c.S00 * c.t1 - c.S01 * c.t0]) / det
+        x = np.tile(np.clip(merton, lo, hi), (hS.size, 1))
+    n = hS.size
+    iters = np.empty(n, dtype=np.int64)
+    grad = np.empty((n, 2))
+    rows, hs, hp, xa = np.arange(n), hS, hP, (x[:, 0], x[:, 1])
+    stuck = False
+    for it in range(logopt._MAX_ITER + 1):
+        g, hd, hoff = logopt._derivs(c, hs, hp, *xa)
+        done = (stuck | ~(logopt._held(xa, g, box)[2] > logopt._GRAD_TOL)
+                | (it == logopt._MAX_ITER))
+        if done.any():
+            out = rows[done]
+            logopt._put_cols(x, out, [a[done] for a in xa])
+            logopt._put_cols(grad, out, [a[done] for a in g])
+            iters[out] = it
+            keep = ~done
+            rows, hs, hp, hoff = (a[keep] for a in (rows, hs, hp, hoff))
+            xa, g, hd = ([a[keep] for a in pair] for pair in (xa, g, hd))
+        if rows.size == 0:
+            break
+        step = [gj / np.maximum(-hj, np.abs(gj) / wj) for gj, hj, wj in zip(g, hd, width)]
+        dist = [np.abs(xj - logopt._clip(xj + gj, lj, uj)) for xj, gj, lj, uj in zip(xa, g, lo, hi)]
+        eps = np.minimum(logopt._EPS_ACTIVE, np.maximum(dist[0], dist[1]))
+        near = [((xj <= lj + eps) & (gj < 0.0)) | ((xj >= uj - eps) & (gj > 0.0))
+                for xj, gj, lj, uj in zip(xa, g, lo, hi)]
+        det = hd[0] * hd[1] - hoff**2
+        full = ~(near[0] | near[1]) & (det > 0.0)
+        np.divide(hoff * g[1] - hd[1] * g[0], det, out=step[0], where=full)
+        np.divide(hoff * g[0] - hd[0] * g[1], det, out=step[1], where=full)
+        g0 = logopt._g(c, hs, hp, *xa)
+        floor = g0 - logopt._G_ROUNDING * (1.0 + np.abs(g0))
+        new = [logopt._clip(xj + sj, lj, uj) for xj, sj, lj, uj in zip(xa, step, lo, hi)]
+        ok = logopt._g(c, hs, hp, *new) >= floor
+        if not ok.all():
+            search = np.flatnonzero(~ok)
+            for nj, xj in zip(new, xa):
+                nj[search] = xj[search]
+            alpha = 0.5
+            for _ in range(logopt._MAX_HALVINGS - 1):
+                trial = [logopt._clip(xj[search] + alpha * sj[search], lj, uj)
+                         for xj, sj, lj, uj in zip(xa, step, lo, hi)]
+                ok = logopt._g(c, hs[search], hp[search], *trial) >= floor[search]
+                for nj, tj in zip(new, trial):
+                    nj[search[ok]] = tj[ok]
+                search = search[~ok]
+                if search.size == 0:
+                    break
+                alpha *= 0.5
+        stuck = (new[0] == xa[0]) & (new[1] == xa[1])
+        xa = new
+    low, high, residual = logopt._held(x.T, grad.T, box)
+    case_id = logopt._CASE_OF_SIDES[low[0] + 2 * high[0], low[1] + 2 * high[1]]
+    gS, gP = grad.T
+    mult = np.column_stack([np.where(low[0], -gS, 0.0), np.where(high[0], gS, 0.0),
+                            np.where(low[1], -gP, 0.0), np.where(high[1], gP, 0.0)])
+    return x, case_id, mult, residual, iters
+
+
+def kt_loop_batches():
+    """``(problem, hS, hP, start)`` batches that take every branch of the
+    KT loop:
+
+    - ``mixed_batch``: warm and origin starts ending interior, on an edge
+      and in a corner;
+    - one box per Kuhn-Tucker case around the benchmark answer at hazards
+      (0.1, 0.1), each started from the answer nudged, from the box centre
+      and from every corner, and cold;
+    - a box whose upper bounds lie 5e-4 beyond that answer, so some rows
+      end free within 1e-3 of a bound and the rest on it, started inside
+      that distance of a bound and never on one, so that at first the
+      epsilon-active test alone finds them;
+    - a market whose answers lie near the log singularity of G, started
+      from the corners, where full Newton steps fail the G test, some on
+      consecutive passes.
+    """
+    batches = [mixed_batch()]
+    rng = np.random.default_rng(11)
+    hS, hP = 0.1 + rng.uniform(-0.01, 0.01, size=(2, 12))
+    star = np.array([-0.41556246, -0.05505623])  # the answer at (0.1, 0.1)
+    spans = {"low": (0.05, 0.4), "free": (-0.3, 0.3), "high": (-0.4, -0.05)}
+    for sides in itertools.product(spans, repeat=2):
+        lower, upper = (star + np.array([spans[s][k] for s in sides]) for k in (0, 1))
+        prob = LogControlProblem(benchmark_params(), benchmark_intensity(),
+                                 AdmissibleBox(lower=lower, upper=upper, eps_a=0.01))
+        corners = np.array([[a, b] for a in (lower[0], upper[0]) for b in (lower[1], upper[1])])
+        start = np.concatenate([star + rng.uniform(-1e-3, 1e-3, size=(6, 2)),
+                                [(lower + upper) / 2.0], corners, corners[:1]])
+        batches += [(prob, hS, hP, start), (prob, hS[:3], hP[:3], None)]
+    lower, upper = star - 0.3, star + 5e-4
+    prob = LogControlProblem(benchmark_params(), benchmark_intensity(),
+                             AdmissibleBox(lower=lower, upper=upper, eps_a=0.01))
+    inside = upper - rng.uniform(1e-4, 9e-4, size=(12, 2))
+    inside[::3, 1] = star[1] - 0.1
+    batches.append((prob, hS, hP, inside))
+    params = MarketParams.two_stock(0.02, 0.8, 1.1, 0.25, 0.3, 0.2, 0.3, 0.2)
+    u = 0.999 * (1.0 - 1e-3) / 1.3
+    prob = LogControlProblem(params, ConstantIntensity(0.0),
+                             AdmissibleBox(lower=[-2.0, -2.0], upper=[u, u], eps_a=1e-3))
+    hS, hP = rng.uniform(0.0, 0.05, size=(2, 40))
+    start = rng.choice([-2.0, 0.0, u], size=(40, 2))
+    batches.append((prob, hS, hP, start))
+    return batches
+
+
+@pytest.mark.parametrize("stationarity", ["target", "none"])
+def test_kt_loop_equals_the_former_loop_bit_for_bit(monkeypatch, stationarity):
+    # with no stationarity target every row runs until its step no longer
+    # moves it or the cap stops it, so stuck rows leave among moving ones
+    if stationarity == "none":
+        monkeypatch.setattr(logopt, "_GRAD_TOL", -1.0)
+        monkeypatch.setattr(logopt, "_ACCEPT_TOL", np.inf)
+    batches = kt_loop_batches()
+    cases, halved = set(), 0
+    for prob, hS, hP, start in batches:
+        got = solve_kt_batch(prob, hS, hP, start)
+        want = former_solve_kt(prob, hS, hP, start)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        cases.update(got[1].tolist())
+        with monkeypatch.context() as m:
+            m.setattr(logopt, "_MAX_HALVINGS", 1)  # a failed full step leaves the row stuck
+            m.setattr(logopt, "_ACCEPT_TOL", np.inf)
+            halved += not np.array_equal(solve_kt_batch(prob, hS, hP, start)[0], got[0])
+    assert cases == set(range(len(CASE_NAMES)))
+    assert halved
+    if stationarity == "none":
+        stuck = [solve_kt_batch(*b)[4] for b in batches]
+        assert any(((it < logopt._MAX_ITER).any() and (it == logopt._MAX_ITER).any())
+                   for it in stuck)
 
 
 @st.composite
