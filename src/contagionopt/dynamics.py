@@ -73,6 +73,12 @@ class PathBundle:
     into market state raises ``ValueError`` at the write.  Every strategy
     evaluated on one bundle therefore sees one market (common random
     numbers), and one :meth:`rng_digest` serves the whole run.
+
+    The per-step arrays are indexed ``[path, step, stock]`` but stored
+    step-major: each is a transposed view of a ``(step, path, stock)``
+    C-ordered array.  The simulation writes, and every wealth evolution
+    reads, one step of all paths at a time, so each ``[:, k]`` slice is
+    one contiguous block rather than a strided gather.
     """
 
     params: MarketParams
@@ -92,12 +98,16 @@ class PathBundle:
         return (self.default_step >= 0).any(axis=1)
 
     def rng_digest(self) -> str:
-        """SHA-256 over the Gaussian increments and exponential clocks,
-        hashed in place from the array buffers.  The bundle is read-only,
-        so one digest identifies the random numbers of every strategy run
-        on it."""
+        """SHA-256 over the Gaussian increments, in ``[path, step, stock]``
+        order, and the exponential clocks.  The step-major increments are
+        copied to that order one block of paths at a time, which bounds the
+        copy.  The bundle is read-only, so one digest identifies the random
+        numbers of every strategy run on it."""
         h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.normals))
+        # each (path, step) row of n stocks moves as one item of 8n bytes
+        row = np.dtype((np.void, self.normals.itemsize * self.normals.shape[2]))
+        for lo in range(0, self.n_paths, _BLOCK):
+            h.update(np.ascontiguousarray(self.normals[lo:lo + _BLOCK].view(row)))
         h.update(np.ascontiguousarray(self.clocks))
         return h.hexdigest()
 
@@ -146,26 +156,29 @@ class ConstantAllocation(Strategy):
         return self.pi[None, :] * (1 - states)
 
 
-def _draw_block(cfg: PathConfig, chol: np.ndarray, lo: int, hi: int, out: PathBundle):
-    """Write the clocks and correlated normals of paths ``lo`` to ``hi`` into
-    ``out``: each path draws its unit-exponential clocks first, then its
-    step normals."""
-    n = chol.shape[0]
-    raw = np.empty((hi - lo, cfg.n_steps, n))
-    # one generator serves the block; each path resets it to the start of
-    # the Philox stream keyed by (master_seed, path index), with an empty
+def _draws(cfg: PathConfig, n: int, clocks: np.ndarray):
+    """Draw the run's random numbers one block of paths at a time: write the
+    unit-exponential clocks of paths ``lo`` to ``hi`` into ``clocks[lo:hi]``
+    and yield ``(lo, hi, raw)``, their uncorrelated step normals as a
+    ``(hi - lo, n_steps, n)`` array.  Each path draws its clocks first, then
+    its step normals."""
+    # one generator serves the run; each path resets it to the start of the
+    # Philox stream keyed by (master_seed, path index), with an empty
     # buffer, where a new Philox would begin
     bits = np.random.Philox(key=0)
     gen = np.random.Generator(bits)
     fresh = bits.state  # counter 0, empty buffer
-    key = [cfg.master_seed, lo]
+    key = [cfg.master_seed, 0]
     fresh["state"] = {"counter": [0, 0, 0, 0], "key": key}
-    for k in range(hi - lo):
-        key[1] = lo + k
-        bits.state = fresh
-        gen.standard_exponential(out=out.clocks[lo + k])
-        gen.standard_normal(out=raw[k])
-    out.normals[lo:hi] = raw @ chol.T
+    for lo in range(0, cfg.n_paths, _BLOCK):
+        hi = min(lo + _BLOCK, cfg.n_paths)
+        raw = np.empty((hi - lo, cfg.n_steps, n))
+        for k in range(hi - lo):
+            key[1] = lo + k
+            bits.state = fresh
+            gen.standard_exponential(out=clocks[lo + k])
+            gen.standard_normal(out=raw[k])
+        yield lo, hi, raw
 
 
 def simulate_paths(params: MarketParams, intensity, cfg: PathConfig, s0) -> PathBundle:
@@ -175,6 +188,33 @@ def simulate_paths(params: MarketParams, intensity, cfg: PathConfig, s0) -> Path
     the raw draw array.  The first ``k`` paths of a run equal a ``k``-path
     run with the same seed.  The bundle is read-only.
     """
+    return next(_simulate_worlds([(params, intensity)], cfg, s0))
+
+
+def _simulate_worlds(worlds: list, cfg: PathConfig, s0):
+    """Yield the bundle of each ``(params, intensity)`` world in ``worlds``
+    in turn, every one equal bit for bit to its own :func:`simulate_paths`.
+
+    The worlds share ``cfg``'s seed and layout and so their uncorrelated
+    random numbers: these are drawn once and, for more than one world,
+    held whole; only each world's Cholesky factor mixes them anew.  A
+    single world streams them block by block.
+    """
+    n = worlds[0][0].n
+    clocks = np.empty((cfg.n_paths, n))
+    draws = _draws(cfg, n, clocks)
+    if len(worlds) > 1:
+        draws = list(draws)
+    for params, intensity in worlds:
+        yield _simulate(params, intensity, cfg, s0, draws, clocks)
+
+
+def _simulate(params: MarketParams, intensity, cfg: PathConfig, s0, draws,
+              clocks: np.ndarray) -> PathBundle:
+    """The step part of :func:`simulate_paths`: the market driven by
+    ``clocks`` and by the uncorrelated normals of the ``(lo, hi, raw)``
+    blocks of ``draws``, each mixed by ``params``' Cholesky factor as it is
+    read, in the block's own matrix product."""
     s0 = np.atleast_1d(np.asarray(s0, dtype=float))
     if s0.shape != (params.n,):
         raise ValueError("s0 length must match the number of stocks")
@@ -182,18 +222,19 @@ def simulate_paths(params: MarketParams, intensity, cfg: PathConfig, s0) -> Path
         raise ValueError("initial prices must be positive")
 
     m, n, steps = cfg.n_paths, params.n, cfg.n_steps
+    # step-major storage (see PathBundle)
     out = PathBundle(
         params=params, cfg=cfg,
-        prices=np.empty((m, steps + 1, n)),
-        states=np.empty((m, steps + 1, n), dtype=np.uint8),
-        normals=np.empty((m, steps, n)),
-        clocks=np.empty((m, n)),
+        prices=np.empty((steps + 1, m, n)).transpose(1, 0, 2),
+        states=np.empty((steps + 1, m, n), dtype=np.uint8).transpose(1, 0, 2),
+        normals=np.empty((steps, m, n)).transpose(1, 0, 2),
+        clocks=clocks,
         default_step=np.empty((m, n), dtype=np.int64),
     )
     chol = params.chol()
-    for lo in range(0, m, _BLOCK):
-        _draw_block(cfg, chol, lo, min(lo + _BLOCK, m), out)
-    normals, clocks = out.normals, out.clocks
+    normals = out.normals
+    for lo, hi, raw in draws:
+        normals[lo:hi] = raw @ chol.T
 
     dt = cfg.dt
     prices = np.tile(s0, (m, 1))
@@ -292,7 +333,7 @@ def evolve_wealth(bundle: PathBundle, strategy: Strategy, x0: float) -> np.ndarr
     sigma = params.sigma
 
     m, n = bundle.n_paths, params.n
-    X = np.empty((m, cfg.n_steps + 1))
+    X = np.empty((cfg.n_steps + 1, m)).T  # step-major, as the bundle's arrays
     X[:, 0] = x0
     x = X[:, 0].copy()
 

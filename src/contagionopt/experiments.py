@@ -42,7 +42,7 @@ from numbers import Real
 
 import numpy as np
 
-from contagionopt.dynamics import PathConfig, evolve_wealth, simulate_paths
+from contagionopt.dynamics import PathConfig, _simulate_worlds, evolve_wealth, simulate_paths
 from contagionopt.logopt import CASE_NAMES, LogControlProblem, LogStrategy
 from contagionopt.model import (
     AdmissibleBox,
@@ -188,6 +188,17 @@ def _check_values(node, path: str, numeric: bool = False):
         raise ValueError(f"{path} must be a finite number, not {node}")
 
 
+def _intensity(section: dict, market: MarketParams):
+    """The intensity model of an ``intensity`` section, whose ``weights``, if
+    its family has them, must hold one weight per stock of ``market``."""
+    intensity = intensity_from_config(section)
+    weights = getattr(intensity, "weights", None)
+    if weights is not None and len(weights) != market.n:
+        raise ValueError(f"intensity.weights must hold one weight per stock ({market.n}), "
+                         f"not {list(weights)}")
+    return intensity
+
+
 def _config(doc: dict, seed: int | None, n_paths: int | None) -> ExperimentConfig:
     market, s0 = _market_from_dict(doc["market"])
     utility = doc["utility"]
@@ -211,7 +222,7 @@ def _config(doc: dict, seed: int | None, n_paths: int | None) -> ExperimentConfi
         raise ValueError(f"a {name!r} experiment does not take {foreign}")
     grid = (from_section(GridSpec, doc["grid"], "grid", horizon=paths.horizon)
             if "grid" in doc else None)
-    intensity = intensity_from_config(doc["intensity"])
+    intensity = _intensity(doc["intensity"], market)
     box = from_section(AdmissibleBox, doc["box"], "box")
     entries = tuple(_sweep_row(doc, box, from_section(SweepEntry, e, f"sweep entry {i}"))
                     for i, e in enumerate(exp.get("entries", ())))
@@ -258,7 +269,7 @@ def _sweep_row(doc: dict, box: AdmissibleBox, entry: SweepEntry) -> tuple:
         if foreign:
             raise ValueError(f"can set only market (not s0) and intensity keys, not {foreign}")
         market, _ = _market_from_dict({**doc["market"], **part.get("market", {})})
-        intensity = intensity_from_config({**doc["intensity"], **part.get("intensity", {})})
+        intensity = _intensity({**doc["intensity"], **part.get("intensity", {})}, market)
         return entry.label, LogControlProblem(params=market, intensity=intensity, box=box)
     except ValueError as exc:
         raise ValueError(f"sweep entry {entry.label!r}: {exc}") from None
@@ -373,19 +384,21 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> SweepResult:
     Each ``(label, problem)`` row of ``cfg.entries`` was built when the config
     loaded.  In ``misspecified-investor`` mode only the investor's solver sees
     its problem; in ``perturbed-world`` mode the simulated world is the
-    problem's too.  The benchmark row always uses the config's own values.
+    problem's too, simulated on the benchmark's random numbers, drawn once.
+    The benchmark row always uses the config's own values.
     """
     _require_kind(cfg, "sweep")
     t0 = time.perf_counter()
     problem = LogControlProblem(params=cfg.market, intensity=cfg.intensity, box=cfg.box)
-    bench_bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0)
     strategies = [LogStrategy(p) for p in (problem, *(p for _, p in cfg.entries))]
+    perturbed = cfg.sweep_mode == "perturbed-world"
+    bundles = _simulate_worlds([(s.problem.params, s.problem.intensity)
+                                for s in (strategies if perturbed else strategies[:1])],
+                               cfg.paths, cfg.s0)
+    bench_bundle = next(bundles)
     stats = []
     for k, strategy in enumerate(strategies):
-        bundle = bench_bundle
-        if k and cfg.sweep_mode == "perturbed-world":  # same seed keeps draws common
-            bundle = simulate_paths(strategy.problem.params, strategy.problem.intensity,
-                                    cfg.paths, cfg.s0)
+        bundle = next(bundles) if k and perturbed else bench_bundle
         stats.append(summarize(evolve_wealth(bundle, strategy, cfg.x0)[:, -1]))
 
     result = SweepResult(benchmark=stats[0],

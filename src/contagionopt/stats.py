@@ -1,13 +1,14 @@
 """Terminal-wealth sample statistics and cohort tables.
 
 Quantiles use linear interpolation between order statistics at position
-``p (n - 1) + 1`` (one-indexed), so tables are reproducible bit for bit
-given a seed.  The reported pair (2.3%, 97.7%) brackets roughly two
-standard deviations of a Gaussian.
+``p (n - 1) + 1`` (one-indexed), numpy's default rule, so tables are
+reproducible bit for bit given a seed.  The reported pair (2.3%, 97.7%)
+brackets roughly two standard deviations of a Gaussian.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +47,32 @@ def summarize(samples) -> SampleStats:
     if x.size == 0:
         raise ValueError("cannot summarize an empty sample")
     std = float(x.std(ddof=1)) if x.size > 1 else float("nan")
-    lo, hi = np.quantile(x, [Q_LOW, Q_HIGH])
-    return SampleStats(n=int(x.size), mean=float(x.mean()), std=std,
-                       q_low=float(lo), q_high=float(hi))
+    lo, hi = _quantiles(x, (Q_LOW, Q_HIGH))
+    return SampleStats(n=int(x.size), mean=float(x.mean()), std=std, q_low=lo, q_high=hi)
+
+
+def _quantiles(x: np.ndarray, qs) -> list:
+    """``np.quantile(x, qs)`` of a nonempty 1-D sample bit for bit, without
+    the ``numpy.ma`` import that ``np.quantile`` makes on its first call.
+
+    Quantile ``q`` lies at index ``v = (n - 1) q`` of the sorted sample,
+    between the order statistics ``a`` at ``i = floor(v)`` and ``b`` at
+    ``i + 1``: ``a + (b - a) t``, or ``b - (b - a) (1 - t)`` when
+    ``t = v - i >= 0.5``.  From ``v = n - 1`` on, as in numpy, ``a`` and
+    ``b`` are the maximum and ``i`` is -1.  A NaN in the sample gives NaN.
+    """
+    n = x.size
+    pos = [(n - 1) * q for q in qs]
+    lows = [math.floor(v) if v < n - 1 else -1 for v in pos]
+    part = np.partition(x, sorted({n - 1, *(i % n for i in lows), *(i + 1 for i in lows)}))
+    if math.isnan(part[-1]):  # a NaN sorts last
+        return [math.nan] * len(qs)
+    out = []
+    for v, i in zip(pos, lows):
+        a, b = float(part[i]), float(part[i + 1 if i >= 0 else -1])
+        t, diff = v - i, b - a
+        out.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return out
 
 
 @dataclass(frozen=True)

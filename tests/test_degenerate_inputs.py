@@ -205,6 +205,16 @@ CASES = [
     ("config-weights-scalar", lambda tmp: config_from_dict(
         base_doc(intensity={**base_doc()["intensity"], "weights": 0.5})),
      ValueError, "weights must be a nonempty list of numbers, not 0.5"),
+    ("config-weights-short", lambda tmp: config_from_dict(
+        base_doc(intensity={**base_doc()["intensity"], "weights": [0.5]})),
+     ValueError, "intensity.weights must hold one weight per stock (2), not [0.5]"),
+    ("config-weights-long", lambda tmp: config_from_dict(
+        base_doc(intensity={**base_doc()["intensity"], "weights": [0.5, 0.3, 0.2]})),
+     ValueError, "intensity.weights must hold one weight per stock (2), not [0.5, 0.3, 0.2]"),
+    ("config-entry-weights-short", lambda tmp: config_from_dict(base_doc(experiment={
+        "kind": "sweep", "entries": [{"label": "k", "set": {"intensity": {"weights": [0.5]}}}]})),
+     ValueError, "sweep entry 'k': intensity.weights must hold one weight per stock (2), "
+                 "not [0.5]"),
     ("config-entries-scalar", lambda tmp: config_from_dict(
         base_doc(experiment={"kind": "sweep", "entries": 5})),
      ValueError, "experiment.entries must be a list of objects, not 5"),

@@ -1,5 +1,5 @@
 import hashlib
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from contagionopt.dynamics import (
     _BLOCK,
     ConstantAllocation,
     PathConfig,
+    _simulate_worlds,
     dump_paths_csv,
     evolve_wealth,
     simulate_paths,
@@ -128,11 +129,15 @@ class TestSimulatePaths:
             bundle.prices = bundle.prices.copy()
 
     def test_rng_digest_hashes_normals_then_clocks(self):
-        cfg = PathConfig(horizon=1.0, n_steps=10, n_paths=50, master_seed=15)
-        bundle = simulate_paths(benchmark_params(), benchmark_intensity(), cfg,
-                                [100.0, 100.0])
-        expect = hashlib.sha256(bundle.normals.tobytes() + bundle.clocks.tobytes())
-        assert bundle.rng_digest() == expect.hexdigest()
+        # the digest hashes the step-major normals one block of paths at a
+        # time; tobytes() copies them whole, in [path, step, stock] order.
+        # One block, and two whole blocks and a partial third
+        for n_paths in (50, 2 * _BLOCK + 3):
+            cfg = PathConfig(horizon=1.0, n_steps=10, n_paths=n_paths, master_seed=15)
+            bundle = simulate_paths(benchmark_params(), benchmark_intensity(), cfg,
+                                    [100.0, 100.0])
+            expect = hashlib.sha256(bundle.normals.tobytes() + bundle.clocks.tobytes())
+            assert bundle.rng_digest() == expect.hexdigest(), n_paths
 
     def test_path_prefix_does_not_depend_on_path_count(self):
         params = benchmark_params()
@@ -240,6 +245,56 @@ class TestSimulatePaths:
             assert np.array_equal(bundle.clocks[1], gen.exponential(1.0, 2)), seed
             clocks.append(bundle.clocks[1])
         assert len({c.tobytes() for c in clocks}) == 3
+
+
+class TestStepMajorLayout:
+    """The bundle and the wealth array are indexed [path, step, ...] but
+    stored step-major, so one step of all paths is one contiguous block."""
+
+    def bundle(self):
+        cfg = PathConfig(horizon=1.0, n_steps=30, n_paths=1500, master_seed=16)
+        return simulate_paths(benchmark_params(), ConstantIntensity(0.8), cfg, [100.0, 100.0])
+
+    def test_each_step_is_contiguous(self):
+        bundle = self.bundle()
+        wealth = evolve_wealth(bundle, ConstantAllocation([0.2, -0.1]), 100.0)
+        for k in (0, 7, bundle.cfg.n_steps - 1):
+            for name in ("prices", "states", "normals"):
+                assert getattr(bundle, name)[:, k].flags.c_contiguous, (name, k)
+            assert wealth[:, k].flags.c_contiguous, k
+        assert bundle.prices[:, -1].flags.c_contiguous and wealth[:, -1].flags.c_contiguous
+
+    def test_evolve_wealth_does_not_depend_on_the_memory_order(self):
+        # a path-major copy of every array reads the same numbers
+        bundle = self.bundle()
+        assert bundle.default_mask().sum() > 100
+        path_major = replace(bundle, **{name: np.ascontiguousarray(getattr(bundle, name))
+                                        for name in ("prices", "states", "normals")})
+        assert path_major.normals.flags.c_contiguous and not bundle.normals.flags.c_contiguous
+        strategy = ConstantAllocation([0.3, -0.2])
+        a = evolve_wealth(bundle, strategy, 100.0)
+        b = evolve_wealth(path_major, strategy, 100.0)
+        assert a.tobytes() == b.tobytes()
+
+    def test_shared_draw_worlds_equal_fresh_simulations(self):
+        # a sweep draws its random numbers once; each world, the benchmark, a
+        # drift change and a correlation change (its own Cholesky factor),
+        # equals a simulation of its own, across a block edge
+        base = benchmark_params()
+        worlds = [(base, benchmark_intensity()),
+                  (replace(base, mu=np.array([0.12, 0.15])), benchmark_intensity()),
+                  (replace(base, rho=np.array([[1.0, -0.3], [-0.3, 1.0]])),
+                   benchmark_intensity())]
+        cfg = PathConfig(horizon=0.5, n_steps=20, n_paths=_BLOCK + 40, master_seed=17)
+        shared = list(_simulate_worlds(worlds, cfg, [100.0, 100.0]))
+        assert len(shared) == 3
+        assert shared[1].normals.tobytes() == shared[0].normals.tobytes()
+        assert shared[2].normals.tobytes() != shared[0].normals.tobytes()
+        for (params, intensity), got in zip(worlds, shared):
+            fresh = simulate_paths(params, intensity, cfg, [100.0, 100.0])
+            for name in ("prices", "states", "normals", "clocks", "default_step"):
+                assert getattr(got, name).tobytes() == getattr(fresh, name).tobytes(), name
+            assert got.rng_digest() == fresh.rng_digest()
 
 
 class TestEvolveWealth:

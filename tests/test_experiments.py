@@ -8,6 +8,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from contagionopt import dynamics
 from contagionopt.dynamics import PathBundle, simulate_paths
 from contagionopt.experiments import (
     KINDS,
@@ -412,6 +413,19 @@ class TestRunSweep:
         result = run_sweep(cfg)
         _, stats = result.entries[0]
         assert stats != result.benchmark
+
+    @pytest.mark.parametrize("mode", ["misspecified-investor", "perturbed-world"])
+    def test_sweep_draws_its_random_numbers_once(self, mode, monkeypatch):
+        draws = dynamics._draws
+        calls = []
+        monkeypatch.setattr(dynamics, "_draws", lambda *a: calls.append(a) or draws(*a))
+        cfg = self.sweep_doc([{"label": "rho=0.3", "set": {"market": {"rho": 0.3}}},
+                              {"label": "h0=5", "set": {"intensity": {"h0": 5.0}}}],
+                             mode=mode, n_paths=100)
+        result = run_sweep(cfg)
+        assert len(calls) == 1
+        assert result.rng_digest == simulate_paths(cfg.market, cfg.intensity, cfg.paths,
+                                                   cfg.s0).rng_digest()
 
     @pytest.mark.parametrize("name, digest", [
         ("sweep-intensity", "cf61182f4c338b49465933b7ad1ae724808c6a3fac33ec30bcec41dd23ac6784"),

@@ -1,16 +1,37 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import contagionopt
 from contagionopt.dynamics import PathConfig, simulate_paths
 from contagionopt.model import ConstantIntensity
 from contagionopt.stats import (
+    Q_HIGH,
+    Q_LOW,
     CohortReport,
+    _quantiles,
     cohort_report,
     csv_row,
     summarize,
 )
 
 from test_model import benchmark_params
+
+
+def ten_thousand_with_ties(seed):
+    """10,000 lognormal wealths, a third of them replaced by one of four values."""
+    rng = np.random.default_rng(seed)
+    x = rng.lognormal(4.6, 0.3, 10_000)
+    tied = rng.random(x.size) < 1 / 3
+    x[tied] = rng.choice([80.0, 100.0, 100.0 + 2**-40, 120.0], tied.sum())
+    return x
 
 
 class TestSummarize:
@@ -37,6 +58,43 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([-1.5, 0.0, 2.0, 100.0]) | st.floats(-1e6, 1e6),
+                    min_size=1, max_size=200)
+           | st.integers(0, 2**32 - 1).map(ten_thousand_with_ties),
+           st.lists(st.sampled_from([0.0, Q_LOW, 0.25, 0.5, Q_HIGH, 1.0]) | st.floats(0.0, 1.0),
+                    min_size=1, max_size=4))
+    def test_quantiles_equal_numpy_bit_for_bit(self, sample, qs):
+        # values drawn from a short list give ties; signed zeros included
+        x = np.array(sample)
+        got = np.array(_quantiles(x.copy(), qs))
+        assert got.tobytes() == np.quantile(x, qs).tobytes(), (x.size, qs)
+
+    def test_quantiles_of_a_sample_with_nan_are_nan(self):
+        x = np.array([1.0, np.nan, 3.0, 2.0])
+        assert np.isnan(_quantiles(x, (Q_LOW, Q_HIGH))).all()
+        assert np.isnan(np.quantile(x, [Q_LOW, Q_HIGH])).all()
+
+    def test_a_comparison_does_not_import_numpy_ma(self):
+        # np.quantile imports numpy.ma on its first call, inside a timed run
+        probe = "import sys, numpy; print('numpy.ma' in sys.modules)"
+        bare = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              check=True).stdout.split()
+        if bare == ["True"]:
+            pytest.skip("import numpy already imports numpy.ma here")
+        script = textwrap.dedent("""
+            import sys
+            from contagionopt.experiments import builtin_config, run_comparison
+            run_comparison(builtin_config("benchmark-inferred", n_paths=200))
+            print("numpy.ma" in sys.modules)
+        """)
+        src = str(Path(contagionopt.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, check=True).stdout.split()
+        assert out == ["False"]
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(41)
