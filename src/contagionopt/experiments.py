@@ -319,14 +319,15 @@ def _compare(cfg: ExperimentConfig, out_dir: str | None, t0: float,
              active, passive, health) -> ComparisonResult:
     """Evaluate ``active`` and ``passive`` on one simulated path bundle and
     tabulate both by default cohort; ``health(active, passive)`` gives the
-    manifest's solver-health section, and ``t0`` is when the run began."""
-    bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0)
-    terminal = [evolve_wealth(bundle, s, cfg.x0)[:, -1] for s in (active, passive)]
+    manifest's solver-health section, and ``t0`` is when the run began.
 
+    Each side is reduced to its cohort report before the next side
+    evolves, so one side's wealth paths are held at a time."""
+    bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0)
     mask = bundle.default_mask()
     result = ComparisonResult(
-        active=cohort_report(ACTIVE_LABEL, terminal[0], mask),
-        passive=cohort_report(PASSIVE_LABEL, terminal[1], mask),
+        active=cohort_report(ACTIVE_LABEL, evolve_wealth(bundle, active, cfg.x0)[:, -1], mask),
+        passive=cohort_report(PASSIVE_LABEL, evolve_wealth(bundle, passive, cfg.x0)[:, -1], mask),
         n_default=int(mask.sum()),
         n_paths=cfg.paths.n_paths,
         rng_digest=bundle.rng_digest(),
@@ -385,7 +386,9 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> SweepResult:
     loaded.  In ``misspecified-investor`` mode only the investor's solver sees
     its problem; in ``perturbed-world`` mode the simulated world is the
     problem's too, simulated on the benchmark's random numbers, drawn once.
-    The benchmark row always uses the config's own values.
+    The benchmark row always uses the config's own values, and the digest is
+    the benchmark bundle's.  At most one world's bundle is held beside the
+    shared draws: each is freed before the next world is simulated.
     """
     _require_kind(cfg, "sweep")
     t0 = time.perf_counter()
@@ -395,15 +398,18 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> SweepResult:
     bundles = _simulate_worlds([(s.problem.params, s.problem.intensity)
                                 for s in (strategies if perturbed else strategies[:1])],
                                cfg.paths, cfg.s0)
-    bench_bundle = next(bundles)
+    bundle = next(bundles)
+    rng_digest = bundle.rng_digest()
     stats = []
     for k, strategy in enumerate(strategies):
-        bundle = next(bundles) if k and perturbed else bench_bundle
+        if k and perturbed:
+            bundle = None  # free the last world before the next one is built
+            bundle = next(bundles)
         stats.append(summarize(evolve_wealth(bundle, strategy, cfg.x0)[:, -1]))
 
     result = SweepResult(benchmark=stats[0],
                          entries=tuple(zip((label for label, _ in cfg.entries), stats[1:])),
-                         rng_digest=bench_bundle.rng_digest(), health=_log_health(*strategies))
+                         rng_digest=rng_digest, health=_log_health(*strategies))
     if out_dir:
         _emit(cfg, out_dir, result, time.perf_counter() - t0)
     return result
@@ -417,7 +423,9 @@ def run_power_comparison(cfg: ExperimentConfig, out_dir: str | None = None,
     the price-dependent hazard; the passive one from a grid solved with
     the constant comparator.  Grids are solved from the config unless
     supplied; a supplied grid must have been solved for the config's
-    ``gamma`` and grid, or ``ValueError`` is raised.
+    ``gamma`` and grid, or ``ValueError`` is raised.  A grid solved here is
+    freed, but for its controls, before the paths are simulated; a supplied
+    grid stays the caller's, unchanged.
     """
     _require_kind(cfg, "power-compare")
     t0 = time.perf_counter()
@@ -426,11 +434,12 @@ def run_power_comparison(cfg: ExperimentConfig, out_dir: str | None = None,
         if vg is not None and (vg.gamma != gamma or vg.grid != cfg.grid):
             raise ValueError(f"value grid solved for gamma {vg.gamma} on {vg.grid} does not "
                              f"match the config's gamma {gamma} on {cfg.grid}")
-    if value_grid is None:
-        value_grid = solve_power_value(cfg.grid, cfg.market, cfg.intensity, gamma, cfg.box)
-    if value_grid_const is None:
-        value_grid_const = solve_power_value(cfg.grid, cfg.market,
-                                             ConstantIntensity(cfg.hbar), gamma, cfg.box)
+
+    def strategy(vg, intensity):
+        # no name keeps a grid solved here, so its f is freed on return
+        if vg is None:
+            vg = solve_power_value(cfg.grid, cfg.market, intensity, gamma, cfg.box)
+        return PowerGridStrategy(vg, cfg.market, cfg.box)
 
     def health(active, passive):
         queries = active.pre_default_queries + passive.pre_default_queries
@@ -440,9 +449,8 @@ def run_power_comparison(cfg: ExperimentConfig, out_dir: str | None = None,
                                   / max(queries, 1),
         }
 
-    active, passive = (PowerGridStrategy(vg, cfg.market, cfg.box)
-                       for vg in (value_grid, value_grid_const))
-    return _compare(cfg, out_dir, t0, active, passive, health)
+    return _compare(cfg, out_dir, t0, strategy(value_grid, cfg.intensity),
+                    strategy(value_grid_const, ConstantIntensity(cfg.hbar)), health)
 
 
 @dataclass(frozen=True)

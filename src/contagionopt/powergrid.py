@@ -468,7 +468,8 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
 
 
 class PowerGridStrategy(Strategy):
-    """Allocation rule extracted from a solved :class:`ValueGrid`.
+    """Allocation rule extracted from a solved :class:`ValueGrid`; it keeps
+    the grid's spec and controls, not its value factor ``f``.
 
     Pre-default controls come from bilinear interpolation of the node
     argmax on the slice in force at the query time; queries outside the
@@ -487,7 +488,8 @@ class PowerGridStrategy(Strategy):
 
     def __init__(self, value_grid: ValueGrid, params: MarketParams, box: AdmissibleBox):
         TwoStockMarket(params)  # two stocks, both with sigma > 0
-        self.value_grid = value_grid
+        self.grid = value_grid.grid
+        self.controls = value_grid.controls
         self.box = box
         self.out_of_domain = 0  # solver-health counters
         self.pre_default_queries = 0
@@ -503,8 +505,8 @@ class PowerGridStrategy(Strategy):
         (i+1, j), (i, j+1) and (i+1, j+1), prices clamped to the domain.
         Its temporaries are freed on return, so they do not add to a
         query's peak memory."""
-        grid = self.value_grid.grid
-        ns, np_ = self.value_grid.controls.shape[1:3]
+        grid = self.grid
+        ns, np_ = self.controls.shape[1:3]
         sc = np.clip(s, 0.0, grid.s_max)
         pc = np.clip(p, 0.0, grid.p_max)
         i = np.minimum((sc / grid.delta).astype(np.int64), ns - 2)
@@ -516,7 +518,7 @@ class PowerGridStrategy(Strategy):
     def allocations(self, t, x, prices, states):
         states = np.asarray(states)
         prices = np.asarray(prices, dtype=float)
-        grid = self.value_grid.grid
+        grid = self.grid
         k = min(grid.n_slices - 1, max(0, int(np.floor(float(t) / grid.dt + 1e-12))))
         alive = _alive_columns(states)
         pre = alive[0] & alive[1]
@@ -526,9 +528,9 @@ class PowerGridStrategy(Strategy):
         node, weights = self._cells(s, p)
         # control c at corner (i + a, j + b) sits at flat index
         # node + 2 (a np + b) + c: a take of node from the slice shifted by that
-        np_ = self.value_grid.controls.shape[2]
+        np_ = self.controls.shape[2]
         shifts = (0, 2 * np_, 2, 2 * np_ + 2)
-        flat = self.value_grid.controls[k].reshape(-1)
+        flat = self.controls[k].reshape(-1)
         out = np.empty(prices.shape)
         for c in range(2):
             # summed corner by corner in place, in the order (i, j), (i+1, j),

@@ -3,12 +3,13 @@ import csv
 import gzip
 import hashlib
 import json
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from contagionopt import dynamics
+from contagionopt import dynamics, experiments
 from contagionopt.dynamics import PathBundle, simulate_paths
 from contagionopt.experiments import (
     KINDS,
@@ -23,7 +24,7 @@ from contagionopt.experiments import (
 from contagionopt.cli import build_parser, main as cli_main
 from contagionopt.logopt import CASE_NAMES
 from contagionopt.stats import CSV_HEADER
-from contagionopt.model import ReciprocalIntensity
+from contagionopt.model import ConstantIntensity, ReciprocalIntensity
 from contagionopt.powergrid import ValueGrid, solve_power_value, validate_cfl
 
 
@@ -66,6 +67,11 @@ def power_doc(intensity=None, n_paths=600):
     doc["paths"]["n_steps"] = 50
     doc["experiment"] = {"kind": "power-compare", "hbar": 0.1, "x0": 100.0}
     return doc
+
+
+def _owner_ref(a: np.ndarray):
+    """A weak reference to the array that owns ``a``'s memory."""
+    return weakref.ref(a if a.base is None else a.base)
 
 
 class TestConfig:
@@ -327,6 +333,23 @@ class TestRunComparison:
         result = run_comparison(config_from_dict(doc))
         assert len(calls) == 1 and len(result.rng_digest) == 64
 
+    def test_one_side_wealth_paths_held_at_a_time(self, monkeypatch):
+        evolve = experiments.evolve_wealth
+        earlier, dead = [], []
+
+        def watched(bundle, strategy, x0):
+            dead.append([ref() is None for ref in earlier])
+            wealth = evolve(bundle, strategy, x0)
+            earlier.append(_owner_ref(wealth))
+            return wealth
+
+        monkeypatch.setattr(experiments, "evolve_wealth", watched)
+        doc = base_doc()
+        doc["paths"].update(n_paths=300, n_steps=5)
+        run_comparison(config_from_dict(doc))
+        # the active side's wealth array is freed before the passive side evolves
+        assert dead == [[], [True]]
+
     def test_wrong_utility_rejected(self):
         doc = base_doc()
         doc["utility"] = {"kind": "power", "gamma": 0.5}
@@ -427,6 +450,27 @@ class TestRunSweep:
         assert result.rng_digest == simulate_paths(cfg.market, cfg.intensity, cfg.paths,
                                                    cfg.s0).rng_digest()
 
+    def test_perturbed_worlds_are_freed_one_by_one(self, monkeypatch):
+        simulate = dynamics._simulate
+        earlier, dead = [], []
+
+        def watched(*args):
+            dead.append([ref() is None for ref in earlier])
+            bundle = simulate(*args)
+            earlier.extend((weakref.ref(bundle), _owner_ref(bundle.prices)))
+            return bundle
+
+        monkeypatch.setattr(dynamics, "_simulate", watched)
+        cfg = self.sweep_doc([{"label": "rho=0.3", "set": {"market": {"rho": 0.3}}},
+                              {"label": "mu=0.12", "set": {"market": {"mu": [0.12, 0.15]}}}],
+                             mode="perturbed-world", n_paths=200)
+        result = run_sweep(cfg)
+        # every earlier world, the benchmark's included, is freed before the next is built
+        assert dead == [[], [True] * 2, [True] * 4]
+        monkeypatch.setattr(dynamics, "_simulate", simulate)
+        assert result.rng_digest == simulate_paths(cfg.market, cfg.intensity, cfg.paths,
+                                                   cfg.s0).rng_digest()
+
     @pytest.mark.parametrize("name, digest", [
         ("sweep-intensity", "cf61182f4c338b49465933b7ad1ae724808c6a3fac33ec30bcec41dd23ac6784"),
         ("sweep-market", "5df7fb0c7dd7cf4fd07fd235ebbb6a2f14e321438ca8d51e10c7b88f3360b680"),
@@ -487,6 +531,37 @@ class TestRunPowerComparison:
                            controls=np.zeros((spec.n_slices, *shape, 2)))
             with pytest.raises(ValueError, match="does not match"):
                 run_power_comparison(cfg, value_grid=vg, value_grid_const=vg)
+
+    def test_solved_grids_freed_before_the_simulation(self, monkeypatch):
+        solve, simulate = experiments.solve_power_value, experiments.simulate_paths
+        solved, dead = [], []
+
+        def watched_solve(*args):
+            grid = solve(*args)
+            solved.append(_owner_ref(grid.f))
+            return grid
+
+        def watched_simulate(*args):
+            dead.append([ref() is None for ref in solved])
+            return simulate(*args)
+
+        monkeypatch.setattr(experiments, "solve_power_value", watched_solve)
+        monkeypatch.setattr(experiments, "simulate_paths", watched_simulate)
+        doc = power_doc(n_paths=200)
+        doc["paths"]["n_steps"] = 5
+        cfg = config_from_dict(doc)
+        result = run_power_comparison(cfg)
+        assert dead == [[True, True]]
+
+        # grids the caller supplies stay the caller's, as they were
+        grids = [solve(cfg.grid, cfg.market, intensity, cfg.gamma, cfg.box)
+                 for intensity in (cfg.intensity, ConstantIntensity(cfg.hbar))]
+        before = [(vg.f, vg.controls, vg.f.copy(), vg.controls.copy()) for vg in grids]
+        supplied = run_power_comparison(cfg, value_grid=grids[0], value_grid_const=grids[1])
+        assert supplied.to_csv() == result.to_csv()
+        for vg, (f, controls, f_copy, controls_copy) in zip(grids, before):
+            assert vg.f is f and vg.controls is controls
+            assert np.array_equal(f, f_copy) and np.array_equal(controls, controls_copy)
 
     def test_market_paths_shared_with_log_experiment(self):
         # identical market/intensity/seed: the bundle is utility-independent

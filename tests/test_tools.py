@@ -1,4 +1,6 @@
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,3 +41,16 @@ def test_kt_replay_of_a_checkout_against_itself():
     assert got["batches"] == 3 and 1 < got["rows"] <= 1 + 2 * 40
     assert got["rounds"] == 3 and 0 <= got["wins"] <= 3
     assert got["this_s"] > 0.0 and got["other_s"] > 0.0
+
+
+def test_shipped_run_reads_the_peak_rss_of_its_child():
+    # a fresh interpreter has waited for no other child; its one child
+    # allocates a 64 MB block and writes a byte on every page of it
+    child = "b = bytearray(64 << 20); b[::4096] = bytes(len(range(0, 64 << 20, 4096)))"
+    parent = ("import subprocess, sys; sys.path.insert(0, sys.argv[1]); import shipped_run; "
+              "subprocess.run([sys.executable, '-c', sys.argv[2]], check=True); "
+              "print(shipped_run.child_peak_rss_mb())")
+    out = subprocess.run([sys.executable, "-c", parent, str(ROOT / "tools"), child],
+                         check=True, capture_output=True, text=True).stdout
+    # the block plus the child interpreter's own few megabytes
+    assert 64.0 <= float(out) < 64.0 + 32.0
