@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from contagionopt.dynamics import ConstantAllocation, dump_paths_csv, evolve_wealth, simulate_paths
+from contagionopt.dynamics import dump_paths_csv, simulate_paths
 from contagionopt.experiments import (KINDS, ComparisonResult, builtin_config,
                                       builtin_config_names, load_config)
 from contagionopt.logopt import CASE_NAMES, LogControlProblem, LogStrategy, solve_kt_batch
@@ -45,10 +45,8 @@ def _cmd_simulate(args):
     print(f"simulated {cfg.paths.n_paths} paths, default fraction {frac:.4f}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        # the dumped wealth column is the bank-account reference (pi = 0)
-        wealth = evolve_wealth(bundle, ConstantAllocation(np.zeros(cfg.market.n)), cfg.x0)
         target = os.path.join(args.out, "paths.csv.gz")
-        dump_paths_csv(bundle, wealth, target)
+        dump_paths_csv(bundle, cfg.x0, target)
         print(f"wrote {target}")
 
 

@@ -69,7 +69,7 @@ class PathBundle:
     """Simulated stock/default trajectories with RNG provenance.
 
     A bundle from :func:`simulate_paths` is read-only: the dataclass is
-    frozen and its five arrays have ``flags.writeable`` off, so a write
+    frozen and its four arrays have ``flags.writeable`` off, so a write
     into market state raises ``ValueError`` at the write.  Every strategy
     evaluated on one bundle therefore sees one market (common random
     numbers), and one :meth:`rng_digest` serves the whole run.
@@ -78,13 +78,14 @@ class PathBundle:
     step-major: each is a transposed view of a ``(step, path, stock)``
     C-ordered array.  The simulation writes, and every wealth evolution
     reads, one step of all paths at a time, so each ``[:, k]`` slice is
-    one contiguous block rather than a strided gather.
+    one contiguous block rather than a strided gather.  Defaults are
+    stored once: stock ``j`` of path ``p`` is down at step ``k`` exactly
+    when ``0 <= default_step[p, j] < k``.
     """
 
     params: MarketParams
     cfg: PathConfig
     prices: np.ndarray        # (n_paths, n_steps+1, n); exactly 0 from default onward
-    states: np.ndarray        # (n_paths, n_steps+1, n) uint8
     normals: np.ndarray       # (n_paths, n_steps, n) correlated
     clocks: np.ndarray        # (n_paths, n) unit exponentials
     default_step: np.ndarray  # (n_paths, n) step index of default, -1 if none
@@ -118,8 +119,8 @@ class Strategy(ABC):
     Outputs must lie in the strategy's admissible box, keep every
     post-default wealth fraction at or above ``eps_a``, and be zero for
     defaulted stocks.  A strategy may not write into the market arrays it
-    is handed, and that is enforced: the ``prices`` and ``states`` of a
-    simulated bundle are read-only arrays, so a write into them raises
+    is handed: ``prices`` (the bundle's) and ``states`` (the evolution's
+    running default state) are read-only, so a write raises
     ``ValueError``.  A strategy may update its own state, such as the
     solver-health counters of the log and power strategies.
     :func:`evolve_wealth` queries each step through
@@ -226,7 +227,6 @@ def _simulate(params: MarketParams, intensity, cfg: PathConfig, s0, draws,
     out = PathBundle(
         params=params, cfg=cfg,
         prices=np.empty((steps + 1, m, n)).transpose(1, 0, 2),
-        states=np.empty((steps + 1, m, n), dtype=np.uint8).transpose(1, 0, 2),
         normals=np.empty((steps, m, n)).transpose(1, 0, 2),
         clocks=clocks,
         default_step=np.empty((m, n), dtype=np.int64),
@@ -244,7 +244,6 @@ def _simulate(params: MarketParams, intensity, cfg: PathConfig, s0, draws,
     default_step = out.default_step
     default_step.fill(-1)
     out.prices[:, 0] = prices
-    out.states[:, 0] = states
 
     drift = (params.mu - 0.5 * params.sigma**2) * dt
     vol = params.sigma * np.sqrt(dt)
@@ -282,9 +281,8 @@ def _simulate(params: MarketParams, intensity, cfg: PathConfig, s0, draws,
         hazard = new_hazard
 
         out.prices[:, k + 1] = prices
-        out.states[:, k + 1] = states
 
-    for arr in (out.prices, out.states, out.normals, out.clocks, out.default_step):
+    for arr in (out.prices, out.normals, out.clocks, out.default_step):
         arr.flags.writeable = False
     return out
 
@@ -308,9 +306,9 @@ def _check_admissible(pi: np.ndarray, states: np.ndarray, L: np.ndarray,
 
 
 def evolve_wealth(bundle: PathBundle, strategy: Strategy, x0: float) -> np.ndarray:
-    """Wealth under piecewise-constant controls sampled once per step, as
-    an ``(n_paths, n_steps+1)`` array on the bundle's time grid whose
-    first column is ``x0`` and whose every entry is positive.
+    """Terminal wealth ``(n_paths,)`` from ``x0`` under piecewise-constant
+    controls sampled once per step; wealth at or below zero after any step
+    raises ``RuntimeError``, even if a later jump would make it positive.
 
     Between defaults wealth advances by the exact lognormal step implied
     by the frozen allocation, reusing the bundle's Gaussian increments;
@@ -333,15 +331,16 @@ def evolve_wealth(bundle: PathBundle, strategy: Strategy, x0: float) -> np.ndarr
     sigma = params.sigma
 
     m, n = bundle.n_paths, params.n
-    X = np.empty((cfg.n_steps + 1, m)).T  # step-major, as the bundle's arrays
-    X[:, 0] = x0
-    x = X[:, 0].copy()
+    x = np.full(m, float(x0))
+    # the running default state, handed to strategies as a read-only view
+    states = np.zeros((m, n), dtype=np.uint8)
+    shown = states.view()
+    shown.flags.writeable = False
 
     pi = None
     for k in range(cfg.n_steps):
-        states_k = bundle.states[:, k]
-        pi = strategy.step_allocations(k * dt, x, bundle.prices[:, k], states_k, pi)
-        _check_admissible(pi, states_k, params.L, strategy.box, k)
+        pi = strategy.step_allocations(k * dt, x, bundle.prices[:, k], shown, pi)
+        _check_admissible(pi, shown, params.L, strategy.box, k)
 
         # pi' Sigma pi and the diffusion summed column by column from zero,
         # in (a, b) order: for up to seven stocks the bits of np.einsum and
@@ -359,25 +358,27 @@ def evolve_wealth(bundle: PathBundle, strategy: Strategy, x0: float) -> np.ndarr
         p, j = np.divmod(np.flatnonzero(bundle.default_step == k), n)
         if p.size:
             x[p] *= 1.0 - np.einsum("ij,ji->i", pi[p], params.L[:, j])
-        X[:, k + 1] = x
+            states[p, j] = 1
+        if x.min() <= 0.0:
+            raise RuntimeError(f"wealth path hit zero at step {k}; admissibility was violated")
+    return x
 
-    if X.min() <= 0.0:
-        raise RuntimeError("wealth path hit zero; admissibility was violated")
-    return X
 
-
-def dump_paths_csv(bundle: PathBundle, wealth: np.ndarray, path: str):
+def dump_paths_csv(bundle: PathBundle, x0: float, path: str):
     """Write per-step rows ``path_id, step, t, S_1..S_n, z_bits, X`` as
-    gzip-compressed CSV; ``wealth`` is an :func:`evolve_wealth` array."""
+    gzip-compressed CSV; ``X`` is the bank account from ``x0`` on every
+    path, equal bit for bit to :func:`evolve_wealth` at a zero allocation."""
     n = bundle.params.n
-    dt = bundle.cfg.dt
+    cfg = bundle.cfg
+    dt = cfg.dt
+    bank = np.cumprod(np.concatenate(([x0], np.exp(np.full(cfg.n_steps, bundle.params.r * dt)))))
     with gzip.open(path, "wt", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["path_id", "step", "t"] + [f"S_{i+1}" for i in range(n)]
                         + ["z_bits", "X"])
-        for p in range(bundle.n_paths):
-            for k in range(bundle.cfg.n_steps + 1):
-                bits = "".join(str(int(b)) for b in bundle.states[p, k])
+        for p, steps in enumerate(bundle.default_step.tolist()):
+            for k in range(cfg.n_steps + 1):
+                bits = "".join("1" if 0 <= d < k else "0" for d in steps)
                 writer.writerow([p, k, f"{k * dt:.10g}"]
                                 + [f"{v:.10g}" for v in bundle.prices[p, k]]
-                                + [bits, f"{wealth[p, k]:.10g}"])
+                                + [bits, f"{bank[k]:.10g}"])

@@ -322,12 +322,12 @@ def _compare(cfg: ExperimentConfig, out_dir: str | None, t0: float,
     manifest's solver-health section, and ``t0`` is when the run began.
 
     Each side is reduced to its cohort report before the next side
-    evolves, so one side's wealth paths are held at a time."""
+    evolves, so one side's terminal wealth is held at a time."""
     bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0)
     mask = bundle.default_mask()
     result = ComparisonResult(
-        active=cohort_report(ACTIVE_LABEL, evolve_wealth(bundle, active, cfg.x0)[:, -1], mask),
-        passive=cohort_report(PASSIVE_LABEL, evolve_wealth(bundle, passive, cfg.x0)[:, -1], mask),
+        active=cohort_report(ACTIVE_LABEL, evolve_wealth(bundle, active, cfg.x0), mask),
+        passive=cohort_report(PASSIVE_LABEL, evolve_wealth(bundle, passive, cfg.x0), mask),
         n_default=int(mask.sum()),
         n_paths=cfg.paths.n_paths,
         rng_digest=bundle.rng_digest(),
@@ -405,7 +405,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> SweepResult:
         if k and perturbed:
             bundle = None  # free the last world before the next one is built
             bundle = next(bundles)
-        stats.append(summarize(evolve_wealth(bundle, strategy, cfg.x0)[:, -1]))
+        stats.append(summarize(evolve_wealth(bundle, strategy, cfg.x0)))
 
     result = SweepResult(benchmark=stats[0],
                          entries=tuple(zip((label for label, _ in cfg.entries), stats[1:])),

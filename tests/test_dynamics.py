@@ -1,5 +1,8 @@
+import csv
+import gzip
 import hashlib
-from dataclasses import FrozenInstanceError, replace
+import tracemalloc
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from contagionopt.dynamics import (
     _BLOCK,
     ConstantAllocation,
     PathConfig,
+    Strategy,
     _simulate_worlds,
     dump_paths_csv,
     evolve_wealth,
@@ -19,6 +23,7 @@ from contagionopt.model import (
     MarketParams,
     PowerClampIntensity,
     ReciprocalIntensity,
+    jump_factors,
 )
 
 from test_model import benchmark_intensity, benchmark_params
@@ -34,6 +39,36 @@ def one_row(strategy, t, x, prices, bits):
     """A strategy's allocation for a single path in the default state ``bits``."""
     return strategy.allocations(t, np.array([x]), np.asarray(prices, dtype=float)[None, :],
                                 np.array([bits], dtype=np.uint8))[0]
+
+
+def state_bits(bundle):
+    """Default-state bits ``[path, step, stock]`` of a bundle: stock ``j``
+    of path ``p`` is down at step ``k`` once ``0 <= default_step[p, j] < k``."""
+    d = bundle.default_step[:, None, :]
+    k = np.arange(bundle.cfg.n_steps + 1)[None, :, None]
+    return ((d >= 0) & (d < k)).astype(np.uint8)
+
+
+class Recording(Strategy):
+    """``strategy`` with the wealth each step hands it recorded in ``xs``."""
+
+    def __init__(self, strategy):
+        self.strategy, self.box, self.xs = strategy, strategy.box, []
+
+    def allocations(self, t, x, prices, states):
+        return self.strategy.allocations(t, x, prices, states)
+
+    def step_allocations(self, t, x, prices, states, prev):
+        self.xs.append(x.copy())
+        return self.strategy.step_allocations(t, x, prices, states, prev)
+
+
+def wealth_paths(bundle, strategy, x0):
+    """Wealth ``[path, step]`` of one evolution: the wealth each step hands
+    the strategy, then the terminal wealth :func:`evolve_wealth` returns."""
+    rec = Recording(strategy)
+    terminal = evolve_wealth(bundle, rec, x0)
+    return np.column_stack(rec.xs + [terminal])
 
 
 def three_stock_params():
@@ -74,13 +109,14 @@ class TestSimulatePaths:
         dt = cfg.dt
         growth = np.exp((params.mu - 0.5 * params.sigma**2) * dt
                         + params.sigma * np.sqrt(dt) * bundle.normals)
+        bits = state_bits(bundle)
         checked = 0
         for path, stock in zip(*np.nonzero(bundle.default_step >= 0)):
             k = bundle.default_step[path, stock]
             pre = bundle.prices[path, k] * growth[path, k]
             assert bundle.prices[path, k + 1, stock] == 0.0
             other = 1 - stock
-            if bundle.states[path, k, other] == 0:
+            if bits[path, k, other] == 0:
                 expect = pre[other] * (1.0 - params.L[other, stock])
                 assert bundle.prices[path, k + 1, other] == pytest.approx(expect, rel=1e-13, abs=0)
                 checked += 1
@@ -120,7 +156,11 @@ class TestSimulatePaths:
         cfg = PathConfig(horizon=1.0, n_steps=10, n_paths=50, master_seed=14)
         bundle = simulate_paths(benchmark_params(), ConstantIntensity(1.0), cfg,
                                 [100.0, 100.0])
-        for name in ("prices", "states", "normals", "clocks", "default_step"):
+        # each default is stored once, in default_step, not also as state bits
+        arrays = [f.name for f in fields(bundle)
+                  if isinstance(getattr(bundle, f.name), np.ndarray)]
+        assert arrays == ["prices", "normals", "clocks", "default_step"]
+        for name in arrays:
             arr = getattr(bundle, name)
             assert not arr.flags.writeable, name
             with pytest.raises(ValueError):
@@ -147,7 +187,7 @@ class TestSimulatePaths:
             part = simulate_paths(params, benchmark_intensity(),
                                   PathConfig(horizon=0.5, n_steps=40, n_paths=k,
                                              master_seed=6), [100.0, 100.0])
-            for name in ("prices", "states", "normals", "clocks", "default_step"):
+            for name in ("prices", "normals", "clocks", "default_step"):
                 a, b = getattr(full, name)[:k], getattr(part, name)
                 assert a.tobytes() == b.tobytes(), (k, name)
 
@@ -230,7 +270,7 @@ class TestSimulatePaths:
             # clocks crossed in a step after the first one there are re-tested
             assert deferred > 0, intensity
             assert bundle.prices.tobytes() == prices.tobytes(), intensity
-            assert bundle.states.tobytes() == states.tobytes(), intensity
+            assert state_bits(bundle).tobytes() == states.tobytes(), intensity
             assert np.array_equal(bundle.default_step, default_step), intensity
 
     def test_seeds_above_two_to_the_63_keep_their_streams_apart(self):
@@ -248,8 +288,8 @@ class TestSimulatePaths:
 
 
 class TestStepMajorLayout:
-    """The bundle and the wealth array are indexed [path, step, ...] but
-    stored step-major, so one step of all paths is one contiguous block."""
+    """The bundle is indexed [path, step, ...] but stored step-major, so one
+    step of all paths is one contiguous block."""
 
     def bundle(self):
         cfg = PathConfig(horizon=1.0, n_steps=30, n_paths=1500, master_seed=16)
@@ -259,17 +299,17 @@ class TestStepMajorLayout:
         bundle = self.bundle()
         wealth = evolve_wealth(bundle, ConstantAllocation([0.2, -0.1]), 100.0)
         for k in (0, 7, bundle.cfg.n_steps - 1):
-            for name in ("prices", "states", "normals"):
+            for name in ("prices", "normals"):
                 assert getattr(bundle, name)[:, k].flags.c_contiguous, (name, k)
-            assert wealth[:, k].flags.c_contiguous, k
-        assert bundle.prices[:, -1].flags.c_contiguous and wealth[:, -1].flags.c_contiguous
+        assert bundle.prices[:, -1].flags.c_contiguous
+        assert wealth.shape == (bundle.n_paths,) and wealth.flags.c_contiguous
 
     def test_evolve_wealth_does_not_depend_on_the_memory_order(self):
         # a path-major copy of every array reads the same numbers
         bundle = self.bundle()
         assert bundle.default_mask().sum() > 100
         path_major = replace(bundle, **{name: np.ascontiguousarray(getattr(bundle, name))
-                                        for name in ("prices", "states", "normals")})
+                                        for name in ("prices", "normals")})
         assert path_major.normals.flags.c_contiguous and not bundle.normals.flags.c_contiguous
         strategy = ConstantAllocation([0.3, -0.2])
         a = evolve_wealth(bundle, strategy, 100.0)
@@ -292,7 +332,7 @@ class TestStepMajorLayout:
         assert shared[2].normals.tobytes() != shared[0].normals.tobytes()
         for (params, intensity), got in zip(worlds, shared):
             fresh = simulate_paths(params, intensity, cfg, [100.0, 100.0])
-            for name in ("prices", "states", "normals", "clocks", "default_step"):
+            for name in ("prices", "normals", "clocks", "default_step"):
                 assert getattr(got, name).tobytes() == getattr(fresh, name).tobytes(), name
             assert got.rng_digest() == fresh.rng_digest()
 
@@ -322,29 +362,30 @@ class TestEvolveWealth:
         bundle = simulate_paths(params, benchmark_intensity(), cfg, [100.0, 100.0])
         wealth = evolve_wealth(bundle, ConstantAllocation([0.0, 0.0]), x0=100.0)
         target = 100.0 * np.exp(params.r * 1.0)
-        assert np.allclose(wealth[:, -1], target, rtol=1e-12)
+        assert np.allclose(wealth, target, rtol=1e-12)
 
     def test_fully_invested_deterministic_single_stock(self):
         params = single_stock(mu=0.08, sigma=0.0)
         cfg = PathConfig(horizon=1.0, n_steps=100, n_paths=8, master_seed=8)
         bundle = simulate_paths(params, ZERO_H, cfg, [50.0])
         wealth = evolve_wealth(bundle, ConstantAllocation([1.0]), x0=10.0)
-        assert np.allclose(wealth[:, -1], 10.0 * np.exp(0.08), rtol=1e-12)
+        assert np.allclose(wealth, 10.0 * np.exp(0.08), rtol=1e-12)
 
     def test_wealth_steps_equal_the_matrix_formulas_bit_for_bit(self):
         # the step loop sums pi' Sigma pi and the diffusion column by column;
-        # the reference here writes them as einsum and an axis sum, and
-        # finds each step's defaults by comparing default_step with it
+        # the reference here writes them as einsum and an axis sum, finds
+        # each step's defaults by comparing default_step with it and hands
+        # the strategy the state bits derived from default_step
         class PriceTilt(ConstantAllocation):
             def allocations(self, t, x, prices, states):
                 return np.where(states == 1, 0.0, np.clip(0.001 * (prices - 90.0), -0.3, 0.3))
 
         def reference(bundle, strategy, x0):
             p, dt = bundle.params, bundle.cfg.dt
+            bits = state_bits(bundle)
             xs = [np.full(bundle.n_paths, x0)]
             for k in range(bundle.cfg.n_steps):
-                pi = strategy.allocations(k * dt, xs[-1], bundle.prices[:, k],
-                                          bundle.states[:, k])
+                pi = strategy.allocations(k * dt, xs[-1], bundle.prices[:, k], bits[:, k])
                 quad = np.einsum("ij,jk,ik->i", pi, p.cov, pi)
                 diffusion = (pi * p.sigma * bundle.normals[:, k]).sum(axis=1) * np.sqrt(dt)
                 x = xs[-1] * np.exp((p.r + pi @ p.theta - 0.5 * quad) * dt + diffusion)
@@ -358,7 +399,7 @@ class TestEvolveWealth:
             bundle = simulate_paths(params, ConstantIntensity(0.8), cfg, [100.0] * params.n)
             assert (bundle.default_step >= 0).sum() > 100
             strategy = PriceTilt([0.0] * params.n)
-            got = evolve_wealth(bundle, strategy, x0=100.0)
+            got = wealth_paths(bundle, strategy, x0=100.0)
             assert got.tobytes() == reference(bundle, strategy, 100.0).tobytes(), params.n
 
     def test_default_step_wealth_ratio(self):
@@ -366,7 +407,7 @@ class TestEvolveWealth:
         cfg = PathConfig(horizon=1.0, n_steps=100, n_paths=300, master_seed=9)
         bundle = simulate_paths(params, ConstantIntensity(1.0), cfg, [100.0, 100.0])
         pi = np.array([0.3, 0.2])
-        wealth = evolve_wealth(bundle, ConstantAllocation(pi), x0=100.0)
+        wealth = wealth_paths(bundle, ConstantAllocation(pi), x0=100.0)
         dt = cfg.dt
         checked = 0
         for path in range(cfg.n_paths):
@@ -395,8 +436,8 @@ class TestEvolveWealth:
         w2 = evolve_wealth(bundle, strat, x0=200.0)
         assert np.array_equal(w2, 2.0 * w1)
         # second moment therefore scales exactly as x0^2
-        m1 = np.mean(w1[:, -1]**2)
-        m2 = np.mean(w2[:, -1]**2)
+        m1 = np.mean(w1**2)
+        m2 = np.mean(w2**2)
         assert np.isfinite(m1) and m2 == pytest.approx(4.0 * m1, rel=1e-15, abs=0)
 
     def test_defaulted_allocation_aborts(self):
@@ -426,6 +467,52 @@ class TestEvolveWealth:
         with pytest.raises(ValueError, match="read-only"):
             evolve_wealth(bundle, Scribbler([0.1, 0.1]), x0=100.0)
 
+    def test_wealth_reaching_zero_aborts(self):
+        # with no box the floor is 0: all of the wealth in S loses all of it
+        # when S defaults, a factor of exactly 0
+        params = benchmark_params()
+        cfg = PathConfig(horizon=1.0, n_steps=50, n_paths=100, master_seed=19)
+        bundle = simulate_paths(params, ConstantIntensity(1.0), cfg, [100.0, 100.0])
+        assert (bundle.default_step[:, 0] >= 0).any()
+        assert jump_factors(params.L, [1.0, 0.0])[0] == 0.0
+        with pytest.raises(RuntimeError, match="wealth path hit zero"):
+            evolve_wealth(bundle, ConstantAllocation([1.0, 0.0]), x0=100.0)
+
+    def test_negative_wealth_turned_positive_by_a_later_jump_aborts(self):
+        # with no box the check accepts jump factors down to -1e-9; here S's
+        # default and then P's each multiply wealth by about -5e-10, so the
+        # terminal wealth is positive while the wealth after S's default is
+        # negative.  One path, which sees S default and then P
+        params = MarketParams.two_stock(r=0.05, mu_s=0.10, mu_p=0.15, sigma_s=0.30,
+                                        sigma_p=0.40, rho=0.0, loss_s=0.0, loss_p=0.2)
+        a = 1.0 + 5e-10
+        pi = np.array([a - 0.2 * a, a])
+        before, after = jump_factors(params.L, pi)[0], jump_factors(params.L, [0.0, a])[1]
+        assert -1e-9 < before < 0.0 and -1e-9 < after < 0.0
+        cfg = PathConfig(horizon=1.0, n_steps=50, n_paths=1, master_seed=1)
+        bundle = simulate_paths(params, ConstantIntensity([3.0, 3.0]), cfg, [100.0, 100.0])
+        s_step, p_step = bundle.default_step[0]
+        assert 0 <= s_step < p_step
+        with pytest.raises(RuntimeError, match=f"wealth path hit zero at step {s_step}"):
+            evolve_wealth(bundle, ConstantAllocation(pi), x0=100.0)
+
+    def test_evolve_holds_no_wealth_or_state_history(self):
+        # each step's wealth and default state replace the last step's, so
+        # the evolve's traced peak stays far below one (n_steps+1, n_paths)
+        # float64 array
+        cfg = PathConfig(horizon=1.0, n_steps=400, n_paths=4000, master_seed=20)
+        bundle = simulate_paths(benchmark_params(), ConstantIntensity(0.8), cfg,
+                                [100.0, 100.0])
+        assert bundle.default_mask().sum() > 1000
+        tracemalloc.start()
+        try:
+            wealth = evolve_wealth(bundle, ConstantAllocation([0.2, -0.1]), x0=100.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert wealth.shape == (cfg.n_paths,)
+        assert peak < (cfg.n_steps + 1) * cfg.n_paths * 8 / 4
+
     def test_box_violation_aborts(self):
         params = benchmark_params()
         box = AdmissibleBox(lower=[-0.1, -0.1], upper=[0.1, 0.1], eps_a=0.01)
@@ -438,8 +525,7 @@ class TestEvolveWealth:
 
 def estimate_log_value(params, intensity, strategy, cfg, s0, x0):
     """Mean and standard error of ln X_T over a simulated bundle."""
-    logs = np.log(evolve_wealth(simulate_paths(params, intensity, cfg, s0), strategy,
-                                x0)[:, -1])
+    logs = np.log(evolve_wealth(simulate_paths(params, intensity, cfg, s0), strategy, x0))
     return float(logs.mean()), float(logs.std(ddof=1) / np.sqrt(len(logs)))
 
 
@@ -479,18 +565,31 @@ class TestEstimateLogValue:
 class TestPathDump:
     def test_csv_roundtrip_columns(self, tmp_path):
         params = benchmark_params()
-        cfg = PathConfig(horizon=0.2, n_steps=4, n_paths=3, master_seed=16)
-        bundle = simulate_paths(params, ConstantIntensity(0.5), cfg, [100.0, 100.0])
-        wealth = evolve_wealth(bundle, ConstantAllocation([0.1, 0.1]), x0=100.0)
+        cfg = PathConfig(horizon=1.0, n_steps=20, n_paths=30, master_seed=16)
+        bundle = simulate_paths(params, ConstantIntensity(1.5), cfg, [100.0, 100.0])
         out = tmp_path / "paths.csv.gz"
-        dump_paths_csv(bundle, wealth, str(out))
-        import csv as _csv
-        import gzip as _gzip
-        with _gzip.open(out, "rt") as fh:
-            rows = list(_csv.reader(fh))
+        dump_paths_csv(bundle, 100.0, str(out))
+        with gzip.open(out, "rt") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["path_id", "step", "t", "S_1", "S_2", "z_bits", "X"]
-        assert len(rows) == 1 + 3 * 5
-        assert rows[1][2] == "0" and rows[1][5] == "00"
-        # rows run path by path, step by step, as the wealth array does
-        assert wealth.shape == (3, 5)
-        assert [row[-1] for row in rows[1:]] == [f"{v:.10g}" for v in wealth.ravel()]
+        # rows run path by path, step by step
+        body = rows[1:]
+        steps = cfg.n_steps + 1
+        assert [(int(r[0]), int(r[1])) for r in body] == \
+            [(p, k) for p in range(cfg.n_paths) for k in range(steps)]
+        assert body[0][2] == "0" and body[-1][2] == "1"
+        prices = np.array([[float(v) for v in r[3:5]] for r in body])
+        assert np.allclose(prices, bundle.prices.reshape(-1, 2), rtol=1e-9, atol=0.0)
+        # a bit is 1 exactly where the price is exactly 0
+        bits = np.array([[int(b) for b in r[5]] for r in body])
+        assert np.array_equal(bits == 1, prices == 0.0)
+        assert 0 < bits.sum() < bits.size
+        # X is the bank account: the same on every path, and x0 e^{rt} to
+        # every printed digit
+        X = np.array([r[6] for r in body]).reshape(cfg.n_paths, steps)
+        assert np.all(X == X[0])
+        t = np.arange(steps) * cfg.dt
+        assert list(X[0]) == [f"{v:.10g}" for v in 100.0 * np.exp(params.r * t)]
+        # ... and the wealth of a zero allocation, to the printed digits
+        zero = wealth_paths(bundle, ConstantAllocation([0.0, 0.0]), 100.0)
+        assert [r[6] for r in body] == [f"{v:.10g}" for v in zero.ravel()]

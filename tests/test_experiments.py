@@ -27,6 +27,8 @@ from contagionopt.stats import CSV_HEADER
 from contagionopt.model import ConstantIntensity, ReciprocalIntensity
 from contagionopt.powergrid import ValueGrid, solve_power_value, validate_cfl
 
+from test_dynamics import state_bits
+
 
 def base_doc(**overrides):
     doc = {
@@ -599,7 +601,7 @@ class TestOutputsAndDeterminism:
         cases = manifest["solver_health"]["kt_cases"]
         assert tuple(cases) == CASE_NAMES
         bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0)
-        pre_default = (bundle.states[:, :-1] == 0).all(axis=2).sum()
+        pre_default = (state_bits(bundle)[:, :-1] == 0).all(axis=2).sum()
         assert sum(cases.values()) == 2 * pre_default
         # the active side solves every pre-default path-step but those of
         # step 0, where all paths sit at s0 and pose one problem; the

@@ -17,7 +17,7 @@ from contagionopt.logopt import (
 )
 from contagionopt.model import AdmissibleBox, ConstantIntensity, MarketParams, validate_box
 
-from test_dynamics import one_row
+from test_dynamics import one_row, state_bits, wealth_paths
 from test_model import benchmark_intensity, benchmark_params
 
 
@@ -355,7 +355,8 @@ class TestLogStrategy:
         assert [len(hS) for _, hS, _, _ in calls] == [1] * cfg.n_steps
         assert strat.kt_newton_iters["rows"] == cfg.n_steps
         # against the per-row solve of every pre-default path-step
-        pre = (bundle.states[:, :-1] == 0).all(axis=2)
+        bits = state_bits(bundle)
+        pre = (bits[:, :-1] == 0).all(axis=2)
         n = int(pre.sum())
         _, case_id, _, _, _ = solve_kt_batch(prob, np.full(n, 0.1), np.full(n, 0.1))
         assert np.array_equal(strat.kt_cases, np.bincount(case_id, minlength=len(CASE_NAMES)))
@@ -366,7 +367,7 @@ class TestLogStrategy:
                 for i in (0, 1)]
         n_alone = 0
         for k in range(cfg.n_steps):
-            states, prices = bundle.states[:, k], bundle.prices[:, k]
+            states, prices = bits[:, k], bundle.prices[:, k]
             rows = pre[:, k]
             pi_rows, _, _, _, _ = solve_kt_batch(prob, np.full(rows.sum(), 0.1),
                                               np.full(rows.sum(), 0.1))
@@ -654,12 +655,12 @@ class TestWarmStart:
         cfg = PathConfig(horizon=1.0, n_steps=25, n_paths=500, master_seed=43)
         bundle = simulate_paths(prob.params, prob.intensity, cfg, [100.0, 100.0])
         warm, cold = LogStrategy(prob), ColdLogStrategy(prob)
-        xw = evolve_wealth(bundle, warm, 100.0)
-        xc = evolve_wealth(bundle, cold, 100.0)
+        xw = wealth_paths(bundle, warm, 100.0)
+        xc = wealth_paths(bundle, cold, 100.0)
         assert np.max(np.abs(xw / xc - 1.0)) <= 1e-10
         assert np.array_equal(warm.kt_cases, cold.kt_cases)
         # at step 0 every path sits at s0, so its rows pose one problem
-        pre = int((bundle.states[:, :-1] == 0).all(axis=2).sum())
+        pre = int((state_bits(bundle)[:, :-1] == 0).all(axis=2).sum())
         assert warm.kt_newton_iters["rows"] == cold.kt_newton_iters["rows"] \
             == pre - cfg.n_paths + 1
         assert warm.kt_newton_iters["total"] < cold.kt_newton_iters["total"]
