@@ -309,18 +309,25 @@ class ValueGrid:
     controls: np.ndarray  # (n_slices, ns, np, 2)
 
     def save(self, path: str):
+        """Write the grid as an npz archive.  An array whose every node
+        equals its node (0, 0) in every slice, as a price-free grid's do, is
+        written at that one node, node shape (1, 1)."""
         meta = dict(asdict(self.grid), gamma=self.gamma)
-        np.savez_compressed(path, f=self.f, controls=self.controls,
+        arrays = {name: arr[:, :1, :1] if np.all(arr == arr[:, :1, :1]) else arr
+                  for name, arr in (("f", self.f), ("controls", self.controls))}
+        np.savez_compressed(path, **arrays,
                             meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
 
     @classmethod
     def load(cls, path: str) -> "ValueGrid":
         """Read a grid written by :meth:`save`.
 
-        A file that is not an npz archive, lacks one of the arrays
-        ``meta``, ``f`` and ``controls``, whose meta does not name the
-        :class:`GridSpec` fields and a ``gamma`` in (0, 1), or whose arrays
-        do not have the shapes its grid implies raises ``ValueError``
+        An array of node shape (1, 1) is read as a read-only view showing
+        that node at every node of the grid.  A file that is not an npz
+        archive, lacks one of the arrays ``meta``, ``f`` and ``controls``,
+        whose meta does not name the :class:`GridSpec` fields and a
+        ``gamma`` in (0, 1), or whose arrays have neither the shapes its
+        grid implies nor those shapes at one node raises ``ValueError``
         naming the file.
         """
         try:
@@ -339,13 +346,17 @@ class ValueGrid:
             _check_gamma(gamma, "meta gamma")
             grid = from_section(GridSpec, meta, "meta")
             nodes = (grid.s_nodes().size, grid.p_nodes().size)
+            arrays = []
             for name, arr, shape in (("f", f, (grid.n_slices + 1, *nodes)),
                                      ("controls", controls, (grid.n_slices, *nodes, 2))):
-                if arr.shape != shape:
+                if arr.shape == (shape[0], 1, 1, *shape[3:]):
+                    arr = np.broadcast_to(arr, shape)
+                elif arr.shape != shape:
                     raise ValueError(f"{name} has shape {arr.shape}, its grid implies {shape}")
+                arrays.append(arr)
         except ValueError as exc:
             raise ValueError(f"value grid {path}: {exc}") from None
-        return cls(grid=grid, gamma=gamma, f=f, controls=controls)
+        return cls(grid=grid, gamma=gamma, f=arrays[0], controls=arrays[1])
 
 
 def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
@@ -372,7 +383,8 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
     such as the constant comparator), the value is flat in price: every
     node sees the same factors, and a flat value stays flat.  The
     recursion then runs on the node ``(0, 0)`` alone, where the driftless
-    chain stays put, and its ``f`` and controls are copied to every node.
+    chain stays put, and its ``f`` and controls are read-only views that
+    show that one node's arrays at every node.
     Its walk reads each trial from one table of every quarter-lattice
     point's value per slice.
 
@@ -410,9 +422,11 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
     feats[~admissible, 0] = -np.inf
     # trial_of[o, q]: the quarter-lattice point that offset o reaches from q
     n_fine = 4 * grid.n_control - 3
-    qi, qj = np.divmod(np.arange(n_fine * n_fine, dtype=np.intp), n_fine)
-    trial_of = np.stack([np.clip(qi + a, 0, n_fine - 1) * n_fine + np.clip(qj + b, 0, n_fine - 1)
-                         for a in range(-4, 5) for b in range(-4, 5) if (a, b) != (0, 0)])
+    qi, qj = np.divmod(np.arange(n_fine * n_fine, dtype=np.int32), n_fine)
+    offsets = [(a, b) for a in range(-4, 5) for b in range(-4, 5) if (a, b) != (0, 0)]
+    trial_of = np.empty((len(offsets), n_fine * n_fine), dtype=np.int32)
+    for row, (a, b) in zip(trial_of, offsets):
+        row[:] = np.clip(qi + a, 0, n_fine - 1) * n_fine + np.clip(qj + b, 0, n_fine - 1)
 
     n_slices = grid.n_slices
     f = np.empty((n_slices + 1, ns, np_))
@@ -462,8 +476,8 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
         controls[k] = fine[at].reshape(ns, np_, 2)
 
     if flat:
-        f = np.broadcast_to(f, (n_slices + 1, *shape)).copy()
-        controls = np.broadcast_to(controls, (n_slices, *shape, 2)).copy()
+        f = np.broadcast_to(f, (n_slices + 1, *shape))
+        controls = np.broadcast_to(controls, (n_slices, *shape, 2))
     return ValueGrid(grid=grid, gamma=gamma, f=f, controls=controls)
 
 

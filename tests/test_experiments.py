@@ -565,6 +565,30 @@ class TestRunPowerComparison:
             assert vg.f is f and vg.controls is controls
             assert np.array_equal(f, f_copy) and np.array_equal(controls, controls_copy)
 
+    def test_passive_controls_own_one_node_per_slice(self, monkeypatch):
+        # the comparator's grid is price-free: at the simulation its
+        # strategy's controls are one node per slice, shown at every node
+        simulate, made, owned = experiments.simulate_paths, [], []
+
+        class WatchedStrategy(experiments.PowerGridStrategy):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        def watched_simulate(*args):
+            owned.append([_owner_ref(s.controls)().nbytes for s in made])
+            return simulate(*args)
+
+        monkeypatch.setattr(experiments, "PowerGridStrategy", WatchedStrategy)
+        monkeypatch.setattr(experiments, "simulate_paths", watched_simulate)
+        doc = power_doc(n_paths=200)
+        doc["paths"]["n_steps"] = 5
+        cfg = config_from_dict(doc)
+        run_power_comparison(cfg)
+        n_slices, nodes = cfg.grid.n_slices, cfg.grid.s_nodes().size * cfg.grid.p_nodes().size
+        assert owned == [[n_slices * nodes * 2 * 8, n_slices * 2 * 8]]
+        assert made[1].controls.shape == (n_slices, 17, 17, 2)
+
     def test_market_paths_shared_with_log_experiment(self):
         # identical market/intensity/seed: the bundle is utility-independent
         power_cfg = self.power_doc()
@@ -775,7 +799,10 @@ class TestCLI:
         ("controls-3x3", "controls has shape (200, 3, 3, 2), its grid implies (200, 17, 17, 2)"),
         ("npy", "not an npz archive"),
         ("meta-gamma-1.5", "meta gamma must lie strictly inside (0, 1), not 1.5"),
-    ], ids=["unknown-meta-key", "no-meta", "controls-3x3", "npy", "meta-gamma-1.5"])
+        ("f-one-node-200", "f has shape (200, 1, 1), its grid implies (201, 17, 17)"),
+        ("full-per-node", None),
+    ], ids=["unknown-meta-key", "no-meta", "controls-3x3", "npy", "meta-gamma-1.5",
+            "f-one-node-200", "full-per-node"])
     def test_malformed_value_grid_is_one_line(self, tmp_path, capsys, case, needle):
         doc = power_doc(n_paths=50)
         cfg = config_from_dict(doc)
@@ -790,6 +817,13 @@ class TestCLI:
             meta["gamma"] = 1.5
         if case == "controls-3x3":
             arrays["controls"] = np.zeros((grid.n_slices, 3, 3, 2))
+        if case == "f-one-node-200":
+            arrays["f"] = np.ones((grid.n_slices, 1, 1))
+        if case == "full-per-node":
+            # a flat grid, every node equal in every slice, in the full
+            # per-node format
+            arrays["f"] *= np.linspace(2.0, 1.0, grid.n_slices + 1)[:, None, None]
+            arrays["controls"] += 0.25
         if case != "no-meta":
             arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         target = tmp_path / "grid.npz"
@@ -798,6 +832,12 @@ class TestCLI:
                 np.save(fh, arrays["f"])
         else:
             np.savez(target, **arrays)
+        if needle is None:
+            # the full per-node format still loads, as it was written
+            back = ValueGrid.load(str(target))
+            assert np.array_equal(back.f, arrays["f"])
+            assert np.array_equal(back.controls, arrays["controls"])
+            return
         config = tmp_path / "power.json"
         config.write_text(json.dumps(doc))
         with pytest.raises(SystemExit) as exc:

@@ -496,8 +496,8 @@ class TestSolvePowerValue:
 
     def test_price_free_hazard_grid_fills_every_node(self, tmp_path):
         # a constant hazard, and a clamp that pins every node at h_max, are
-        # solved on one node; the grid still has one writable value and
-        # control per node and slice, and it survives save/load
+        # solved on one node; the grid shows that node, read-only, at every
+        # node and slice, and it is saved and loaded at one node
         grid = GridSpec(horizon=0.1, delta=1.0, dt=0.01, s_max=5.0, p_max=4.0,
                         n_control=7)
         pinned = PowerClampIntensity(h0=10.0, weights=(0.7, 0.3), alpha=1.0,
@@ -506,19 +506,25 @@ class TestSolvePowerValue:
                  for h in (ConstantIntensity(0.3), pinned)]
         for vg in grids:
             assert vg.f.shape == (11, 6, 5) and vg.controls.shape == (10, 6, 5, 2)
-            assert vg.f.flags.writeable and vg.controls.flags.writeable
             assert np.all(vg.f == vg.f[:, :1, :1])
             assert np.all(vg.controls == vg.controls[:, :1, :1])
-            vg.f[0, 1, 1] += 1.0  # one node is its own memory
-            assert vg.f[0, 0, 0] != vg.f[0, 1, 1]
-            vg.f[0, 1, 1] -= 1.0
+            for arr in (vg.f, vg.controls):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0, 1, 1] = 0.0
+                # one node's memory per slice
+                assert arr.strides[1:3] == (0, 0)
         assert np.array_equal(grids[0].f, grids[1].f)
         assert np.array_equal(grids[0].controls, grids[1].controls)
         f = tmp_path / "flat.npz"
         grids[0].save(str(f))
+        with np.load(f) as data:
+            assert data["f"].shape == (11, 1, 1) and data["controls"].shape == (10, 1, 1, 2)
         back = ValueGrid.load(str(f))
+        assert back.f.shape == (11, 6, 5) and back.controls.shape == (10, 6, 5, 2)
         assert np.array_equal(back.f, grids[0].f)
         assert np.array_equal(back.controls, grids[0].controls)
+        assert not back.f.flags.writeable and not back.controls.flags.writeable
 
     def test_save_load_roundtrip(self, tmp_path):
         grid = GridSpec(horizon=0.5, delta=1.0, dt=0.01, s_max=5.0, p_max=5.0,
