@@ -10,6 +10,10 @@ default the stock's price drops to zero, every surviving price ``i`` is
 multiplied by ``1 - L[i, j]``, and intensities are re-evaluated in the
 new state.
 
+A bundle stores no prices: :meth:`PathBundle.price_steps` replays them
+from ``s0``, the normals and the default steps through the simulation's
+own move and jump, bit for bit.
+
 Every path owns a counter-based RNG stream keyed by
 ``(master_seed, path_index)``, so a path's results are bit-identical
 whatever the path count or block partition of the run.
@@ -74,25 +78,42 @@ class PathBundle:
     evaluated on one bundle therefore sees one market (common random
     numbers), and one :meth:`rng_digest` serves the whole run.
 
-    The per-step arrays are indexed ``[path, step, stock]`` but stored
-    step-major: each is a transposed view of a ``(step, path, stock)``
-    C-ordered array.  The simulation writes, and every wealth evolution
-    reads, one step of all paths at a time, so each ``[:, k]`` slice is
-    one contiguous block rather than a strided gather.  Defaults are
-    stored once: stock ``j`` of path ``p`` is down at step ``k`` exactly
-    when ``0 <= default_step[p, j] < k``.
+    The normals are indexed ``[path, step, stock]`` but stored step-major:
+    a transposed view of a ``(step, path, stock)`` C-ordered array.  The
+    simulation writes, and every replay reads, one step of all paths at a
+    time, so each ``[:, k]`` slice is one contiguous block rather than a
+    strided gather.  Each fact is stored once: stock ``j`` of path ``p`` is
+    down at step ``k`` exactly when ``0 <= default_step[p, j] < k``, and
+    the prices are not stored at all but replayed by :meth:`price_steps`
+    from ``s0``, the normals and ``default_step``.
     """
 
     params: MarketParams
     cfg: PathConfig
-    prices: np.ndarray        # (n_paths, n_steps+1, n); exactly 0 from default onward
+    s0: np.ndarray            # (n,) initial prices
     normals: np.ndarray       # (n_paths, n_steps, n) correlated
     clocks: np.ndarray        # (n_paths, n) unit exponentials
     default_step: np.ndarray  # (n_paths, n) step index of default, -1 if none
 
     @property
     def n_paths(self) -> int:
-        return self.prices.shape[0]
+        return self.normals.shape[0]
+
+    def price_steps(self):
+        """Yield the prices at steps ``0..n_steps``, each a fresh read-only
+        ``(n_paths, n)`` array, 0 from a stock's default on: step ``k + 1``
+        is step ``k`` moved by ``normals[:, k]`` and jumped at step ``k``'s
+        defaults by the simulation's own :func:`_move` and :func:`_jump`,
+        so step ``k`` equals bit for bit what its hazard rule saw."""
+        prices = np.tile(self.s0, (self.n_paths, 1))
+        states = np.zeros(prices.shape, dtype=np.uint8)
+        for k in range(self.cfg.n_steps + 1):
+            if k:
+                prices = _move(prices, _alive_columns(states), self.normals[:, k - 1],
+                               self.params, self.cfg.dt)
+                _jump(prices, states, self.params.L, *_defaults_at(self.default_step, k - 1))
+            prices.flags.writeable = False
+            yield prices
 
     def default_mask(self) -> np.ndarray:
         """True for paths with at least one default before the horizon."""
@@ -119,8 +140,9 @@ class Strategy(ABC):
     Outputs must lie in the strategy's admissible box, keep every
     post-default wealth fraction at or above ``eps_a``, and be zero for
     defaulted stocks.  A strategy may not write into the market arrays it
-    is handed: ``prices`` (the bundle's) and ``states`` (the evolution's
-    running default state) are read-only, so a write raises
+    is handed: ``prices`` (a step replayed by
+    :meth:`PathBundle.price_steps`, fresh each step) and ``states`` (the
+    evolution's running default state) are read-only, so a write raises
     ``ValueError``.  A strategy may update its own state, such as the
     solver-health counters of the log and power strategies.
     :func:`evolve_wealth` queries each step through
@@ -182,6 +204,35 @@ def _draws(cfg: PathConfig, n: int, clocks: np.ndarray):
         yield lo, hi, raw
 
 
+def _move(prices: np.ndarray, alive: list, z: np.ndarray, params: MarketParams,
+          dt: float) -> np.ndarray:
+    """One step's lognormal move of ``prices`` (m, n) by the correlated
+    normals ``z`` (m, n), as a fresh array: column ``i`` is multiplied by
+    ``exp(drift_i + vol_i z_i)`` where ``alive[i]`` holds, and 0 elsewhere."""
+    drift = (params.mu - 0.5 * params.sigma**2) * dt
+    vol = params.sigma * np.sqrt(dt)
+    out = np.empty(prices.shape)
+    for i, a in enumerate(alive):
+        out[:, i] = np.where(a, prices[:, i] * np.exp(drift[i] + vol[i] * z[:, i]), 0.0)
+    return out
+
+
+def _jump(prices: np.ndarray, states: np.ndarray, L: np.ndarray, p: np.ndarray,
+          j: np.ndarray):
+    """Default stock ``j[r]`` of path ``p[r]`` in place, one stock a path:
+    every price of the path is multiplied by ``1 - L[:, j[r]]``, stock
+    ``j[r]``'s price drops to 0 and its state bit is set."""
+    prices[p] *= 1.0 - L[:, j].T
+    prices[p, j] = 0.0
+    states[p, j] = 1
+
+
+def _defaults_at(default_step: np.ndarray, k: int):
+    """The ``(path, stock)`` index vectors of the defaults at step ``k``,
+    in path order."""
+    return np.divmod(np.flatnonzero(default_step == k), default_step.shape[1])
+
+
 def simulate_paths(params: MarketParams, intensity, cfg: PathConfig, s0) -> PathBundle:
     """Simulate the contagion market from initial prices ``s0``.
 
@@ -216,7 +267,7 @@ def _simulate(params: MarketParams, intensity, cfg: PathConfig, s0, draws,
     ``clocks`` and by the uncorrelated normals of the ``(lo, hi, raw)``
     blocks of ``draws``, each mixed by ``params``' Cholesky factor as it is
     read, in the block's own matrix product."""
-    s0 = np.atleast_1d(np.asarray(s0, dtype=float))
+    s0 = np.array(s0, dtype=float, ndmin=1)
     if s0.shape != (params.n,):
         raise ValueError("s0 length must match the number of stocks")
     if np.any(s0 <= 0.0):
@@ -225,8 +276,7 @@ def _simulate(params: MarketParams, intensity, cfg: PathConfig, s0, draws,
     m, n, steps = cfg.n_paths, params.n, cfg.n_steps
     # step-major storage (see PathBundle)
     out = PathBundle(
-        params=params, cfg=cfg,
-        prices=np.empty((steps + 1, m, n)).transpose(1, 0, 2),
+        params=params, cfg=cfg, s0=s0,
         normals=np.empty((steps, m, n)).transpose(1, 0, 2),
         clocks=clocks,
         default_step=np.empty((m, n), dtype=np.int64),
@@ -243,23 +293,18 @@ def _simulate(params: MarketParams, intensity, cfg: PathConfig, s0, draws,
     crossed = np.empty((m, n), dtype=bool)
     default_step = out.default_step
     default_step.fill(-1)
-    out.prices[:, 0] = prices
-
-    drift = (params.mu - 0.5 * params.sigma**2) * dt
-    vol = params.sigma * np.sqrt(dt)
 
     for k in range(steps):
         rates = intensity.rates_matrix(states, prices)
         new_hazard = hazard + rates * dt
 
-        z = normals[:, k]
+        alive = _alive_columns(states)
         hit = False
-        for i, alive in enumerate(_alive_columns(states)):
+        for i, a in enumerate(alive):
             col = np.greater_equal(new_hazard[:, i], clocks[:, i], out=crossed[:, i])
-            col &= alive
+            col &= a
             hit = hit | col
-            prices[:, i] = np.where(alive, prices[:, i] * np.exp(drift[i] + vol[i] * z[:, i]),
-                                    0.0)
+        prices = _move(prices, alive, normals[:, k], params, dt)
         hit = np.flatnonzero(hit)
 
         if hit.size:
@@ -274,15 +319,11 @@ def _simulate(params: MarketParams, intensity, cfg: PathConfig, s0, draws,
             p, q = np.nonzero(crossed_h)
             new_hazard[hit[p], q] = hazard[hit[p], q] + rates_h[p, q] * dt * frac[p, j[p]]
 
-            prices[hit] *= 1.0 - params.L[:, j].T
-            prices[hit, j] = 0.0
-            states[hit, j] = 1
+            _jump(prices, states, params.L, hit, j)
             default_step[hit, j] = k
         hazard = new_hazard
 
-        out.prices[:, k + 1] = prices
-
-    for arr in (out.prices, out.normals, out.clocks, out.default_step):
+    for arr in (out.s0, out.normals, out.clocks, out.default_step):
         arr.flags.writeable = False
     return out
 
@@ -314,8 +355,9 @@ def evolve_wealth(bundle: PathBundle, strategy: Strategy, x0: float) -> np.ndarr
     by the frozen allocation, reusing the bundle's Gaussian increments;
     at a default of stock ``j`` it is multiplied by
     ``1 - sum_i L[i, j] pi_i`` at the pre-jump allocation.  Each step
-    queries :meth:`Strategy.step_allocations` with the previous step's
-    allocations, so a path's controls depend on its own history only.
+    queries :meth:`Strategy.step_allocations` with that step's prices from
+    :meth:`PathBundle.price_steps` and the previous step's allocations, so
+    a path's controls depend on its own history only.
     A non-finite or nonpositive ``x0`` raises ``ValueError``.
     """
     if not np.isfinite(x0):
@@ -338,8 +380,8 @@ def evolve_wealth(bundle: PathBundle, strategy: Strategy, x0: float) -> np.ndarr
     shown.flags.writeable = False
 
     pi = None
-    for k in range(cfg.n_steps):
-        pi = strategy.step_allocations(k * dt, x, bundle.prices[:, k], shown, pi)
+    for k, prices in zip(range(cfg.n_steps), bundle.price_steps()):
+        pi = strategy.step_allocations(k * dt, x, prices, shown, pi)
         _check_admissible(pi, shown, params.L, strategy.box, k)
 
         # pi' Sigma pi and the diffusion summed column by column from zero,
@@ -355,7 +397,7 @@ def evolve_wealth(bundle: PathBundle, strategy: Strategy, x0: float) -> np.ndarr
         x = x * np.exp((params.r + pi @ theta - 0.5 * quad) * dt + diffusion * sdt)
 
         # this step's defaults in (path, stock) order
-        p, j = np.divmod(np.flatnonzero(bundle.default_step == k), n)
+        p, j = _defaults_at(bundle.default_step, k)
         if p.size:
             x[p] *= 1.0 - np.einsum("ij,ji->i", pi[p], params.L[:, j])
             states[p, j] = 1
@@ -366,13 +408,18 @@ def evolve_wealth(bundle: PathBundle, strategy: Strategy, x0: float) -> np.ndarr
 
 def dump_paths_csv(bundle: PathBundle, x0: float, path: str):
     """Write per-step rows ``path_id, step, t, S_1..S_n, z_bits, X`` as
-    gzip-compressed CSV; ``X`` is the bank account from ``x0`` on every
-    path, equal bit for bit to :func:`evolve_wealth` at a zero allocation."""
+    gzip-compressed CSV (level 6); the prices are the replayed
+    :meth:`PathBundle.price_steps`, and ``X`` is the bank account from
+    ``x0`` on every path, equal bit for bit to :func:`evolve_wealth` at a
+    zero allocation."""
     n = bundle.params.n
     cfg = bundle.cfg
     dt = cfg.dt
     bank = np.cumprod(np.concatenate(([x0], np.exp(np.full(cfg.n_steps, bundle.params.r * dt)))))
-    with gzip.open(path, "wt", newline="") as fh:
+    prices = np.empty((bundle.n_paths, cfg.n_steps + 1, n))
+    for k, step in enumerate(bundle.price_steps()):
+        prices[:, k] = step
+    with gzip.open(path, "wt", newline="", compresslevel=6) as fh:
         writer = csv.writer(fh)
         writer.writerow(["path_id", "step", "t"] + [f"S_{i+1}" for i in range(n)]
                         + ["z_bits", "X"])
@@ -380,5 +427,5 @@ def dump_paths_csv(bundle: PathBundle, x0: float, path: str):
             for k in range(cfg.n_steps + 1):
                 bits = "".join("1" if 0 <= d < k else "0" for d in steps)
                 writer.writerow([p, k, f"{k * dt:.10g}"]
-                                + [f"{v:.10g}" for v in bundle.prices[p, k]]
+                                + [f"{v:.10g}" for v in prices[p, k]]
                                 + [bits, f"{bank[k]:.10g}"])

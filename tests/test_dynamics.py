@@ -49,6 +49,12 @@ def state_bits(bundle):
     return ((d >= 0) & (d < k)).astype(np.uint8)
 
 
+def price_history(bundle):
+    """Replayed prices ``[path, step, stock]`` of a bundle, steps
+    ``0..n_steps``, from :meth:`PathBundle.price_steps`."""
+    return np.stack(list(bundle.price_steps()), axis=1)
+
+
 class Recording(Strategy):
     """``strategy`` with the wealth each step hands it recorded in ``xs``."""
 
@@ -84,7 +90,7 @@ class TestSimulatePaths:
         cfg = PathConfig(horizon=1.0, n_steps=100, n_paths=16, master_seed=1)
         bundle = simulate_paths(params, ZERO_H, cfg, [100.0, 100.0])
         assert not bundle.default_mask().any()
-        assert np.allclose(bundle.prices[:, -1], 100.0 * np.exp(0.05), rtol=1e-12)
+        assert np.allclose(price_history(bundle)[:, -1], 100.0 * np.exp(0.05), rtol=1e-12)
 
     def test_zero_intensity_never_defaults(self):
         cfg = PathConfig(horizon=1.0, n_steps=50, n_paths=500, master_seed=2)
@@ -110,15 +116,16 @@ class TestSimulatePaths:
         growth = np.exp((params.mu - 0.5 * params.sigma**2) * dt
                         + params.sigma * np.sqrt(dt) * bundle.normals)
         bits = state_bits(bundle)
+        prices = price_history(bundle)
         checked = 0
         for path, stock in zip(*np.nonzero(bundle.default_step >= 0)):
             k = bundle.default_step[path, stock]
-            pre = bundle.prices[path, k] * growth[path, k]
-            assert bundle.prices[path, k + 1, stock] == 0.0
+            pre = prices[path, k] * growth[path, k]
+            assert prices[path, k + 1, stock] == 0.0
             other = 1 - stock
             if bits[path, k, other] == 0:
                 expect = pre[other] * (1.0 - params.L[other, stock])
-                assert bundle.prices[path, k + 1, other] == pytest.approx(expect, rel=1e-13, abs=0)
+                assert prices[path, k + 1, other] == pytest.approx(expect, rel=1e-13, abs=0)
                 checked += 1
         assert checked > 10
 
@@ -154,19 +161,28 @@ class TestSimulatePaths:
 
     def test_bundle_is_read_only(self):
         cfg = PathConfig(horizon=1.0, n_steps=10, n_paths=50, master_seed=14)
-        bundle = simulate_paths(benchmark_params(), ConstantIntensity(1.0), cfg,
-                                [100.0, 100.0])
-        # each default is stored once, in default_step, not also as state bits
+        s0 = np.array([100.0, 100.0])
+        bundle = simulate_paths(benchmark_params(), ConstantIntensity(1.0), cfg, s0)
+        # the bundle freezes its own copy of s0, not the caller's array
+        assert s0.flags.writeable and not np.shares_memory(s0, bundle.s0)
+        # each default is stored once, in default_step, not also as state
+        # bits, and the prices not at all: they are replayed
         arrays = [f.name for f in fields(bundle)
                   if isinstance(getattr(bundle, f.name), np.ndarray)]
-        assert arrays == ["prices", "normals", "clocks", "default_step"]
+        assert arrays == ["s0", "normals", "clocks", "default_step"]
         for name in arrays:
             arr = getattr(bundle, name)
             assert not arr.flags.writeable, name
             with pytest.raises(ValueError):
                 arr[0] = 0
+        steps = list(bundle.price_steps())
+        assert len(steps) == cfg.n_steps + 1
+        for k, step in enumerate(steps):
+            assert not step.flags.writeable, k
+            with pytest.raises(ValueError):
+                step[0] = 0
         with pytest.raises(FrozenInstanceError):
-            bundle.prices = bundle.prices.copy()
+            bundle.normals = bundle.normals.copy()
 
     def test_rng_digest_hashes_normals_then_clocks(self):
         # the digest hashes the step-major normals one block of paths at a
@@ -187,9 +203,10 @@ class TestSimulatePaths:
             part = simulate_paths(params, benchmark_intensity(),
                                   PathConfig(horizon=0.5, n_steps=40, n_paths=k,
                                              master_seed=6), [100.0, 100.0])
-            for name in ("prices", "normals", "clocks", "default_step"):
+            for name in ("normals", "clocks", "default_step"):
                 a, b = getattr(full, name)[:k], getattr(part, name)
                 assert a.tobytes() == b.tobytes(), (k, name)
+            assert price_history(full)[:k].tobytes() == price_history(part).tobytes(), k
 
     def test_rejects_bad_rho(self):
         with pytest.raises(ValueError):
@@ -269,7 +286,7 @@ class TestSimulatePaths:
             prices, states, default_step, deferred = reference(params, intensity, bundle, s0)
             # clocks crossed in a step after the first one there are re-tested
             assert deferred > 0, intensity
-            assert bundle.prices.tobytes() == prices.tobytes(), intensity
+            assert price_history(bundle).tobytes() == prices.tobytes(), intensity
             assert state_bits(bundle).tobytes() == states.tobytes(), intensity
             assert np.array_equal(bundle.default_step, default_step), intensity
 
@@ -299,17 +316,16 @@ class TestStepMajorLayout:
         bundle = self.bundle()
         wealth = evolve_wealth(bundle, ConstantAllocation([0.2, -0.1]), 100.0)
         for k in (0, 7, bundle.cfg.n_steps - 1):
-            for name in ("prices", "normals"):
-                assert getattr(bundle, name)[:, k].flags.c_contiguous, (name, k)
-        assert bundle.prices[:, -1].flags.c_contiguous
+            assert bundle.normals[:, k].flags.c_contiguous, k
+        for k, step in enumerate(bundle.price_steps()):
+            assert step.shape == (bundle.n_paths, 2) and step.flags.c_contiguous, k
         assert wealth.shape == (bundle.n_paths,) and wealth.flags.c_contiguous
 
     def test_evolve_wealth_does_not_depend_on_the_memory_order(self):
-        # a path-major copy of every array reads the same numbers
+        # a path-major copy of the normals reads the same numbers
         bundle = self.bundle()
         assert bundle.default_mask().sum() > 100
-        path_major = replace(bundle, **{name: np.ascontiguousarray(getattr(bundle, name))
-                                        for name in ("prices", "normals")})
+        path_major = replace(bundle, normals=np.ascontiguousarray(bundle.normals))
         assert path_major.normals.flags.c_contiguous and not bundle.normals.flags.c_contiguous
         strategy = ConstantAllocation([0.3, -0.2])
         a = evolve_wealth(bundle, strategy, 100.0)
@@ -332,9 +348,63 @@ class TestStepMajorLayout:
         assert shared[2].normals.tobytes() != shared[0].normals.tobytes()
         for (params, intensity), got in zip(worlds, shared):
             fresh = simulate_paths(params, intensity, cfg, [100.0, 100.0])
-            for name in ("prices", "normals", "clocks", "default_step"):
+            for name in ("s0", "normals", "clocks", "default_step"):
                 assert getattr(got, name).tobytes() == getattr(fresh, name).tobytes(), name
+            assert price_history(got).tobytes() == price_history(fresh).tobytes()
             assert got.rng_digest() == fresh.rng_digest()
+
+
+class HazardWitness:
+    """``intensity`` with a copy of the ``prices`` of each ``rates_matrix``
+    call kept in ``seen``: the prices the simulation's hazard rule saw."""
+
+    def __init__(self, intensity):
+        self.intensity, self.seen = intensity, []
+
+    def rates_matrix(self, states, prices):
+        self.seen.append(prices.copy())
+        return self.intensity.rates_matrix(states, prices)
+
+
+class TestPriceReplay:
+    """The bundle stores no prices; :meth:`PathBundle.price_steps` replays
+    them from ``s0``, the normals and ``default_step``."""
+
+    def assert_replays(self, bundle, witness):
+        steps = bundle.cfg.n_steps
+        assert len(witness.seen) == steps
+        # defaults with a survivor before the horizon, so the jumps show
+        down = (bundle.default_step >= 0) & (bundle.default_step < steps - 1)
+        assert (down.any(axis=1) & ~down.all(axis=1)).sum() > 50
+        kept = []
+        for k, step in enumerate(bundle.price_steps()):
+            if k < steps:
+                assert step.tobytes() == witness.seen[k].tobytes(), k
+            kept.append((step, step.copy()))
+        assert len(kept) == steps + 1
+        # a step's array is not reused once the generator has moved past it
+        for k, (step, copy) in enumerate(kept):
+            assert step.tobytes() == copy.tobytes(), k
+
+    def test_replay_equals_the_prices_the_hazard_rule_saw(self):
+        cfg = PathConfig(horizon=1.0, n_steps=30, n_paths=_BLOCK + 200, master_seed=23)
+        three = three_stock_params()
+        for params, intensity, s0 in ((benchmark_params(), benchmark_intensity(), [100.0, 100.0]),
+                                      (three, ReciprocalIntensity(c=200.0), [100.0, 80.0, 60.0])):
+            witness = HazardWitness(intensity)
+            bundle = simulate_paths(params, witness, cfg, s0)
+            self.assert_replays(bundle, witness)
+
+    def test_replay_of_a_perturbed_world(self):
+        base = benchmark_params()
+        worlds = [(base, HazardWitness(benchmark_intensity())),
+                  (replace(base, rho=np.array([[1.0, -0.3], [-0.3, 1.0]]),
+                           mu=np.array([0.12, 0.15])), HazardWitness(benchmark_intensity()))]
+        cfg = PathConfig(horizon=1.0, n_steps=30, n_paths=_BLOCK + 200, master_seed=24)
+        bundles = list(_simulate_worlds(worlds, cfg, [100.0, 100.0]))
+        assert bundles[1].normals.tobytes() != bundles[0].normals.tobytes()
+        for (_, witness), bundle in zip(worlds, bundles):
+            self.assert_replays(bundle, witness)
 
 
 class TestEvolveWealth:
@@ -382,10 +452,10 @@ class TestEvolveWealth:
 
         def reference(bundle, strategy, x0):
             p, dt = bundle.params, bundle.cfg.dt
-            bits = state_bits(bundle)
+            bits, prices = state_bits(bundle), price_history(bundle)
             xs = [np.full(bundle.n_paths, x0)]
             for k in range(bundle.cfg.n_steps):
-                pi = strategy.allocations(k * dt, xs[-1], bundle.prices[:, k], bits[:, k])
+                pi = strategy.allocations(k * dt, xs[-1], prices[:, k], bits[:, k])
                 quad = np.einsum("ij,jk,ik->i", pi, p.cov, pi)
                 diffusion = (pi * p.sigma * bundle.normals[:, k]).sum(axis=1) * np.sqrt(dt)
                 x = xs[-1] * np.exp((p.r + pi @ p.theta - 0.5 * quad) * dt + diffusion)
@@ -579,7 +649,7 @@ class TestPathDump:
             [(p, k) for p in range(cfg.n_paths) for k in range(steps)]
         assert body[0][2] == "0" and body[-1][2] == "1"
         prices = np.array([[float(v) for v in r[3:5]] for r in body])
-        assert np.allclose(prices, bundle.prices.reshape(-1, 2), rtol=1e-9, atol=0.0)
+        assert np.allclose(prices, price_history(bundle).reshape(-1, 2), rtol=1e-9, atol=0.0)
         # a bit is 1 exactly where the price is exactly 0
         bits = np.array([[int(b) for b in r[5]] for r in body])
         assert np.array_equal(bits == 1, prices == 0.0)

@@ -459,7 +459,7 @@ class TestRunSweep:
         def watched(*args):
             dead.append([ref() is None for ref in earlier])
             bundle = simulate(*args)
-            earlier.extend((weakref.ref(bundle), _owner_ref(bundle.prices)))
+            earlier.extend((weakref.ref(bundle), _owner_ref(bundle.normals)))
             return bundle
 
         monkeypatch.setattr(dynamics, "_simulate", watched)

@@ -17,7 +17,7 @@ from contagionopt.logopt import (
 )
 from contagionopt.model import AdmissibleBox, ConstantIntensity, MarketParams, validate_box
 
-from test_dynamics import one_row, state_bits, wealth_paths
+from test_dynamics import one_row, price_history, state_bits, wealth_paths
 from test_model import benchmark_intensity, benchmark_params
 
 
@@ -366,8 +366,9 @@ class TestLogStrategy:
                                                       prob.params.r, 0.1), -1.0, 0.5))
                 for i in (0, 1)]
         n_alone = 0
+        history = price_history(bundle)
         for k in range(cfg.n_steps):
-            states, prices = bits[:, k], bundle.prices[:, k]
+            states, prices = bits[:, k], history[:, k]
             rows = pre[:, k]
             pi_rows, _, _, _, _ = solve_kt_batch(prob, np.full(rows.sum(), 0.1),
                                               np.full(rows.sum(), 0.1))
