@@ -12,7 +12,8 @@ new state.
 
 A bundle stores no prices: :meth:`PathBundle.price_steps` replays them
 from ``s0``, the normals and the default steps through the simulation's
-own move and jump, bit for bit.
+own move and jump, bit for bit; :func:`evolve_wealth` steps every
+strategy it is given on one replay.
 
 Every path owns a counter-based RNG stream keyed by
 ``(master_seed, path_index)``, so a path's results are bit-identical
@@ -100,20 +101,24 @@ class PathBundle:
         return self.normals.shape[0]
 
     def price_steps(self):
-        """Yield the prices at steps ``0..n_steps``, each a fresh read-only
-        ``(n_paths, n)`` array, 0 from a stock's default on: step ``k + 1``
-        is step ``k`` moved by ``normals[:, k]`` and jumped at step ``k``'s
-        defaults by the simulation's own :func:`_move` and :func:`_jump`,
-        so step ``k`` equals bit for bit what its hazard rule saw."""
+        """Replay the market: yield ``(prices, states, (p, j))`` at steps
+        ``0..n_steps``: the prices, fresh and read-only; the running default
+        state, one read-only view holding step ``k``'s bits until the replay
+        moves on; and the step's defaults as ``(path, stock)`` index vectors.
+        Each step is the last one moved and jumped by the simulation's own
+        :func:`_move` and :func:`_jump`: the prices its hazard rule saw."""
         prices = np.tile(self.s0, (self.n_paths, 1))
         states = np.zeros(prices.shape, dtype=np.uint8)
+        shown = states.view()
+        shown.flags.writeable = False
         for k in range(self.cfg.n_steps + 1):
-            if k:
-                prices = _move(prices, _alive_columns(states), self.normals[:, k - 1],
-                               self.params, self.cfg.dt)
-                _jump(prices, states, self.params.L, *_defaults_at(self.default_step, k - 1))
             prices.flags.writeable = False
-            yield prices
+            defaults = _defaults_at(self.default_step, k)
+            yield prices, shown, defaults
+            if k < self.cfg.n_steps:
+                prices = _move(prices, _alive_columns(states), self.normals[:, k],
+                               self.params, self.cfg.dt)
+                _jump(prices, states, self.params.L, *defaults)
 
     def default_mask(self) -> np.ndarray:
         """True for paths with at least one default before the horizon."""
@@ -142,7 +147,7 @@ class Strategy(ABC):
     defaulted stocks.  A strategy may not write into the market arrays it
     is handed: ``prices`` (a step replayed by
     :meth:`PathBundle.price_steps`, fresh each step) and ``states`` (the
-    evolution's running default state) are read-only, so a write raises
+    replay's running default state) are read-only, so a write raises
     ``ValueError``.  A strategy may update its own state, such as the
     solver-health counters of the log and power strategies.
     :func:`evolve_wealth` queries each step through
@@ -328,37 +333,39 @@ def _simulate(params: MarketParams, intensity, cfg: PathConfig, s0, draws,
     return out
 
 
-def _check_admissible(pi: np.ndarray, states: np.ndarray, L: np.ndarray,
-                      box: AdmissibleBox | None, step: int):
+def _admissibility_error(pi: np.ndarray, states: np.ndarray, L: np.ndarray,
+                         box: AdmissibleBox | None, step: int) -> str | None:
     if not np.all(np.isfinite(pi)):
-        raise RuntimeError(f"strategy returned non-finite allocation at step {step}")
+        return f"strategy returned non-finite allocation at step {step}"
     if np.any((states == 1) & (pi != 0.0)):
-        raise RuntimeError(f"strategy allocated to a defaulted stock at step {step}")
+        return f"strategy allocated to a defaulted stock at step {step}"
     factors = jump_factors(L, pi)
     floor = box.eps_a if box is not None else 0.0
     if factors.min() < floor - 1e-9:
         bad = np.unravel_index(int(factors.argmin()), factors.shape)
-        raise RuntimeError(
-            f"strategy violates the post-default floor at step {step}: "
-            f"path {bad[0]}, column {bad[1]}, factor {factors[bad]:.6g}")
+        return (f"strategy violates the post-default floor at step {step}: "
+                f"path {bad[0]}, column {bad[1]}, factor {factors[bad]:.6g}")
     if box is not None and any(col.min() < lo - 1e-9 or col.max() > hi + 1e-9
                                for col, lo, hi in zip(pi.T, box.lower, box.upper)):
-        raise RuntimeError(f"strategy left the admissible box at step {step}")
+        return f"strategy left the admissible box at step {step}"
+    return None
 
 
-def evolve_wealth(bundle: PathBundle, strategy: Strategy, x0: float) -> np.ndarray:
-    """Terminal wealth ``(n_paths,)`` from ``x0`` under piecewise-constant
-    controls sampled once per step; wealth at or below zero after any step
-    raises ``RuntimeError``, even if a later jump would make it positive.
+def evolve_wealth(bundle: PathBundle, strategies, x0: float) -> list:
+    """Terminal wealth ``(n_paths,)`` from ``x0`` of each of ``strategies``,
+    in order, under piecewise-constant controls sampled once per step.
+    Wealth at or below zero after any step raises ``RuntimeError``, even if
+    a later jump would make it positive; each ``RuntimeError`` ends with the
+    failing strategy's position.  A non-finite or nonpositive ``x0`` raises
+    ``ValueError``.
 
-    Between defaults wealth advances by the exact lognormal step implied
-    by the frozen allocation, reusing the bundle's Gaussian increments;
-    at a default of stock ``j`` it is multiplied by
-    ``1 - sum_i L[i, j] pi_i`` at the pre-jump allocation.  Each step
-    queries :meth:`Strategy.step_allocations` with that step's prices from
-    :meth:`PathBundle.price_steps` and the previous step's allocations, so
-    a path's controls depend on its own history only.
-    A non-finite or nonpositive ``x0`` raises ``ValueError``.
+    One replay of :meth:`PathBundle.price_steps` steps every strategy: each
+    step queries :meth:`Strategy.step_allocations` with the step's prices
+    and default state and the strategy's previous allocations, so a path's
+    controls depend on its own history only.  Between defaults wealth
+    advances by the exact lognormal step of the frozen allocation; at a
+    default of stock ``j`` it is multiplied by ``1 - sum_i L[i, j] pi_i``
+    at the pre-jump allocation.
     """
     if not np.isfinite(x0):
         raise ValueError(f"initial wealth must be finite, not {x0}")
@@ -372,38 +379,31 @@ def evolve_wealth(bundle: PathBundle, strategy: Strategy, x0: float) -> np.ndarr
     cov = params.cov
     sigma = params.sigma
 
-    m, n = bundle.n_paths, params.n
-    x = np.full(m, float(x0))
-    # the running default state, handed to strategies as a read-only view
-    states = np.zeros((m, n), dtype=np.uint8)
-    shown = states.view()
-    shown.flags.writeable = False
-
-    pi = None
-    for k, prices in zip(range(cfg.n_steps), bundle.price_steps()):
-        pi = strategy.step_allocations(k * dt, x, prices, shown, pi)
-        _check_admissible(pi, shown, params.L, strategy.box, k)
-
-        # pi' Sigma pi and the diffusion summed column by column from zero,
-        # in (a, b) order: for up to seven stocks the bits of np.einsum and
-        # of an axis sum
+    wealth = [np.full(bundle.n_paths, float(x0)) for _ in strategies]
+    pis = [None] * len(strategies)
+    for k, (prices, states, (p, j)) in zip(range(cfg.n_steps), bundle.price_steps()):
         z = bundle.normals[:, k]
-        cols = [pi[:, a] for a in range(n)]
-        quad = diffusion = 0.0
-        for a in range(n):
-            for b in range(n):
-                quad = quad + cols[a] * cov[a, b] * cols[b]
-            diffusion = diffusion + cols[a] * sigma[a] * z[:, a]
-        x = x * np.exp((params.r + pi @ theta - 0.5 * quad) * dt + diffusion * sdt)
+        for s, strategy in enumerate(strategies):
+            pi = strategy.step_allocations(k * dt, wealth[s], prices, states, pis[s])
+            if error := _admissibility_error(pi, states, params.L, strategy.box, k):
+                raise RuntimeError(f"{error} (strategy {s})")
 
-        # this step's defaults in (path, stock) order
-        p, j = _defaults_at(bundle.default_step, k)
-        if p.size:
-            x[p] *= 1.0 - np.einsum("ij,ji->i", pi[p], params.L[:, j])
-            states[p, j] = 1
-        if x.min() <= 0.0:
-            raise RuntimeError(f"wealth path hit zero at step {k}; admissibility was violated")
-    return x
+            # pi' Sigma pi and the diffusion summed column by column from zero, in
+            # (a, b) order: for up to seven stocks the bits of einsum and an axis sum
+            cols = list(pi.T)
+            quad = diffusion = 0.0
+            for a, ca in enumerate(cols):
+                for b, cb in enumerate(cols):
+                    quad = quad + ca * cov[a, b] * cb
+                diffusion = diffusion + ca * sigma[a] * z[:, a]
+            x = wealth[s] * np.exp((params.r + pi @ theta - 0.5 * quad) * dt + diffusion * sdt)
+            if p.size:
+                x[p] *= 1.0 - np.einsum("ij,ji->i", pi[p], params.L[:, j])
+            if x.min() <= 0.0:
+                raise RuntimeError(f"wealth path hit zero at step {k}; "
+                                   f"admissibility was violated (strategy {s})")
+            wealth[s], pis[s] = x, pi
+    return wealth
 
 
 def dump_paths_csv(bundle: PathBundle, x0: float, path: str):
@@ -417,7 +417,7 @@ def dump_paths_csv(bundle: PathBundle, x0: float, path: str):
     dt = cfg.dt
     bank = np.cumprod(np.concatenate(([x0], np.exp(np.full(cfg.n_steps, bundle.params.r * dt)))))
     prices = np.empty((bundle.n_paths, cfg.n_steps + 1, n))
-    for k, step in enumerate(bundle.price_steps()):
+    for k, (step, _, _) in enumerate(bundle.price_steps()):
         prices[:, k] = step
     with gzip.open(path, "wt", newline="", compresslevel=6) as fh:
         writer = csv.writer(fh)

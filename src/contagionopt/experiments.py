@@ -317,17 +317,16 @@ def _require_kind(cfg: ExperimentConfig, kind: str):
 
 def _compare(cfg: ExperimentConfig, out_dir: str | None, t0: float,
              active, passive, health) -> ComparisonResult:
-    """Evaluate ``active`` and ``passive`` on one simulated path bundle and
-    tabulate both by default cohort; ``health(active, passive)`` gives the
-    manifest's solver-health section, and ``t0`` is when the run began.
-
-    Each side is reduced to its cohort report before the next side
-    evolves, so one side's terminal wealth is held at a time."""
+    """Evolve ``active`` and ``passive`` on one replay of one simulated path
+    bundle and tabulate both by default cohort; ``health(active, passive)``
+    gives the manifest's solver-health section, and ``t0`` is when the run
+    began."""
     bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0)
     mask = bundle.default_mask()
+    active_x, passive_x = evolve_wealth(bundle, (active, passive), cfg.x0)
     result = ComparisonResult(
-        active=cohort_report(ACTIVE_LABEL, evolve_wealth(bundle, active, cfg.x0), mask),
-        passive=cohort_report(PASSIVE_LABEL, evolve_wealth(bundle, passive, cfg.x0), mask),
+        active=cohort_report(ACTIVE_LABEL, active_x, mask),
+        passive=cohort_report(PASSIVE_LABEL, passive_x, mask),
         n_default=int(mask.sum()),
         n_paths=cfg.paths.n_paths,
         rng_digest=bundle.rng_digest(),
@@ -384,28 +383,29 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> SweepResult:
 
     Each ``(label, problem)`` row of ``cfg.entries`` was built when the config
     loaded.  In ``misspecified-investor`` mode only the investor's solver sees
-    its problem; in ``perturbed-world`` mode the simulated world is the
-    problem's too, simulated on the benchmark's random numbers, drawn once.
-    The benchmark row always uses the config's own values, and the digest is
-    the benchmark bundle's.  At most one world's bundle is held beside the
-    shared draws: each is freed before the next world is simulated.
+    its problem, and all investors step on one replay of one bundle; in
+    ``perturbed-world`` mode the world is the problem's too, simulated on the
+    benchmark's random numbers, drawn once.  The benchmark row always uses
+    the config's own values, and the digest is the benchmark bundle's.  At
+    most one world's bundle is held beside the shared draws: each is freed
+    before the next world is simulated.
     """
     _require_kind(cfg, "sweep")
     t0 = time.perf_counter()
     problem = LogControlProblem(params=cfg.market, intensity=cfg.intensity, box=cfg.box)
     strategies = [LogStrategy(p) for p in (problem, *(p for _, p in cfg.entries))]
     perturbed = cfg.sweep_mode == "perturbed-world"
-    bundles = _simulate_worlds([(s.problem.params, s.problem.intensity)
-                                for s in (strategies if perturbed else strategies[:1])],
+    groups = [[s] for s in strategies] if perturbed else [strategies]
+    bundles = _simulate_worlds([(g[0].problem.params, g[0].problem.intensity) for g in groups],
                                cfg.paths, cfg.s0)
     bundle = next(bundles)
     rng_digest = bundle.rng_digest()
     stats = []
-    for k, strategy in enumerate(strategies):
-        if k and perturbed:
+    for k, group in enumerate(groups):
+        if k:
             bundle = None  # free the last world before the next one is built
             bundle = next(bundles)
-        stats.append(summarize(evolve_wealth(bundle, strategy, cfg.x0)))
+        stats += [summarize(x) for x in evolve_wealth(bundle, group, cfg.x0)]
 
     result = SweepResult(benchmark=stats[0],
                          entries=tuple(zip((label for label, _ in cfg.entries), stats[1:])),

@@ -133,7 +133,7 @@ def test_06_bank_account_exactness():
     cfg = PathConfig(horizon=1.0, n_steps=250, n_paths=2_000, master_seed=106)
     from test_model import benchmark_intensity
     bundle = simulate_paths(params, benchmark_intensity(), cfg, [100.0, 100.0])
-    wealth = evolve_wealth(bundle, ConstantAllocation([0.0, 0.0]), x0=100.0)
+    wealth = evolve_wealth(bundle, [ConstantAllocation([0.0, 0.0])], x0=100.0)[0]
     target = 100.0 * np.exp(params.r * cfg.horizon)
     worst = float(np.max(np.abs(wealth / target - 1.0)))
     ok = worst <= 1e-12

@@ -82,19 +82,23 @@ CASES = [
     ("s0-nonpositive", lambda tmp: simulate_paths(benchmark_params(), benchmark_intensity(),
                                                   PathConfig(1.0, 2, 2, 1), [100.0, 0.0]),
      ValueError, "initial prices must be positive"),
-    ("x0-nonpositive", lambda tmp: evolve_wealth(bundle(), ConstantAllocation([0.0, 0.0]), 0.0),
+    ("x0-nonpositive", lambda tmp: evolve_wealth(bundle(), [ConstantAllocation([0.0, 0.0])], 0.0),
      ValueError, "initial wealth must be positive"),
-    ("x0-nan", lambda tmp: evolve_wealth(bundle(), ConstantAllocation([0.0, 0.0]), np.nan),
+    ("x0-nan", lambda tmp: evolve_wealth(bundle(), [ConstantAllocation([0.0, 0.0])], np.nan),
      ValueError, "initial wealth must be finite, not nan"),
-    ("x0-inf", lambda tmp: evolve_wealth(bundle(), ConstantAllocation([0.0, 0.0]), np.inf),
+    ("x0-inf", lambda tmp: evolve_wealth(bundle(), [ConstantAllocation([0.0, 0.0])], np.inf),
      ValueError, "initial wealth must be finite, not inf"),
     ("non-finite-allocation",
-     lambda tmp: evolve_wealth(bundle(), ConstantAllocation([np.nan, 0.0]), 100.0),
-     RuntimeError, "strategy returned non-finite allocation at step 0"),
+     lambda tmp: evolve_wealth(bundle(), [ConstantAllocation([np.nan, 0.0])], 100.0),
+     RuntimeError, "strategy returned non-finite allocation at step 0 (strategy 0)"),
+    ("second-strategy-fails",
+     lambda tmp: evolve_wealth(bundle(), [ConstantAllocation([0.0, 0.0]),
+                                          ConstantAllocation([np.nan, 0.0])], 100.0),
+     RuntimeError, "strategy returned non-finite allocation at step 0 (strategy 1)"),
     ("post-default-floor",
-     lambda tmp: evolve_wealth(bundle(), ConstantAllocation([2.0, 0.0]), 100.0),
+     lambda tmp: evolve_wealth(bundle(), [ConstantAllocation([2.0, 0.0])], 100.0),
      RuntimeError, "strategy violates the post-default floor at step 0: "
-                   "path 0, column 0, factor -1"),
+                   "path 0, column 0, factor -1 (strategy 0)"),
     ("market-dimensions", lambda tmp: MarketParams(0.05, [0.1, 0.1], [0.3], np.eye(2), np.eye(2)),
      ValueError, "inconsistent parameter dimensions"),
     ("rho-asymmetric", lambda tmp: MarketParams(0.05, [0.1, 0.1], [0.3, 0.3],

@@ -52,7 +52,7 @@ def state_bits(bundle):
 def price_history(bundle):
     """Replayed prices ``[path, step, stock]`` of a bundle, steps
     ``0..n_steps``, from :meth:`PathBundle.price_steps`."""
-    return np.stack(list(bundle.price_steps()), axis=1)
+    return np.stack([prices for prices, _, _ in bundle.price_steps()], axis=1)
 
 
 class Recording(Strategy):
@@ -73,7 +73,7 @@ def wealth_paths(bundle, strategy, x0):
     """Wealth ``[path, step]`` of one evolution: the wealth each step hands
     the strategy, then the terminal wealth :func:`evolve_wealth` returns."""
     rec = Recording(strategy)
-    terminal = evolve_wealth(bundle, rec, x0)
+    terminal = evolve_wealth(bundle, [rec], x0)[0]
     return np.column_stack(rec.xs + [terminal])
 
 
@@ -177,10 +177,11 @@ class TestSimulatePaths:
                 arr[0] = 0
         steps = list(bundle.price_steps())
         assert len(steps) == cfg.n_steps + 1
-        for k, step in enumerate(steps):
-            assert not step.flags.writeable, k
-            with pytest.raises(ValueError):
-                step[0] = 0
+        for k, (prices, states, _) in enumerate(steps):
+            for arr in (prices, states):
+                assert not arr.flags.writeable, k
+                with pytest.raises(ValueError):
+                    arr[0] = 0
         with pytest.raises(FrozenInstanceError):
             bundle.normals = bundle.normals.copy()
 
@@ -314,10 +315,10 @@ class TestStepMajorLayout:
 
     def test_each_step_is_contiguous(self):
         bundle = self.bundle()
-        wealth = evolve_wealth(bundle, ConstantAllocation([0.2, -0.1]), 100.0)
+        wealth = evolve_wealth(bundle, [ConstantAllocation([0.2, -0.1])], 100.0)[0]
         for k in (0, 7, bundle.cfg.n_steps - 1):
             assert bundle.normals[:, k].flags.c_contiguous, k
-        for k, step in enumerate(bundle.price_steps()):
+        for k, (step, _, _) in enumerate(bundle.price_steps()):
             assert step.shape == (bundle.n_paths, 2) and step.flags.c_contiguous, k
         assert wealth.shape == (bundle.n_paths,) and wealth.flags.c_contiguous
 
@@ -328,8 +329,8 @@ class TestStepMajorLayout:
         path_major = replace(bundle, normals=np.ascontiguousarray(bundle.normals))
         assert path_major.normals.flags.c_contiguous and not bundle.normals.flags.c_contiguous
         strategy = ConstantAllocation([0.3, -0.2])
-        a = evolve_wealth(bundle, strategy, 100.0)
-        b = evolve_wealth(path_major, strategy, 100.0)
+        a = evolve_wealth(bundle, [strategy], 100.0)[0]
+        b = evolve_wealth(path_major, [strategy], 100.0)[0]
         assert a.tobytes() == b.tobytes()
 
     def test_shared_draw_worlds_equal_fresh_simulations(self):
@@ -376,10 +377,15 @@ class TestPriceReplay:
         # defaults with a survivor before the horizon, so the jumps show
         down = (bundle.default_step >= 0) & (bundle.default_step < steps - 1)
         assert (down.any(axis=1) & ~down.all(axis=1)).sum() > 50
+        bits = state_bits(bundle)
         kept = []
-        for k, step in enumerate(bundle.price_steps()):
+        for k, (step, states, (p, j)) in enumerate(bundle.price_steps()):
             if k < steps:
                 assert step.tobytes() == witness.seen[k].tobytes(), k
+            # the replay's default state and the step's defaults, from default_step
+            assert states.tobytes() == bits[:, k].tobytes(), k
+            assert np.array_equal(np.column_stack([p, j]),
+                                  np.argwhere(bundle.default_step == k)), k
             kept.append((step, step.copy()))
         assert len(kept) == steps + 1
         # a step's array is not reused once the generator has moved past it
@@ -419,18 +425,50 @@ class TestEvolveWealth:
         def wealth(n_paths, hbar):
             cfg = PathConfig(horizon=0.5, n_steps=40, n_paths=n_paths, master_seed=8)
             bundle = simulate_paths(params, benchmark_intensity(), cfg, [100.0, 100.0])
-            return evolve_wealth(bundle, LogStrategy(problem, hbar=hbar), 100.0)
+            return evolve_wealth(bundle, [LogStrategy(problem, hbar=hbar)], 100.0)[0]
 
         for hbar in (None, 0.1):  # the active strategy and the passive comparator
             full = wealth(2500, hbar)
             for k in (1000, 1024, 1500):  # inside, at and across a simulation block edge
                 assert full[:k].tobytes() == wealth(k, hbar).tobytes(), (hbar, k)
 
+    def test_one_pass_equals_a_pass_per_strategy(self):
+        # each strategy of one pass sees the query sequence of a pass of its
+        # own, so its terminal wealth keeps the bits: a log pair (active,
+        # passive) and a power-grid pair, on paths where each stock defaults
+        # with the other alive and paths where both default
+        from contagionopt.logopt import LogControlProblem, LogStrategy
+        from contagionopt.powergrid import GridSpec, PowerGridStrategy, solve_power_value
+        params, intensity = benchmark_params(), benchmark_intensity()
+        cfg = PathConfig(horizon=0.5, n_steps=25, n_paths=600, master_seed=25)
+        bundle = simulate_paths(params, intensity, cfg, [8.0, 8.0])
+        down = bundle.default_step >= 0
+        assert down.all(axis=1).sum() > 10
+        for j in (0, 1):
+            assert (down[:, j] & ~down[:, 1 - j]).sum() > 10, j
+        log_box = AdmissibleBox(lower=[-1.0, -1.0], upper=[0.5, 0.5], eps_a=0.01)
+        problem = LogControlProblem(params=params, intensity=intensity, box=log_box)
+        box = AdmissibleBox(lower=[-1.0, -1.0], upper=[1.0, 1.0], eps_a=0.01)
+        grid = GridSpec(horizon=0.5, delta=1.0, dt=0.01, s_max=16.0, p_max=16.0, n_control=9)
+        pairs = {
+            "log": lambda: [LogStrategy(problem), LogStrategy(problem, hbar=0.1)],
+            "power": lambda: [PowerGridStrategy(solve_power_value(grid, params, h, 0.5, box),
+                                                params, box)
+                              for h in (intensity, ConstantIntensity(0.1))],
+        }
+        for name, pair in pairs.items():
+            together = evolve_wealth(bundle, pair(), 100.0)
+            alone = [evolve_wealth(bundle, [s], 100.0)[0] for s in pair()]
+            assert len(together) == 2, name
+            for a, b in zip(together, alone):
+                assert a.tobytes() == b.tobytes(), name
+            assert together[0].tobytes() != together[1].tobytes(), name
+
     def test_bank_account_is_exact(self):
         params = benchmark_params()
         cfg = PathConfig(horizon=1.0, n_steps=250, n_paths=200, master_seed=7)
         bundle = simulate_paths(params, benchmark_intensity(), cfg, [100.0, 100.0])
-        wealth = evolve_wealth(bundle, ConstantAllocation([0.0, 0.0]), x0=100.0)
+        wealth = evolve_wealth(bundle, [ConstantAllocation([0.0, 0.0])], x0=100.0)[0]
         target = 100.0 * np.exp(params.r * 1.0)
         assert np.allclose(wealth, target, rtol=1e-12)
 
@@ -438,7 +476,7 @@ class TestEvolveWealth:
         params = single_stock(mu=0.08, sigma=0.0)
         cfg = PathConfig(horizon=1.0, n_steps=100, n_paths=8, master_seed=8)
         bundle = simulate_paths(params, ZERO_H, cfg, [50.0])
-        wealth = evolve_wealth(bundle, ConstantAllocation([1.0]), x0=10.0)
+        wealth = evolve_wealth(bundle, [ConstantAllocation([1.0])], x0=10.0)[0]
         assert np.allclose(wealth, 10.0 * np.exp(0.08), rtol=1e-12)
 
     def test_wealth_steps_equal_the_matrix_formulas_bit_for_bit(self):
@@ -502,8 +540,8 @@ class TestEvolveWealth:
         cfg = PathConfig(horizon=1.0, n_steps=50, n_paths=100, master_seed=10)
         bundle = simulate_paths(params, benchmark_intensity(), cfg, [100.0, 100.0])
         strat = ConstantAllocation([0.2, -0.3])
-        w1 = evolve_wealth(bundle, strat, x0=100.0)
-        w2 = evolve_wealth(bundle, strat, x0=200.0)
+        w1 = evolve_wealth(bundle, [strat], x0=100.0)[0]
+        w2 = evolve_wealth(bundle, [strat], x0=200.0)[0]
         assert np.array_equal(w2, 2.0 * w1)
         # second moment therefore scales exactly as x0^2
         m1 = np.mean(w1**2)
@@ -519,7 +557,7 @@ class TestEvolveWealth:
         cfg = PathConfig(horizon=1.0, n_steps=60, n_paths=200, master_seed=11)
         bundle = simulate_paths(params, ConstantIntensity(2.0), cfg, [100.0, 100.0])
         with pytest.raises(RuntimeError, match="allocated to a defaulted stock"):
-            evolve_wealth(bundle, Bad([0.3, 0.3]), x0=100.0)
+            evolve_wealth(bundle, [Bad([0.3, 0.3])], x0=100.0)
 
     @pytest.mark.parametrize("field", ["prices", "states"])
     def test_strategy_writing_market_state_raises(self, field):
@@ -535,7 +573,7 @@ class TestEvolveWealth:
         bundle = simulate_paths(benchmark_params(), ConstantIntensity(1.0), cfg,
                                 [100.0, 100.0])
         with pytest.raises(ValueError, match="read-only"):
-            evolve_wealth(bundle, Scribbler([0.1, 0.1]), x0=100.0)
+            evolve_wealth(bundle, [Scribbler([0.1, 0.1])], x0=100.0)
 
     def test_wealth_reaching_zero_aborts(self):
         # with no box the floor is 0: all of the wealth in S loses all of it
@@ -546,7 +584,7 @@ class TestEvolveWealth:
         assert (bundle.default_step[:, 0] >= 0).any()
         assert jump_factors(params.L, [1.0, 0.0])[0] == 0.0
         with pytest.raises(RuntimeError, match="wealth path hit zero"):
-            evolve_wealth(bundle, ConstantAllocation([1.0, 0.0]), x0=100.0)
+            evolve_wealth(bundle, [ConstantAllocation([1.0, 0.0])], x0=100.0)
 
     def test_negative_wealth_turned_positive_by_a_later_jump_aborts(self):
         # with no box the check accepts jump factors down to -1e-9; here S's
@@ -564,7 +602,7 @@ class TestEvolveWealth:
         s_step, p_step = bundle.default_step[0]
         assert 0 <= s_step < p_step
         with pytest.raises(RuntimeError, match=f"wealth path hit zero at step {s_step}"):
-            evolve_wealth(bundle, ConstantAllocation(pi), x0=100.0)
+            evolve_wealth(bundle, [ConstantAllocation(pi)], x0=100.0)
 
     def test_evolve_holds_no_wealth_or_state_history(self):
         # each step's wealth and default state replace the last step's, so
@@ -576,7 +614,7 @@ class TestEvolveWealth:
         assert bundle.default_mask().sum() > 1000
         tracemalloc.start()
         try:
-            wealth = evolve_wealth(bundle, ConstantAllocation([0.2, -0.1]), x0=100.0)
+            wealth = evolve_wealth(bundle, [ConstantAllocation([0.2, -0.1])], x0=100.0)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -590,12 +628,12 @@ class TestEvolveWealth:
         bundle = simulate_paths(params, ZERO_H, cfg, [100.0, 100.0])
         for pi in ([0.3, 0.0], [0.0, -0.2]):  # above S's upper, below P's lower bound
             with pytest.raises(RuntimeError, match="left the admissible box at step 0"):
-                evolve_wealth(bundle, ConstantAllocation(pi, box=box), x0=100.0)
+                evolve_wealth(bundle, [ConstantAllocation(pi, box=box)], x0=100.0)
 
 
 def estimate_log_value(params, intensity, strategy, cfg, s0, x0):
     """Mean and standard error of ln X_T over a simulated bundle."""
-    logs = np.log(evolve_wealth(simulate_paths(params, intensity, cfg, s0), strategy, x0))
+    logs = np.log(evolve_wealth(simulate_paths(params, intensity, cfg, s0), [strategy], x0)[0])
     return float(logs.mean()), float(logs.std(ddof=1) / np.sqrt(len(logs)))
 
 

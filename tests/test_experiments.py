@@ -335,22 +335,20 @@ class TestRunComparison:
         result = run_comparison(config_from_dict(doc))
         assert len(calls) == 1 and len(result.rng_digest) == 64
 
-    def test_one_side_wealth_paths_held_at_a_time(self, monkeypatch):
-        evolve = experiments.evolve_wealth
-        earlier, dead = [], []
+    def test_both_sides_evolve_in_one_call(self, monkeypatch):
+        evolve, calls = experiments.evolve_wealth, []
 
-        def watched(bundle, strategy, x0):
-            dead.append([ref() is None for ref in earlier])
-            wealth = evolve(bundle, strategy, x0)
-            earlier.append(_owner_ref(wealth))
-            return wealth
+        def watched(bundle, strategies, x0):
+            calls.append([isinstance(s.problem.intensity, ConstantIntensity)
+                          for s in strategies])
+            return evolve(bundle, strategies, x0)
 
         monkeypatch.setattr(experiments, "evolve_wealth", watched)
         doc = base_doc()
         doc["paths"].update(n_paths=300, n_steps=5)
         run_comparison(config_from_dict(doc))
-        # the active side's wealth array is freed before the passive side evolves
-        assert dead == [[], [True]]
+        # one call, the active side first, then the passive comparator
+        assert calls == [[False, True]]
 
     def test_wrong_utility_rejected(self):
         doc = base_doc()
@@ -600,6 +598,63 @@ class TestRunPowerComparison:
         a = run_power_comparison(power_cfg)
         b = run_comparison(log_cfg)
         assert a.rng_digest == b.rng_digest
+
+
+class TestOneMarketPass:
+    """The investors a run evolves on one bundle step on one replay of it,
+    and the replay looks each step's defaults up once."""
+
+    def counted(self, monkeypatch):
+        calls = {"replays": 0, "lookups": 0}
+        replay, lookup = PathBundle.price_steps, dynamics._defaults_at
+
+        def counted_replay(bundle):
+            calls["replays"] += 1
+            return replay(bundle)
+
+        def counted_lookup(*args):
+            calls["lookups"] += 1
+            return lookup(*args)
+
+        monkeypatch.setattr(PathBundle, "price_steps", counted_replay)
+        monkeypatch.setattr(dynamics, "_defaults_at", counted_lookup)
+        return calls
+
+    def test_a_replay_looks_each_step_up_once(self, monkeypatch):
+        cfg = config_from_dict(base_doc())
+        bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0)
+        calls = self.counted(monkeypatch)
+        assert len(list(bundle.price_steps())) == cfg.paths.n_steps + 1
+        assert calls == {"replays": 1, "lookups": cfg.paths.n_steps + 1}
+
+    def test_comparison_replays_once(self, monkeypatch):
+        cfg = config_from_dict(base_doc())
+        calls = self.counted(monkeypatch)
+        run_comparison(cfg)
+        # the evolve reads steps 0..n_steps-1
+        assert calls == {"replays": 1, "lookups": cfg.paths.n_steps}
+
+    def test_power_comparison_on_supplied_grids_replays_once(self, monkeypatch):
+        doc = power_doc(n_paths=200)
+        doc["paths"]["n_steps"] = 5
+        cfg = config_from_dict(doc)
+        grids = [solve_power_value(cfg.grid, cfg.market, intensity, cfg.gamma, cfg.box)
+                 for intensity in (cfg.intensity, ConstantIntensity(cfg.hbar))]
+        calls = self.counted(monkeypatch)
+        run_power_comparison(cfg, value_grid=grids[0], value_grid_const=grids[1])
+        assert calls == {"replays": 1, "lookups": 5}
+
+    @pytest.mark.parametrize("mode, worlds", [("misspecified-investor", 1),
+                                              ("perturbed-world", 3)])
+    def test_sweep_replays_once_per_world(self, mode, worlds, monkeypatch):
+        doc = sweep_of({"market": {"rho": 0.3}}, {"intensity": {"h0": 5.0}})
+        doc["paths"].update(n_paths=200, n_steps=10)
+        doc["experiment"]["sweep_mode"] = mode
+        cfg = config_from_dict(doc)
+        calls = self.counted(monkeypatch)
+        result = run_sweep(cfg)
+        assert len(result.entries) == 2
+        assert calls == {"replays": worlds, "lookups": worlds * 10}
 
 
 class TestOutputsAndDeterminism:

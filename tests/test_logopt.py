@@ -349,7 +349,7 @@ class TestLogStrategy:
 
         monkeypatch.setattr(logopt, "solve_kt_batch", counting)
         strat = LogStrategy(prob, hbar=0.1)
-        evolve_wealth(bundle, strat, 100.0)
+        evolve_wealth(bundle, [strat], 100.0)
         # every pre-default row of a query poses the same problem, solved
         # once per step on one row
         assert [len(hS) for _, hS, _, _ in calls] == [1] * cfg.n_steps

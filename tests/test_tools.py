@@ -3,6 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from contagionopt.experiments import builtin_config_names
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -14,6 +18,29 @@ def _tool(name):
 
 
 line_count = _tool("line_count")
+table_digests = _tool("table_digests")
+
+# the sha256 of each shipped config's to_csv() at table_digests' sizes
+TABLE_PINS = {
+    "benchmark-inferred": "5ce97063762408df87d27e8154a524103c49bced0e62c8484591095fa62667f6",
+    "crisis-reciprocal": "4fe9b2ad1c103517ec7fab24c90ece1f342c63d8e4d40c2bf4749a69286a59be",
+    "paramset1": "d65515b3da14ba6d269e9ba2a7140b6dd1783e85d5166e1ca6bdd35b7e3c544c",
+    "paramset2": "32b2f3ec023c44f4bd5d56bbc3711543801ca36e1d7a4a255ba18ab84a66bbe2",
+    "power-benchmark": "750cd293f112e9d092bea5e97df36ca3e048786b7d329a0c7c139b88db7be993",
+    "sweep-intensity": "94f047522dd9b544ea9136ea8a2a22faf405a2bf6224049d8b2f4a9117fe8413",
+    "sweep-market": "05152c7dd4e6757fd47d560c3079a491b02c3f234d55e8524276a77a60ea447c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_PINS))
+def test_every_shipped_table_is_pinned(name):
+    """Each shipped config's output table at 400 paths and 40 steps (horizon
+    0.02 and 10 steps for ``power-compare``) keeps its text, byte for byte.
+    Only the CSV text is pinned: it prints 6 significant figures, so the
+    last bits of ``f`` and of the wealth, which can follow the BLAS kernel,
+    do not move it."""
+    assert sorted(TABLE_PINS) == builtin_config_names()
+    assert table_digests.digest(name)["sha256"] == TABLE_PINS[name]
 
 
 def test_line_count_puts_each_line_in_one_category():

@@ -61,7 +61,7 @@ def capture(name: str, n_paths: int = N_PATHS, n_steps: int = N_STEPS):
 
     logopt.solve_kt_batch = recording
     try:
-        evolve_wealth(bundle, logopt.LogStrategy(problem), cfg.x0)
+        evolve_wealth(bundle, [logopt.LogStrategy(problem)], cfg.x0)
     finally:
         logopt.solve_kt_batch = solve
     return problem, batches

@@ -8,11 +8,12 @@ for ``power-compare`` the CFL margin and out-of-domain fraction), and for
 the ``power-compare`` runs the sha256 of the bytes of ``f`` and ``controls``
 of the two value grids it reads (``value_grid``: the config's
 intensity; ``value_grid_const``: the constant comparator), and the
-sha256 of the terminal wealth vector of every evolve the run makes
-(``wealth``, in call order).  The tables print 6 significant figures, so
-only the wealth digests show a last-bit change in wealth; they are taken
-by wrapping the ``evolve_wealth`` name that ``experiments`` binds.  Every config
-runs at 400 paths and 40 steps; ``power-compare`` configs run at horizon
+sha256 of the terminal wealth vector of every strategy a run evolves
+(``wealth``, in call order and, within a call, in strategy order).  The
+tables print 6 significant figures, so only the wealth digests show a
+last-bit change in wealth; they are taken by wrapping the
+``evolve_wealth`` name that ``experiments`` binds.  Every config runs at
+400 paths and 40 steps; ``power-compare`` configs run at horizon
 0.02 with 10 steps, so their two value grids stay small.
 
 The tables of a change are unchanged when two checkouts print the same
@@ -47,7 +48,7 @@ def _sha256(data: bytes) -> str:
 def _recording_evolve(evolve, wealth: list):
     def wrapper(*args, **kwargs):
         out = evolve(*args, **kwargs)
-        wealth.append(_sha256(out.tobytes()))
+        wealth.extend(_sha256(x.tobytes()) for x in out)
         return out
     return wrapper
 
