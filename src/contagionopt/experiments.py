@@ -15,8 +15,9 @@ the kind-only keys the kind takes, of ``hbar``, ``gamma``, ``grid``,
 rejected.  The ``market`` (besides ``s0``), ``box``, ``paths``, ``grid``
 and ``experiment`` sections and each sweep entry map onto their dataclass
 fields by name (:func:`~contagionopt.model.from_section`): a field with a
-default may be left out, and an unknown or missing key raises
-``ValueError`` naming it; ``utility`` holds ``kind`` and, for the power
+default may be left out, an unknown or missing key raises ``ValueError``
+naming it, and so does a value that is not the integer or number its
+field takes; ``utility`` holds ``kind`` and, for the power
 utility only, a ``gamma`` in (0, 1).  A sweep entry's ``set`` is a
 partial config document, such as ``{"market": {"mu": [0.12, 0.15]}}``:
 its ``market`` and ``intensity`` keys (but ``s0``) replace the document's
@@ -78,8 +79,9 @@ PASSIVE_LABEL = "constant h"
 
 SWEEP_MODES = ("misspecified-investor", "perturbed-world")
 
-_NUMERIC = ("market", "intensity")  # sections whose values, but ``family``, are numbers
-_SECTIONS = (*_NUMERIC, "utility", "box", "paths", "grid", "experiment", "set")
+_NUMERIC = ("market", "intensity")  # the sections a sweep entry sets
+_NUMBERS = (*_NUMERIC, "box")  # sections whose values, but ``family``, are numbers
+_SECTIONS = (*_NUMBERS, "utility", "paths", "grid", "experiment", "set")
 
 
 @dataclass(frozen=True)
@@ -162,10 +164,12 @@ def config_from_dict(doc: dict, seed: int | None = None,
 def _check_values(node, path: str, numeric: bool = False):
     """Raise ``ValueError`` naming the key path, such as ``market.mu[0]``, of the
     first bad value in config document ``node``: a section that is not an object,
-    ``experiment.entries`` that is not a list of objects, a ``market`` or
-    ``intensity`` value (a sweep entry's too) other than ``family`` that is not a
-    number (a bool is not one) or a list of numbers, or a NaN or inf.  With
-    ``numeric``, ``node`` itself must be a number or a list of numbers."""
+    ``experiment.entries`` that is not a list of objects, a ``market``,
+    ``intensity`` or ``box`` value (a sweep entry's too) other than ``family``
+    that is not a number (a bool is not one) or a list of numbers, or a NaN or
+    inf.  With ``numeric``, ``node`` itself must be a number or a list of
+    numbers.  The scalar values of the other sections are typed by
+    :func:`~contagionopt.model.from_section`, after their keys."""
     if isinstance(node, dict) and not numeric:
         for key, value in node.items():
             at = f"{path}.{key}" if path else str(key)
@@ -174,7 +178,7 @@ def _check_values(node, path: str, numeric: bool = False):
             if at == "experiment.entries" and not (
                     isinstance(value, (list, tuple)) and all(isinstance(e, dict) for e in value)):
                 raise ValueError(f"{at} must be a list of objects, not {value!r}")
-            if key in _NUMERIC:
+            if key in _NUMBERS:
                 for name, v in value.items():
                     _check_values(v, f"{at}.{name}", name != "family")
             else:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields
 from itertools import product
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -348,13 +349,20 @@ _FAMILIES = {
 }
 
 
+# the value a field of each scalar annotation takes from a section
+_SCALARS = {"int": (Integral, "an integer"), "float": (Real, "a number"),
+            "float | None": ((Real, type(None)), "a number")}
+
+
 def from_section(cls, section: dict, what: str, **given):
     """Build dataclass ``cls`` from a config section whose keys are its
     field names; a field with a default may be left out.
 
     ``given`` supplies fields that do not come from the section, so the
     section may not name them.  An unknown or missing key raises
-    ``ValueError`` naming ``what`` and the keys.
+    ``ValueError`` naming ``what`` and the keys; so then does a value of a
+    field annotated ``int`` or ``float`` that is not an integer or a
+    number (a bool is neither), naming ``what.key``.
     """
     names = {f.name for f in fields(cls)} - given.keys()
     required = {f.name for f in fields(cls) if f.default is MISSING
@@ -362,6 +370,11 @@ def from_section(cls, section: dict, what: str, **given):
     unknown, missing = sorted(section.keys() - names), sorted(required - section.keys())
     if unknown or missing:
         raise ValueError(f"{what}: unknown keys {unknown}, missing keys {missing}")
+    types = {f.name: f.type for f in fields(cls)}
+    for key, value in section.items():
+        kind, noun = _SCALARS.get(types[key], (object, None))
+        if noun and (isinstance(value, bool) or not isinstance(value, kind)):
+            raise ValueError(f"{what}.{key} must be {noun}, not {value!r}")
     return cls(**section, **given)
 
 

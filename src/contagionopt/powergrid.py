@@ -96,7 +96,7 @@ class GridSpec:
     s_max: float
     p_max: float
     n_control: int = 41
-    refine: bool = True
+    refine = True  # not a field: only perfbench/tracer.py reads it (ROADMAP item 9)
 
     def __post_init__(self):
         if self.delta <= 0.0 or self.dt <= 0.0 or self.horizon <= 0.0:
@@ -279,8 +279,8 @@ def validate_cfl(grid: GridSpec, params: MarketParams, gamma: float,
 
     The drift coefficients are linear in the allocation and every
     probability is monotone in each of them, so checking the box corners'
-    coefficient extremes covers the whole box (including the quarter-step
-    lattice of the refinement).
+    coefficient extremes covers the whole box (including the walk's
+    quarter-step lattice).
     """
     corners = box.vertices()
     c1s, c2s, _, _ = _control_terms(TwoStockMarket(params), gamma, corners)
@@ -365,9 +365,9 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
 
     Every candidate is a point of the quarter-step lattice over the box,
     searched by index; its features and admissibility are computed once.
-    The supremum is over the admissible control lattice (every fourth
-    point).  With ``grid.refine`` a greedy pattern search follows: each of
-    the 80 index offsets of a 9 x 9 window (row offset outer, clipped to
+    Every grid takes one search: the supremum over the admissible control
+    lattice (every fourth point), then a greedy pattern search, where each
+    of the 80 index offsets of a 9 x 9 window (row offset outer, clipped to
     the box) is tried from the node's current best, and a trial that is
     admissible and strictly better becomes the new best, so later offsets
     start from it.  The result is never worse than the coarse argmax.
@@ -452,7 +452,7 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
         best, vbest = _first_max(coarse_feats @ nodes)
         at = coarse[best]
 
-        if grid.refine and flat:
+        if flat:
             # one node: every trial's value is in this slice's table
             table = np.einsum("ij,ji->i", feats, np.broadcast_to(nodes, (7, len(feats))))
             q, val = at.item(0), vbest.item(0)
@@ -461,7 +461,7 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
                 if table.item(trial) > val:
                     q, val = trial, table.item(trial)
             at[0], vbest[0] = q, val
-        elif grid.refine:
+        else:
             for nbr in trial_of:
                 trial = nbr[at]
                 val = np.einsum("ij,ji->i", feats.take(trial, axis=0), nodes)

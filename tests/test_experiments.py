@@ -4,7 +4,7 @@ import gzip
 import hashlib
 import json
 import weakref
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 import pytest
@@ -141,7 +141,7 @@ class TestConfig:
         doc = power_doc()
         doc["grid"] = {"delta": 1.0, "dt": 0.01, "s_max": 10.0, "p_max": 10.0}
         cfg = config_from_dict(doc)
-        assert (cfg.grid.n_control, cfg.grid.refine, cfg.grid.horizon) == (41, True, 1.0)
+        assert astuple(cfg.grid) == (1.0, 1.0, 0.01, 10.0, 10.0, 41)
 
     @pytest.mark.parametrize("part, needle", [
         ({"market": {"rho": 1.5}}, "rho is not positive definite"),
@@ -251,9 +251,23 @@ class TestConfig:
         ("intensity", "weights", [0.7, True], "intensity.weights[1] must be a number, not True"),
         ("market", "r", True, "market.r must be a number, not True"),
         ("market", "s0", [100.0, "100"], "market.s0[1] must be a number, not '100'"),
-    ], ids=["h0", "weights", "r", "s0"])
+        ("grid", "n_control", 21.0, "grid.n_control must be an integer, not 21.0"),
+        ("grid", "n_control", True, "grid.n_control must be an integer, not True"),
+        ("grid", "dt", "0.005", "grid.dt must be a number, not '0.005'"),
+        ("paths", "n_steps", 25.0, "paths.n_steps must be an integer, not 25.0"),
+        ("paths", "n_paths", float("nan"), "paths.n_paths must be a finite number, not nan"),
+        ("paths", "master_seed", "7", "paths.master_seed must be an integer, not '7'"),
+        ("paths", "horizon", "1", "paths.horizon must be a number, not '1'"),
+        ("paths", "horizon", [1.0], "paths.horizon must be a number, not [1.0]"),
+        ("box", "eps_a", "0.01", "box.eps_a must be a number, not '0.01'"),
+        ("box", "lower", [-1.0, True], "box.lower[1] must be a number, not True"),
+        ("experiment", "x0", "100", "experiment.x0 must be a number, not '100'"),
+        ("experiment", "hbar", False, "experiment.hbar must be a number, not False"),
+    ], ids=["h0", "weights", "r", "s0", "n_control-float", "n_control-bool", "dt", "n_steps",
+            "n_paths-nan", "master_seed", "horizon", "horizon-list", "eps_a", "lower", "x0",
+            "hbar"])
     def test_main_sections_take_numbers_only(self, section, key, value, message):
-        doc = base_doc()
+        doc = power_doc()
         doc[section][key] = value
         with pytest.raises(ValueError) as exc:
             config_from_dict(doc)
@@ -805,14 +819,22 @@ class TestCLI:
          ["is a 'compare' experiment, not 'power-compare'"]),
         (["power-compare", "--config", "{flat}"],
          ["stock S has volatility 0; the control solvers need sigma > 0"]),
+        (["power-compare", "--config", "{float_steps}", "--paths", "20"],
+         ["paths.n_steps must be an integer, not 25.0"]),
+        (["power-compare", "--config", "{refine}", "--paths", "20"],
+         ["grid: unknown keys ['refine'], missing keys []"]),
     ], ids=["solve-power-without-grid", "missing-key", "leftover-cap", "missing-grid",
-            "kind-checked-before-grid", "zero-volatility"])
+            "kind-checked-before-grid", "zero-volatility", "float-steps", "refine"])
     def test_bad_config_is_one_line(self, tmp_path, capsys, argv, needles):
         no_box = base_doc()
         del no_box["box"]
         flat = power_doc()
         flat["market"]["sigma"] = [0.0, 0.4]
-        docs = {"no_box": no_box, "flat": flat,
+        float_steps = power_doc()
+        float_steps["paths"]["n_steps"] = 25.0
+        refine = power_doc()
+        refine["grid"]["refine"] = True
+        docs = {"no_box": no_box, "flat": flat, "float_steps": float_steps, "refine": refine,
                 "cap": base_doc(intensity={"family": "reciprocal", "c": 20.0, "cap": 2000.0})}
         paths = {"missing": tmp_path / "missing.npz"}
         for name, doc in docs.items():
@@ -850,13 +872,14 @@ class TestCLI:
 
     @pytest.mark.parametrize("case, needle", [
         ("unknown-meta-key", "meta: unknown keys ['foo'], missing keys []"),
+        ("meta-refine", "meta: unknown keys ['refine'], missing keys []"),
         ("no-meta", "missing arrays ['meta']"),
         ("controls-3x3", "controls has shape (200, 3, 3, 2), its grid implies (200, 17, 17, 2)"),
         ("npy", "not an npz archive"),
         ("meta-gamma-1.5", "meta gamma must lie strictly inside (0, 1), not 1.5"),
         ("f-one-node-200", "f has shape (200, 1, 1), its grid implies (201, 17, 17)"),
         ("full-per-node", None),
-    ], ids=["unknown-meta-key", "no-meta", "controls-3x3", "npy", "meta-gamma-1.5",
+    ], ids=["unknown-meta-key", "meta-refine", "no-meta", "controls-3x3", "npy", "meta-gamma-1.5",
             "f-one-node-200", "full-per-node"])
     def test_malformed_value_grid_is_one_line(self, tmp_path, capsys, case, needle):
         doc = power_doc(n_paths=50)
@@ -868,6 +891,9 @@ class TestCLI:
                   "controls": np.zeros((grid.n_slices, *nodes, 2))}
         if case == "unknown-meta-key":
             meta["foo"] = 1
+        if case == "meta-refine":
+            # a grid saved while the DP search had a switch
+            meta["refine"] = True
         if case == "meta-gamma-1.5":
             meta["gamma"] = 1.5
         if case == "controls-3x3":

@@ -170,6 +170,33 @@ class TestTransitionProbs:
         assert 1.0 - validate_cfl(half, params, GAMMA, box) == pytest.approx(
             0.5 * (1.0 - margin), rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("rho, extent", [(0.0, 20.0), (-0.1, 6.0), (0.1, 6.0)])
+    def test_corner_check_covers_the_quarter_lattice(self, rho, extent):
+        # 1 - margin is linear in dt, so the smallest stay probability the
+        # corner check sees reaches zero at dt / (1 - margin).  Just below
+        # that step every point of the walk's quarter-step lattice keeps all
+        # nine probabilities in [0, 1] at every node; just above it the
+        # check fails.  With rho != 0 the side moves stay nonnegative only
+        # while the prices are within a factor 7.5 of each other, as on
+        # [0, 6]^2 with delta 1
+        params = MarketParams.two_stock(0.05, 0.10, 0.15, 0.30, 0.40, rho, 0.2, 0.3)
+        box = power_box()
+
+        def grid(dt):
+            return GridSpec(dt, 1.0, dt, extent, extent, n_control=5)
+
+        limit = 0.005 / (1.0 - validate_cfl(grid(0.005), params, GAMMA, box))
+        below = grid(0.98 * limit)
+        pts = _quarter_lattice(box, params.L, below.n_control)[0]
+        c1, c2, _, _ = _control_terms(TwoStockMarket(params), GAMMA, pts)
+        S, P = np.meshgrid(below.s_nodes(), below.p_nodes(), indexing="ij")
+        probs = _nine_probs(S[..., None], P[..., None], c1, c2, below, params)
+        assert probs.shape == (9, *S.shape, 17 * 17)
+        assert np.all(probs >= -1e-12) and np.all(probs <= 1.0 + 1e-12)
+        assert np.max(np.abs(probs.sum(axis=0) - 1.0)) <= 1e-12
+        with pytest.raises(CFLViolationError):
+            validate_cfl(grid(1.02 * limit), params, GAMMA, box)
+
 
 class TestDiscountAndSource:
     def grid(self):
@@ -248,7 +275,7 @@ def former_solve(grid, params, intensity, gamma, box):
         best = np.argmax(cand, axis=0)
         vbest = np.take_along_axis(cand, best[None, :], axis=0)[0]
         at = coarse[best]
-        for nbr in trial_of if grid.refine else ():
+        for nbr in trial_of:
             trial = nbr[at]
             val = np.einsum("ij,ji->i", feats.take(trial, axis=0), nodes)
             upd = admissible[trial] & (val > vbest)
@@ -287,10 +314,10 @@ class TestFirstMax:
 class TestSolvePowerValue:
     def test_slice_loop_equals_the_former_loop_bit_for_bit(self):
         # a price-dependent hazard and the flat grid of a constant one at
-        # rho = +-0.1, with and without the walk, on the full box and on a
-        # box whose post-default floor 0.5 holds the optimum; in all but one
-        # case the walk moves some control.  169 coarse points fill several
-        # row blocks and a short last one
+        # rho = +-0.1, on the full box and on a box whose post-default floor
+        # 0.5 holds the optimum; in all but one case the walk moves some
+        # control.  169 coarse points fill several row blocks and a short
+        # last one
         floor = AdmissibleBox(lower=[0.0, 0.0], upper=[0.3, 1.0], eps_a=0.5)
         cases = [(power_box(), PowerClampIntensity(h0=1.0, weights=(0.7, 0.3), alpha=1.0,
                                                    h_min=0.05, h_max=1.0)),
@@ -298,14 +325,13 @@ class TestSolvePowerValue:
                                              h_min=0.01, h_max=1.0)),
                  (power_box(), ConstantIntensity([0.02, 0.06])),
                  (floor, ConstantIntensity(0.03))]
-        for refine in (False, True):
-            grid = GridSpec(0.03, 1.0, 0.005, 6.0, 6.0, n_control=13, refine=refine)
-            for (box, h), rho in itertools.product(cases, (-0.1, 0.1)):
-                params = MarketParams.two_stock(0.05, 0.10, 0.15, 0.30, 0.40, rho, 0.2, 0.3)
-                vg = solve_power_value(grid, params, h, GAMMA, box)
-                f, controls = former_solve(grid, params, h, GAMMA, box)
-                assert np.array_equal(vg.f, f)
-                assert np.array_equal(vg.controls, controls)
+        grid = GridSpec(0.03, 1.0, 0.005, 6.0, 6.0, n_control=13)
+        for (box, h), rho in itertools.product(cases, (-0.1, 0.1)):
+            params = MarketParams.two_stock(0.05, 0.10, 0.15, 0.30, 0.40, rho, 0.2, 0.3)
+            vg = solve_power_value(grid, params, h, GAMMA, box)
+            f, controls = former_solve(grid, params, h, GAMMA, box)
+            assert np.array_equal(vg.f, f)
+            assert np.array_equal(vg.controls, controls)
 
     def test_terminal_slice_is_one(self):
         grid = GridSpec(horizon=0.5, delta=1.0, dt=0.01, s_max=10.0, p_max=10.0,
@@ -377,9 +403,9 @@ class TestSolvePowerValue:
         # held by the box edge pi_S = 0.3 and by the post-default floor 0.5.
         # The constant hazard of the third case is solved on one node and
         # copied to all; the per-node replay checks it on the full lattice.
-        # With refine the greedy walk is replayed too: the 80 offsets of a
-        # 9 x 9 window in order, clipped to the box, kept on strict
-        # improvement only
+        # The greedy walk is replayed after the coarse argmax: the 80
+        # offsets of a 9 x 9 window in order, clipped to the box, kept on
+        # strict improvement only
         cases = [
             (power_box(), PowerClampIntensity(h0=1.0, weights=(0.7, 0.3), alpha=1.0,
                                               h_min=0.05, h_max=1.0)),
@@ -388,36 +414,35 @@ class TestSolvePowerValue:
                                  h_min=0.01, h_max=1.0)),
             (power_box(), ConstantIntensity(0.3)),
         ]
-        for refine in (False, True):
-            grid = GridSpec(0.01, 1.0, 0.005, 6.0, 6.0, n_control=9, refine=refine)
-            s_nodes, p_nodes = grid.s_nodes(), grid.p_nodes()
-            for (box, h), rho in itertools.product(cases, (-0.1, 0.1)):
-                params = MarketParams.two_stock(0.05, 0.10, 0.15, 0.30, 0.40, rho, 0.2, 0.3)
-                vg = solve_power_value(grid, params, h, GAMMA, box)
-                lattice = control_lattice(box, params.L, grid.n_control)
-                quarter = (box.upper - box.lower) / (grid.n_control - 1) / 4
-                offsets = [np.array([a, b]) * quarter for a in range(-4, 5)
-                           for b in range(-4, 5) if (a, b) != (0, 0)]
-                v1 = vg.f[1]
-                for i, s in enumerate(s_nodes):
-                    for j, p in enumerate(p_nodes):
-                        def values(pis):
-                            probs, beta, g = scheme(s, p, pis, grid, params, GAMMA, h)
-                            ev = sum(w * v1[min(max(i + ds, 0), len(s_nodes) - 1),
-                                            min(max(j + dp, 0), len(p_nodes) - 1)]
-                                     for w, (ds, dp) in zip(probs, TRANSITION_MOVES))
-                            return list(g * grid.dt + np.exp(-beta * grid.dt) * ev)
+        grid = GridSpec(0.01, 1.0, 0.005, 6.0, 6.0, n_control=9)
+        s_nodes, p_nodes = grid.s_nodes(), grid.p_nodes()
+        for (box, h), rho in itertools.product(cases, (-0.1, 0.1)):
+            params = MarketParams.two_stock(0.05, 0.10, 0.15, 0.30, 0.40, rho, 0.2, 0.3)
+            vg = solve_power_value(grid, params, h, GAMMA, box)
+            lattice = control_lattice(box, params.L, grid.n_control)
+            quarter = (box.upper - box.lower) / (grid.n_control - 1) / 4
+            offsets = [np.array([a, b]) * quarter for a in range(-4, 5)
+                       for b in range(-4, 5) if (a, b) != (0, 0)]
+            v1 = vg.f[1]
+            for i, s in enumerate(s_nodes):
+                for j, p in enumerate(p_nodes):
+                    def values(pis):
+                        probs, beta, g = scheme(s, p, pis, grid, params, GAMMA, h)
+                        ev = sum(w * v1[min(max(i + ds, 0), len(s_nodes) - 1),
+                                        min(max(j + dp, 0), len(p_nodes) - 1)]
+                                 for w, (ds, dp) in zip(probs, TRANSITION_MOVES))
+                        return list(g * grid.dt + np.exp(-beta * grid.dt) * ev)
 
-                        cand = values(lattice)
-                        best, vbest = lattice[int(np.argmax(cand))], max(cand)
-                        for offset in offsets if refine else ():
-                            trial = np.clip(best + offset, box.lower, box.upper)
-                            if np.all(1.0 - trial @ params.L >= box.eps_a):
-                                val = values(trial[None])[0]
-                                if val > vbest:
-                                    best, vbest = trial, val
-                        assert vg.f[0][i, j] == pytest.approx(vbest, rel=1e-12, abs=0)
-                        assert np.max(np.abs(vg.controls[0][i, j] - best)) <= 1e-12
+                    cand = values(lattice)
+                    best, vbest = lattice[int(np.argmax(cand))], max(cand)
+                    for offset in offsets:
+                        trial = np.clip(best + offset, box.lower, box.upper)
+                        if np.all(1.0 - trial @ params.L >= box.eps_a):
+                            val = values(trial[None])[0]
+                            if val > vbest:
+                                best, vbest = trial, val
+                    assert vg.f[0][i, j] == pytest.approx(vbest, rel=1e-12, abs=0)
+                    assert np.max(np.abs(vg.controls[0][i, j] - best)) <= 1e-12
 
     def test_controls_lie_on_the_quarter_step_lattice(self):
         box = power_box()

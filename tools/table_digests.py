@@ -6,13 +6,15 @@ bundle it simulated, the whole ``solver_health`` of its manifest (for
 the log-utility runs the Kuhn-Tucker case counts and Newton iterations,
 for ``power-compare`` the CFL margin and out-of-domain fraction), and for
 the ``power-compare`` runs the sha256 of the bytes of ``f`` and ``controls``
-of the two value grids it reads (``value_grid``: the config's
+of the two value grids the runner solves (``value_grid``: the config's
 intensity; ``value_grid_const``: the constant comparator), and the
 sha256 of the terminal wealth vector of every strategy a run evolves
 (``wealth``, in call order and, within a call, in strategy order).  The
 tables print 6 significant figures, so only the wealth digests show a
-last-bit change in wealth; they are taken by wrapping the
-``evolve_wealth`` name that ``experiments`` binds.  Every config runs at
+last-bit change in wealth.  The grid and wealth digests are taken by
+wrapping the ``solve_power_value`` and ``evolve_wealth`` names that
+``experiments`` binds, so they are of what the runner itself computes.
+Every config runs at
 400 paths and 40 steps; ``power-compare`` configs run at horizon
 0.02 with 10 steps, so their two value grids stay small.
 
@@ -34,8 +36,6 @@ import json
 
 from contagionopt import experiments
 from contagionopt.experiments import KINDS, builtin_config, builtin_config_names, config_from_dict
-from contagionopt.model import ConstantIntensity
-from contagionopt.powergrid import solve_power_value
 
 N_PATHS, N_STEPS = 400, 40
 POWER_HORIZON, POWER_STEPS = 0.02, 10
@@ -53,6 +53,14 @@ def _recording_evolve(evolve, wealth: list):
     return wrapper
 
 
+def _recording_solve(solve, grids: list):
+    def wrapper(*args, **kwargs):
+        vg = solve(*args, **kwargs)
+        grids.append({"f": _sha256(vg.f.tobytes()), "controls": _sha256(vg.controls.tobytes())})
+        return vg
+    return wrapper
+
+
 def digest(name: str) -> dict:
     doc = copy.deepcopy(builtin_config(name).raw)
     if doc["experiment"]["kind"] == "power-compare":
@@ -60,22 +68,18 @@ def digest(name: str) -> dict:
     else:
         doc["paths"]["n_steps"] = N_STEPS
     cfg = config_from_dict(doc, n_paths=N_PATHS)
-    grids = {}
-    if cfg.kind == "power-compare":
-        grids = {key: solve_power_value(cfg.grid, cfg.market, intensity, cfg.gamma, cfg.box)
-                 for key, intensity in (("value_grid", cfg.intensity),
-                                        ("value_grid_const", ConstantIntensity(cfg.hbar)))}
-    wealth = []
-    evolve = experiments.evolve_wealth
+    wealth, grids = [], []
+    evolve, solve = experiments.evolve_wealth, experiments.solve_power_value
     experiments.evolve_wealth = _recording_evolve(evolve, wealth)
+    experiments.solve_power_value = _recording_solve(solve, grids)
     try:
-        result = KINDS[cfg.kind].runner(cfg, **grids)
+        result = KINDS[cfg.kind].runner(cfg)
     finally:
-        experiments.evolve_wealth = evolve
+        experiments.evolve_wealth, experiments.solve_power_value = evolve, solve
     out = {"sha256": _sha256(result.to_csv().encode()), "rng_digest": result.rng_digest,
            "solver_health": result.health, "wealth": wealth}
-    for key, vg in grids.items():
-        out[key] = {"f": _sha256(vg.f.tobytes()), "controls": _sha256(vg.controls.tobytes())}
+    if grids:  # the runner solves the active grid, then the comparator's
+        out.update(zip(("value_grid", "value_grid_const"), grids, strict=True))
     return out
 
 
