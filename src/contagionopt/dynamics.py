@@ -419,13 +419,18 @@ def dump_paths_csv(bundle: PathBundle, x0: float, path: str):
     prices = np.empty((bundle.n_paths, cfg.n_steps + 1, n))
     for k, (step, _, _) in enumerate(bundle.price_steps()):
         prices[:, k] = step
+    # t and X depend on the step only, and a path's state bits change only
+    # at the step after each of its defaults
+    t_text = [f"{k * dt:.10g}" for k in range(cfg.n_steps + 1)]
+    x_text = [f"{v:.10g}" for v in bank]
     with gzip.open(path, "wt", newline="", compresslevel=6) as fh:
         writer = csv.writer(fh)
         writer.writerow(["path_id", "step", "t"] + [f"S_{i+1}" for i in range(n)]
                         + ["z_bits", "X"])
         for p, steps in enumerate(bundle.default_step.tolist()):
-            for k in range(cfg.n_steps + 1):
-                bits = "".join("1" if 0 <= d < k else "0" for d in steps)
-                writer.writerow([p, k, f"{k * dt:.10g}"]
-                                + [f"{v:.10g}" for v in prices[p, k]]
-                                + [bits, f"{bank[k]:.10g}"])
+            flips = {d + 1 for d in steps if d >= 0}
+            for k, row in enumerate(prices[p].tolist()):
+                if k == 0 or k in flips:
+                    bits = "".join("1" if 0 <= d < k else "0" for d in steps)
+                writer.writerow([p, k, t_text[k], *(f"{v:.10g}" for v in row),
+                                 bits, x_text[k]])

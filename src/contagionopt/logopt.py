@@ -236,6 +236,7 @@ def solve_kt_batch(prob: LogControlProblem, hS, hP, start=None):
                                      for xj, a, b in zip(xa, *inner))
         residual = _held(xa, g, box)[2] if edge else np.maximum(np.abs(g[0]), np.abs(g[1]))
         done = stuck | ~(residual > _GRAD_TOL) | (it == _MAX_ITER)
+        del residual
         if done.any():
             out = rows[done]
             _put_cols(x, out, [a[done] for a in xa])
@@ -245,6 +246,7 @@ def solve_kt_batch(prob: LogControlProblem, hS, hP, start=None):
             rows, hs, hp, hoff = (a[keep] for a in (rows, hs, hp, hoff))
             xa, g, hd = ([a[keep] for a in pair] for pair in (xa, g, hd))
             g0 = None if g0 is None else g0[keep]
+            del out, keep
         if rows.size == 0:
             break
         if g0 is None:
@@ -258,15 +260,17 @@ def solve_kt_batch(prob: LogControlProblem, hS, hP, start=None):
             near = [((xj <= lj + eps) & (gj < 0.0)) | ((xj >= uj - eps) & (gj > 0.0))
                     for xj, gj, lj, uj in zip(xa, g, lo, hi)]
             full &= ~(near[0] | near[1])
+            del dist, eps, near
         newton = (hoff * g[1] - hd[1] * g[0], hoff * g[0] - hd[0] * g[1])
         if full.all():
             step = [nj / det for nj in newton]
         else:
             # per-coordinate Newton step, capped at the box width: a trust region
             # for a coordinate whose curvature is small against its gradient
-            step = [gj / np.maximum(-hj, np.abs(gj) / wj) for gj, hj, wj in zip(g, hd, width)]
-            for sj, nj in zip(step, newton):
-                np.divide(nj, det, out=sj, where=full)
+            step = [np.divide(nj, det, out=gj / np.maximum(-hj, np.abs(gj) / wj), where=full)
+                    for nj, gj, hj, wj in zip(newton, g, hd, width)]
+        # no name keeps what formed the step while its trial is taken
+        del g, hd, hoff, det, full, newton, done
 
         floor = g0 - _G_ROUNDING * (1.0 + np.abs(g0))
         # the full step is tried on every row; rows it fails halve their step
@@ -275,8 +279,7 @@ def solve_kt_batch(prob: LogControlProblem, hS, hP, start=None):
         ok = gnew >= floor
         if not ok.all():
             search = np.flatnonzero(~ok)
-            for nj, xj in zip(new, xa):
-                nj[search] = xj[search]
+            new[0][search], new[1][search] = xa[0][search], xa[1][search]
             alpha = 0.5
             for _ in range(_MAX_HALVINGS - 1):
                 trial = [_clip(xj[search] + alpha * sj[search], lj, uj)
@@ -296,6 +299,8 @@ def solve_kt_batch(prob: LogControlProblem, hS, hP, start=None):
         # none) is read
         stuck = (new[0] == xa[0]) & (new[1] == xa[1])
         xa, g0 = new, gnew
+        # only the iterates, their G and the stuck mask live into the next pass
+        del new, gnew, step, floor, ok
 
     low, high, residual = _held(x.T, grad.T, box)
     bad = np.nonzero(~(residual <= _ACCEPT_TOL))[0]

@@ -431,7 +431,9 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
     n_slices = grid.n_slices
     f = np.empty((n_slices + 1, ns, np_))
     f[n_slices] = 1.0
-    controls = np.empty((n_slices, ns, np_, 2))
+    # each slice's argmax as a quarter-lattice index; the controls are
+    # gathered once the last slice's candidates are freed
+    chosen = np.empty((n_slices, ns * np_), dtype=np.int32)
     v = np.ones((ns, np_))
 
     for k in range(n_slices - 1, -1, -1):
@@ -473,8 +475,9 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
         if not np.all(np.isfinite(v)) or v.min() <= 0.0:
             raise RuntimeError(f"value became non-finite or nonpositive at slice {k}")
         f[k] = v
-        controls[k] = fine[at].reshape(ns, np_, 2)
+        chosen[k] = at
 
+    controls = fine[chosen].reshape(n_slices, ns, np_, 2)
     if flat:
         f = np.broadcast_to(f, (n_slices + 1, *shape))
         controls = np.broadcast_to(controls, (n_slices, *shape, 2))
@@ -540,11 +543,14 @@ class PowerGridStrategy(Strategy):
         self.pre_default_queries += int(np.count_nonzero(pre))
         self.out_of_domain += int(np.count_nonzero(pre & ((s > grid.s_max) | (p > grid.p_max))))
         node, weights = self._cells(s, p)
-        # control c at corner (i + a, j + b) sits at flat index
-        # node + 2 (a np + b) + c: a take of node from the slice shifted by that
-        np_ = self.controls.shape[2]
-        shifts = (0, 2 * np_, 2, 2 * np_ + 2)
-        flat = self.controls[k].reshape(-1)
+        if self.controls.strides[1:3] == (0, 0):
+            # a grid held at one node: every corner reads node (0, 0)
+            flat, node, shifts = self.controls[k, 0, 0], 0, (0, 0, 0, 0)
+        else:
+            # control c at corner (i + a, j + b) sits at flat index
+            # node + 2 (a np + b) + c: a take of node from the slice shifted by that
+            np_ = self.controls.shape[2]
+            flat, shifts = self.controls[k].reshape(-1), (0, 2 * np_, 2, 2 * np_ + 2)
         out = np.empty(prices.shape)
         for c in range(2):
             # summed corner by corner in place, in the order (i, j), (i+1, j),

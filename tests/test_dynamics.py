@@ -1,6 +1,7 @@
 import csv
 import gzip
 import hashlib
+import io
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -47,6 +48,15 @@ def state_bits(bundle):
     d = bundle.default_step[:, None, :]
     k = np.arange(bundle.cfg.n_steps + 1)[None, :, None]
     return ((d >= 0) & (d < k)).astype(np.uint8)
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def price_history(bundle):
@@ -612,12 +622,8 @@ class TestEvolveWealth:
         bundle = simulate_paths(benchmark_params(), ConstantIntensity(0.8), cfg,
                                 [100.0, 100.0])
         assert bundle.default_mask().sum() > 1000
-        tracemalloc.start()
-        try:
-            wealth = evolve_wealth(bundle, [ConstantAllocation([0.2, -0.1])], x0=100.0)[0]
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (wealth,), peak = traced_peak(
+            lambda: evolve_wealth(bundle, [ConstantAllocation([0.2, -0.1])], x0=100.0))
         assert wealth.shape == (cfg.n_paths,)
         assert peak < (cfg.n_steps + 1) * cfg.n_paths * 8 / 4
 
@@ -701,3 +707,35 @@ class TestPathDump:
         # ... and the wealth of a zero allocation, to the printed digits
         zero = wealth_paths(bundle, ConstantAllocation([0.0, 0.0]), 100.0)
         assert [r[6] for r in body] == [f"{v:.10g}" for v in zero.ravel()]
+
+    @pytest.mark.parametrize("params, rate", [(single_stock(), 1.0), (benchmark_params(), 0.8),
+                                              (three_stock_params(), 0.8)],
+                             ids=["one-stock", "two-stocks", "three-stocks"])
+    def test_dump_equals_the_row_by_row_writer_byte_for_byte(self, tmp_path, params, rate):
+        cfg = PathConfig(horizon=1.0, n_steps=20, n_paths=40, master_seed=17)
+        bundle = simulate_paths(params, ConstantIntensity(rate), cfg, [100.0] * params.n)
+        down = (bundle.default_step >= 0).sum(axis=1)
+        assert (down == 0).any() and (down == 1).any()
+        if params.n > 1:
+            assert (down >= 2).any()
+        out = tmp_path / "paths.csv.gz"
+        dump_paths_csv(bundle, 100.0, str(out))
+        with gzip.open(out, "rb") as fh:
+            assert fh.read() == former_dump_text(bundle, 100.0).encode()
+
+
+def former_dump_text(bundle, x0):
+    """The text ``dump_paths_csv`` wrote when it formatted every field of
+    every row and rebuilt each row's state bits."""
+    n, dt, steps = bundle.params.n, bundle.cfg.dt, bundle.cfg.n_steps
+    bank = np.cumprod(np.concatenate(([x0], np.exp(np.full(steps, bundle.params.r * dt)))))
+    prices = price_history(bundle)
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["path_id", "step", "t"] + [f"S_{i+1}" for i in range(n)] + ["z_bits", "X"])
+    for p, row_steps in enumerate(bundle.default_step.tolist()):
+        for k in range(steps + 1):
+            bits = "".join("1" if 0 <= d < k else "0" for d in row_steps)
+            writer.writerow([p, k, f"{k * dt:.10g}"] + [f"{v:.10g}" for v in prices[p, k]]
+                            + [bits, f"{bank[k]:.10g}"])
+    return fh.getvalue()

@@ -17,7 +17,7 @@ from contagionopt.logopt import (
 )
 from contagionopt.model import AdmissibleBox, ConstantIntensity, MarketParams, validate_box
 
-from test_dynamics import one_row, price_history, state_bits, wealth_paths
+from test_dynamics import one_row, price_history, state_bits, traced_peak, wealth_paths
 from test_model import benchmark_intensity, benchmark_params
 
 
@@ -444,6 +444,26 @@ class TestSolverPaths:
         assert np.array_equal(case_id, sides)
         want = np.stack([np.where(low, -g, 0.0), np.where(high, g, 0.0)], axis=2)
         assert np.array_equal(mult, want.reshape(-1, 4))
+
+
+def test_a_kt_pass_holds_only_the_arrays_the_loop_carries():
+    # between passes the loop carries eleven arrays of m numbers: x and the
+    # gradient (two columns each), the counts, the remaining rows' indices,
+    # their two hazards, the two iterate columns and G.  A pass adds one
+    # derivative call's working set, and the boolean masks add less than one
+    # more array.  A pass that held its Hessian diagonal and Newton
+    # numerators (four arrays) into the trial step would exceed the bound
+    prob = benchmark_problem()
+    m = 4000
+    prices = np.random.default_rng(21).uniform(40.0, 200.0, (m, 2))
+    rates = prob.intensity.rates_matrix(np.zeros((m, 2), dtype=np.uint8), prices)
+    hS, hP = rates[:, 0].copy(), rates[:, 1].copy()
+    x = (np.full(m, -0.4), np.full(m, -0.05))
+    _, derivs = traced_peak(lambda: logopt._derivs(prob.market, hS, hP, *x))
+    out, peak = traced_peak(lambda: solve_kt_batch(prob, hS, hP))
+    # rows leave on several passes, so the loop's filters run
+    assert np.unique(out[4]).size >= 2 and out[4].max() >= 4
+    assert peak < derivs + 12 * 8 * m
 
 
 def former_solve_kt(prob, hS, hP, start=None):

@@ -33,7 +33,7 @@ from contagionopt.powergrid import (
     _quarter_lattice,
 )
 
-from test_dynamics import one_row
+from test_dynamics import one_row, traced_peak
 from test_model import benchmark_intensity, benchmark_params
 
 GAMMA = 0.5
@@ -519,6 +519,24 @@ class TestSolvePowerValue:
                               ReciprocalIntensity(c=20.0), GAMMA,
                               power_box())
 
+    def test_solve_never_holds_its_controls_beside_a_candidate_product(self):
+        # the traced peak stays under the two outputs, one slice's coarse
+        # candidate product and the index tables (an int32 argmax per slice
+        # and node, the walk's int32 trial table).  A solve that wrote float
+        # controls slice by slice would hold them beside every product and
+        # exceed the bound by a slice's node factors and argmax blocks less
+        # the int32 argmax; at 1,681 nodes and 100 slices those are the larger
+        params, box = benchmark_params(), power_box()
+        grid = GridSpec(0.2, 1.0, 0.002, 40.0, 40.0, n_control=13)
+        h = PowerClampIntensity(h0=1.0, weights=(0.7, 0.3), alpha=1.0, h_min=0.05, h_max=1.0)
+        vg, peak = traced_peak(lambda: solve_power_value(grid, params, h, GAMMA, box))
+        fine, _, coarse = _quarter_lattice(box, params.L, grid.n_control)
+        nodes = grid.s_nodes().size * grid.p_nodes().size
+        product = coarse.size * nodes * 8
+        index = grid.n_slices * nodes * 4 + 80 * len(fine) * 4
+        assert vg.controls.shape == (100, 41, 41, 2)
+        assert peak < vg.f.nbytes + vg.controls.nbytes + product + index
+
     def test_price_free_hazard_grid_fills_every_node(self, tmp_path):
         # a constant hazard, and a clamp that pins every node at h_max, are
         # solved on one node; the grid shows that node, read-only, at every
@@ -661,6 +679,29 @@ class TestPowerStrategy:
         assert np.array_equal(got, want)
         assert strat.pre_default_queries == len(pre)
         assert strat.out_of_domain == len(beyond)
+
+    def test_one_node_grid_query_equals_its_copy_at_every_node_bit_for_bit(self):
+        # a grid held at one node, as the comparator's is: a query reads
+        # that node at every corner, with the weights of the per-node query.
+        # Random controls differ in every slice, so the slice read shows too
+        params, box = benchmark_params(), power_box()
+        grid = GridSpec(horizon=0.1, delta=1.5, dt=0.01, s_max=12.0, p_max=9.0, n_control=5)
+        shape = (grid.s_nodes().size, grid.p_nodes().size)
+        rng = np.random.default_rng(4)
+        node = rng.uniform(-1.0, 1.0, (grid.n_slices, 1, 1, 2))
+        f = np.ones((grid.n_slices + 1, *shape))
+        vg = ValueGrid(grid=grid, gamma=GAMMA, f=f,
+                       controls=np.broadcast_to(node, (grid.n_slices, *shape, 2)))
+        copied = ValueGrid(grid=grid, gamma=GAMMA, f=f, controls=np.array(vg.controls))
+        assert vg.controls.strides[1:3] == (0, 0) and copied.controls.strides[1:3] != (0, 0)
+        prices = rng.uniform(0.0, 1.2, (400, 2)) * [grid.s_max, grid.p_max]
+        states = (rng.uniform(size=(400, 2)) < 0.2).astype(np.uint8)
+        one, full = (PowerGridStrategy(g, params, box) for g in (vg, copied))
+        for t in (0.0, 0.034, 0.061, 0.0999):
+            got = one.allocations(t, np.ones(len(prices)), prices, states)
+            assert np.array_equal(got, full.allocations(t, np.ones(len(prices)), prices, states))
+        assert (one.pre_default_queries, one.out_of_domain) == \
+            (full.pre_default_queries, full.out_of_domain)
 
 
 class TestPowerParams:

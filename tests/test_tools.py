@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import mmap
 import subprocess
 import sys
 from pathlib import Path
@@ -71,13 +73,20 @@ def test_kt_replay_of_a_checkout_against_itself():
 
 
 def test_shipped_run_reads_the_peak_rss_of_its_child():
-    # a fresh interpreter has waited for no other child; its one child
-    # allocates a 64 MB block and writes a byte on every page of it
-    child = "b = bytearray(64 << 20); b[::4096] = bytes(len(range(0, 64 << 20, 4096)))"
-    parent = ("import subprocess, sys; sys.path.insert(0, sys.argv[1]); import shipped_run; "
-              "subprocess.run([sys.executable, '-c', sys.argv[2]], check=True); "
-              "print(shipped_run.child_peak_rss_mb())")
+    # a fresh interpreter has waited for no other child; its one child maps
+    # a 64 MB block in base pages, so that each page faults once whatever
+    # the huge-page policy, and writes a byte on every page of it
+    child = ("import mmap; m = mmap.mmap(-1, 64 << 20); m.madvise(mmap.MADV_NOHUGEPAGE); "
+             "m[::mmap.PAGESIZE] = bytes(len(range(0, 64 << 20, mmap.PAGESIZE)))")
+    parent = ("import json, subprocess, sys; sys.path.insert(0, sys.argv[1]); "
+              "import shipped_run; subprocess.run([sys.executable, '-c', sys.argv[2]], "
+              "check=True); print(json.dumps(shipped_run.child_usage()))")
     out = subprocess.run([sys.executable, "-c", parent, str(ROOT / "tools"), child],
                          check=True, capture_output=True, text=True).stdout
+    usage = json.loads(out)
+    assert sorted(usage) == ["minor_faults", "peak_rss_mb"]
     # the block plus the child interpreter's own few megabytes
-    assert 64.0 <= float(out) < 64.0 + 32.0
+    assert 64.0 <= usage["peak_rss_mb"] < 64.0 + 32.0
+    # one fault per page of the block, plus the interpreter's own, fewer
+    pages = (64 << 20) // mmap.PAGESIZE
+    assert pages <= usage["minor_faults"] < 2 * pages

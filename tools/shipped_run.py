@@ -2,7 +2,8 @@
 
     python3 tools/shipped_run.py CONFIG
     {"config": "power-benchmark", "calibration_s": [0.061, 0.063], "wall_time_s": 4.1,
-     "peak_rss_mb": 171.2, "sha256": "33e9afff...", "solver_health": {...}}
+     "peak_rss_mb": 171.2, "minor_faults": 61234, "sha256": "33e9afff...",
+     "solver_health": {...}}
 
 ``CONFIG`` names a shipped config (``src/contagionopt/configs/CONFIG.json``).
 The script times the calibration loop of ``tools/calibrate.py``, then runs
@@ -10,11 +11,14 @@ the config's experiment subcommand through the CLI of this checkout at
 10,000 paths, in a fresh interpreter with one BLAS thread, then times the
 calibration loop again.  It prints one JSON line: the two calibration times
 in run order, the manifest's ``wall_time_s``, the CLI run's peak resident
-memory ``peak_rss_mb``, the sha256 of the output table and the manifest's
-``solver_health``.  The peak is the high-water RSS of the one child process
-the script starts, read after it exits as ``ru_maxrss`` of
-``RUSAGE_CHILDREN`` (kilobytes on Linux) / 1024.  A run time is comparable
-with another only when their calibration times are close.
+memory ``peak_rss_mb`` and minor page faults ``minor_faults``, the sha256
+of the output table and the manifest's ``solver_health``.  Both are of the
+one child process the script starts, read after it exits from
+``RUSAGE_CHILDREN``: the peak is its high-water RSS, ``ru_maxrss``
+(kilobytes on Linux) / 1024, and the faults are its ``ru_minflt``, which
+counts the pages the allocator handed back and took again as well as those
+the run first touched.  A run time is comparable with another only when
+their calibration times are close.
 """
 
 from __future__ import annotations
@@ -48,10 +52,12 @@ def shipped_run(name: str) -> dict:
         return json.loads((Path(out) / "manifest.json").read_text())
 
 
-def child_peak_rss_mb() -> float:
-    """The largest high-water RSS, in MB, of the child processes that have
-    exited and been waited for (Linux gives ``ru_maxrss`` in kilobytes)."""
-    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+def child_usage() -> dict:
+    """``peak_rss_mb``, the largest high-water RSS in MB (Linux gives
+    ``ru_maxrss`` in kilobytes), and ``minor_faults``, the summed minor page
+    faults, of the child processes that have exited and been waited for."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return {"peak_rss_mb": round(usage.ru_maxrss / 1024, 1), "minor_faults": usage.ru_minflt}
 
 
 def main(argv=None):
@@ -64,7 +70,7 @@ def main(argv=None):
     (digest,) = manifest["outputs"].values()
     print(json.dumps({"config": args[0], "calibration_s": [round(before, 4), round(after, 4)],
                       "wall_time_s": manifest["wall_time_s"],
-                      "peak_rss_mb": round(child_peak_rss_mb(), 1),
+                      **child_usage(),
                       "sha256": digest.removeprefix("sha256:"),
                       "solver_health": manifest["solver_health"]}))
 
