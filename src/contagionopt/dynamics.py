@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import gzip
 import hashlib
+import io
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -424,13 +425,17 @@ def dump_paths_csv(bundle: PathBundle, x0: float, path: str):
     t_text = [f"{k * dt:.10g}" for k in range(cfg.n_steps + 1)]
     x_text = [f"{v:.10g}" for v in bank]
     with gzip.open(path, "wt", newline="", compresslevel=6) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path_id", "step", "t"] + [f"S_{i+1}" for i in range(n)]
-                        + ["z_bits", "X"])
+        csv.writer(fh).writerow(["path_id", "step", "t"] + [f"S_{i+1}" for i in range(n)]
+                                + ["z_bits", "X"])
         for p, steps in enumerate(bundle.default_step.tolist()):
             flips = {d + 1 for d in steps if d >= 0}
+            rows = []
             for k, row in enumerate(prices[p].tolist()):
                 if k == 0 or k in flips:
                     bits = "".join("1" if 0 <= d < k else "0" for d in steps)
-                writer.writerow([p, k, t_text[k], *(f"{v:.10g}" for v in row),
-                                 bits, x_text[k]])
+                rows.append([p, k, t_text[k], *(f"{v:.10g}" for v in row), bits, x_text[k]])
+            # a path's rows reach the file in one write: the csv writer
+            # calls its file's write once per row, also in writerows
+            text = io.StringIO(newline="")
+            csv.writer(text).writerows(rows)
+            fh.write(text.getvalue())

@@ -44,19 +44,22 @@ accepted when G stays within rounding of its value at the iterate, since
 G cannot resolve a Newton step's gain near the maximizer; the full step
 is tried on every row at once, and only the rows it fails halve their
 step.  The G of a row's accepted trial is its G at the next iterate, so G
-is evaluated at the iterate on the first iteration only.
+is evaluated at the iterate on the first iteration only, and the jump
+factors taken for that G are the next iterate's (taken again where the
+line search moved a row).
 
 Every iteration begins with one exit test, the only place a row leaves:
 a row leaves when its residual reaches the stationarity target, when its
 last step did not move it, or on the pass after ``_MAX_ITER`` steps.  The
-batch is filtered only on iterations where some row leaves.  A leaving
-row's gradient is the one the test just took at its final allocation, and
-its Newton iterations are the steps it took before it left.  The
-Kuhn-Tucker case, the multipliers and the residual are read from the
-final held set, the coordinates sitting at a bound with their gradient
-pointing out: a held coordinate's multiplier is its outward gradient, and
-the residual is the largest gradient of a free coordinate.  A row whose
-residual misses ``1e-8`` raises ``RuntimeError``.
+test reads the gradient only; the Hessian is formed after it, for the rows
+that stay.  The batch is filtered only on iterations where some row
+leaves.  A leaving row's gradient is the one the test just took at its
+final allocation, and its Newton iterations are the steps it took before
+it left.  The Kuhn-Tucker case, the multipliers and the residual are read
+from the final held set, the coordinates sitting at a bound with their
+gradient pointing out: a held coordinate's multiplier is its outward
+gradient, and the residual is the largest gradient of a free coordinate.
+A row whose residual misses ``1e-8`` raises ``RuntimeError``.
 
 After one default the problem collapses to one dimension and has the
 closed form
@@ -143,23 +146,26 @@ class LogControlProblem:
             raise ValueError(f"box violates the post-default floor (worst margin {worst:.4g})")
 
 
-def _g(c: TwoStockMarket, hS, hP, piS, piP):
-    """G values; both jump factors must be positive."""
-    d1, d2 = c.jumps(piS, piP)
-    return c.excess(piS, piP) - 0.5 * c.quad(piS, piP) + hS * np.log(d1) + hP * np.log(d2)
+def _g(c: TwoStockMarket, hS, hP, piS, piP, d):
+    """G values at allocations ``(piS, piP)`` whose jump factors are the
+    pair ``d``; both factors must be positive."""
+    return c.excess(piS, piP) - 0.5 * c.quad(piS, piP) + hS * np.log(d[0]) + hP * np.log(d[1])
 
 
-def _derivs(c: TwoStockMarket, hS, hP, piS, piP):
-    """Gradient ``(g_S, g_P)``, Hessian diagonal ``(H_SS, H_PP)`` and
-    off-diagonal ``H_SP`` at allocations ``(piS, piP)``, one array per
-    coordinate."""
-    d1, d2 = c.jumps(piS, piP)
-    r1, r2 = hS / d1, hP / d2
-    q1, q2 = r1 / d1, r2 / d2
+def _gradient(c: TwoStockMarket, hS, hP, piS, piP, d):
+    """Gradient ``(g_S, g_P)`` at allocations ``(piS, piP)`` whose jump
+    factors are the pair ``d``, and the pair ``r = (h_S / d_1, h_P / d_2)``
+    that :func:`_hessian` reads."""
+    r1, r2 = hS / d[0], hP / d[1]
     cov0, cov1 = c.cov_pi(piS, piP)
-    g = (c.t0 - cov0 - r1 - c.LS * r2, c.t1 - cov1 - c.LP * r1 - r2)
-    hdiag = (-c.S00 - q1 - c.LS**2 * q2, -c.S11 - c.LP**2 * q1 - q2)
-    return g, hdiag, -c.S01 - c.LP * q1 - c.LS * q2
+    return (c.t0 - cov0 - r1 - c.LS * r2, c.t1 - cov1 - c.LP * r1 - r2), (r1, r2)
+
+
+def _hessian(c: TwoStockMarket, r, d):
+    """Hessian diagonal ``(H_SS, H_PP)`` and off-diagonal ``H_SP`` from the
+    jump factors ``d`` and :func:`_gradient`'s ``r`` at the same allocations."""
+    q1, q2 = r[0] / d[0], r[1] / d[1]
+    return (-c.S00 - q1 - c.LS**2 * q2, -c.S11 - c.LP**2 * q1 - q2), -c.S01 - c.LP * q1 - c.LS * q2
 
 
 def _held(x, g, box: AdmissibleBox):
@@ -225,11 +231,14 @@ def solve_kt_batch(prob: LogControlProblem, hS, hP, start=None):
     # array per coordinate, iterates.  The exit test is the one place that
     # writes a leaving row's x, gradient and count; the last pass is the cap.
     rows, hs, hp, xa = np.arange(n), hS, hP, (x[:, 0].copy(), x[:, 1].copy())
+    d = c.jumps(*xa)  # the iterates' jump factors: then the accepted trials'
     g0 = None  # G at the iterates: taken on the first pass, then the accepted trials'
     inner = lo + _EPS_ACTIVE, hi - _EPS_ACTIVE
     stuck = False
     for it in range(_MAX_ITER + 1):
-        g, hd, hoff = _derivs(c, hs, hp, *xa)
+        # the exit test reads the gradient only; the Hessian is formed for
+        # the rows that stay
+        g, r = _gradient(c, hs, hp, *xa, d)
         # only a coordinate within eps_0 of a bound can be held or
         # epsilon-active; with none, every coordinate is free
         edge = rows.size > 0 and any(xj.min() <= a or xj.max() >= b
@@ -243,15 +252,19 @@ def solve_kt_batch(prob: LogControlProblem, hS, hP, start=None):
             _put_cols(grad, out, [a[done] for a in g])
             iters[out] = it
             keep = ~done
-            rows, hs, hp, hoff = (a[keep] for a in (rows, hs, hp, hoff))
-            xa, g, hd = ([a[keep] for a in pair] for pair in (xa, g, hd))
+            rows, hs, hp = (a[keep] for a in (rows, hs, hp))
+            # two pairs at a time: a pair's old arrays are freed as it is rebound
+            xa, g = ([a[keep] for a in pair] for pair in (xa, g))
+            r, d = ([a[keep] for a in pair] for pair in (r, d))
             g0 = None if g0 is None else g0[keep]
             del out, keep
         if rows.size == 0:
             break
         if g0 is None:
-            g0 = _g(c, hs, hp, *xa)
+            g0 = _g(c, hs, hp, *xa, d)
 
+        hd, hoff = _hessian(c, r, d)
+        del r, d
         det = hd[0] * hd[1] - hoff**2
         full = det > 0.0
         if edge:
@@ -275,7 +288,8 @@ def solve_kt_batch(prob: LogControlProblem, hS, hP, start=None):
         floor = g0 - _G_ROUNDING * (1.0 + np.abs(g0))
         # the full step is tried on every row; rows it fails halve their step
         new = [_clip(xj + sj, lj, uj) for xj, sj, lj, uj in zip(xa, step, lo, hi)]
-        gnew = _g(c, hs, hp, *new)
+        d = c.jumps(*new)
+        gnew = _g(c, hs, hp, *new, d)
         ok = gnew >= floor
         if not ok.all():
             search = np.flatnonzero(~ok)
@@ -284,7 +298,7 @@ def solve_kt_batch(prob: LogControlProblem, hS, hP, start=None):
             for _ in range(_MAX_HALVINGS - 1):
                 trial = [_clip(xj[search] + alpha * sj[search], lj, uj)
                          for xj, sj, lj, uj in zip(xa, step, lo, hi)]
-                gt = _g(c, hs[search], hp[search], *trial)
+                gt = _g(c, hs[search], hp[search], *trial, c.jumps(*trial))
                 ok = gt >= floor[search]
                 for nj, tj in zip(new, trial):
                     nj[search[ok]] = tj[ok]
@@ -293,13 +307,15 @@ def solve_kt_batch(prob: LogControlProblem, hS, hP, start=None):
                 if search.size == 0:
                     break
                 alpha *= 0.5
+            d = c.jumps(*new)  # the rows that searched moved elsewhere
         # a row that found no acceptable trial, or whose step no longer
         # moves it, has reached what rounding lets it resolve: it leaves at
         # the next exit test, before its G (a failed trial's when it found
         # none) is read
         stuck = (new[0] == xa[0]) & (new[1] == xa[1])
         xa, g0 = new, gnew
-        # only the iterates, their G and the stuck mask live into the next pass
+        # only the iterates, their jump factors and G and the stuck mask
+        # live into the next pass
         del new, gnew, step, floor, ok
 
     low, high, residual = _held(x.T, grad.T, box)

@@ -181,11 +181,13 @@ def _first_max(a: np.ndarray):
         a[full * _MAX_BLOCK:].max(axis=0, out=block_max[full])
     block = block_max.argmax(axis=0)
     cols = np.arange(c)
-    # a short last block is read as the last _MAX_BLOCK rows: the rows it
-    # borrows from the block before hold no maximum, as that block does not
-    start = np.minimum(block * _MAX_BLOCK, max(n - _MAX_BLOCK, 0))
-    rows = np.arange(min(_MAX_BLOCK, n))[:, None] * c + cols
-    return start + a.take(rows + start * c).argmax(axis=0), block_max.take(block * c + cols)
+    # window w of column j is a[w:w + width, j]; a short last block is read
+    # as the last window: the rows it borrows from the block before hold no
+    # maximum, as that block does not
+    width = min(_MAX_BLOCK, n)
+    start = np.minimum(block * _MAX_BLOCK, n - width)
+    windows = np.lib.stride_tricks.sliding_window_view(a, width, axis=0)
+    return start + windows[start, cols].argmax(axis=1), block_max[block, cols]
 
 
 def _pre_default_rates(intensity, s, p):
@@ -420,11 +422,14 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
     # factor ehd ev0 is positive while v is, so such a trial's value is -inf
     # (NaN if ehd underflows) and never strictly better
     feats[~admissible, 0] = -np.inf
-    # trial_of[o, q]: the quarter-lattice point that offset o reaches from q
+    # trial_of[o, q]: the quarter-lattice point that offset o reaches from q.
+    # The index tables are held in the narrowest unsigned type of a
+    # quarter-lattice index
     n_fine = 4 * grid.n_control - 3
-    qi, qj = np.divmod(np.arange(n_fine * n_fine, dtype=np.int32), n_fine)
+    index = np.min_scalar_type(n_fine * n_fine - 1)
+    qi, qj = np.divmod(np.arange(n_fine * n_fine), n_fine)
     offsets = [(a, b) for a in range(-4, 5) for b in range(-4, 5) if (a, b) != (0, 0)]
-    trial_of = np.empty((len(offsets), n_fine * n_fine), dtype=np.int32)
+    trial_of = np.empty((len(offsets), n_fine * n_fine), dtype=index)
     for row, (a, b) in zip(trial_of, offsets):
         row[:] = np.clip(qi + a, 0, n_fine - 1) * n_fine + np.clip(qj + b, 0, n_fine - 1)
 
@@ -433,7 +438,7 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
     f[n_slices] = 1.0
     # each slice's argmax as a quarter-lattice index; the controls are
     # gathered once the last slice's candidates are freed
-    chosen = np.empty((n_slices, ns * np_), dtype=np.int32)
+    chosen = np.empty((n_slices, ns * np_), dtype=index)
     v = np.ones((ns, np_))
 
     for k in range(n_slices - 1, -1, -1):

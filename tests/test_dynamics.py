@@ -714,10 +714,18 @@ class TestPathDump:
     def test_dump_equals_the_row_by_row_writer_byte_for_byte(self, tmp_path, params, rate):
         cfg = PathConfig(horizon=1.0, n_steps=20, n_paths=40, master_seed=17)
         bundle = simulate_paths(params, ConstantIntensity(rate), cfg, [100.0] * params.n)
-        down = (bundle.default_step >= 0).sum(axis=1)
-        assert (down == 0).any() and (down == 1).any()
+        # some path keeps every stock, each stock defaults alone on some
+        # path and, with two or more stocks, several default on another; a
+        # default in the first and in the last step flips a path's bits on
+        # the first row after step 0 and on the last row
+        down = bundle.default_step >= 0
+        count = down.sum(axis=1)
+        assert (count == 0).any()
+        assert all(((count == 1) & down[:, j]).any() for j in range(params.n))
         if params.n > 1:
-            assert (down >= 2).any()
+            assert (count >= 2).any()
+        assert (bundle.default_step == 0).any()
+        assert (bundle.default_step == cfg.n_steps - 1).any()
         out = tmp_path / "paths.csv.gz"
         dump_paths_csv(bundle, 100.0, str(out))
         with gzip.open(out, "rb") as fh:

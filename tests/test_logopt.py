@@ -66,7 +66,8 @@ def solve_one(prob, hS, hP):
 
 def g_value(prob, hS, hP, pi):
     """The solver's own G at one allocation."""
-    return float(logopt._g(prob.market, hS, hP, pi[0], pi[1]))
+    c = prob.market
+    return float(logopt._g(c, hS, hP, pi[0], pi[1], c.jumps(pi[0], pi[1])))
 
 
 def g_reference(prob, hS, hP, piS, piP):
@@ -435,7 +436,8 @@ class TestSolverPaths:
         monkeypatch.setattr(logopt, "_MAX_ITER", 3)
         x, case_id, mult, residual, iters = solve_kt_batch(prob, hS, hP, start)
         assert (iters == 3).sum() >= 10 and (iters < 3).any()
-        g = np.column_stack(logopt._derivs(prob.market, hS, hP, x[:, 0], x[:, 1])[0])
+        c, xs = prob.market, (x[:, 0], x[:, 1])
+        g = np.column_stack(logopt._gradient(c, hS, hP, *xs, c.jumps(*xs))[0])
         low = (x == prob.box.lower) & (g < 0.0)
         high = (x == prob.box.upper) & (g > 0.0)
         fresh = np.where(low | high, 0.0, np.abs(g)).max(axis=1)
@@ -447,23 +449,42 @@ class TestSolverPaths:
 
 
 def test_a_kt_pass_holds_only_the_arrays_the_loop_carries():
-    # between passes the loop carries eleven arrays of m numbers: x and the
-    # gradient (two columns each), the counts, the remaining rows' indices,
-    # their two hazards, the two iterate columns and G.  A pass adds one
-    # derivative call's working set, and the boolean masks add less than one
-    # more array.  A pass that held its Hessian diagonal and Newton
-    # numerators (four arrays) into the trial step would exceed the bound
+    # between passes the loop carries thirteen arrays of m numbers: x and
+    # the gradient (two columns each), the counts, the remaining rows'
+    # indices, their two hazards, the two iterate columns, their two jump
+    # factors and G.  A pass peaks while it forms the Hessian of the rows
+    # that stay: the gradient and r (four arrays), q (two), the Hessian
+    # diagonal (two) and the off-diagonal's expression (three at once), 24
+    # in all; the boolean masks add less than one more array.  A pass that
+    # held its Hessian diagonal and Newton numerators (four arrays) into the
+    # trial step would exceed the bound there
     prob = benchmark_problem()
     m = 4000
     prices = np.random.default_rng(21).uniform(40.0, 200.0, (m, 2))
     rates = prob.intensity.rates_matrix(np.zeros((m, 2), dtype=np.uint8), prices)
     hS, hP = rates[:, 0].copy(), rates[:, 1].copy()
-    x = (np.full(m, -0.4), np.full(m, -0.05))
-    _, derivs = traced_peak(lambda: logopt._derivs(prob.market, hS, hP, *x))
     out, peak = traced_peak(lambda: solve_kt_batch(prob, hS, hP))
     # rows leave on several passes, so the loop's filters run
     assert np.unique(out[4]).size >= 2 and out[4].max() >= 4
-    assert peak < derivs + 12 * 8 * m
+    assert peak < (13 + 4 + 2 + 2 + 3 + 1) * 8 * m
+
+
+def former_g(c, hS, hP, piS, piP):
+    """G as the former loop took it: the jump factors formed inside."""
+    d1, d2 = c.jumps(piS, piP)
+    return c.excess(piS, piP) - 0.5 * c.quad(piS, piP) + hS * np.log(d1) + hP * np.log(d2)
+
+
+def former_derivs(c, hS, hP, piS, piP):
+    """Gradient, Hessian diagonal and off-diagonal as the former loop took
+    them: every row of a pass, in one call."""
+    d1, d2 = c.jumps(piS, piP)
+    r1, r2 = hS / d1, hP / d2
+    q1, q2 = r1 / d1, r2 / d2
+    cov0, cov1 = c.cov_pi(piS, piP)
+    g = (c.t0 - cov0 - r1 - c.LS * r2, c.t1 - cov1 - c.LP * r1 - r2)
+    hdiag = (-c.S00 - q1 - c.LS**2 * q2, -c.S11 - c.LP**2 * q1 - q2)
+    return g, hdiag, -c.S01 - c.LP * q1 - c.LS * q2
 
 
 def former_solve_kt(prob, hS, hP, start=None):
@@ -487,7 +508,7 @@ def former_solve_kt(prob, hS, hP, start=None):
     rows, hs, hp, xa = np.arange(n), hS, hP, (x[:, 0], x[:, 1])
     stuck = False
     for it in range(logopt._MAX_ITER + 1):
-        g, hd, hoff = logopt._derivs(c, hs, hp, *xa)
+        g, hd, hoff = former_derivs(c, hs, hp, *xa)
         done = (stuck | ~(logopt._held(xa, g, box)[2] > logopt._GRAD_TOL)
                 | (it == logopt._MAX_ITER))
         if done.any():
@@ -509,10 +530,10 @@ def former_solve_kt(prob, hS, hP, start=None):
         full = ~(near[0] | near[1]) & (det > 0.0)
         np.divide(hoff * g[1] - hd[1] * g[0], det, out=step[0], where=full)
         np.divide(hoff * g[0] - hd[0] * g[1], det, out=step[1], where=full)
-        g0 = logopt._g(c, hs, hp, *xa)
+        g0 = former_g(c, hs, hp, *xa)
         floor = g0 - logopt._G_ROUNDING * (1.0 + np.abs(g0))
         new = [logopt._clip(xj + sj, lj, uj) for xj, sj, lj, uj in zip(xa, step, lo, hi)]
-        ok = logopt._g(c, hs, hp, *new) >= floor
+        ok = former_g(c, hs, hp, *new) >= floor
         if not ok.all():
             search = np.flatnonzero(~ok)
             for nj, xj in zip(new, xa):
@@ -521,7 +542,7 @@ def former_solve_kt(prob, hS, hP, start=None):
             for _ in range(logopt._MAX_HALVINGS - 1):
                 trial = [logopt._clip(xj[search] + alpha * sj[search], lj, uj)
                          for xj, sj, lj, uj in zip(xa, step, lo, hi)]
-                ok = logopt._g(c, hs[search], hp[search], *trial) >= floor[search]
+                ok = former_g(c, hs[search], hp[search], *trial) >= floor[search]
                 for nj, tj in zip(new, trial):
                     nj[search[ok]] = tj[ok]
                 search = search[~ok]

@@ -309,15 +309,28 @@ class TestFirstMax:
             assert np.array_equal(idx, np.argmax(a, axis=0))
             assert np.array_equal(val, np.max(a, axis=0))
         assert _first_max(ties)[0].tolist() == [2, b - 1, b + 4, 2 * b + 1]
+        # fewer rows than a block: one window covers each whole column
+        short = np.zeros((b - 3, 4))
+        short[[1, b - 4], 0] = 1.0           # first and last row tie
+        short[b - 4, 1] = 1.0                # the last row alone
+        short[[0, 5], 2] = -1.0              # the other rows tie at 0
+        short[3, 3], short[7, 3] = 0.5, 2.0  # after an earlier, smaller peak
+        for a in (short, short[:1], short[:2, ::-1]):
+            idx, val = _first_max(a)
+            assert np.array_equal(idx, np.argmax(a, axis=0))
+            assert np.array_equal(val, np.max(a, axis=0))
+        assert _first_max(short)[0].tolist() == [1, b - 4, 1, 7]
 
 
 class TestSolvePowerValue:
     def test_slice_loop_equals_the_former_loop_bit_for_bit(self):
         # a price-dependent hazard and the flat grid of a constant one at
         # rho = +-0.1, on the full box and on a box whose post-default floor
-        # 0.5 holds the optimum; in all but one case the walk moves some
-        # control.  169 coarse points fill several row blocks and a short
-        # last one
+        # 0.5 holds the optimum.  At n_control 13 the walk moves some
+        # control in all but one case, and 169 coarse points fill several
+        # row blocks and a short last one; at n_control 3, 9 coarse points
+        # make one window shorter than a block, and the 81 quarter-lattice
+        # points are indexed in uint8
         floor = AdmissibleBox(lower=[0.0, 0.0], upper=[0.3, 1.0], eps_a=0.5)
         cases = [(power_box(), PowerClampIntensity(h0=1.0, weights=(0.7, 0.3), alpha=1.0,
                                                    h_min=0.05, h_max=1.0)),
@@ -325,8 +338,8 @@ class TestSolvePowerValue:
                                              h_min=0.01, h_max=1.0)),
                  (power_box(), ConstantIntensity([0.02, 0.06])),
                  (floor, ConstantIntensity(0.03))]
-        grid = GridSpec(0.03, 1.0, 0.005, 6.0, 6.0, n_control=13)
-        for (box, h), rho in itertools.product(cases, (-0.1, 0.1)):
+        grids = [GridSpec(0.03, 1.0, 0.005, 6.0, 6.0, n_control=n) for n in (13, 3)]
+        for grid, (box, h), rho in itertools.product(grids, cases, (-0.1, 0.1)):
             params = MarketParams.two_stock(0.05, 0.10, 0.15, 0.30, 0.40, rho, 0.2, 0.3)
             vg = solve_power_value(grid, params, h, GAMMA, box)
             f, controls = former_solve(grid, params, h, GAMMA, box)
@@ -521,20 +534,24 @@ class TestSolvePowerValue:
 
     def test_solve_never_holds_its_controls_beside_a_candidate_product(self):
         # the traced peak stays under the two outputs, one slice's coarse
-        # candidate product and the index tables (an int32 argmax per slice
-        # and node, the walk's int32 trial table).  A solve that wrote float
+        # candidate product and the index tables (an argmax per slice and
+        # node, the walk's trial table), each at its own itemsize: 2 bytes
+        # for the 1,089 quarter-lattice points.  A solve that wrote float
         # controls slice by slice would hold them beside every product and
-        # exceed the bound by a slice's node factors and argmax blocks less
-        # the int32 argmax; at 1,681 nodes and 100 slices those are the larger
+        # exceed the bound by a slice's node factors and argmax windows less
+        # the argmax table; at 1,681 nodes and 100 slices those are the
+        # larger.  A solve that held its index tables in int32 would exceed
+        # it too: with 72 coarse points the product is small beside them
         params, box = benchmark_params(), power_box()
-        grid = GridSpec(0.2, 1.0, 0.002, 40.0, 40.0, n_control=13)
+        grid = GridSpec(0.2, 1.0, 0.002, 40.0, 40.0, n_control=9)
         h = PowerClampIntensity(h0=1.0, weights=(0.7, 0.3), alpha=1.0, h_min=0.05, h_max=1.0)
         vg, peak = traced_peak(lambda: solve_power_value(grid, params, h, GAMMA, box))
         fine, _, coarse = _quarter_lattice(box, params.L, grid.n_control)
         nodes = grid.s_nodes().size * grid.p_nodes().size
         product = coarse.size * nodes * 8
-        index = grid.n_slices * nodes * 4 + 80 * len(fine) * 4
-        assert vg.controls.shape == (100, 41, 41, 2)
+        itemsize = np.min_scalar_type(len(fine) - 1).itemsize
+        index = (grid.n_slices * nodes + 80 * len(fine)) * itemsize
+        assert vg.controls.shape == (100, 41, 41, 2) and itemsize == 2
         assert peak < vg.f.nbytes + vg.controls.nbytes + product + index
 
     def test_price_free_hazard_grid_fills_every_node(self, tmp_path):

@@ -72,6 +72,17 @@ def test_kt_replay_of_a_checkout_against_itself():
     assert got["this_s"] > 0.0 and got["other_s"] > 0.0
 
 
+def test_dp_replay_of_a_checkout_against_itself(monkeypatch):
+    # dp_replay imports kt_replay from its own directory, as a script does
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    # n_control 3: 81 quarter-lattice points, indexed in uint8
+    got = _tool("dp_replay").replay(ROOT, horizon=0.004, rounds=3, n_control=3,
+                                    s_max=20.0, p_max=20.0)
+    assert got["f_identical"] is True and got["controls_identical"] is True
+    assert got["slices"] == 2 and got["rounds"] == 3 and 0 <= got["wins"] <= 3
+    assert got["this_s"] > 0.0 and got["other_s"] > 0.0
+
+
 def test_shipped_run_reads_the_peak_rss_of_its_child():
     # a fresh interpreter has waited for no other child; its one child maps
     # a 64 MB block in base pages, so that each page faults once whatever

@@ -67,15 +67,16 @@ def capture(name: str, n_paths: int = N_PATHS, n_steps: int = N_STEPS):
     return problem, batches
 
 
-def load_other(checkout) -> object:
-    """``logopt.py`` of the checkout at ``checkout``, as a module of its own
-    that imports the rest of the package from this checkout."""
-    path = Path(checkout) / "src" / "contagionopt" / "logopt.py"
-    spec = importlib.util.spec_from_file_location("kt_replay_other_logopt", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
+def load_other(checkout, module: str = "logopt") -> object:
+    """``module``'s file (``logopt.py`` by default) of the checkout at
+    ``checkout``, as a module of its own that imports the rest of the
+    package from this checkout."""
+    path = Path(checkout) / "src" / "contagionopt" / f"{module}.py"
+    spec = importlib.util.spec_from_file_location(f"replay_other_{module}", path)
+    loaded = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = loaded  # dataclasses look their module up here
+    spec.loader.exec_module(loaded)
+    return loaded
 
 
 def _seconds(solve, problem, batches) -> float:
