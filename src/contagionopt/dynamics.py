@@ -37,7 +37,6 @@ __all__ = [
     "PathConfig",
     "PathBundle",
     "Strategy",
-    "ConstantAllocation",
     "simulate_paths",
     "evolve_wealth",
     "dump_paths_csv",
@@ -143,11 +142,12 @@ class PathBundle:
 class Strategy(ABC):
     """Total mapping (t, x, prices, default state) -> allocation vector.
 
-    Outputs must lie in the strategy's admissible box, keep every
-    post-default wealth fraction at or above ``eps_a``, and be zero for
-    defaulted stocks.  A strategy may not write into the market arrays it
-    is handed: ``prices`` (a step replayed by
-    :meth:`PathBundle.price_steps`, fresh each step) and ``states`` (the
+    Every strategy must carry an admissible box, ``box``, with one
+    coordinate per stock.  Outputs must lie in it, keep every post-default
+    wealth fraction at or above its ``eps_a``, and be zero for defaulted
+    stocks; :func:`evolve_wealth` checks each step's.  A strategy may not
+    write into the market arrays it is handed: ``prices`` (a step replayed
+    by :meth:`PathBundle.price_steps`, fresh each step) and ``states`` (the
     replay's running default state) are read-only, so a write raises
     ``ValueError``.  A strategy may update its own state, such as the
     solver-health counters of the log and power strategies.
@@ -157,7 +157,7 @@ class Strategy(ABC):
     query is a batch of rows; a single path is a batch of one.
     """
 
-    box: AdmissibleBox | None = None
+    box: AdmissibleBox
 
     @abstractmethod
     def allocations(self, t: float, x: np.ndarray, prices: np.ndarray,
@@ -172,17 +172,6 @@ class Strategy(ABC):
         first).  A strategy may start a search from it; by default it is
         ignored."""
         return self.allocations(t, x, prices, states)
-
-
-class ConstantAllocation(Strategy):
-    """Fixed allocation, masked to zero on defaulted stocks."""
-
-    def __init__(self, pi, box: AdmissibleBox | None = None):
-        self.pi = np.atleast_1d(np.asarray(pi, dtype=float))
-        self.box = box
-
-    def allocations(self, t, x, prices, states):
-        return self.pi[None, :] * (1 - states)
 
 
 def _draws(cfg: PathConfig, n: int, clocks: np.ndarray):
@@ -335,19 +324,18 @@ def _simulate(params: MarketParams, intensity, cfg: PathConfig, s0, draws,
 
 
 def _admissibility_error(pi: np.ndarray, states: np.ndarray, L: np.ndarray,
-                         box: AdmissibleBox | None, step: int) -> str | None:
+                         box: AdmissibleBox, step: int) -> str | None:
     if not np.all(np.isfinite(pi)):
         return f"strategy returned non-finite allocation at step {step}"
     if np.any((states == 1) & (pi != 0.0)):
         return f"strategy allocated to a defaulted stock at step {step}"
     factors = jump_factors(L, pi)
-    floor = box.eps_a if box is not None else 0.0
-    if factors.min() < floor - 1e-9:
+    if factors.min() < box.eps_a - 1e-9:
         bad = np.unravel_index(int(factors.argmin()), factors.shape)
         return (f"strategy violates the post-default floor at step {step}: "
                 f"path {bad[0]}, column {bad[1]}, factor {factors[bad]:.6g}")
-    if box is not None and any(col.min() < lo - 1e-9 or col.max() > hi + 1e-9
-                               for col, lo, hi in zip(pi.T, box.lower, box.upper)):
+    if any(col.min() < lo - 1e-9 or col.max() > hi + 1e-9
+           for col, lo, hi in zip(pi.T, box.lower, box.upper)):
         return f"strategy left the admissible box at step {step}"
     return None
 

@@ -110,21 +110,6 @@ class MarketParams:
         """Lower Cholesky factor of ``rho`` (for correlating Gaussians)."""
         return np.linalg.cholesky(self.rho)
 
-    @classmethod
-    def two_stock(cls, r, mu_s, mu_p, sigma_s, sigma_p, rho, loss_s, loss_p) -> "MarketParams":
-        """Two-stock market (stocks S and P).
-
-        ``loss_s`` is the fractional loss of S when P defaults and
-        ``loss_p`` the loss of P when S defaults.
-        """
-        return cls(
-            r=r,
-            mu=np.array([mu_s, mu_p]),
-            sigma=np.array([sigma_s, sigma_p]),
-            rho=np.array([[1.0, rho], [rho, 1.0]]),
-            L=np.array([[1.0, loss_s], [loss_p, 1.0]]),
-        )
-
 
 def _own_first_weights(weights: np.ndarray, n: int) -> np.ndarray:
     """Per-stock weight matrix: row i gives weights[0] to stock i and

@@ -42,6 +42,7 @@ positive volatilities.  The jump factors come from the n-stock
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from numbers import Real
 
@@ -425,7 +426,7 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
     # trial_of[o, q]: the quarter-lattice point that offset o reaches from q.
     # The index tables are held in the narrowest unsigned type of a
     # quarter-lattice index
-    n_fine = 4 * grid.n_control - 3
+    n_fine = math.isqrt(len(fine))
     index = np.min_scalar_type(n_fine * n_fine - 1)
     qi, qj = np.divmod(np.arange(n_fine * n_fine), n_fine)
     offsets = [(a, b) for a in range(-4, 5) for b in range(-4, 5) if (a, b) != (0, 0)]
@@ -548,14 +549,10 @@ class PowerGridStrategy(Strategy):
         self.pre_default_queries += int(np.count_nonzero(pre))
         self.out_of_domain += int(np.count_nonzero(pre & ((s > grid.s_max) | (p > grid.p_max))))
         node, weights = self._cells(s, p)
-        if self.controls.strides[1:3] == (0, 0):
-            # a grid held at one node: every corner reads node (0, 0)
-            flat, node, shifts = self.controls[k, 0, 0], 0, (0, 0, 0, 0)
-        else:
-            # control c at corner (i + a, j + b) sits at flat index
-            # node + 2 (a np + b) + c: a take of node from the slice shifted by that
-            np_ = self.controls.shape[2]
-            flat, shifts = self.controls[k].reshape(-1), (0, 2 * np_, 2, 2 * np_ + 2)
+        # control c at corner (i + a, j + b) sits at flat index
+        # node + 2 (a np + b) + c: a take of node from the slice shifted by that
+        np_ = self.controls.shape[2]
+        flat, shifts = self.controls[k].reshape(-1), (0, 2 * np_, 2, 2 * np_ + 2)
         out = np.empty(prices.shape)
         for c in range(2):
             # summed corner by corner in place, in the order (i, j), (i+1, j),

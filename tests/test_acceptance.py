@@ -9,12 +9,13 @@ import time
 import numpy as np
 import pytest
 
-from contagionopt.dynamics import ConstantAllocation, PathConfig, evolve_wealth, simulate_paths
+from contagionopt.dynamics import PathConfig, evolve_wealth, simulate_paths
 from contagionopt.experiments import builtin_config, config_from_dict, run_comparison, run_crisis, run_sweep
 from contagionopt.logopt import LogStrategy, single_survivor_formula
 from contagionopt.model import AdmissibleBox, ConstantIntensity, MarketParams
 from contagionopt.powergrid import GridSpec, control_lattice, solve_power_value
 
+from helpers import ConstantAllocation
 from test_dynamics import one_row
 from test_experiments import base_doc
 from test_logopt import g_reference, random_problem, solve_one

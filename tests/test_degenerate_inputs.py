@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from contagionopt.dynamics import ConstantAllocation, PathConfig, evolve_wealth, simulate_paths
+from contagionopt.dynamics import PathConfig, evolve_wealth, simulate_paths
 from contagionopt.experiments import (builtin_config, builtin_config_names, config_from_dict,
                                       load_config)
 from contagionopt.logopt import LogControlProblem, solve_kt_batch
@@ -25,6 +25,7 @@ from contagionopt.model import (
 )
 from contagionopt.powergrid import GridSpec, ValueGrid, solve_power_value
 
+from helpers import ConstantAllocation, two_stock
 from test_experiments import base_doc, power_doc
 from test_model import benchmark_intensity, benchmark_params
 
@@ -104,21 +105,17 @@ CASES = [
     ("rho-asymmetric", lambda tmp: MarketParams(0.05, [0.1, 0.1], [0.3, 0.3],
                                                 [[1.0, 0.2], [0.1, 1.0]], np.eye(2)),
      ValueError, "rho must be symmetric with unit diagonal"),
-    ("market-r-nan", lambda tmp: MarketParams.two_stock(np.nan, 0.1, 0.15, 0.3, 0.4, 0.0, 0.2, 0.3),
+    ("market-r-nan", lambda tmp: two_stock(np.nan, 0.1, 0.15, 0.3, 0.4, 0.0, 0.2, 0.3),
      ValueError, "r must be finite"),
-    ("market-r-inf", lambda tmp: MarketParams.two_stock(np.inf, 0.1, 0.15, 0.3, 0.4, 0.0, 0.2, 0.3),
+    ("market-r-inf", lambda tmp: two_stock(np.inf, 0.1, 0.15, 0.3, 0.4, 0.0, 0.2, 0.3),
      ValueError, "r must be finite"),
-    ("market-mu-inf", lambda tmp: MarketParams.two_stock(0.05, np.inf, 0.15, 0.3, 0.4, 0.0, 0.2,
-                                                         0.3),
+    ("market-mu-inf", lambda tmp: two_stock(0.05, np.inf, 0.15, 0.3, 0.4, 0.0, 0.2, 0.3),
      ValueError, "mu must be finite"),
-    ("market-sigma-inf", lambda tmp: MarketParams.two_stock(0.05, 0.1, 0.15, np.inf, 0.4, 0.0,
-                                                            0.2, 0.3),
+    ("market-sigma-inf", lambda tmp: two_stock(0.05, 0.1, 0.15, np.inf, 0.4, 0.0, 0.2, 0.3),
      ValueError, "sigma must be finite"),
-    ("market-rho-nan", lambda tmp: MarketParams.two_stock(0.05, 0.1, 0.15, 0.3, 0.4, np.nan, 0.2,
-                                                          0.3),
+    ("market-rho-nan", lambda tmp: two_stock(0.05, 0.1, 0.15, 0.3, 0.4, np.nan, 0.2, 0.3),
      ValueError, "rho must be finite"),
-    ("market-loss-nan", lambda tmp: MarketParams.two_stock(0.05, 0.1, 0.15, 0.3, 0.4, 0.0, np.nan,
-                                                           0.3),
+    ("market-loss-nan", lambda tmp: two_stock(0.05, 0.1, 0.15, 0.3, 0.4, 0.0, np.nan, 0.3),
      ValueError, "L must be finite"),
     ("loss-diagonal", lambda tmp: MarketParams(0.05, [0.1, 0.1], [0.3, 0.3], np.eye(2),
                                                [[0.9, 0.2], [0.3, 1.0]]),

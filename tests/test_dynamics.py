@@ -10,7 +10,6 @@ import pytest
 
 from contagionopt.dynamics import (
     _BLOCK,
-    ConstantAllocation,
     PathConfig,
     Strategy,
     _simulate_worlds,
@@ -27,6 +26,7 @@ from contagionopt.model import (
     jump_factors,
 )
 
+from helpers import ConstantAllocation, two_stock
 from test_model import benchmark_intensity, benchmark_params
 
 ZERO_H = ConstantIntensity(0.0)
@@ -95,8 +95,8 @@ def three_stock_params():
 
 class TestSimulatePaths:
     def test_deterministic_drift_no_hazard(self):
-        params = MarketParams.two_stock(r=0.05, mu_s=0.05, mu_p=0.05, sigma_s=0.0,
-                                        sigma_p=0.0, rho=0.0, loss_s=0.2, loss_p=0.3)
+        params = two_stock(r=0.05, mu_s=0.05, mu_p=0.05, sigma_s=0.0,
+                           sigma_p=0.0, rho=0.0, loss_s=0.2, loss_p=0.3)
         cfg = PathConfig(horizon=1.0, n_steps=100, n_paths=16, master_seed=1)
         bundle = simulate_paths(params, ZERO_H, cfg, [100.0, 100.0])
         assert not bundle.default_mask().any()
@@ -221,7 +221,7 @@ class TestSimulatePaths:
 
     def test_rejects_bad_rho(self):
         with pytest.raises(ValueError):
-            MarketParams.two_stock(0.05, 0.1, 0.15, 0.3, 0.4, 1.0 + 1e-9, 0.2, 0.3)
+            two_stock(0.05, 0.1, 0.15, 0.3, 0.4, 1.0 + 1e-9, 0.2, 0.3)
 
     def test_each_path_draws_its_own_philox_stream(self):
         # path i's clocks are the first n exponentials of the Philox
@@ -601,8 +601,8 @@ class TestEvolveWealth:
         # default and then P's each multiply wealth by about -5e-10, so the
         # terminal wealth is positive while the wealth after S's default is
         # negative.  One path, which sees S default and then P
-        params = MarketParams.two_stock(r=0.05, mu_s=0.10, mu_p=0.15, sigma_s=0.30,
-                                        sigma_p=0.40, rho=0.0, loss_s=0.0, loss_p=0.2)
+        params = two_stock(r=0.05, mu_s=0.10, mu_p=0.15, sigma_s=0.30,
+                           sigma_p=0.40, rho=0.0, loss_s=0.0, loss_p=0.2)
         a = 1.0 + 5e-10
         pi = np.array([a - 0.2 * a, a])
         before, after = jump_factors(params.L, pi)[0], jump_factors(params.L, [0.0, a])[1]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from contagionopt import logopt
 from contagionopt.dynamics import PathConfig, Strategy, evolve_wealth, simulate_paths
 from contagionopt.logopt import (
+    _CASE_OF_SIDES,
     CASE_NAMES,
     LogControlProblem,
     LogStrategy,
@@ -17,6 +18,7 @@ from contagionopt.logopt import (
 )
 from contagionopt.model import AdmissibleBox, ConstantIntensity, MarketParams, validate_box
 
+from helpers import two_stock
 from test_dynamics import one_row, price_history, state_bits, traced_peak, wealth_paths
 from test_model import benchmark_intensity, benchmark_params
 
@@ -35,8 +37,7 @@ def random_problem(rng, with_zero_hazard=False):
     sigma = rng.uniform(0.15, 0.6, size=2)
     rho = rng.uniform(-0.6, 0.6)
     loss_s, loss_p = rng.uniform(0.0, 0.6, size=2)
-    params = MarketParams.two_stock(r, mu[0], mu[1], sigma[0], sigma[1],
-                                    rho, loss_s, loss_p)
+    params = two_stock(r, mu[0], mu[1], sigma[0], sigma[1], rho, loss_s, loss_p)
     lower = rng.uniform(-2.0, -0.2, size=2)
     upper = rng.uniform(0.1, 0.9, size=2)
     box = AdmissibleBox(lower=lower, upper=upper, eps_a=0.01)
@@ -120,7 +121,7 @@ class TestPreDefaultControl:
         assert sol.pi[1] == pytest.approx(0.10 / 0.16, abs=1e-10)
 
     def test_symmetric_problem_gives_symmetric_control(self):
-        params = MarketParams.two_stock(0.04, 0.11, 0.11, 0.35, 0.35, 0.2, 0.25, 0.25)
+        params = two_stock(0.04, 0.11, 0.11, 0.35, 0.35, 0.2, 0.25, 0.25)
         prob = LogControlProblem(params=params, intensity=ConstantIntensity(0.0),
                                  box=AdmissibleBox([-1.5, -1.5], [0.6, 0.6]))
         sol = solve_one(prob, 0.3, 0.3)
@@ -157,7 +158,7 @@ class TestPreDefaultControl:
 
         # an edge solution that an enumeration of the nine KT cases with a
         # separate 1-D Newton per edge missed
-        params = MarketParams.two_stock(
+        params = two_stock(
             0.013946156958952025, -0.013871287193438978, 0.05383877038014553,
             0.16813716119192837, 0.5858446762350805, -0.07268364703676788,
             0.21016068270669555, 0.5572990166623726)
@@ -199,7 +200,7 @@ class TestPreDefaultControl:
 
     def test_zero_volatility_rejected(self):
         for sigma, name in (((0.0, 0.4), "S"), ((0.3, 0.0), "P")):
-            params = MarketParams.two_stock(0.05, 0.10, 0.15, *sigma, 0.0, 0.2, 0.3)
+            params = two_stock(0.05, 0.10, 0.15, *sigma, 0.0, 0.2, 0.3)
             with pytest.raises(ValueError, match=f"stock {name} has volatility 0; "):
                 LogControlProblem(params=params, intensity=ConstantIntensity(0.1),
                                   box=AdmissibleBox([-1.0, -1.0], [0.5, 0.5]))
@@ -595,7 +596,7 @@ def kt_loop_batches():
     inside = upper - rng.uniform(1e-4, 9e-4, size=(12, 2))
     inside[::3, 1] = star[1] - 0.1
     batches.append((prob, hS, hP, inside))
-    params = MarketParams.two_stock(0.02, 0.8, 1.1, 0.25, 0.3, 0.2, 0.3, 0.2)
+    params = two_stock(0.02, 0.8, 1.1, 0.25, 0.3, 0.2, 0.3, 0.2)
     u = 0.999 * (1.0 - 1e-3) / 1.3
     prob = LogControlProblem(params, ConstantIntensity(0.0),
                              AdmissibleBox(lower=[-2.0, -2.0], upper=[u, u], eps_a=1e-3))
@@ -707,3 +708,86 @@ class TestWarmStart:
             == pre - cfg.n_paths + 1
         assert warm.kt_newton_iters["total"] < cold.kt_newton_iters["total"]
         assert 0 < warm.kt_newton_iters["max"] <= logopt._MAX_ITER
+
+
+@st.composite
+def mirror_cases(draw):
+    """A market and box drawn field by field, the box's upper corner shrunk
+    as in :func:`random_problem` until it is admissible, and a batch of
+    hazard pairs in [0, 2)^2."""
+    r = draw(st.floats(0.0, 0.06))
+    mu = [draw(st.floats(-0.05, 0.25)) for _ in "SP"]
+    sigma = [draw(st.floats(0.1, 0.8)) for _ in "SP"]
+    rho = draw(st.floats(-0.8, 0.8))
+    loss = [draw(st.floats(0.0, 0.9)) for _ in "SP"]
+    params = two_stock(r, *mu, *sigma, rho, *loss)
+    lower = np.array([draw(st.floats(-2.0, -0.2)) for _ in "SP"])
+    upper = np.array([draw(st.floats(0.1, 0.9)) for _ in "SP"])
+    while validate_box(AdmissibleBox(lower, upper), params) < 0.0:
+        upper = 0.85 * upper
+    hazard = st.floats(0.0, 2.0, exclude_max=True)
+    pairs = np.array(draw(st.lists(st.tuples(hazard, hazard), min_size=1, max_size=32)))
+    prob = LogControlProblem(params, ConstantIntensity(0.0), AdmissibleBox(lower, upper))
+    return prob, pairs[:, 0], pairs[:, 1]
+
+
+def mirrored(prob):
+    """``prob`` with the stocks named the other way round: S is P and P is S."""
+    p, box = prob.params, prob.box
+    params = MarketParams(r=p.r, mu=p.mu[::-1], sigma=p.sigma[::-1], rho=p.rho[::-1, ::-1],
+                          L=p.L[::-1, ::-1])
+    return LogControlProblem(params, prob.intensity,
+                             AdmissibleBox(box.lower[::-1], box.upper[::-1], box.eps_a))
+
+
+def mirror_rounding(prob, hS, hP, pi):
+    """Largest gap, row by row, that rounding leaves between the controls
+    ``pi`` and those of the mirrored problem.
+
+    Both solves take the same Newton steps in exact arithmetic; they differ
+    only in the order of the terms of each sum.  A gradient component is
+    built by seven roundings, each of at most half an ulp of a term: of
+    ``theta``, the two ``Sigma pi`` products, and ``r = h / d`` and
+    ``L r``, where ``r`` also carries the rounding of the jump factor ``d``
+    (three terms of at most ``a = 1 + |pi_S| + L |pi_P|``, relative
+    ``a / d``).  So the two gradients differ by at most ``7 eps G``, with
+    ``G`` the largest sum of those terms, rounded up to ``8 eps G``; the
+    step maps that through the inverse Hessian, whose norm is
+    ``1 / lambda``, the smallest eigenvalue of ``-H``; and each side adds
+    its step to ``pi`` with half an ulp of ``|pi|``."""
+    c = prob.market
+    piS, piP = pi.T
+    d = c.jumps(piS, piP)
+    r = hS / d[0], hP / d[1]
+    a = 1.0 + np.abs(piS) + c.LP * np.abs(piP), 1.0 + c.LS * np.abs(piS) + np.abs(piP)
+    rs = [rj * (1.0 + aj / dj) for rj, aj, dj in zip(r, a, d)]
+    G = np.maximum(abs(c.t0) + c.S00 * np.abs(piS) + np.abs(c.S01 * piP) + rs[0] + c.LS * rs[1],
+                   abs(c.t1) + np.abs(c.S01 * piS) + c.S11 * np.abs(piP) + c.LP * rs[0] + rs[1])
+    q = r[0] / d[0], r[1] / d[1]
+    hss = c.S00 + q[0] + c.LS**2 * q[1]
+    hpp = c.S11 + c.LP**2 * q[0] + q[1]
+    hsp = c.S01 + c.LP * q[0] + c.LS * q[1]
+    lam = 0.5 * (hss + hpp) - np.sqrt(0.25 * (hss - hpp) ** 2 + hsp**2)
+    eps = np.finfo(float).eps
+    return eps * (8.0 * G / lam + np.maximum(np.abs(piS), np.abs(piP)))
+
+
+class TestStockExchange:
+    """Naming the stocks the other way round poses the same problem."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(mirror_cases())
+    def test_swapping_the_stocks_swaps_the_controls(self, case):
+        prob, hS, hP = case
+        pi, cases, _, _, iters = solve_kt_batch(prob, hS, hP)
+        twin, twin_cases, _, _, twin_iters = solve_kt_batch(mirrored(prob), hP, hS)
+        assert np.all(np.abs(twin[:, ::-1] - pi).max(axis=1) <= mirror_rounding(prob, hS, hP, pi))
+        # a case names the held side of (pi_S, pi_P); mirrored, of (pi_P, pi_S)
+        swap_case, held = np.empty(9, dtype=int), np.empty(9, dtype=int)
+        swap_case[_CASE_OF_SIDES] = _CASE_OF_SIDES.T
+        held[_CASE_OF_SIDES] = (np.indices((3, 3)) > 0).sum(axis=0)
+        assert np.array_equal(twin_cases, swap_case[cases])
+        # the same passes, except that a step landing within rounding of a
+        # bound is clipped onto it on one side and one pass later on the
+        # other: at most one pass per held coordinate
+        assert np.all(np.abs(twin_iters - iters) <= held[cases])

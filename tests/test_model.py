@@ -13,10 +13,12 @@ from contagionopt.model import (
     validate_box,
 )
 
+from helpers import two_stock
+
 
 def benchmark_params():
-    return MarketParams.two_stock(r=0.05, mu_s=0.10, mu_p=0.15, sigma_s=0.30,
-                                  sigma_p=0.40, rho=0.0, loss_s=0.20, loss_p=0.30)
+    return two_stock(r=0.05, mu_s=0.10, mu_p=0.15, sigma_s=0.30,
+                     sigma_p=0.40, rho=0.0, loss_s=0.20, loss_p=0.30)
 
 
 def benchmark_intensity():
@@ -36,11 +38,11 @@ class TestMarketParams:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            MarketParams.two_stock(0.05, 0.1, 0.15, -0.3, 0.4, 0.0, 0.2, 0.3)
+            two_stock(0.05, 0.1, 0.15, -0.3, 0.4, 0.0, 0.2, 0.3)
         with pytest.raises(ValueError):
-            MarketParams.two_stock(0.05, 0.1, 0.15, 0.3, 0.4, 1.2, 0.2, 0.3)
+            two_stock(0.05, 0.1, 0.15, 0.3, 0.4, 1.2, 0.2, 0.3)
         with pytest.raises(ValueError):
-            MarketParams.two_stock(0.05, 0.1, 0.15, 0.3, 0.4, 0.0, 1.0, 0.3)
+            two_stock(0.05, 0.1, 0.15, 0.3, 0.4, 0.0, 1.0, 0.3)
 
 
 def rate(model, stock, bits, prices):

@@ -7,7 +7,6 @@ from contagionopt.logopt import LogControlProblem, solve_kt_batch
 from contagionopt.model import (
     AdmissibleBox,
     ConstantIntensity,
-    MarketParams,
     PowerClampIntensity,
     TwoStockMarket,
 )
@@ -33,6 +32,7 @@ from contagionopt.powergrid import (
     _quarter_lattice,
 )
 
+from helpers import two_stock
 from test_dynamics import one_row, traced_peak
 from test_model import benchmark_intensity, benchmark_params
 
@@ -66,7 +66,7 @@ class TestClosedForms:
         assert g1(1.0, 1.0, benchmark_params(), GAMMA) == 1.0
 
     def test_g1_zero_exponent(self):
-        params = MarketParams.two_stock(0.0, 0.0, 0.15, 0.3, 0.4, 0.0, 0.2, 0.3)
+        params = two_stock(0.0, 0.0, 0.15, 0.3, 0.4, 0.0, 0.2, 0.3)
         for t in (0.0, 0.25, 0.9):
             assert g1(t, 1.0, params, GAMMA) == 1.0
 
@@ -78,7 +78,7 @@ class TestClosedForms:
         assert got == pytest.approx(1.03965, abs=5e-6)
 
     def test_merton_power_zero_premium(self):
-        params = MarketParams.two_stock(0.05, 0.05, 0.15, 0.3, 0.4, 0.0, 0.2, 0.3)
+        params = two_stock(0.05, 0.05, 0.15, 0.3, 0.4, 0.0, 0.2, 0.3)
         assert merton_power_control(params, GAMMA, -1.0, 1.0) == 0.0
 
     def test_merton_power_recovers_log_control_as_gamma_vanishes(self):
@@ -97,7 +97,7 @@ class TestTransitionProbs:
         return GridSpec(horizon=1.0, delta=5.0, dt=0.1, s_max=100.0, p_max=100.0)
 
     def test_hand_derived_nine_formulas(self):
-        params = MarketParams.two_stock(0.10, 0.10, 0.15, 0.30, 0.40, 0.25, 0.2, 0.3)
+        params = two_stock(0.10, 0.10, 0.15, 0.30, 0.40, 0.25, 0.2, 0.3)
         # independent re-derivation, term by term
         s, p, piS, piP, dt, dl, gamma = 10.0, 5.0, 0.3, -0.2, 0.1, 5.0, 0.5
         m_pi = 0.30 * piS + 0.25 * 0.40 * piP
@@ -130,7 +130,7 @@ class TestTransitionProbs:
         # with correlation the side moves stay nonnegative only while the
         # prices are within a factor 7.5 of each other, so those draws start at 3
         for rho, lo in ((0.0, 0.0), (-0.1, 3.0), (0.1, 3.0)):
-            params = MarketParams.two_stock(0.05, 0.10, 0.15, 0.30, 0.40, rho, 0.2, 0.3)
+            params = two_stock(0.05, 0.10, 0.15, 0.30, 0.40, rho, 0.2, 0.3)
             s = rng.uniform(lo, 20.0, 5000)
             p = rng.uniform(lo, 20.0, 5000)
             piS = rng.uniform(-1.0, 1.0, 5000)
@@ -179,7 +179,7 @@ class TestTransitionProbs:
         # check fails.  With rho != 0 the side moves stay nonnegative only
         # while the prices are within a factor 7.5 of each other, as on
         # [0, 6]^2 with delta 1
-        params = MarketParams.two_stock(0.05, 0.10, 0.15, 0.30, 0.40, rho, 0.2, 0.3)
+        params = two_stock(0.05, 0.10, 0.15, 0.30, 0.40, rho, 0.2, 0.3)
         box = power_box()
 
         def grid(dt):
@@ -213,7 +213,7 @@ class TestDiscountAndSource:
         assert float(g) == 0.0
 
     def test_zero_allocation_symmetric_stocks(self):
-        params = MarketParams.two_stock(0.05, 0.10, 0.10, 0.30, 0.30, 0.0, 0.2, 0.2)
+        params = two_stock(0.05, 0.10, 0.10, 0.30, 0.30, 0.0, 0.2, 0.2)
         h = ConstantIntensity(0.3)
         _, beta, g = scheme(10.0, 10.0, (0.0, 0.0), self.grid(), params, GAMMA, h, t=0.4)
         assert float(beta) == pytest.approx(-0.05 * GAMMA + 0.6, rel=1e-13, abs=0)
@@ -340,7 +340,7 @@ class TestSolvePowerValue:
                  (floor, ConstantIntensity(0.03))]
         grids = [GridSpec(0.03, 1.0, 0.005, 6.0, 6.0, n_control=n) for n in (13, 3)]
         for grid, (box, h), rho in itertools.product(grids, cases, (-0.1, 0.1)):
-            params = MarketParams.two_stock(0.05, 0.10, 0.15, 0.30, 0.40, rho, 0.2, 0.3)
+            params = two_stock(0.05, 0.10, 0.15, 0.30, 0.40, rho, 0.2, 0.3)
             vg = solve_power_value(grid, params, h, GAMMA, box)
             f, controls = former_solve(grid, params, h, GAMMA, box)
             assert np.array_equal(vg.f, f)
@@ -373,7 +373,7 @@ class TestSolvePowerValue:
             assert np.ptp(vg.f[k]) <= 1e-12 * want
 
     def test_single_active_stock_recovers_merton(self):
-        params = MarketParams.two_stock(0.05, 0.10, 0.15, 0.40, 0.40, 0.0, 0.2, 0.3)
+        params = two_stock(0.05, 0.10, 0.15, 0.40, 0.40, 0.0, 0.2, 0.3)
         box = AdmissibleBox(lower=[-1.0, 0.0], upper=[1.0, 0.0], eps_a=0.01)
         grid = GridSpec(horizon=1.0, delta=1.0, dt=0.01, s_max=12.0, p_max=12.0,
                         n_control=41)
@@ -430,7 +430,7 @@ class TestSolvePowerValue:
         grid = GridSpec(0.01, 1.0, 0.005, 6.0, 6.0, n_control=9)
         s_nodes, p_nodes = grid.s_nodes(), grid.p_nodes()
         for (box, h), rho in itertools.product(cases, (-0.1, 0.1)):
-            params = MarketParams.two_stock(0.05, 0.10, 0.15, 0.30, 0.40, rho, 0.2, 0.3)
+            params = two_stock(0.05, 0.10, 0.15, 0.30, 0.40, rho, 0.2, 0.3)
             vg = solve_power_value(grid, params, h, GAMMA, box)
             lattice = control_lattice(box, params.L, grid.n_control)
             quarter = (box.upper - box.lower) / (grid.n_control - 1) / 4
@@ -479,7 +479,7 @@ class TestSolvePowerValue:
         # would *upgrade* the investor (the post-default factor drops the
         # survivor's own hazard) never defaults.  Scaling the hazard up
         # then only brings the loss-making jump closer.
-        params = MarketParams.two_stock(0.05, 0.10, 0.05, 0.40, 0.40, 0.0, 0.0, 0.3)
+        params = two_stock(0.05, 0.10, 0.05, 0.40, 0.40, 0.0, 0.0, 0.3)
         box = AdmissibleBox(lower=[0.0, 0.0], upper=[0.8, 0.0], eps_a=0.01)
         grid = GridSpec(horizon=0.5, delta=1.0, dt=0.01, s_max=10.0, p_max=10.0,
                         n_control=13)
@@ -492,7 +492,7 @@ class TestSolvePowerValue:
         # the qualitative claim above is not universal: with shorting
         # allowed the default jump factor exceeds one, so hazard becomes a
         # harvestable premium and the value factor rises with it
-        params = MarketParams.two_stock(0.05, 0.09, 0.10, 0.40, 0.45, 0.0, 0.2, 0.3)
+        params = two_stock(0.05, 0.09, 0.10, 0.40, 0.45, 0.0, 0.2, 0.3)
         box = power_box()
         grid = GridSpec(horizon=0.5, delta=1.0, dt=0.01, s_max=10.0, p_max=10.0,
                         n_control=13)
@@ -736,7 +736,7 @@ class TestPowerParams:
         vg = solve_power_value(grid, benchmark_params(), benchmark_intensity(), GAMMA,
                                power_box())
         for sigma, name in (((0.0, 0.4), "S"), ((0.3, 0.0), "P")):
-            params = MarketParams.two_stock(0.05, 0.10, 0.15, *sigma, 0.0, 0.2, 0.3)
+            params = two_stock(0.05, 0.10, 0.15, *sigma, 0.0, 0.2, 0.3)
             with pytest.raises(ValueError, match=f"stock {name} has volatility 0; "):
                 solve_power_value(grid, params, benchmark_intensity(), GAMMA, power_box())
             with pytest.raises(ValueError, match=f"stock {name} has volatility 0; "):

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import copy
 import json
-import statistics
 import sys
-import time
+from functools import partial
 
 # importing kt_replay sets one BLAS thread in os.environ and puts this
 # checkout's src on the path
-from kt_replay import load_other
+from kt_replay import alternate, load_other
 
 import numpy as np
 
@@ -55,17 +54,8 @@ def replay(other_checkout, horizon: float = HORIZON, rounds: int = ROUNDS, **gri
     args = problem(horizon, **grid)
     solvers = (powergrid.solve_power_value,
                load_other(other_checkout, "powergrid").solve_power_value)
-    times, grids = ([], []), [None, None]
-    for k in range(rounds):
-        for side in ((0, 1) if k % 2 == 0 else (1, 0)):
-            start = time.perf_counter()
-            vg = solvers[side](*args)
-            times[side].append(time.perf_counter() - start)
-            grids[side] = vg
-    this_s, other_s = (statistics.median(t) for t in times)
-    return {"config": CONFIG, "horizon": horizon, "slices": args[0].n_slices,
-            "rounds": rounds, "this_s": round(this_s, 4), "other_s": round(other_s, 4),
-            "ratio": round(this_s / other_s, 3), "wins": sum(a < b for a, b in zip(*times)),
+    grids, timing = alternate([partial(solve, *args) for solve in solvers], rounds)
+    return {"config": CONFIG, "horizon": horizon, "slices": args[0].n_slices, **timing,
             "f_identical": bool(np.array_equal(grids[0].f, grids[1].f)),
             "controls_identical": bool(np.array_equal(grids[0].controls, grids[1].controls))}
 

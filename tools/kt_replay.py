@@ -27,6 +27,7 @@ import os
 import statistics
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -79,11 +80,28 @@ def load_other(checkout, module: str = "logopt") -> object:
     return loaded
 
 
-def _seconds(solve, problem, batches) -> float:
-    start = time.perf_counter()
+def alternate(calls, rounds: int):
+    """Run the two ``calls`` once each per round, one after the other, the
+    first alternating by round.  Returns each call's last result and the
+    timing fields: ``rounds``; ``this_s`` and ``other_s``, the medians of
+    the two calls' times; ``ratio``, ``this_s / other_s``; and ``wins``,
+    the rounds the first call took less time."""
+    times, results = ([], []), [None, None]
+    for k in range(rounds):
+        for side in ((0, 1) if k % 2 == 0 else (1, 0)):
+            start = time.perf_counter()
+            out = calls[side]()
+            times[side].append(time.perf_counter() - start)
+            results[side] = out
+    this_s, other_s = (statistics.median(t) for t in times)
+    return results, {"rounds": rounds, "this_s": round(this_s, 4), "other_s": round(other_s, 4),
+                     "ratio": round(this_s / other_s, 3),
+                     "wins": sum(a < b for a, b in zip(*times))}
+
+
+def _solve_all(solve, problem, batches):
     for batch in batches:
         solve(problem, *batch)
-    return time.perf_counter() - start
 
 
 def replay(other_checkout, name: str = "benchmark-inferred", n_paths: int = N_PATHS,
@@ -95,15 +113,10 @@ def replay(other_checkout, name: str = "benchmark-inferred", n_paths: int = N_PA
     identical = all(
         all(np.array_equal(a, b) for a, b in zip(*(solve(problem, *batch) for solve in solvers)))
         for batch in batches)
-    times = ([], [])
-    for k in range(rounds):
-        for side in ((0, 1) if k % 2 == 0 else (1, 0)):
-            times[side].append(_seconds(solvers[side], problem, batches))
-    this_s, other_s = (statistics.median(t) for t in times)
+    _, timing = alternate([partial(_solve_all, solve, problem, batches) for solve in solvers],
+                          rounds)
     return {"config": name, "batches": len(batches), "rows": sum(b[0].size for b in batches),
-            "rounds": rounds, "this_s": round(this_s, 4), "other_s": round(other_s, 4),
-            "ratio": round(this_s / other_s, 3),
-            "wins": sum(a < b for a, b in zip(*times)), "identical": identical}
+            **timing, "identical": identical}
 
 
 def main(argv=None):
