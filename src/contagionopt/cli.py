@@ -2,7 +2,8 @@
 
 Every subcommand takes a JSON experiment config (``--config PATH`` or a
 shipped ``--builtin NAME``); ``--seed`` and ``--paths`` override the
-document, and ``--out`` names the output directory.  The experiment
+document, and a subcommand that writes (``solve-power`` and the experiment
+subcommands) takes ``--out``, the output directory.  The experiment
 subcommands come from :data:`~contagionopt.experiments.KINDS`, one per
 kind, named after it, with its runner's first docstring line as help; each
 runs only configs of its own kind.
@@ -16,7 +17,7 @@ import sys
 
 import numpy as np
 
-from contagionopt.dynamics import dump_paths_csv, simulate_paths
+from contagionopt.dynamics import simulate_paths
 from contagionopt.experiments import (KINDS, ComparisonResult, builtin_config,
                                       builtin_config_names, load_config)
 from contagionopt.logopt import CASE_NAMES, LogControlProblem, LogStrategy, solve_kt_batch
@@ -29,7 +30,6 @@ def _add_common(sub):
     group.add_argument("--builtin", help="name of a shipped config; see list-configs")
     sub.add_argument("--seed", type=int, help="override the master seed")
     sub.add_argument("--paths", type=int, help="override the path count")
-    sub.add_argument("--out", help="output directory for CSV tables and the manifest")
 
 
 def _load(args):
@@ -43,11 +43,6 @@ def _cmd_simulate(args):
     bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0)
     frac = bundle.default_mask().mean()
     print(f"simulated {cfg.paths.n_paths} paths, default fraction {frac:.4f}")
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        target = os.path.join(args.out, "paths.csv.gz")
-        dump_paths_csv(bundle, cfg.x0, target)
-        print(f"wrote {target}")
 
 
 def _cmd_solve_log(args):
@@ -125,11 +120,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-power", help="solve the power-utility value grid")
     _add_common(p)
+    p.add_argument("--out", help="output directory for the value grid")
     p.set_defaults(func=_cmd_solve_power)
 
     for name, kind in KINDS.items():
         p = sub.add_parser(name, help=kind.runner.__doc__.splitlines()[0])
         _add_common(p)
+        p.add_argument("--out", help="output directory for the CSV table and the manifest")
         p.set_defaults(func=_cmd_run)
         if "grid" in kind.keys:
             p.add_argument("--grid", help="reuse a saved value grid (npz) for the active side")

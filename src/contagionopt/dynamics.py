@@ -22,10 +22,7 @@ whatever the path count or block partition of the run.
 
 from __future__ import annotations
 
-import csv
-import gzip
 import hashlib
-import io
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -39,7 +36,6 @@ __all__ = [
     "Strategy",
     "simulate_paths",
     "evolve_wealth",
-    "dump_paths_csv",
 ]
 
 # paths draw their random numbers in fixed-size blocks, which bounds the raw
@@ -394,36 +390,3 @@ def evolve_wealth(bundle: PathBundle, strategies, x0: float) -> list:
             wealth[s], pis[s] = x, pi
     return wealth
 
-
-def dump_paths_csv(bundle: PathBundle, x0: float, path: str):
-    """Write per-step rows ``path_id, step, t, S_1..S_n, z_bits, X`` as
-    gzip-compressed CSV (level 6); the prices are the replayed
-    :meth:`PathBundle.price_steps`, and ``X`` is the bank account from
-    ``x0`` on every path, equal bit for bit to :func:`evolve_wealth` at a
-    zero allocation."""
-    n = bundle.params.n
-    cfg = bundle.cfg
-    dt = cfg.dt
-    bank = np.cumprod(np.concatenate(([x0], np.exp(np.full(cfg.n_steps, bundle.params.r * dt)))))
-    prices = np.empty((bundle.n_paths, cfg.n_steps + 1, n))
-    for k, (step, _, _) in enumerate(bundle.price_steps()):
-        prices[:, k] = step
-    # t and X depend on the step only, and a path's state bits change only
-    # at the step after each of its defaults
-    t_text = [f"{k * dt:.10g}" for k in range(cfg.n_steps + 1)]
-    x_text = [f"{v:.10g}" for v in bank]
-    with gzip.open(path, "wt", newline="", compresslevel=6) as fh:
-        csv.writer(fh).writerow(["path_id", "step", "t"] + [f"S_{i+1}" for i in range(n)]
-                                + ["z_bits", "X"])
-        for p, steps in enumerate(bundle.default_step.tolist()):
-            flips = {d + 1 for d in steps if d >= 0}
-            rows = []
-            for k, row in enumerate(prices[p].tolist()):
-                if k == 0 or k in flips:
-                    bits = "".join("1" if 0 <= d < k else "0" for d in steps)
-                rows.append([p, k, t_text[k], *(f"{v:.10g}" for v in row), bits, x_text[k]])
-            # a path's rows reach the file in one write: the csv writer
-            # calls its file's write once per row, also in writerows
-            text = io.StringIO(newline="")
-            csv.writer(text).writerows(rows)
-            fh.write(text.getvalue())

@@ -43,7 +43,8 @@ from numbers import Real
 
 import numpy as np
 
-from contagionopt.dynamics import PathConfig, _simulate_worlds, evolve_wealth, simulate_paths
+from contagionopt.dynamics import (PathConfig, _admissibility_error, _simulate_worlds,
+                                   evolve_wealth, simulate_paths)
 from contagionopt.logopt import CASE_NAMES, LogControlProblem, LogStrategy
 from contagionopt.model import (
     AdmissibleBox,
@@ -427,17 +428,23 @@ def run_power_comparison(cfg: ExperimentConfig, out_dir: str | None = None,
     the price-dependent hazard; the passive one from a grid solved with
     the constant comparator.  Grids are solved from the config unless
     supplied; a supplied grid must have been solved for the config's
-    ``gamma`` and grid, or ``ValueError`` is raised.  A grid solved here is
-    freed, but for its controls, before the paths are simulated; a supplied
-    grid stays the caller's, unchanged.
+    ``gamma`` and grid, with controls that pass the evolve's admissibility
+    check in ``cfg.box`` before any default, or ``ValueError`` is raised.  A
+    grid solved here is freed, but for its controls, before the paths are
+    simulated; a supplied grid stays the caller's, unchanged.
     """
     _require_kind(cfg, "power-compare")
     t0 = time.perf_counter()
     gamma = cfg.gamma
-    for vg in (value_grid, value_grid_const):
+    alive = np.zeros((1, 2), dtype=np.uint8)
+    for side, vg in (("active", value_grid), ("passive", value_grid_const)):
         if vg is not None and (vg.gamma != gamma or vg.grid != cfg.grid):
             raise ValueError(f"value grid solved for gamma {vg.gamma} on {vg.grid} does not "
                              f"match the config's gamma {gamma} on {cfg.grid}")
+        # a slice at a time: reshaping a one-node grid's broadcast view copies it
+        for k, pi in enumerate(() if vg is None else vg.controls):
+            if error := _admissibility_error(pi.reshape(-1, 2), alive, cfg.market.L, cfg.box, k):
+                raise ValueError(f"{side} value grid (slices as steps, nodes as paths): {error}")
 
     def strategy(vg, intensity):
         # no name keeps a grid solved here, so its f is freed on return

@@ -1,8 +1,13 @@
+import argparse
 import ast
 import importlib
+import inspect
+import textwrap
 from pathlib import Path
 
 import pytest
+
+from contagionopt import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ["contagionopt"] + [f"contagionopt.{name}" for name in (
@@ -35,3 +40,22 @@ def test_every_all_entry_is_read_outside_the_tests(name):
     # a public name that only tests read belongs in a test helper
     read = code_references()
     assert [entry for entry in importlib.import_module(name).__all__ if entry not in read] == []
+
+
+def args_read(func) -> set:
+    """The attributes that ``func`` reads from its ``args``."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+
+
+def test_every_cli_option_is_read_by_its_command():
+    # an option that its command never reads is accepted and does nothing
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    loaded = args_read(cli._load)
+    unread = [(name, action.dest) for name, parser in sub.choices.items()
+              for action in parser._actions
+              if not isinstance(action, argparse._HelpAction)
+              and action.dest not in args_read(parser.get_default("func")) | loaded]
+    assert unread == []

@@ -1,7 +1,4 @@
-import csv
-import gzip
 import hashlib
-import io
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -13,7 +10,6 @@ from contagionopt.dynamics import (
     PathConfig,
     Strategy,
     _simulate_worlds,
-    dump_paths_csv,
     evolve_wealth,
     simulate_paths,
 )
@@ -394,6 +390,8 @@ class TestPriceReplay:
                 assert step.tobytes() == witness.seen[k].tobytes(), k
             # the replay's default state and the step's defaults, from default_step
             assert states.tobytes() == bits[:, k].tobytes(), k
+            # a state bit is 1 exactly where the price is 0
+            assert np.array_equal(states == 1, step == 0.0), k
             assert np.array_equal(np.column_stack([p, j]),
                                   np.argwhere(bundle.default_step == k)), k
             kept.append((step, step.copy()))
@@ -478,8 +476,10 @@ class TestEvolveWealth:
         params = benchmark_params()
         cfg = PathConfig(horizon=1.0, n_steps=250, n_paths=200, master_seed=7)
         bundle = simulate_paths(params, benchmark_intensity(), cfg, [100.0, 100.0])
-        wealth = evolve_wealth(bundle, [ConstantAllocation([0.0, 0.0])], x0=100.0)[0]
-        target = 100.0 * np.exp(params.r * 1.0)
+        # x0 e^{rt} at every step, defaults or not
+        wealth = wealth_paths(bundle, ConstantAllocation([0.0, 0.0]), x0=100.0)
+        target = 100.0 * np.exp(params.r * cfg.dt * np.arange(cfg.n_steps + 1))
+        assert bundle.default_mask().any()
         assert np.allclose(wealth, target, rtol=1e-12)
 
     def test_fully_invested_deterministic_single_stock(self):
@@ -675,75 +675,3 @@ class TestEstimateLogValue:
                                    [100.0, 100.0], x0=200.0)
         assert m2 - m1 == pytest.approx(np.log(2.0), abs=1e-12)
 
-
-class TestPathDump:
-    def test_csv_roundtrip_columns(self, tmp_path):
-        params = benchmark_params()
-        cfg = PathConfig(horizon=1.0, n_steps=20, n_paths=30, master_seed=16)
-        bundle = simulate_paths(params, ConstantIntensity(1.5), cfg, [100.0, 100.0])
-        out = tmp_path / "paths.csv.gz"
-        dump_paths_csv(bundle, 100.0, str(out))
-        with gzip.open(out, "rt") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["path_id", "step", "t", "S_1", "S_2", "z_bits", "X"]
-        # rows run path by path, step by step
-        body = rows[1:]
-        steps = cfg.n_steps + 1
-        assert [(int(r[0]), int(r[1])) for r in body] == \
-            [(p, k) for p in range(cfg.n_paths) for k in range(steps)]
-        assert body[0][2] == "0" and body[-1][2] == "1"
-        prices = np.array([[float(v) for v in r[3:5]] for r in body])
-        assert np.allclose(prices, price_history(bundle).reshape(-1, 2), rtol=1e-9, atol=0.0)
-        # a bit is 1 exactly where the price is exactly 0
-        bits = np.array([[int(b) for b in r[5]] for r in body])
-        assert np.array_equal(bits == 1, prices == 0.0)
-        assert 0 < bits.sum() < bits.size
-        # X is the bank account: the same on every path, and x0 e^{rt} to
-        # every printed digit
-        X = np.array([r[6] for r in body]).reshape(cfg.n_paths, steps)
-        assert np.all(X == X[0])
-        t = np.arange(steps) * cfg.dt
-        assert list(X[0]) == [f"{v:.10g}" for v in 100.0 * np.exp(params.r * t)]
-        # ... and the wealth of a zero allocation, to the printed digits
-        zero = wealth_paths(bundle, ConstantAllocation([0.0, 0.0]), 100.0)
-        assert [r[6] for r in body] == [f"{v:.10g}" for v in zero.ravel()]
-
-    @pytest.mark.parametrize("params, rate", [(single_stock(), 1.0), (benchmark_params(), 0.8),
-                                              (three_stock_params(), 0.8)],
-                             ids=["one-stock", "two-stocks", "three-stocks"])
-    def test_dump_equals_the_row_by_row_writer_byte_for_byte(self, tmp_path, params, rate):
-        cfg = PathConfig(horizon=1.0, n_steps=20, n_paths=40, master_seed=17)
-        bundle = simulate_paths(params, ConstantIntensity(rate), cfg, [100.0] * params.n)
-        # some path keeps every stock, each stock defaults alone on some
-        # path and, with two or more stocks, several default on another; a
-        # default in the first and in the last step flips a path's bits on
-        # the first row after step 0 and on the last row
-        down = bundle.default_step >= 0
-        count = down.sum(axis=1)
-        assert (count == 0).any()
-        assert all(((count == 1) & down[:, j]).any() for j in range(params.n))
-        if params.n > 1:
-            assert (count >= 2).any()
-        assert (bundle.default_step == 0).any()
-        assert (bundle.default_step == cfg.n_steps - 1).any()
-        out = tmp_path / "paths.csv.gz"
-        dump_paths_csv(bundle, 100.0, str(out))
-        with gzip.open(out, "rb") as fh:
-            assert fh.read() == former_dump_text(bundle, 100.0).encode()
-
-
-def former_dump_text(bundle, x0):
-    """The text ``dump_paths_csv`` wrote when it formatted every field of
-    every row and rebuilt each row's state bits."""
-    n, dt, steps = bundle.params.n, bundle.cfg.dt, bundle.cfg.n_steps
-    bank = np.cumprod(np.concatenate(([x0], np.exp(np.full(steps, bundle.params.r * dt)))))
-    prices = price_history(bundle)
-    fh = io.StringIO(newline="")
-    writer = csv.writer(fh)
-    writer.writerow(["path_id", "step", "t"] + [f"S_{i+1}" for i in range(n)] + ["z_bits", "X"])
-    for p, row_steps in enumerate(bundle.default_step.tolist()):
-        for k in range(steps + 1):
-            bits = "".join("1" if 0 <= d < k else "0" for d in row_steps)
-            writer.writerow([p, k, f"{k * dt:.10g}"] + [f"{v:.10g}" for v in prices[p, k]]
-                            + [bits, f"{bank[k]:.10g}"])
-    return fh.getvalue()

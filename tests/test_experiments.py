@@ -1,6 +1,4 @@
 import copy
-import csv
-import gzip
 import hashlib
 import json
 import weakref
@@ -751,18 +749,21 @@ class TestCLI:
         assert err == (f"contagionopt {command}: error: config {config!r} is a "
                        f"{kind!r} experiment, not {command!r}\n")
 
-    def test_simulate_writes_one_row_per_path_step(self, tmp_path, capsys):
-        cli_main(["simulate", "--builtin", "benchmark-inferred", "--paths", "3",
-                  "--out", str(tmp_path)])
-        target = tmp_path / "paths.csv.gz"
-        out = capsys.readouterr().out.splitlines()
-        assert len(out) == 2 and out[0].startswith("simulated 3 paths, default fraction ")
-        assert out[1] == f"wrote {target}"
-        with gzip.open(target, "rt", newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["path_id", "step", "t", "S_1", "S_2", "z_bits", "X"]
-        n_steps = builtin_config("benchmark-inferred").paths.n_steps
-        assert len(rows) - 1 == 3 * (n_steps + 1)
+    def test_simulate_prints_one_line(self, capsys):
+        cli_main(["simulate", "--builtin", "benchmark-inferred", "--paths", "200"])
+        cfg = builtin_config("benchmark-inferred", n_paths=200)
+        bundle = simulate_paths(cfg.market, cfg.intensity, cfg.paths, cfg.s0)
+        assert capsys.readouterr().out == (
+            f"simulated 200 paths, default fraction {bundle.default_mask().mean():.4f}\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "solve-log"])
+    def test_out_only_where_the_command_writes(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--builtin", "benchmark-inferred", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --out" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_solve_power_prints_and_saves_its_grid(self, tmp_path, capsys):
         doc = power_doc(n_paths=50)
@@ -927,3 +928,39 @@ class TestCLI:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"contagionopt power-compare: error: value grid {target}: {needle}\n"
+
+    @pytest.mark.parametrize("flag, side", [("--grid", "active"), ("--grid-const", "passive")])
+    @pytest.mark.parametrize("case, needle", [
+        ("above-box", "strategy violates the post-default floor at step 0: path 0, column 0"),
+        ("below-box", "strategy left the admissible box at step 0"),
+        ("nan-at-a-corner", "strategy returned non-finite allocation at step 199"),
+    ], ids=["above-box", "below-box", "nan-at-a-corner"])
+    def test_inadmissible_value_grid_is_one_line(self, tmp_path, capsys, monkeypatch, flag,
+                                                 side, case, needle):
+        # a grid fails before any path is simulated, with one NaN node as well
+        doc = power_doc(n_paths=50)
+        cfg = config_from_dict(doc)
+        grid = cfg.grid
+        nodes = (grid.s_nodes().size, grid.p_nodes().size)
+        controls = np.zeros((grid.n_slices, *nodes, 2))
+        if case == "above-box":
+            controls += cfg.box.upper + 5.0
+        if case == "below-box":
+            controls[..., 0] = cfg.box.lower[0] - 0.5
+        if case == "nan-at-a-corner":
+            controls[-1, -1, -1] = np.nan
+        target = tmp_path / "grid.npz"
+        ValueGrid(grid=grid, gamma=cfg.gamma, f=np.ones((grid.n_slices + 1, *nodes)),
+                  controls=controls).save(str(target))
+        config = tmp_path / "power.json"
+        config.write_text(json.dumps(doc))
+        simulated = []
+        monkeypatch.setattr(experiments, "simulate_paths", lambda *args: simulated.append(args))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["power-compare", "--config", str(config), flag, str(target)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and simulated == []
+        assert err.startswith(f"contagionopt power-compare: error: {side} value grid "
+                              "(slices as steps, nodes as paths): strategy ")
+        assert err.count("\n") == 1 and needle in err
