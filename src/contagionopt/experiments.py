@@ -2,7 +2,8 @@
 
 Experiments are described by a JSON document with sections ``market``,
 ``intensity``, ``utility``, ``box``, ``paths``, ``experiment`` and, for
-the power utility, ``grid``.  The runners reproduce the statistical
+the power utility, ``grid``, beside which it may hold only ``name`` and
+``provenance``.  The runners reproduce the statistical
 comparisons of active (price-dependent hazard) versus passive (constant
 proxy hazard) strategies, the robustness sweeps, the depressed-initial-
 price crisis comparison, and the power-utility comparison.
@@ -16,8 +17,8 @@ rejected.  The ``market`` (besides ``s0``), ``box``, ``paths``, ``grid``
 and ``experiment`` sections and each sweep entry map onto their dataclass
 fields by name (:func:`~contagionopt.model.from_section`): a field with a
 default may be left out, an unknown or missing key raises ``ValueError``
-naming it, and so does a value that is not the integer or number its
-field takes; ``utility`` holds ``kind`` and, for the power
+naming it, and so does a value that is not the integer, number or string
+its field takes; ``utility`` holds ``kind`` and, for the power
 utility only, a ``gamma`` in (0, 1).  A sweep entry's ``set`` is a
 partial config document, such as ``{"market": {"mu": [0.12, 0.15]}}``:
 its ``market`` and ``intensity`` keys (but ``s0``) replace the document's
@@ -82,7 +83,8 @@ SWEEP_MODES = ("misspecified-investor", "perturbed-world")
 
 _NUMERIC = ("market", "intensity")  # the sections a sweep entry sets
 _NUMBERS = (*_NUMERIC, "box")  # sections whose values, but ``family``, are numbers
-_SECTIONS = (*_NUMBERS, "utility", "paths", "grid", "experiment", "set")
+_DOCUMENT = (*_NUMBERS, "utility", "paths", "grid", "experiment")  # a document's sections
+_SECTIONS = (*_DOCUMENT, "set")
 
 
 @dataclass(frozen=True)
@@ -146,6 +148,8 @@ def _market_from_dict(m: dict) -> tuple[MarketParams, np.ndarray]:
     params = from_section(MarketParams, fields, "market")
     if s0.shape != (params.n,):
         raise ValueError("s0 length must match mu")
+    if not np.all(s0 > 0.0):
+        raise ValueError(f"market.s0 must be positive, not {s0.tolist()}")
     return params, s0
 
 
@@ -205,6 +209,9 @@ def _intensity(section: dict, market: MarketParams):
 
 
 def _config(doc: dict, seed: int | None, n_paths: int | None) -> ExperimentConfig:
+    unknown = sorted(doc.keys() - {*_DOCUMENT, "name", "provenance"})
+    if unknown:
+        raise ValueError(f"config: unknown top-level keys {unknown}")
     market, s0 = _market_from_dict(doc["market"])
     utility = doc["utility"]
     unknown = sorted(utility.keys() - {"kind", "gamma"})

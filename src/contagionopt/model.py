@@ -336,7 +336,7 @@ _FAMILIES = {
 
 # the value a field of each scalar annotation takes from a section
 _SCALARS = {"int": (Integral, "an integer"), "float": (Real, "a number"),
-            "float | None": ((Real, type(None)), "a number")}
+            "float | None": ((Real, type(None)), "a number"), "str": (str, "a string")}
 
 
 def from_section(cls, section: dict, what: str, **given):
@@ -346,8 +346,8 @@ def from_section(cls, section: dict, what: str, **given):
     ``given`` supplies fields that do not come from the section, so the
     section may not name them.  An unknown or missing key raises
     ``ValueError`` naming ``what`` and the keys; so then does a value of a
-    field annotated ``int`` or ``float`` that is not an integer or a
-    number (a bool is neither), naming ``what.key``.
+    field annotated ``int``, ``float`` or ``str`` that is not an integer, a
+    number or a string (a bool is neither), naming ``what.key``.
     """
     names = {f.name for f in fields(cls)} - given.keys()
     required = {f.name for f in fields(cls) if f.default is MISSING

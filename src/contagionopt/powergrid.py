@@ -298,18 +298,31 @@ def validate_cfl(grid: GridSpec, params: MarketParams, gamma: float,
     return margin
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValueGrid:
     """Backward-DP output: value factor and argmax control per node/slice.
 
     ``f[k]`` is the value factor at time ``k dt``; ``controls[k]`` is the
-    allocation applied on ``[k dt, (k+1) dt)``.
+    allocation applied on ``[k dt, (k+1) dt)``.  An array of node shape
+    (1, 1) is held as a read-only view that shows its one node at every
+    node of the grid; an array of any other shape than the grid implies
+    raises ``ValueError`` naming it.
     """
 
     grid: GridSpec
     gamma: float
     f: np.ndarray         # (n_slices+1, ns, np)
     controls: np.ndarray  # (n_slices, ns, np, 2)
+
+    def __post_init__(self):
+        nodes = (self.grid.s_nodes().size, self.grid.p_nodes().size)
+        for name, shape in (("f", (self.grid.n_slices + 1, *nodes)),
+                            ("controls", (self.grid.n_slices, *nodes, 2))):
+            arr = getattr(self, name)
+            if arr.shape == (shape[0], 1, 1, *shape[3:]):
+                object.__setattr__(self, name, np.broadcast_to(arr, shape))
+            elif arr.shape != shape:
+                raise ValueError(f"{name} has shape {arr.shape}, its grid implies {shape}")
 
     def save(self, path: str):
         """Write the grid as an npz archive.  An array whose every node
@@ -325,13 +338,10 @@ class ValueGrid:
     def load(cls, path: str) -> "ValueGrid":
         """Read a grid written by :meth:`save`.
 
-        An array of node shape (1, 1) is read as a read-only view showing
-        that node at every node of the grid.  A file that is not an npz
-        archive, lacks one of the arrays ``meta``, ``f`` and ``controls``,
-        whose meta does not name the :class:`GridSpec` fields and a
-        ``gamma`` in (0, 1), or whose arrays have neither the shapes its
-        grid implies nor those shapes at one node raises ``ValueError``
-        naming the file.
+        A file that is not an npz archive, lacks one of the arrays ``meta``,
+        ``f`` and ``controls``, whose meta does not name the
+        :class:`GridSpec` fields and a ``gamma`` in (0, 1), or whose arrays
+        the record rejects raises ``ValueError`` naming the file.
         """
         try:
             data = np.load(path)
@@ -347,19 +357,10 @@ class ValueGrid:
                 raise ValueError("meta has no gamma")
             gamma = meta.pop("gamma")
             _check_gamma(gamma, "meta gamma")
-            grid = from_section(GridSpec, meta, "meta")
-            nodes = (grid.s_nodes().size, grid.p_nodes().size)
-            arrays = []
-            for name, arr, shape in (("f", f, (grid.n_slices + 1, *nodes)),
-                                     ("controls", controls, (grid.n_slices, *nodes, 2))):
-                if arr.shape == (shape[0], 1, 1, *shape[3:]):
-                    arr = np.broadcast_to(arr, shape)
-                elif arr.shape != shape:
-                    raise ValueError(f"{name} has shape {arr.shape}, its grid implies {shape}")
-                arrays.append(arr)
+            return cls(grid=from_section(GridSpec, meta, "meta"), gamma=gamma, f=f,
+                       controls=controls)
         except ValueError as exc:
             raise ValueError(f"value grid {path}: {exc}") from None
-        return cls(grid=grid, gamma=gamma, f=arrays[0], controls=arrays[1])
 
 
 def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
@@ -386,10 +387,9 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
     such as the constant comparator), the value is flat in price: every
     node sees the same factors, and a flat value stays flat.  The
     recursion then runs on the node ``(0, 0)`` alone, where the driftless
-    chain stays put, and its ``f`` and controls are read-only views that
-    show that one node's arrays at every node.
-    Its walk reads each trial from one table of every quarter-lattice
-    point's value per slice.
+    chain stays put, and the grid holds its arrays at that one node.  Its
+    walk reads each trial from one table of every quarter-lattice point's
+    value per slice.
 
     A ``gamma`` outside (0, 1), or a market that is not two stocks with
     positive volatilities (:class:`TwoStockMarket`), raises ``ValueError``.
@@ -402,7 +402,6 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
 
     dt = grid.dt
     S, P = np.meshgrid(grid.s_nodes(), grid.p_nodes(), indexing="ij")
-    shape = S.shape
     hS, hP = _pre_default_rates(intensity, S, P)
     if not (np.all(np.isfinite(hS)) and np.all(np.isfinite(hP))):
         bad = np.argwhere(~(np.isfinite(hS) & np.isfinite(hP)))[0]
@@ -483,11 +482,8 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
         f[k] = v
         chosen[k] = at
 
-    controls = fine[chosen].reshape(n_slices, ns, np_, 2)
-    if flat:
-        f = np.broadcast_to(f, (n_slices + 1, *shape))
-        controls = np.broadcast_to(controls, (n_slices, *shape, 2))
-    return ValueGrid(grid=grid, gamma=gamma, f=f, controls=controls)
+    return ValueGrid(grid=grid, gamma=gamma, f=f,
+                     controls=fine[chosen].reshape(n_slices, ns, np_, 2))
 
 
 class PowerGridStrategy(Strategy):

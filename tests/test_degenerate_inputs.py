@@ -173,6 +173,12 @@ CASES = [
     ("config-s0-length", lambda tmp: config_from_dict(
         base_doc(market={**base_doc()["market"], "s0": [100.0]})),
      ValueError, "s0 length must match mu"),
+    ("config-s0-zero", lambda tmp: config_from_dict(
+        base_doc(market={**base_doc()["market"], "s0": [100.0, 0]})),
+     ValueError, "market.s0 must be positive, not [100.0, 0.0]"),
+    ("config-sweep-mode-int", lambda tmp: config_from_dict(
+        base_doc(experiment={"kind": "sweep", "sweep_mode": 5})),
+     ValueError, "experiment.sweep_mode must be a string, not 5"),
     ("log-box-dimension", lambda tmp: LogControlProblem(
         benchmark_params(), benchmark_intensity(), AdmissibleBox([-1.0], [0.5])),
      ValueError, "box must be two-dimensional"),

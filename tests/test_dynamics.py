@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
@@ -13,6 +14,8 @@ from contagionopt.dynamics import (
     evolve_wealth,
     simulate_paths,
 )
+from contagionopt.experiments import builtin_config, config_from_dict
+from contagionopt.logopt import LogControlProblem, LogStrategy
 from contagionopt.model import (
     AdmissibleBox,
     ConstantIntensity,
@@ -21,6 +24,8 @@ from contagionopt.model import (
     ReciprocalIntensity,
     jump_factors,
 )
+from contagionopt.powergrid import PowerGridStrategy, solve_power_value
+from contagionopt.stats import summarize
 
 from helpers import ConstantAllocation, two_stock
 from test_model import benchmark_intensity, benchmark_params
@@ -557,6 +562,31 @@ class TestEvolveWealth:
         m1 = np.mean(w1**2)
         m2 = np.mean(w2**2)
         assert np.isfinite(m1) and m2 == pytest.approx(4.0 * m1, rel=1e-15, abs=0)
+        # the solvers' strategies allocate fractions of wealth too: both log
+        # sides and both power grids.  Scaling by a power of two is exact, so
+        # terminal wealth and its summary scale bit for bit
+        runs = []
+        for name, paths in (("benchmark-inferred", {}), ("crisis-reciprocal", {}),
+                            ("power-benchmark", {"horizon": 0.02})):
+            doc = copy.deepcopy(builtin_config(name).raw)
+            doc["paths"].update(paths, n_paths=400, n_steps=40)
+            c = config_from_dict(doc)
+            if c.grid is None:
+                problem = LogControlProblem(c.market, c.intensity, c.box)
+                strategies = [LogStrategy(problem), LogStrategy(problem, c.hbar)]
+            else:
+                strategies = [PowerGridStrategy(solve_power_value(c.grid, c.market, h, c.gamma,
+                                                                  c.box), c.market, c.box)
+                              for h in (c.intensity, ConstantIntensity(c.hbar))]
+            runs.append((simulate_paths(c.market, c.intensity, c.paths, c.s0), strategies))
+        for bundle, strategies in runs:
+            base = evolve_wealth(bundle, strategies, 100.0)
+            for scale in (2.0, 0.5):
+                for w, scaled in zip(base, evolve_wealth(bundle, strategies, scale * 100.0)):
+                    assert np.array_equal(scaled, scale * w)
+                    one, other = summarize(w), summarize(scaled)
+                    assert [other.mean, other.std, other.q_low, other.q_high] == \
+                        [scale * v for v in (one.mean, one.std, one.q_low, one.q_high)]
 
     def test_defaulted_allocation_aborts(self):
         class Bad(ConstantAllocation):

@@ -113,6 +113,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="sweep mode: 'bogus'"):
             config_from_dict(doc)
 
+    def test_unknown_top_level_key_rejected(self):
+        # a misspelt section would otherwise be read as absent
+        doc = builtin_config("benchmark-inferred").raw
+        config_from_dict(doc)  # the shipped keys: seven sections, name and provenance
+        with pytest.raises(ValueError) as exc:
+            config_from_dict({**doc, "gird": {"delta": 5.0}, "marketx": 3})
+        assert str(exc.value) == "config: unknown top-level keys ['gird', 'marketx']"
+
     @pytest.mark.parametrize("section, key", [
         ("box", "eps"), ("paths", "seed"), ("grid", "n_contol"), ("grid", "horizon"),
         ("experiment", "hbr"), ("entry", "mode"), ("market", "mu_s"), ("utility", "gama"),
@@ -544,6 +552,22 @@ class TestRunPowerComparison:
             with pytest.raises(ValueError, match="does not match"):
                 run_power_comparison(cfg, value_grid=vg, value_grid_const=vg)
 
+    def test_nonpositive_s0_rejected_before_any_grid_is_solved(self, tmp_path, capsys,
+                                                               monkeypatch):
+        doc = power_doc(n_paths=50)
+        doc["market"]["s0"] = [-100.0, 100.0]
+        config = tmp_path / "power.json"
+        config.write_text(json.dumps(doc))
+        solved = []
+        monkeypatch.setattr(experiments, "solve_power_value", lambda *args: solved.append(args))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["power-compare", "--config", str(config)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and solved == []
+        assert err == ("contagionopt power-compare: error: "
+                       "market.s0 must be positive, not [-100.0, 100.0]\n")
+
     def test_solved_grids_freed_before_the_simulation(self, monkeypatch):
         solve, simulate = experiments.solve_power_value, experiments.simulate_paths
         solved, dead = [], []
@@ -824,8 +848,10 @@ class TestCLI:
          ["paths.n_steps must be an integer, not 25.0"]),
         (["power-compare", "--config", "{refine}", "--paths", "20"],
          ["grid: unknown keys ['refine'], missing keys []"]),
+        (["sweep", "--config", "{int_label}", "--paths", "20"],
+         ["sweep entry 0.label must be a string, not 5"]),
     ], ids=["solve-power-without-grid", "missing-key", "leftover-cap", "missing-grid",
-            "kind-checked-before-grid", "zero-volatility", "float-steps", "refine"])
+            "kind-checked-before-grid", "zero-volatility", "float-steps", "refine", "int-label"])
     def test_bad_config_is_one_line(self, tmp_path, capsys, argv, needles):
         no_box = base_doc()
         del no_box["box"]
@@ -835,7 +861,10 @@ class TestCLI:
         float_steps["paths"]["n_steps"] = 25.0
         refine = power_doc()
         refine["grid"]["refine"] = True
+        # a label that no table row could hold
+        int_label = base_doc(experiment={"kind": "sweep", "entries": [{"label": 5, "set": {}}]})
         docs = {"no_box": no_box, "flat": flat, "float_steps": float_steps, "refine": refine,
+                "int_label": int_label,
                 "cap": base_doc(intensity={"family": "reciprocal", "c": 20.0, "cap": 2000.0})}
         paths = {"missing": tmp_path / "missing.npz"}
         for name, doc in docs.items():

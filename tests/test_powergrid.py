@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -597,6 +598,32 @@ class TestSolvePowerValue:
         assert back.grid == vg.grid and back.gamma == vg.gamma
         assert np.array_equal(back.f, vg.f)
         assert np.array_equal(back.controls, vg.controls)
+
+    def test_grid_built_in_process_checks_its_shapes(self):
+        # the shipped power grid's 41 x 41 nodes, at ten slices
+        grid = GridSpec(horizon=0.02, delta=5.0, dt=0.002, s_max=200.0, p_max=200.0,
+                        n_control=21)
+        f = np.ones((11, 41, 41))
+        for controls, message in (
+                (np.zeros((10, 21, 21, 2)),
+                 "controls has shape (10, 21, 21, 2), its grid implies (10, 41, 41, 2)"),
+                (np.zeros((2, 41, 41, 2)),
+                 "controls has shape (2, 41, 41, 2), its grid implies (10, 41, 41, 2)")):
+            with pytest.raises(ValueError) as exc:
+                ValueGrid(grid=grid, gamma=GAMMA, f=f, controls=controls)
+            assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            ValueGrid(grid=grid, gamma=GAMMA, f=f[:, :1], controls=np.zeros((10, 41, 41, 2)))
+        assert str(exc.value) == "f has shape (11, 1, 41), its grid implies (11, 41, 41)"
+        # one node is read as every node, through a read-only view; the record
+        # is frozen, so no array of another shape replaces a checked one
+        node = np.arange(20.0).reshape(10, 1, 1, 2)
+        vg = ValueGrid(grid=grid, gamma=GAMMA, f=f[:, :1, :1], controls=node)
+        assert vg.f.shape == f.shape and vg.controls.shape == (10, 41, 41, 2)
+        assert np.array_equal(vg.controls, np.broadcast_to(node, (10, 41, 41, 2)))
+        assert not vg.f.flags.writeable and not vg.controls.flags.writeable
+        with pytest.raises(FrozenInstanceError):
+            vg.controls = np.zeros((10, 21, 21, 2))
 
 
 class TestPowerStrategy:
