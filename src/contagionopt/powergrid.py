@@ -387,9 +387,14 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
     such as the constant comparator), the value is flat in price: every
     node sees the same factors, and a flat value stays flat.  The
     recursion then runs on the node ``(0, 0)`` alone, where the driftless
-    chain stays put, and the grid holds its arrays at that one node.  Its
-    walk reads each trial from one table of every quarter-lattice point's
-    value per slice.
+    chain stays put, and the grid holds its arrays at that one node; its
+    walk is the walk of every grid, on one node.
+
+    The walk gathers its trials from the features held feature-major, one
+    row per factor, and sums each trial's seven products with ``einsum``.
+    That rounds as the same sum over the features held row-major, bit for
+    bit at one node and at many, which rests on numpy's ``einsum`` loops
+    as the coarse product's bits rest on BLAS.
 
     A ``gamma`` outside (0, 1), or a market that is not two stocks with
     positive volatilities (:class:`TwoStockMarket`), raises ``ValueError``.
@@ -417,11 +422,12 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
 
     fine, admissible, coarse = _quarter_lattice(box, params.L, grid.n_control)
     feats = _features(market, gamma, fine, grid)
-    coarse_feats = feats[coarse]
+    coarse_feats, featsT = feats[coarse], feats.T.copy()
+    del feats
     # for the walk, an inadmissible point's first factor is -inf; its node
     # factor ehd ev0 is positive while v is, so such a trial's value is -inf
     # (NaN if ehd underflows) and never strictly better
-    feats[~admissible, 0] = -np.inf
+    featsT[0, ~admissible] = -np.inf
     # trial_of[o, q]: the quarter-lattice point that offset o reaches from q.
     # The index tables are held in the narrowest unsigned type of a
     # quarter-lattice index
@@ -458,23 +464,12 @@ def solve_power_value(grid: GridSpec, params: MarketParams, intensity,
         # the next slice's is made
         best, vbest = _first_max(coarse_feats @ nodes)
         at = coarse[best]
-
-        if flat:
-            # one node: every trial's value is in this slice's table
-            table = np.einsum("ij,ji->i", feats, np.broadcast_to(nodes, (7, len(feats))))
-            q, val = at.item(0), vbest.item(0)
-            for nbr in trial_of:
-                trial = nbr.item(q)
-                if table.item(trial) > val:
-                    q, val = trial, table.item(trial)
-            at[0], vbest[0] = q, val
-        else:
-            for nbr in trial_of:
-                trial = nbr[at]
-                val = np.einsum("ij,ji->i", feats.take(trial, axis=0), nodes)
-                upd = val > vbest
-                np.copyto(vbest, val, where=upd)
-                np.copyto(at, trial, where=upd)
+        # vbest starts finite, so fmax keeps it against a NaN or -inf trial
+        for nbr in trial_of:
+            trial = nbr[at]
+            val = np.einsum("ji,ji->i", featsT.take(trial, axis=1), nodes)
+            np.copyto(at, trial, where=val > vbest)
+            np.fmax(vbest, val, out=vbest)
 
         v = vbest.reshape(ns, np_)
         if not np.all(np.isfinite(v)) or v.min() <= 0.0:

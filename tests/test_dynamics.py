@@ -10,6 +10,8 @@ from contagionopt.dynamics import (
     _BLOCK,
     PathConfig,
     Strategy,
+    _draws,
+    _simulate,
     _simulate_worlds,
     evolve_wealth,
     simulate_paths,
@@ -665,6 +667,50 @@ class TestEvolveWealth:
         for pi in ([0.3, 0.0], [0.0, -0.2]):  # above S's upper, below P's lower bound
             with pytest.raises(RuntimeError, match="left the admissible box at step 0"):
                 evolve_wealth(bundle, [ConstantAllocation(pi, box=box)], x0=100.0)
+
+
+class TestStockExchange:
+    """Swapping the two stocks, S and P, swaps every column of the market and
+    keeps each investor's wealth.  Only at rho = 0: the Cholesky factor of a
+    correlated pair is lower-triangular, mixing the first normal into the
+    second and not the second into the first, so the factor of the swapped
+    correlation is not the swap of the factor."""
+
+    def test_swapped_stocks_mirror_the_paths_and_keep_the_wealth_bit_for_bit(self):
+        # the swap exchanges mu, sigma, the cross losses of L, s0 and the box
+        # bounds; the draws and the clocks come in with their stock columns
+        # reversed.  The simulation and the evolve sum each pair of terms in
+        # stock order, and at rho = 0 every cross term is zero, so each sum
+        # is the same two terms either way round.  The allocation's entries
+        # are powers of two, so each product of the evolve's dot pi @ theta
+        # is exact: a dot that fuses one product into its add rounds two
+        # inexact products differently by order (1.7e-18 at (0.5, -0.2))
+        params = two_stock(0.03, 0.08, 0.12, 0.25, 0.35, 0.0, 0.2, 0.3)
+        swapped = two_stock(0.03, 0.12, 0.08, 0.35, 0.25, 0.0, 0.3, 0.2)
+        box = AdmissibleBox(lower=[-0.5, -0.3], upper=[0.8, 0.6], eps_a=0.01)
+        mirror_box = AdmissibleBox(lower=[-0.3, -0.5], upper=[0.6, 0.8], eps_a=0.01)
+        cfg = PathConfig(horizon=1.0, n_steps=40, n_paths=3000, master_seed=31)
+        for intensity in (ReciprocalIntensity(c=20.0), ConstantIntensity(0.7),
+                          PowerClampIntensity(h0=10.0, weights=(0.7, 0.3), alpha=1.0,
+                                              h_min=0.05, h_max=3.0)):
+            clocks = np.empty((cfg.n_paths, 2))
+            draws = list(_draws(cfg, 2, clocks))
+            one = _simulate(params, intensity, cfg, [12.0, 9.0], draws, clocks)
+            other = _simulate(swapped, intensity, cfg, [9.0, 12.0],
+                              [(lo, hi, raw[..., ::-1]) for lo, hi, raw in draws],
+                              clocks[:, ::-1])
+            assert (one.default_step >= 0).sum() > 3000, intensity
+            assert other.normals.tobytes() == one.normals[..., ::-1].tobytes()
+            assert other.default_step.tobytes() == one.default_step[:, ::-1].tobytes()
+            for (prices, states, (p, j)), (mp, ms, (mpp, mj)) in zip(one.price_steps(),
+                                                                      other.price_steps()):
+                assert mp.tobytes() == prices[:, ::-1].tobytes()
+                assert ms.tobytes() == states[:, ::-1].tobytes()
+                assert np.array_equal(mpp, p) and np.array_equal(mj, 1 - j)
+            wealth = evolve_wealth(one, [ConstantAllocation([0.5, -0.25], box)], 100.0)[0]
+            mirrored = evolve_wealth(other, [ConstantAllocation([-0.25, 0.5], mirror_box)],
+                                     100.0)[0]
+            assert mirrored.tobytes() == wealth.tobytes(), intensity
 
 
 def estimate_log_value(params, intensity, strategy, cfg, s0, x0):

@@ -1,9 +1,11 @@
+import copy
 import itertools
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
+from contagionopt.experiments import builtin_config, config_from_dict
 from contagionopt.logopt import LogControlProblem, solve_kt_batch
 from contagionopt.model import (
     AdmissibleBox,
@@ -346,6 +348,34 @@ class TestSolvePowerValue:
             f, controls = former_solve(grid, params, h, GAMMA, box)
             assert np.array_equal(vg.f, f)
             assert np.array_equal(vg.controls, controls)
+
+    def test_a_shorter_horizon_is_the_longer_solve_from_slice_k(self):
+        # time shift: the sources depend on t only through T - t, so the
+        # solve on horizon T - k dt is the solve on T read from slice k on.
+        # Both sides form T - t in floats, (T - k dt) - j dt against
+        # T - (k + j) dt; in every case here they round alike, so the
+        # grids are equal bit for bit.  A price-dependent hazard and the
+        # one-node grid of a constant one, on the test grid at two time
+        # steps, and the shipped power grid at horizon 0.1
+        params = two_stock(0.05, 0.10, 0.15, 0.30, 0.40, 0.1, 0.2, 0.3)
+        hazards = (PowerClampIntensity(h0=1.0, weights=(0.7, 0.3), alpha=1.0,
+                                       h_min=0.05, h_max=1.0),
+                   ConstantIntensity([0.02, 0.06]))
+        cases = [(GridSpec(0.04, 1.0, dt, 6.0, 6.0, n_control=13), params, h, GAMMA,
+                  power_box(), range(1, n))
+                 for dt, n in ((0.005, 8), (0.002, 20)) for h in hazards]
+        doc = copy.deepcopy(builtin_config("power-benchmark").raw)
+        doc["paths"]["horizon"] = 0.1
+        c = config_from_dict(doc)
+        cases.append((c.grid, c.market, c.intensity, c.gamma, c.box, (1, 7, 25, 33, 49)))
+        for grid, market, h, gamma, box, shifts in cases:
+            whole = solve_power_value(grid, market, h, gamma, box)
+            for k in shifts:
+                part = solve_power_value(replace(grid, horizon=grid.horizon - k * grid.dt),
+                                         market, h, gamma, box)
+                assert part.grid.n_slices == grid.n_slices - k
+                assert np.array_equal(part.f, whole.f[k:]), (grid, k)
+                assert np.array_equal(part.controls, whole.controls[k:]), (grid, k)
 
     def test_terminal_slice_is_one(self):
         grid = GridSpec(horizon=0.5, delta=1.0, dt=0.01, s_max=10.0, p_max=10.0,

@@ -78,9 +78,12 @@ def test_dp_replay_of_a_checkout_against_itself(monkeypatch):
     # n_control 3: 81 quarter-lattice points, indexed in uint8
     got = _tool("dp_replay").replay(ROOT, horizon=0.004, rounds=3, n_control=3,
                                     s_max=20.0, p_max=20.0)
-    assert got["f_identical"] is True and got["controls_identical"] is True
-    assert got["slices"] == 2 and got["rounds"] == 3 and 0 <= got["wins"] <= 3
-    assert got["this_s"] > 0.0 and got["other_s"] > 0.0
+    assert got["slices"] == 2
+    # the active grid's fields, and the same fields for the comparator's
+    for race in (got, got["comparator"]):
+        assert race["f_identical"] is True and race["controls_identical"] is True
+        assert race["rounds"] == 3 and 0 <= race["wins"] <= 3
+        assert race["this_s"] > 0.0 and race["other_s"] > 0.0
 
 
 def test_shipped_run_reads_the_peak_rss_of_its_child():
